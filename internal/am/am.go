@@ -378,23 +378,17 @@ func (ep *Endpoint) checkRequestContext(op string) {
 // Request sends a short active message to dst and returns once the host
 // processor has handed it to the NIC (the message itself is in flight).
 // It stalls first, spin-polling, if the outstanding-request window to dst
-// is full.
+// is full. It is the coroutine-side assembly of the three continuation
+// pieces in cont.go — poll, window wait, commit — so the blocking and
+// resumable send paths are one implementation.
 //
 //repro:hotpath
 func (ep *Endpoint) Request(dst int, class Class, h Handler, args Args) {
 	ep.checkRequestContext("Request")
-	if h == nil {
-		panic("am: Request with nil handler")
-	}
 	// GAM polls the network on every request: senders service arrivals.
 	ep.Poll()
 	ep.waitWindow(dst)
-	ep.chargeSend()
-	ep.outstanding.inc(dst)
-	msg := ep.m.getMsg()
-	msg.kind, msg.src, msg.dst, msg.class, msg.handler, msg.args = kindRequest, ep.ID(), dst, class, h, args
-	ep.m.stats.countSendAt(ep.ID(), dst, class, false, 0, ep.proc.Clock())
-	ep.launch(msg)
+	ep.SendRequest(dst, class, h, args)
 }
 
 // Reply answers the request identified by tok with a short active message.
@@ -424,32 +418,16 @@ func (ep *Endpoint) Reply(tok *Token, h Handler, args Args) {
 // on the receiver when the DMA completes. The data is copied at send time.
 // Store counts as one bulk message (the paper's "Active Message bulk
 // transfer mechanism"); larger transfers are loops of Stores — see
-// StoreLarge.
+// StoreLarge. Like Request, it is poll + window wait + the SendStore
+// commit.
 //
 //repro:hotpath
 func (ep *Endpoint) Store(dst int, class Class, h BulkHandler, args Args, data []byte) {
 	ep.checkRequestContext("Store")
-	if h == nil {
-		panic("am: Store with nil handler")
-	}
-	p := ep.params()
-	if len(data) > p.FragmentSize {
-		panic(fmt.Sprintf("am: Store of %d bytes exceeds fragment size %d; use StoreLarge", len(data), p.FragmentSize))
-	}
 	// GAM polls the network on every request: senders service arrivals.
 	ep.Poll()
 	ep.waitWindow(dst)
-	ep.chargeSend()
-	ep.outstanding.inc(dst)
-	// The payload is copied into a fresh buffer because ownership of the
-	// bytes transfers to the receiving handler; only the record is pooled.
-	//lint:allow hotpathalloc bulk payload copy is the transfer semantics; the zero-alloc property covers short messages
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	msg := ep.m.getMsg()
-	msg.kind, msg.src, msg.dst, msg.class, msg.bulkH, msg.args, msg.data = kindBulk, ep.ID(), dst, class, h, args, buf
-	ep.m.stats.countSendAt(ep.ID(), dst, class, true, len(data), ep.proc.Clock())
-	ep.launch(msg)
+	ep.SendStore(dst, class, h, args, data)
 }
 
 // ReplyBulk answers the request identified by tok with one bulk fragment —
@@ -497,43 +475,17 @@ func (ep *Endpoint) StoreLarge(dst int, class Class, h BulkHandler, args Args, d
 }
 
 // waitWindow stalls, spin-polling, until a request credit to dst is free.
-// The spin loop is WaitUntilFor's, open-coded: window stalls are part of
-// the steady-state send path, and a capturing condition closure would be
-// a heap allocation per stall.
+// Window stalls are part of the steady-state send path, so the wait is
+// the closure-free WindowWait record.
 //
 //repro:hotpath
 func (ep *Endpoint) waitWindow(dst int) {
-	w := ep.params().Window
-	if ep.outstanding.get(dst) < w {
+	if ep.CanSend(dst) {
 		return
 	}
-	h := ep.m.hooks
-	if h != nil {
-		h.WaitBegin(ep.ID(), WaitWindow, ep.proc.Clock())
-	}
-	for {
-		ep.proc.Checkpoint()
-		if ep.outstanding.get(dst) < w {
-			break
-		}
-		if ep.pollOne() {
-			continue
-		}
-		if next := ep.peekInbox(); next != nil {
-			ep.proc.AdvanceTo(next.arrival)
-			continue
-		}
-		ep.pw.set(waitModeWindow, nil, nil, 0, dst, w, "am: window stall")
-		if ep.proc.ParkPollable(&ep.pw, "am: window stall") {
-			// The engine drove the wait to completion inline: a credit
-			// toward dst is free, established at the instant the CPU was
-			// handed back. Leave without re-testing.
-			break
-		}
-	}
-	if h != nil {
-		h.WaitEnd(ep.ID(), WaitWindow, ep.proc.Clock())
-	}
+	ep.MarkWaitBegin(WaitWindow)
+	ep.proc.Await(ep.WindowWait(dst))
+	ep.MarkWaitEnd(WaitWindow)
 }
 
 // chargeSend charges the host-side send overhead (o_send plus the
@@ -722,7 +674,8 @@ func (ep *Endpoint) popInbox() *message {
 
 // Poll processes every message that has arrived by the processor's current
 // time, charging o_recv (plus added overhead) per message and running its
-// handler. Poll is a scheduler checkpoint.
+// handler. Poll is a scheduler checkpoint: one before the inbox is first
+// inspected and one after every serviced arrival.
 //
 //repro:hotpath
 func (ep *Endpoint) Poll() {
@@ -730,13 +683,7 @@ func (ep *Endpoint) Poll() {
 		panic("am: Poll called from a message handler")
 	}
 	ep.proc.Checkpoint()
-	for {
-		msg := ep.peekInbox()
-		if msg == nil || msg.arrival > ep.proc.Clock() {
-			return
-		}
-		ep.popInbox()
-		ep.process(msg)
+	for ep.PollOneDue() {
 		ep.proc.Checkpoint()
 	}
 }
@@ -821,42 +768,15 @@ func (ep *Endpoint) WaitUntil(cond func() bool, reason string) {
 }
 
 // WaitUntilFor is WaitUntil with an explicit wait classification for the
-// instrumentation hooks (the splitc layer tags its reads, store-syncs,
-// bulk gets, barriers, and lock round trips).
+// instrumentation hooks.
 func (ep *Endpoint) WaitUntilFor(kind WaitKind, cond func() bool, reason string) {
 	if ep.inHandler {
 		panic("am: WaitUntil called from a message handler")
 	}
-	h := ep.m.hooks
-	if h != nil {
-		h.WaitBegin(ep.ID(), kind, ep.proc.Clock())
-	}
-	for {
-		ep.proc.Checkpoint()
-		if cond() {
-			break
-		}
-		if ep.pollOne() {
-			continue
-		}
-		if next := ep.peekInbox(); next != nil {
-			// Something is already in flight to us; spin forward to it.
-			ep.proc.AdvanceTo(next.arrival)
-			continue
-		}
-		ep.pw.set(waitModeCond, cond, nil, 0, 0, 0, reason)
-		done := ep.proc.ParkPollable(&ep.pw, reason)
-		ep.pw.set(waitModeWindow, nil, nil, 0, 0, 0, "")
-		if done {
-			// The engine drove the wait to completion inline: cond held
-			// at the instant the CPU was handed back, with all events due
-			// by then already executed. Leave without re-testing.
-			break
-		}
-	}
-	if h != nil {
-		h.WaitEnd(ep.ID(), kind, ep.proc.Clock())
-	}
+	ep.MarkWaitBegin(kind)
+	ep.proc.Await(ep.pw.set(waitModeCond, cond, nil, 0, 0, 0, reason))
+	ep.pw.cond = nil // do not keep the caller's closure alive past the wait
+	ep.MarkWaitEnd(kind)
 }
 
 // PendingArrivals reports how many delivered-but-unpolled messages wait in

@@ -6,46 +6,37 @@ import (
 	"repro/internal/sim"
 )
 
-// Continuation-mode endpoint primitives.
+// The endpoint's non-blocking pieces: the single implementation of the
+// send path, shared by both runtimes.
 //
 // A resumable processor body (sim.Resumable) cannot call the blocking
 // endpoint operations — Request, Store, Poll, WaitUntilFor — because they
 // park by yielding the calling goroutine's stack, and a resumable body
-// has none. The methods in this file decompose each blocking operation
-// into the three things it actually does:
+// has none. The methods in this file are the three things each blocking
+// operation actually does:
 //
-//  1. poll   — PollOneDue services one arrival present at the NIC,
-//     exactly the message-processing half of Poll (GAM polls on every
-//     request), with the caller parking on sim.Yield between steps;
-//  2. wait   — WindowWait / CounterWait / QuiesceWait hand the engine a
-//     closure-free wait record to drive (the same epWait the coroutine
-//     shell parks on, so both modes share one wait implementation);
+//  1. poll   — PollOneDue services one arrival present at the NIC (GAM
+//     polls on every request), with the caller yielding between steps;
+//  2. wait   — WindowWait / CounterWait / QuiesceWait hand the scheduler a
+//     closure-free wait record to drive;
 //  3. commit — SendRequest / SendStore perform the charge, the window
 //     book-keeping, and the launch, with no possibility of blocking.
 //
-// The splitc continuation layer assembles these into the Split-C
-// primitives; the assembly order mirrors the blocking originals
-// statement for statement, which is what the cross-mode equivalence test
-// pins (see DESIGN.md §11).
-//
-// Charges and arrivals are identical to the blocking path: both funnel
-// into chargeSend and launch. Control transfer is equivalent too: a
-// blocking Checkpoint maps to one park on sim.Yield — the engine resumes
-// a parked processor only once every peer at a smaller (clock, id) has
-// run and every event due by its clock has fired, which is precisely
-// what Checkpoint does inline — and each blocking poll decomposes into
-// PollOneDue steps separated by such parks. The two modes therefore
-// produce bit-identical timelines, which the cross-mode twin test pins.
+// The blocking operations in am.go are these same pieces assembled on the
+// coroutine side: where a continuation body returns sim.Yield the
+// blocking form calls Checkpoint, and where it returns a wait the
+// blocking form hands it to sim.Proc.Await. There is no second copy of
+// any charge or window rule to keep in step; what remains to argue is
+// only that the two ways of driving a wait agree (DESIGN.md §11).
 
 // PollOneDue services at most one message that has arrived by the
 // processor's current time, charging o_recv and running its handler —
-// one step of the continuation-mode poll. Pending engine events due by
-// the clock are drained around the step so deliveries and credit
-// returns materialize exactly as a Checkpoint would have made them.
-// Returns whether a message was processed; the caller must park on
-// sim.Yield before the first step and between steps so the poll
-// interleaves with slower processors exactly as the blocking Poll's
-// Checkpoints do.
+// one step of a poll. Pending engine events due by the clock are drained
+// around the step so deliveries and credit returns materialize exactly as
+// a Checkpoint would have made them. Returns whether a message was
+// processed; the caller must yield (sim.Yield, or Checkpoint on the
+// coroutine side) before the first step and between steps so slower
+// processors interleave.
 //
 //repro:hotpath
 func (ep *Endpoint) PollOneDue() bool {
@@ -53,12 +44,9 @@ func (ep *Endpoint) PollOneDue() bool {
 		panic("am: PollOneDue called from a message handler")
 	}
 	ep.proc.RunDueEvents()
-	msg := ep.peekInbox()
-	if msg == nil || msg.arrival > ep.proc.Clock() {
+	if !ep.pollOne() {
 		return false
 	}
-	ep.popInbox()
-	ep.process(msg)
 	ep.proc.RunDueEvents()
 	return true
 }
@@ -135,7 +123,7 @@ func (ep *Endpoint) SendStore(dst int, class Class, h BulkHandler, args Args, da
 	}
 	p := ep.params()
 	if len(data) > p.FragmentSize {
-		panic(fmt.Sprintf("am: SendStore of %d bytes exceeds fragment size %d", len(data), p.FragmentSize))
+		panic(fmt.Sprintf("am: bulk fragment of %d bytes exceeds fragment size %d; use StoreLarge", len(data), p.FragmentSize))
 	}
 	if !ep.CanSend(dst) {
 		panic(fmt.Sprintf("am: SendStore from proc %d with a full window toward %d; park on WindowWait first", ep.ID(), dst))
@@ -151,9 +139,9 @@ func (ep *Endpoint) SendStore(dst int, class Class, h BulkHandler, args Args, da
 	ep.launch(msg)
 }
 
-// MarkWaitBegin reports a wait-span start to the attached hooks, for
-// continuation primitives that bracket their parks the way WaitUntilFor
-// and waitWindow do. No-op when no hooks are attached.
+// MarkWaitBegin reports a wait-span start to the attached hooks; every
+// wait, blocking or resumptive, brackets its park with it. No-op when no
+// hooks are attached.
 func (ep *Endpoint) MarkWaitBegin(kind WaitKind) {
 	if h := ep.m.hooks; h != nil {
 		h.WaitBegin(ep.ID(), kind, ep.proc.Clock())

@@ -7,29 +7,20 @@ import (
 	"strings"
 )
 
-// ChargeTwin turns the twin-equivalence convention into a checked
-// property. The repository keeps every communication primitive and
-// every scalekern kernel in two forms — a blocking original and a
-// continuation (resumable) twin — and the cross-mode bit-identical
-// timelines rest on the two issuing the same charge operations in the
-// same order. The analyzer symbolically extracts each form's charge
-// sequence and reports any pair that is not statement-for-statement
-// identical.
+// ChargeTwin checks the scalekern kernel twins. Each weak-scaling kernel
+// is written as a Task (what the scale experiment runs) and as a blocking
+// body (the reference program TestKernelsMatchBlocking compares the two
+// drivers with); the comparison is only meaningful if the two make the
+// same primitive calls with the same compute charges in the same order.
+// The analyzer extracts both sequences and reports any pair that is not
+// statement-for-statement identical.
 //
-// Two conventions are recognized:
-//
-//   - Primitive twins: a method M on type X paired with method M+"T" on
-//     type "T"+X (Proc.Barrier ↔ TProc.BarrierT). Sequences are
-//     flattened to endpoint-boundary operations — Request/SendRequest,
-//     Store/SendStore, Compute/ComputeUs with their argument text —
-//     recursing through same-package helper methods called on the
-//     receiver, skipping handler closures (they run on the receiving
-//     processor and charge there in both modes).
-//   - Kernel twins: a function <x>Body paired with the Step method of
-//     type <x>Task (radixBody ↔ radixTask.Step). Sequences are the
-//     splitc primitive calls on the subject processor, with the
-//     trailing "T" stripped (WriteWordT ≡ WriteWord) and compute
-//     charges compared with their argument expressions.
+// The convention: a function <x>Body pairs with the Step method of type
+// <x>Task (radixBody ↔ radixTask.Step). Sequences are the splitc
+// primitive calls on the subject processor, with the trailing "T"
+// stripped (WriteWordT ≡ WriteWord) and compute charges compared with
+// their argument expressions. The primitives themselves need no such
+// check: each is implemented once and both drivers run it.
 var ChargeTwin = &Analyzer{
 	Name: "chargetwin",
 	Doc:  "verify blocking/continuation twin pairs issue statement-for-statement identical charge sequences",
@@ -38,19 +29,14 @@ var ChargeTwin = &Analyzer{
 
 // chargetwinScopes are the packages holding twin pairs.
 func chargetwinScopes() []string {
-	return []string{
-		"internal/splitc",
-		"internal/apps/scalekern",
-	}
+	return []string{"internal/apps/scalekern"}
 }
 
 func runChargeTwin(pass *Pass) error {
 	if !inScope(pass.Pkg.Path(), chargetwinScopes()) {
 		return nil
 	}
-	idx := newDeclIndex(pass)
-	checkPrimitiveTwins(pass, idx)
-	checkKernelTwins(pass, idx)
+	checkKernelTwins(pass, newDeclIndex(pass))
 	return nil
 }
 
@@ -68,7 +54,7 @@ func (c chargeOp) String() string {
 }
 
 // declIndex maps the package's function declarations by name and by
-// receiver type for twin pairing and helper recursion.
+// receiver type for twin pairing.
 type declIndex struct {
 	funcs   map[string]*ast.FuncDecl
 	methods map[string]map[string]*ast.FuncDecl
@@ -119,19 +105,6 @@ func recvTypeName(fd *ast.FuncDecl) string {
 	}
 }
 
-// subjectObj returns the object of fd's receiver (methods) or first
-// parameter (functions) — the value charge operations are issued on.
-func subjectObj(pass *Pass, fd *ast.FuncDecl) types.Object {
-	fl := fd.Recv
-	if fl == nil {
-		fl = fd.Type.Params
-	}
-	if fl == nil || len(fl.List) == 0 || len(fl.List[0].Names) == 0 {
-		return nil
-	}
-	return pass.TypesInfo.Defs[fl.List[0].Names[0]]
-}
-
 // walkCalls visits every call expression in n in source order, without
 // descending into function literals: a closure passed as a handler runs
 // (and charges) on the processor that receives the message, in both
@@ -148,123 +121,12 @@ func walkCalls(n ast.Node, fn func(*ast.CallExpr)) {
 	})
 }
 
-// ----- primitive twins (Proc.M ↔ TProc.MT) -----
-
-func checkPrimitiveTwins(pass *Pass, idx *declIndex) {
-	ctx := &twinCtx{pass: pass, idx: idx, memo: map[*ast.FuncDecl][]chargeOp{}, busy: map[*ast.FuncDecl]bool{}}
-	types_ := make([]string, 0, len(idx.methods))
-	for name := range idx.methods {
-		types_ = append(types_, name)
-	}
-	sort.Strings(types_)
-	for _, base := range types_ {
-		contMethods := idx.methods["T"+base]
-		if contMethods == nil {
-			continue
-		}
-		names := make([]string, 0, len(idx.methods[base]))
-		for m := range idx.methods[base] {
-			names = append(names, m)
-		}
-		sort.Strings(names)
-		for _, m := range names {
-			blocking := idx.methods[base][m]
-			cont := contMethods[m+"T"]
-			if cont == nil {
-				continue
-			}
-			bOps := ctx.flatten(blocking)
-			cOps := ctx.flatten(cont)
-			reportTwinDiff(pass, cont, blocking.Name.Name, bOps, cOps)
-		}
-	}
-}
-
-// twinCtx memoizes flattened charge sequences per declaration.
-type twinCtx struct {
-	pass *Pass
-	idx  *declIndex
-	memo map[*ast.FuncDecl][]chargeOp
-	busy map[*ast.FuncDecl]bool
-}
-
-// flatten extracts fd's endpoint-boundary charge sequence, recursing
-// through same-package helper methods called directly on the receiver.
-func (c *twinCtx) flatten(fd *ast.FuncDecl) []chargeOp {
-	if ops, ok := c.memo[fd]; ok {
-		return ops
-	}
-	if c.busy[fd] {
-		return nil // recursion cycle: both twins cut it identically
-	}
-	c.busy[fd] = true
-	subj := subjectObj(c.pass, fd)
-	var ops []chargeOp
-	if subj != nil {
-		walkCalls(fd.Body, func(call *ast.CallExpr) {
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return
-			}
-			base := baseIdent(sel.X)
-			if base == nil || c.pass.TypesInfo.Uses[base] != subj {
-				return
-			}
-			switch name := sel.Sel.Name; name {
-			case "Compute":
-				ops = append(ops, chargeOp{"compute", argText(call, 0)})
-			case "ComputeUs":
-				ops = append(ops, chargeOp{"computeUs", argText(call, 0)})
-			case "Request", "SendRequest":
-				ops = append(ops, chargeOp{op: "request"})
-			case "Store", "SendStore":
-				ops = append(ops, chargeOp{op: "store"})
-			default:
-				// Recurse into a same-package method called directly on
-				// the subject (t.requestT(...), p.sendColl(...)).
-				if x, ok := sel.X.(*ast.Ident); ok && c.pass.TypesInfo.Uses[x] == subj {
-					if callee := c.methodDecl(subj, name); callee != nil {
-						ops = append(ops, c.flatten(callee)...)
-					}
-				}
-			}
-		})
-	}
-	delete(c.busy, fd)
-	c.memo[fd] = ops
-	return ops
-}
-
-// methodDecl resolves a method name on the subject's type to its
-// declaration in this package.
-func (c *twinCtx) methodDecl(subj types.Object, name string) *ast.FuncDecl {
-	tn := typeNameOf(subj.Type())
-	if tn == "" {
-		return nil
-	}
-	return c.idx.methods[tn][name]
-}
-
-// typeNameOf returns the named-type name behind t, unwrapping one
-// pointer level.
-func typeNameOf(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
 func argText(call *ast.CallExpr, i int) string {
 	if i >= len(call.Args) {
 		return ""
 	}
 	return types.ExprString(call.Args[i])
 }
-
-// ----- kernel twins (<x>Body ↔ <x>Task.Step) -----
 
 // kernelChargeNames are the subject-processor calls that charge time or
 // traffic, compared between kernel twins after stripping the trailing

@@ -9,8 +9,7 @@ import (
 
 func TestChargeTwin(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.ChargeTwin,
-		// Fixture paths end in the scoped segments.
-		"chargetwin/internal/splitc",        // primitive twins (M ↔ MT)
+		// The fixture path ends in the scoped segments.
 		"chargetwin/internal/apps/scalekern", // kernel twins (xBody ↔ xTask.Step)
 	)
 }

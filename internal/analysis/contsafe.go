@@ -14,7 +14,7 @@ import (
 // any function whose results include a PollableWait — is re-entered by
 // the engine after every park, so three things must hold:
 //
-//  1. It never calls a blocking primitive (WaitUntilFor, Checkpoint,
+//  1. It never calls a blocking primitive (Await, WaitUntilFor, Checkpoint,
 //     Poll, Park, ParkPollable, Request, Store): those park by yielding
 //     a goroutine stack that a resumable body does not have. A poll
 //     function parks by returning a wait instead.
@@ -45,6 +45,7 @@ func contsafeScopes() []string {
 // never call: each parks the calling goroutine (or, for Request/Store,
 // may) instead of returning a wait to the engine.
 var blockingPrimitives = map[string]bool{
+	"Await":        true,
 	"WaitUntilFor": true,
 	"Checkpoint":   true,
 	"Poll":         true,

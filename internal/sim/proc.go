@@ -308,6 +308,48 @@ func (p *Proc) ParkPollable(w PollableWait, reason string) bool {
 	return true
 }
 
+// Await is the coroutine-side wait loop: it spin-polls w to completion
+// on the calling processor's own goroutine, one iteration per pass —
+// checkpoint, test the condition, service one due unit of work, spin
+// forward to known future work, or park. It is the exact coroutine twin
+// of Engine.stepWait (which runs the same iteration on a parked waiter's
+// behalf), and the only such loop on this side: every blocking wait in
+// the layers above — endpoint window stalls, WaitUntilFor, and the
+// Split-C primitives' parks — funnels through it. Awaiting Yield is a
+// plain Checkpoint.
+//
+//repro:hotpath
+func (p *Proc) Await(w PollableWait) {
+	for {
+		p.Checkpoint()
+		if w.Ready(p) {
+			return
+		}
+		if w.PollOne(p) {
+			continue
+		}
+		if t, ok := w.NextWork(p); ok {
+			// Something is already in flight to us; spin forward to it.
+			p.AdvanceTo(t)
+			continue
+		}
+		if p.ParkPollable(w, waitReason(w)) {
+			// The engine drove the wait to completion inline: Ready held
+			// at the instant the CPU was handed back, with all events due
+			// by then already executed. Leave without re-testing.
+			return
+		}
+	}
+}
+
+// waitReason labels w for deadlock diagnostics.
+func waitReason(w PollableWait) string {
+	if r, ok := w.(WaitReasoner); ok {
+		return r.WaitReason()
+	}
+	return "pollable wait"
+}
+
 // WakeAt makes a parked processor runnable at time t (or at its own clock,
 // whichever is later). If the processor is not currently parked, the wakeup
 // is recorded and the processor's next Park returns (at time t) instead of

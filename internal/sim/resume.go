@@ -145,11 +145,7 @@ func (e *Engine) resumeStep(p *Proc) {
 		panic(fmt.Sprintf("sim: proc %d Resume returned neither a wait nor done", p.id))
 	}
 	p.wait = w
-	if r, ok := w.(WaitReasoner); ok {
-		p.blockReason = r.WaitReason()
-	} else {
-		p.blockReason = "resumable wait"
-	}
+	p.blockReason = waitReason(w)
 	p.state = stateReady
 	e.ready.push(p)
 }

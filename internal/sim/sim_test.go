@@ -294,27 +294,33 @@ func TestScheduleAndSleepZeroAlloc(t *testing.T) {
 	// The pooled event path: once the event heap has reached its
 	// high-water mark, arming a sleep (ScheduleCall + park + fast-path
 	// wake) must not allocate. Measured from inside the body, where the
-	// steady state lives.
+	// steady state lives. MemStats.Mallocs is process-wide and also
+	// counts the runtime's own allocations, which land in one window at
+	// random; a steady-state allocation lands in every window, so the
+	// gate is the minimum over several.
 	e := New(Config{Procs: 1})
-	var got uint64
+	const windows, measured = 5, 1000
+	got := ^uint64(0)
 	err := e.Run(func(p *Proc) {
 		for i := 0; i < 100; i++ { // warm the event heap
 			p.Sleep(10)
 		}
 		runtime.GC()
 		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 1000; i++ {
-			p.Sleep(10)
+		for w := 0; w < windows; w++ {
+			runtime.ReadMemStats(&before)
+			for i := 0; i < measured; i++ {
+				p.Sleep(10)
+			}
+			runtime.ReadMemStats(&after)
+			got = min(got, after.Mallocs-before.Mallocs)
 		}
-		runtime.ReadMemStats(&after)
-		got = after.Mallocs - before.Mallocs
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 0 {
-		t.Errorf("steady-state Sleep path allocated %d times in 1000 iterations, want 0", got)
+		t.Errorf("steady-state Sleep path allocated at least %d times in each of %d windows of %d iterations, want 0", got, windows, measured)
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 
 // This file is the pluggable collective engine: the algorithm registry,
 // the per-world selection, and the tag-space allocator. Each primitive
-// (barrier, broadcast, all-reduce) has several registered algorithms;
-// every algorithm exists as a blocking Proc method and a continuation
-// TProc twin, paired by the chargetwin analyzer, so the selection
-// machinery never touches what either runtime charges. A World resolves
-// its selection once, at construction, from Config.Collectives — names,
-// "auto" (the tune package's LogGP cost models pick), or the zero value
-// for the historical defaults.
+// (barrier, broadcast, all-reduce) has several registered algorithms,
+// each written once as a resumptive TProc method (coll_algos_cont.go)
+// that both drivers run, so a registry row is a name, a space
+// requirement, and one function. A World resolves its selection once, at
+// construction, from Config.Collectives — names, "auto" (the tune
+// package's LogGP cost models pick), or the zero value for the historical
+// defaults.
 
 // CollAuto selects an algorithm via the LogGP auto-tuner in
 // internal/splitc/tune, evaluated against the world's own (P, L, o, g,
@@ -74,8 +74,7 @@ const (
 	OpMax
 )
 
-// fn returns the operator's combining function (stable package-level
-// values, as the continuation primitives require).
+// fn returns the operator's combining function.
 func (op ReduceOp) fn() func(a, b uint64) uint64 {
 	if op == OpMax {
 		return maxOp
@@ -89,12 +88,11 @@ func reduceApply(op ReduceOp, a, b uint64) uint64 { return op.fn()(a, b) }
 
 // ----- registry -----
 
-// barrierAlg is one registered barrier algorithm: its blocking and
-// continuation twins plus the per-processor counter slots it needs.
+// barrierAlg is one registered barrier algorithm and the per-processor
+// counter slots it needs.
 type barrierAlg struct {
 	name  string
 	slots func(p int) int
-	run   func(*Proc)
 	runT  func(*TProc) sim.PollableWait
 }
 
@@ -103,7 +101,6 @@ type barrierAlg struct {
 type bcastAlg struct {
 	name string
 	tags func(p int) int
-	run  func(*Proc, int, uint64) uint64
 	runT func(*TProc, int, uint64) (uint64, sim.PollableWait)
 }
 
@@ -112,7 +109,6 @@ type bcastAlg struct {
 type arAlg struct {
 	name string
 	tags func(p int) int
-	run  func(*Proc, uint64, ReduceOp) uint64
 	runT func(*TProc, uint64, ReduceOp) (uint64, sim.PollableWait)
 }
 
@@ -122,9 +118,9 @@ func twoSlots(int) int { return 2 }
 // fresh so no package-level mutable state exists.
 func barrierRegistry() []barrierAlg {
 	return []barrierAlg{
-		{name: tune.BarrierDissemination, slots: logRounds, run: (*Proc).barrierDissem, runT: (*TProc).barrierDissemT},
-		{name: tune.BarrierTree, slots: twoSlots, run: (*Proc).barrierTree, runT: (*TProc).barrierTreeT},
-		{name: tune.BarrierFlat, slots: twoSlots, run: (*Proc).barrierFlat, runT: (*TProc).barrierFlatT},
+		{name: tune.BarrierDissemination, slots: logRounds, runT: (*TProc).barrierDissemT},
+		{name: tune.BarrierTree, slots: twoSlots, runT: (*TProc).barrierTreeT},
+		{name: tune.BarrierFlat, slots: twoSlots, runT: (*TProc).barrierFlatT},
 	}
 }
 
@@ -132,18 +128,18 @@ func barrierRegistry() []barrierAlg {
 func bcastRegistry() []bcastAlg {
 	one := func(int) int { return 1 }
 	return []bcastAlg{
-		{name: tune.BcastBinomial, tags: logRounds, run: (*Proc).bcastBinomial, runT: (*TProc).bcastBinomialT},
-		{name: tune.BcastChain, tags: one, run: (*Proc).bcastChain, runT: (*TProc).bcastChainT},
-		{name: tune.BcastFlat, tags: one, run: (*Proc).bcastFlat, runT: (*TProc).bcastFlatT},
+		{name: tune.BcastBinomial, tags: logRounds, runT: (*TProc).bcastBinomialT},
+		{name: tune.BcastChain, tags: one, runT: (*TProc).bcastChainT},
+		{name: tune.BcastFlat, tags: one, runT: (*TProc).bcastFlatT},
 	}
 }
 
 // arRegistry lists the all-reduce algorithms, default first.
 func arRegistry() []arAlg {
 	return []arAlg{
-		{name: tune.AllReduceTree, tags: func(p int) int { return 2 * logRounds(p) }, run: (*Proc).allReduceTree, runT: (*TProc).allReduceTreeT},
-		{name: tune.AllReduceRecDouble, tags: func(p int) int { return logRounds(p) + 2 }, run: (*Proc).allReduceRecDouble, runT: (*TProc).allReduceRecDoubleT},
-		{name: tune.AllReduceFlat, tags: twoSlots, run: (*Proc).allReduceFlat, runT: (*TProc).allReduceFlatT},
+		{name: tune.AllReduceTree, tags: func(p int) int { return 2 * logRounds(p) }, runT: (*TProc).allReduceTreeT},
+		{name: tune.AllReduceRecDouble, tags: func(p int) int { return logRounds(p) + 2 }, runT: (*TProc).allReduceRecDoubleT},
+		{name: tune.AllReduceFlat, tags: twoSlots, runT: (*TProc).allReduceFlatT},
 	}
 }
 
@@ -180,7 +176,7 @@ func AllReduceAlgorithms() []string {
 // ----- selection -----
 
 // tagSpace allocates disjoint AM tag blocks so algorithms cannot
-// collide, replacing the former fixed tag arithmetic.
+// collide.
 type tagSpace struct{ next int }
 
 func (ts *tagSpace) grab(n int) int {
@@ -204,7 +200,7 @@ type collSel struct {
 	gatherBase int // one gather tag
 	a2aBase    int // one all-to-all tag
 
-	numTags  int // total allocated tags (sizes collOf and TProc cells)
+	numTags  int // total allocated tags (sizes the TProc operand cells)
 	barSlots int // barrier counter slots per processor
 }
 
@@ -268,6 +264,16 @@ func resolveCollectives(c Collectives, p int, params logp.Params) (collSel, erro
 	s.barSlots = s.barrier.slots(p)
 	return s, nil
 }
+
+// The tag accessors: reduceTag and arBcastTag address the tree
+// all-reduce's two sub-blocks (reduce rounds, then its broadcast rounds);
+// scan, gather and all-to-all own the blocks after the selected
+// algorithms'.
+func (w *World) reduceTag(r int) int  { return w.sel.arBase + r }
+func (w *World) arBcastTag(r int) int { return w.sel.arBase + logRounds(w.P()) + r }
+func (w *World) scanTag(r int) int    { return w.sel.scanBase + r }
+func (w *World) gatherTag() int       { return w.sel.gatherBase }
+func (w *World) allToAllTag() int     { return w.sel.a2aBase }
 
 // CollectiveNames returns the world's resolved algorithm selection
 // (after defaulting and auto-tuning).

@@ -5,17 +5,38 @@ import (
 	"repro/internal/sim"
 )
 
-// Continuation twins of the algorithms in coll_algos.go, written in the
-// resumptive style of cont.go. Each method replays its blocking
-// original statement for statement — same sends in the same source
-// order, same wait conditions, same instrumentation — which is what the
-// chargetwin analyzer checks pairwise and what keeps the two runtimes'
-// timelines bit-identical under any selection.
+// The registered collective algorithms beyond the defaults in cont.go,
+// in the same resumptive style: each is the one implementation both
+// drivers run, so a new algorithm is one method here plus a registry row
+// in coll.go.
 
-// barrierTreeT is barrierTree: store-sync, gather up the binomial tree,
-// release back down it. op.pc: 0 enter, 1 store-sync complete, 2 subtree
-// gathered, 3 arrival sent upward, 4 release received, 5 release fan-out
-// (op.r round cursor).
+// Barrier counter slots for the tree and flat barriers: arrivals
+// accumulate in slot 0, releases in slot 1. Counters are cumulative
+// across episodes, like the dissemination barrier's round counters.
+const (
+	slotArrive  = 0
+	slotRelease = 1
+)
+
+// treeChildren counts me's children in the binomial tree rooted at 0
+// (child me+2^r for every round r with 2^r > me and me+2^r < P).
+func treeChildren(me, p int) int {
+	n := 0
+	for r := 0; 1<<r < p; r++ {
+		if me < 1<<r && me+1<<r < p {
+			n++
+		}
+	}
+	return n
+}
+
+// barrierTreeT is the gather-release tree barrier: after the store-sync,
+// arrivals climb a binomial tree to processor 0 (each node forwards once
+// its subtree has arrived), and the release walks the same tree back
+// down. 2·⌈log2 P⌉ sequential hops on the critical path but only 2·(P-1)
+// messages total, half the dissemination barrier's traffic. op.pc: 0
+// enter, 1 store-sync complete, 2 subtree gathered, 3 arrival sent
+// upward, 4 release received, 5 release fan-out (op.r round cursor).
 func (t *TProc) barrierTreeT() sim.PollableWait {
 	w, me, P := t.w, t.ID(), t.P()
 	for {
@@ -83,10 +104,12 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 	}
 }
 
-// barrierFlatT is barrierFlat: store-sync, all arrivals on processor 0,
-// direct release fan-out. op.pc: 0 enter, 1 store-sync complete, 2 root
-// gathered, 3 root release loop (op.r), 4 arrival sent, 5 release
-// received.
+// barrierFlatT is the central-counter barrier: after the store-sync,
+// everyone reports to processor 0, which releases everyone directly.
+// Depth 2, but the root serializes P-1 receives and P-1 paced sends — the
+// small-P/large-o corner is where it can beat the log-round algorithms.
+// op.pc: 0 enter, 1 store-sync complete, 2 root gathered, 3 root release
+// loop (op.r), 4 arrival sent, 5 release received.
 func (t *TProc) barrierFlatT() sim.PollableWait {
 	w, me, P := t.w, t.ID(), t.P()
 	for {
@@ -145,8 +168,8 @@ func (t *TProc) barrierFlatT() sim.PollableWait {
 	}
 }
 
-// bcastBinomialT is bcastBinomial: the binomial tree under the
-// broadcast tag block. op.pc: 0 enter, 1 tree in progress.
+// bcastBinomialT is the default broadcast: cont.go's binomial tree under
+// the broadcast tag block. op.pc: 0 enter, 1 tree in progress.
 func (t *TProc) bcastBinomialT(root int, val uint64) (uint64, sim.PollableWait) {
 	if t.op.pc == 0 {
 		t.op.acc = val
@@ -160,8 +183,11 @@ func (t *TProc) bcastBinomialT(root int, val uint64) (uint64, sim.PollableWait) 
 	return v, nil
 }
 
-// bcastChainT is bcastChain: forward the value around the rotated ring.
-// op.pc: 0 enter, 1 receiving, 2 forwarding.
+// bcastChainT forwards the value around the ring rotated to start at
+// root: P-1 sequential hops, one send and at most one receive per
+// processor — the pipelined-segmented schedule degenerate to one
+// segment, which the tuner prices accordingly. op.pc: 0 enter, 1
+// receiving, 2 forwarding.
 func (t *TProc) bcastChainT(root int, val uint64) (uint64, sim.PollableWait) {
 	w, me, P := t.w, t.ID(), t.P()
 	tag := w.sel.bcastBase
@@ -194,8 +220,9 @@ func (t *TProc) bcastChainT(root int, val uint64) (uint64, sim.PollableWait) {
 	}
 }
 
-// bcastFlatT is bcastFlat: the root sends to everyone directly, in
-// processor order. op.pc: 0 enter, 1 root fan-out (op.r), 2 receiving.
+// bcastFlatT has the root send to every other processor directly, in
+// processor order: depth 1, serialized on the root's injection pacing.
+// op.pc: 0 enter, 1 root fan-out (op.r), 2 receiving.
 func (t *TProc) bcastFlatT(root int, val uint64) (uint64, sim.PollableWait) {
 	w, me, P := t.w, t.ID(), t.P()
 	tag := w.sel.bcastBase
@@ -232,14 +259,18 @@ func (t *TProc) bcastFlatT(root int, val uint64) (uint64, sim.PollableWait) {
 	}
 }
 
-// allReduceTreeT is allReduceTree: the reduce-broadcast tree adapted to
-// the engine's operator-code signature.
+// allReduceTreeT adapts the default reduce-broadcast tree (cont.go) to
+// the registry's operator-code signature.
 func (t *TProc) allReduceTreeT(val uint64, op ReduceOp) (uint64, sim.PollableWait) {
 	return t.allReduceTreeFnT(val, op.fn())
 }
 
-// allReduceRecDoubleT is allReduceRecDouble: pairwise fold into the
-// power-of-two core, recursive-doubling exchange, unfold. op.pc: 0
+// allReduceRecDoubleT is recursive doubling (the butterfly): when P is
+// not a power of two, the low 2·(P-pof2) processors fold pairwise into
+// their even member first; the pof2-sized core then exchanges partials
+// with the vid^2^r partner for ⌊log2 P⌋ rounds, after which the folded
+// processors receive the result back. Every core processor holds the
+// total after the last round — half the tree algorithm's depth. op.pc: 0
 // enter, 1 folding out (send), 2 folded out (await result), 3 absorbing
 // the fold, 4 exchange send of round op.r, 5 exchange recv, 6 unfold.
 func (t *TProc) allReduceRecDoubleT(val uint64, op ReduceOp) (uint64, sim.PollableWait) {
@@ -321,10 +352,12 @@ func (t *TProc) allReduceRecDoubleT(val uint64, op ReduceOp) (uint64, sim.Pollab
 	}
 }
 
-// allReduceFlatT is allReduceFlat: gather on processor 0 (via the
-// accumulating handler, since P-1 operands exceed any fixed ring),
-// direct fan-out of the total. op.pc: 0 enter, 1 root gathered, 2 root
-// release loop (op.r), 3 operand sent, 4 result received.
+// allReduceFlatT gathers every operand on processor 0 — through the
+// accumulating handler, which combines on arrival so the root stores
+// nothing — and fans the total back out directly. Episodes cannot
+// overlap: a sender's next contribution is causally behind the result it
+// must first receive. op.pc: 0 enter, 1 root gathered, 2 root release
+// loop (op.r), 3 operand sent, 4 result received.
 func (t *TProc) allReduceFlatT(val uint64, op ReduceOp) (uint64, sim.PollableWait) {
 	w, me, P := t.w, t.ID(), t.P()
 	gtag := w.sel.arBase

@@ -5,18 +5,25 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/am"
 	"repro/internal/logp"
 	"repro/internal/sim"
 	"repro/internal/splitc/tune"
 )
 
-// collPair runs the same program as a blocking body and a continuation
-// task on twin worlds built with the given selection, checks the two
-// runtimes agree on results, message counts, barriers, and makespan, and
-// returns the per-processor results.
+// collPair runs the same program as a blocking body under Run and as a
+// task under RunTasks, on twin NOW worlds built with the given selection,
+// checks the two drivers agree on results, message counts, barriers, and
+// makespan, and returns the per-processor results.
 func collPair(t *testing.T, p int, sel Collectives, body func(*Proc, []uint64), mk func([]uint64) func(int) Task) []uint64 {
 	t.Helper()
-	wb, err := NewWorldCfg(Config{Procs: p, Params: logp.NOW(), Seed: 42, Collectives: sel})
+	return collPairOn(t, p, logp.NOW(), sel, body, mk)
+}
+
+// collPairOn is collPair on an explicit machine.
+func collPairOn(t *testing.T, p int, params logp.Params, sel Collectives, body func(*Proc, []uint64), mk func([]uint64) func(int) Task) []uint64 {
+	t.Helper()
+	wb, err := NewWorldCfg(Config{Procs: p, Params: params, Seed: 42, Collectives: sel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +32,7 @@ func collPair(t *testing.T, p int, sel Collectives, body func(*Proc, []uint64), 
 		t.Fatalf("blocking: %v", err)
 	}
 
-	wc, err := NewWorldCfg(Config{Procs: p, Params: logp.NOW(), Seed: 42, Collectives: sel})
+	wc, err := NewWorldCfg(Config{Procs: p, Params: params, Seed: 42, Collectives: sel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +286,106 @@ func TestCollectiveAlgorithmEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// ----- back-to-back broadcasts: P-1 episodes from one root with nothing
+// between them, Sample sort's splitter distribution. A fast root runs
+// several episodes ahead of a slow leaf, so operands outnumber the cell's
+// two ring slots and the overflow FIFO has to hold the rest in order. -----
+
+func bcastBurstBlocking(p *Proc, out []uint64) {
+	var sum uint64
+	for i := 0; i < p.P()-1; i++ {
+		sum = sum*31 + p.Broadcast(0, uint64(1000+i))
+	}
+	out[p.ID()] = sum
+}
+
+type bcastBurstTask struct {
+	out []uint64
+	i   int
+	sum uint64
+}
+
+func (k *bcastBurstTask) Step(t *TProc) (sim.PollableWait, bool) {
+	for k.i < t.P()-1 {
+		v, wt := t.BroadcastT(0, uint64(1000+k.i))
+		if wt != nil {
+			return wt, false
+		}
+		k.sum = k.sum*31 + v
+		k.i++
+	}
+	k.out[t.ID()] = k.sum
+	return nil, true
+}
+
+// TestBackToBackBroadcasts pins that successive broadcasts need no
+// separating barrier on either driver, for every broadcast algorithm, on
+// the baseline machine and under added overhead (which widens the skew
+// between root and leaves).
+func TestBackToBackBroadcasts(t *testing.T) {
+	slow := logp.NOW()
+	slow.DeltaO = 10 * sim.Microsecond
+	for _, m := range []struct {
+		name   string
+		params logp.Params
+	}{{"NOW", logp.NOW()}, {"do10", slow}} {
+		for _, alg := range BroadcastAlgorithms() {
+			for _, P := range []int{2, 3, 8, 13, 64} {
+				t.Run(fmt.Sprintf("%s/%s/P%d", m.name, alg, P), func(t *testing.T) {
+					out := collPairOn(t, P, m.params, Collectives{Broadcast: alg},
+						bcastBurstBlocking,
+						func(res []uint64) func(int) Task {
+							return func(int) Task { return &bcastBurstTask{out: res} }
+						})
+					var want uint64
+					for i := 0; i < P-1; i++ {
+						want = want*31 + uint64(1000+i)
+					}
+					for me, got := range out {
+						if got != want {
+							t.Errorf("proc %d: result %d, want %d", me, got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOperandOverflowKeepsPerTagOrder drives the operand cells directly:
+// operands of two tags arrive interleaved, five deep each — past the
+// two-slot rings into the shared overflow FIFO — and are consumed in a
+// different interleaving; each tag must still come out in arrival order.
+func TestOperandOverflowKeepsPerTagOrder(t *testing.T) {
+	w, err := NewWorld(2, logp.NOW(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.initHandlers()
+	tp := &TProc{w: w, ep: w.m.Endpoint(0)}
+	w.tp = []*TProc{tp, nil}
+	const tagA, tagB, depth = 0, 1, 5
+	for i := 0; i < depth; i++ {
+		w.hColl(tp.ep, nil, am.Args{tagA, uint64(100 + i)})
+		w.hColl(tp.ep, nil, am.Args{tagB, uint64(200 + i)})
+	}
+	if got, want := len(tp.spill), 2*(depth-2); got != want {
+		t.Fatalf("%d operands spilled, want %d", got, want)
+	}
+	for i := 0; i < depth; i++ {
+		// B before A, the reverse of arrival: removal from the middle.
+		if got, want := tp.popOperand(tagB), uint64(200+i); got != want {
+			t.Errorf("tag B operand %d = %d, want %d", i, got, want)
+		}
+		if got, want := tp.popOperand(tagA), uint64(100+i); got != want {
+			t.Errorf("tag A operand %d = %d, want %d", i, got, want)
+		}
+	}
+	if len(tp.spill) != 0 {
+		t.Errorf("%d operands left in the overflow FIFO", len(tp.spill))
 	}
 }
 

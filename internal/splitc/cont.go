@@ -9,56 +9,53 @@ import (
 	"repro/internal/sim"
 )
 
-// Continuation-mode Split-C: the same primitive set as Proc, expressed as
-// resumable state machines so a program can run on sim.RunResumables —
-// one driver goroutine, no stacks — and scale to a million processors.
+// The Split-C primitives, implemented once, in continuation form.
 //
-// A Task is re-entered by the runtime after every park, so a primitive
-// cannot keep its progress on the stack. Each TProc method in this file
-// is instead written in resumptive style: it records its progress in the
-// TProc's single op cell and is called again, with identical arguments,
-// after every wait it returns has completed. The calling convention is
-// uniform:
+// Every primitive is a resumptive method on TProc: it records its
+// progress in the TProc's single op cell and is called again, with
+// identical arguments, after every wait it returns has completed. The
+// calling convention is uniform:
 //
 //	v, wt := t.ReadWordT(g)
 //	if wt != nil {
 //		return wt, false // park; re-call ReadWordT on re-entry
 //	}
 //
-// One primitive may be in flight per processor at a time (the same
-// discipline the blocking layer enforces by construction — one body, and
+// Two drivers run these methods. RunTasks steps a Task per processor on
+// sim.RunResumables — one driver goroutine, no stacks, which is what
+// scales to a million processors; a Task returns each wait to the engine.
+// Run gives each processor a coroutine and the blocking Proc API, whose
+// every method is the loop above with sim.Proc.Await in place of the
+// return (see Proc). Either way the sequence a primitive executes — its
+// poll points, window stalls, sends with their classes, wait conditions,
+// and the instrumentation hooks around them — is this file's, so the two
+// drivers cannot charge differently. That their timelines are also
+// bit-identical rests on two scheduler equivalences only: a park on
+// sim.Yield is a Checkpoint (the engine resumes a parked processor only
+// once every peer at a smaller (clock, id) has run and every event due
+// by its clock has fired), and Await's loop is Engine.stepWait's
+// iteration. See DESIGN.md §11; the cross-driver twin tests pin it under
+// the NOW parameter set, whose clustered arrivals would expose any
+// poll-point divergence.
+//
+// One primitive may be in flight per processor at a time (one body, and
 // handlers may not wait). Primitives reset the op cell on completion, so
 // sequential composition needs no coordination beyond the caller's own
 // program counter.
 //
-// Each primitive replays its blocking original statement for statement:
-// the same poll points, the same window stalls, the same sends with the
-// same classes, the same wait conditions in the same order, bracketed by
-// the same instrumentation hooks. Both modes park on the endpoint's one
-// epWait record and are driven by the same Engine.stepWait, so the wait
-// phases are not merely equivalent but shared code. The poll points map
-// too: a blocking Checkpoint becomes a park on sim.Yield — the engine
-// resumes a parked processor only once every peer at a smaller
-// (clock, id) has run and every event due by its clock has fired, which
-// is precisely what Checkpoint does inline — and each blocking Poll
-// becomes PollOneDue steps separated by such parks. The two runtimes
-// therefore produce bit-identical timelines; the cross-mode twin test
-// pins this under the NOW parameter set, whose clustered arrivals would
-// expose any poll-point divergence. See DESIGN.md §11.
-//
-// Collectives use per-processor operand cells (a two-deep value ring +
-// cumulative counters per tag) instead of the blocking layer's queues.
-// Causality within one collective episode plus per-pair FIFO delivery
-// bound the in-flight values per tag to two (the recursive-doubling
-// butterfly's partner can run one episode ahead before the consumer
-// reads; every other algorithm stays at one), which is what makes the
-// ring sufficient — but it obliges callers to separate successive
-// broadcast episodes with a BarrierT (the all-reduce algorithms and
-// ScanAddT are self-separating: their own reduce/recv dependencies
-// provide the causality). The flat all-reduce's root gathers P-1
-// operands per episode, beyond any fixed ring — its senders use the
-// accumulating handler hCollAcc, which combines into the cell on
-// arrival instead of storing.
+// Collectives keep their operands in per-processor cells: a two-deep
+// value ring plus cumulative counters per tag. The all-reduce algorithms
+// and the scan are self-separating — their own reduce/recv dependencies
+// plus per-pair FIFO delivery bound the operands in flight per tag to two
+// (the recursive-doubling butterfly's partner can run one episode ahead;
+// everything else stays at one) — so the ring is all they ever touch. A
+// broadcast has no such back-pressure: P-1 of them in a row (Sample
+// sort's splitters) let a fast root run several episodes ahead of a slow
+// leaf, and gather lands P-1 operands on one tag. An operand that finds
+// its ring full therefore goes to the processor's overflow FIFO and moves
+// into the ring as earlier operands are consumed. The flat all-reduce's
+// root instead combines its P-1 operands on arrival (hCollAcc), so it
+// stores nothing.
 
 // Task is the continuation form of an SPMD body: Step is called
 // repeatedly, and must either return a wait to park on (done=false) or
@@ -75,8 +72,9 @@ type TaskFunc func(t *TProc) (sim.PollableWait, bool)
 // Step implements Task.
 func (f TaskFunc) Step(t *TProc) (sim.PollableWait, bool) { return f(t) }
 
-// TProc is one processor's continuation-mode view of the world: the
-// counterpart of Proc for bodies running under RunTasks.
+// TProc is one processor's view of the world — identity, global memory,
+// and the resumptive primitives — as a Task sees it under RunTasks. Proc
+// embeds it for bodies running under Run.
 type TProc struct {
 	w    *World
 	ep   *am.Endpoint
@@ -90,8 +88,11 @@ type TProc struct {
 	op opState
 
 	// cells holds the collective operand cells, lazily allocated on
-	// first collective use (tags as in sync.go/collectives.go).
+	// first collective use (tags as laid out in coll.go). spill is the
+	// overflow FIFO for operands that arrived to a full ring, in arrival
+	// order across all tags; nil until the first overflow.
 	cells []collCell
+	spill []spilled
 
 	storeByteCount int64
 	failedLocks    int64
@@ -101,10 +102,10 @@ type TProc struct {
 // flight at a time, so a single cell (rather than a stack) suffices.
 type opState struct {
 	pc    int    // primitive program counter (0 = no primitive in flight)
-	sub   int    // leaf sub-machine counter (requestT / recvCollT / roundTripT)
+	sub   int    // leaf sub-machine counter (sendReadyT / recvCollT / roundTripT)
 	r     int    // round or fragment cursor
-	bpc   int    // broadcast-tree program counter
-	br    int    // broadcast-tree round cursor
+	bpc   int    // second program counter, for a primitive composed with one that owns pc
+	br    int    // round cursor belonging to bpc
 	acc   uint64 // accumulator / round-trip result
 	flag  int64  // round-trip completion counter (CounterWait target 1)
 	tgt   int64  // barrier episode target
@@ -112,15 +113,15 @@ type opState struct {
 	out   []uint64
 }
 
-// collCell is one collective tag's operand slot: vals is a two-deep
-// ring indexed by arrival/consumption counters (cnt counts operands ever
-// received, exp operands ever consumed). With at most two operands in
-// flight per tag (see the package comment), cnt ≤ exp+2 always — the
-// handler guards this — so a value is never overwritten before its
-// consumer reads it. acc accumulates operands delivered through the
-// combining handler hCollAcc (the flat all-reduce's gather), which
-// shares cnt/exp as pure counters; a tag uses one delivery mode or the
-// other, never both.
+// collCell is one collective tag's operand slot: cnt counts operands ever
+// received and exp operands ever consumed; vals is a two-deep ring holding
+// operands exp and exp+1 (indexed mod 2), and operands beyond those wait,
+// in order, in the processor's spill FIFO. acc accumulates operands
+// delivered through the combining handler hCollAcc (the flat all-reduce's
+// gather), which shares cnt/exp as pure counters; a tag uses one delivery
+// mode or the other, never both. The cell is 40 bytes and there is one
+// per tag per synchronizing processor, which is why the overflow storage
+// lives on the processor and not here.
 type collCell struct {
 	vals [2]uint64
 	acc  uint64
@@ -128,12 +129,18 @@ type collCell struct {
 	exp  int64
 }
 
+// spilled is one overflowed collective operand.
+type spilled struct {
+	tag int
+	val uint64
+}
+
 // RunTasks executes one Task per processor on the resumable runtime and
 // returns when all have finished. Like Run, a terminal barrier is
 // implied so all in-flight communication quiesces. mk is called once per
 // processor, in processor order, before the run starts.
 func (w *World) RunTasks(mk func(id int) Task) error {
-	w.initContHandlers()
+	w.initHandlers()
 	P := w.P()
 	w.tp = make([]*TProc, P)
 	bodies := make([]sim.Resumable, P)
@@ -167,11 +174,11 @@ func (t *TProc) Resume(p *sim.Proc) (sim.PollableWait, bool) {
 	return nil, true
 }
 
-// initContHandlers creates the world's handler set once. Handlers close
+// initHandlers creates the world's handler set once. Handlers close
 // over the world only; per-processor results are routed through the
 // receiving endpoint's TProc, so the steady-state send paths allocate
 // nothing.
-func (w *World) initContHandlers() {
+func (w *World) initHandlers() {
 	if w.hWrite != nil {
 		return
 	}
@@ -182,16 +189,18 @@ func (w *World) initContHandlers() {
 		w.barrierOf(ep.ID()).recvCount[a[0]]++
 	}
 	w.hColl = func(ep *am.Endpoint, tok *am.Token, a am.Args) {
-		c := w.tp[ep.ID()].cell(int(a[0]))
-		if c.cnt-c.exp >= 2 {
-			panic("splitc: collective operand ring overrun")
+		t := w.tp[ep.ID()]
+		c := t.cell(int(a[0]))
+		if c.cnt-c.exp < 2 {
+			c.vals[c.cnt&1] = a[1]
+		} else {
+			t.spill = append(t.spill, spilled{tag: int(a[0]), val: a[1]})
 		}
-		c.vals[c.cnt&1] = a[1]
 		c.cnt++
 	}
 	// hCollAcc combines the operand into the cell on arrival (a[2] is
-	// the ReduceOp code); used where one consumer drains an unbounded
-	// fan-in, so a fixed ring cannot hold the episode.
+	// the ReduceOp code); used where one consumer reduces a P-1 fan-in
+	// every episode, so nothing needs storing.
 	w.hCollAcc = func(ep *am.Endpoint, tok *am.Token, a am.Args) {
 		c := w.tp[ep.ID()].cell(int(a[0]))
 		c.acc = reduceApply(ReduceOp(a[2]), c.acc, a[1])
@@ -259,7 +268,7 @@ func (w *World) initContHandlers() {
 	}
 }
 
-// ----- TProc surface shared with Proc -----
+// ----- identity, clock and memory -----
 
 // ID returns the processor number in [0, P).
 func (t *TProc) ID() int { return t.ep.ID() }
@@ -270,7 +279,8 @@ func (t *TProc) P() int { return t.w.P() }
 // World returns the enclosing world.
 func (t *TProc) World() *World { return t.w }
 
-// EP exposes the raw Active Message endpoint.
+// EP exposes the raw Active Message endpoint for applications that need
+// custom message types (for example Mur-phi's state distribution).
 func (t *TProc) EP() *am.Endpoint { return t.ep }
 
 // Rand returns the processor's deterministic PRNG.
@@ -279,15 +289,17 @@ func (t *TProc) Rand() *rand.Rand { return t.sp.Rand() }
 // Now returns the processor's virtual clock.
 func (t *TProc) Now() sim.Time { return t.sp.Clock() }
 
-// Compute charges local computation time.
+// Compute charges local computation time (scaled by the machine's CPU
+// factor).
 func (t *TProc) Compute(d sim.Time) { t.ep.Compute(d) }
 
 // ComputeUs charges local computation time given in microseconds.
 func (t *TProc) ComputeUs(us float64) { t.ep.Compute(sim.FromMicros(us)) }
 
-// PollT is Poll: service due arrivals, yielding between each so slower
-// processors interleave exactly as the blocking Poll's Checkpoints
-// allow. Resumptive; a nil return means the inbox is drained.
+// PollT services every arrival due by the processor's clock (handlers
+// run, o_recv is charged), yielding before the first inbox inspection and
+// between arrivals so slower processors interleave. Resumptive; a nil
+// return means the inbox is drained.
 func (t *TProc) PollT() sim.PollableWait {
 	switch t.op.sub {
 	case 0:
@@ -302,7 +314,9 @@ func (t *TProc) PollT() sim.PollableWait {
 	return nil
 }
 
-// Alloc reserves n words in the calling processor's global heap.
+// Alloc reserves n words in the calling processor's global heap and
+// returns a pointer to them. Allocation is local; share pointers by
+// message or collectives.
 func (t *TProc) Alloc(n int) GPtr {
 	id := t.ID()
 	off := len(t.w.mem[id])
@@ -319,14 +333,24 @@ func (t *TProc) Local(g GPtr, n int) []uint64 {
 	return t.w.mem[g.Proc][g.Off : int(g.Off)+n]
 }
 
+// CheckBounds panics with a helpful message when a global pointer is out
+// of range for n words; applications use it in debug paths.
+func (t *TProc) CheckBounds(g GPtr, n int) {
+	heap := t.w.mem[g.Proc]
+	if g.Off < 0 || int(g.Off)+n > len(heap) {
+		panic(fmt.Sprintf("splitc: %v + %d words out of range (heap %d words)", g, n, len(heap)))
+	}
+}
+
 // StoreBytes counts the bytes written via pipelined stores since the
-// last ResetStoreBytes.
+// last ResetStoreBytes (application-level accounting helper).
 func (t *TProc) StoreBytes() int64 { return t.storeByteCount }
 
 // ResetStoreBytes zeroes the pipelined-store byte counter.
 func (t *TProc) ResetStoreBytes() { t.storeByteCount = 0 }
 
-// FailedLockAttempts reports how many TryLock retries LockT has burned.
+// FailedLockAttempts reports how many TryLock retries Lock has burned —
+// the paper instruments Barnes with exactly this counter.
 func (t *TProc) FailedLockAttempts() int64 { return t.failedLocks }
 
 func (t *TProc) fragWords() int { return t.w.m.Params().FragmentSize / 8 }
@@ -354,62 +378,49 @@ func (t *TProc) cell(tag int) *collCell {
 
 // ----- leaf sub-machines -----
 
-// requestT is the continuation form of Endpoint.Request's preamble and
-// send: poll (yielding before the first inbox inspection and between
-// serviced arrivals, as Poll checkpoints), stall on the window if full,
-// then commit. op.sub: 0 fresh, 4 in the poll loop, 1 re-entered after a
-// window park.
-func (t *TProc) requestT(dst int, class am.Class, h am.Handler, a am.Args) sim.PollableWait {
-	switch t.op.sub {
-	case 0:
-		// Poll's leading Checkpoint: every processor at a smaller
-		// (clock, id) runs before the inbox is inspected.
-		t.op.sub = 4
-		return sim.Yield
-	case 4:
-		if t.ep.PollOneDue() {
-			return sim.Yield // Checkpoint between serviced arrivals
-		}
-		if !t.ep.CanSend(dst) {
-			t.ep.MarkWaitBegin(am.WaitWindow)
-			t.op.sub = 1
-			return t.ep.WindowWait(dst)
-		}
-	case 1:
-		// The engine established a free credit; send without re-testing,
-		// exactly as waitWindow breaks without re-testing.
+// sendReadyT is the GAM request preamble: poll, then stall on the window
+// toward dst if it is full. A nil return means a credit is free and the
+// caller must commit its send at once. op.sub: 0/4 inside PollT, 1
+// re-entered after a window park.
+func (t *TProc) sendReadyT(dst int) sim.PollableWait {
+	if t.op.sub == 1 {
+		// The scheduler established a free credit; send without
+		// re-testing.
 		t.ep.MarkWaitEnd(am.WaitWindow)
+		t.op.sub = 0
+		return nil
 	}
-	t.op.sub = 0
+	if wt := t.PollT(); wt != nil {
+		return wt
+	}
+	if !t.ep.CanSend(dst) {
+		t.ep.MarkWaitBegin(am.WaitWindow)
+		t.op.sub = 1
+		return t.ep.WindowWait(dst)
+	}
+	return nil
+}
+
+// requestT sends one short request under the window.
+func (t *TProc) requestT(dst int, class am.Class, h am.Handler, a am.Args) sim.PollableWait {
+	if wt := t.sendReadyT(dst); wt != nil {
+		return wt
+	}
 	t.ep.SendRequest(dst, class, h, a)
 	return nil
 }
 
-// storeT is requestT for one bulk fragment (Endpoint.Store's shape).
+// storeT sends one bulk fragment under the window.
 func (t *TProc) storeT(dst int, class am.Class, h am.BulkHandler, a am.Args, data []byte) sim.PollableWait {
-	switch t.op.sub {
-	case 0:
-		t.op.sub = 4
-		return sim.Yield
-	case 4:
-		if t.ep.PollOneDue() {
-			return sim.Yield
-		}
-		if !t.ep.CanSend(dst) {
-			t.ep.MarkWaitBegin(am.WaitWindow)
-			t.op.sub = 1
-			return t.ep.WindowWait(dst)
-		}
-	case 1:
-		t.ep.MarkWaitEnd(am.WaitWindow)
+	if wt := t.sendReadyT(dst); wt != nil {
+		return wt
 	}
-	t.op.sub = 0
 	t.ep.SendStore(dst, class, h, a, data)
 	return nil
 }
 
 // roundTripT issues a request and waits for its short reply; the reply
-// value lands in op.acc via hReply. op.sub: 0/1 inside requestT, 2
+// value lands in op.acc via hReply. op.sub: 0/4/1 inside requestT, 2
 // parked on the reply.
 func (t *TProc) roundTripT(dst int, class am.Class, h am.Handler, a am.Args, kind am.WaitKind, reason string) (uint64, sim.PollableWait) {
 	if t.op.sub == 2 {
@@ -422,14 +433,13 @@ func (t *TProc) roundTripT(dst int, class am.Class, h am.Handler, a am.Args, kin
 		return 0, wt
 	}
 	// The reply is at least a round trip away; the wait can never be
-	// ready at this instant, so park unconditionally (as the blocking
-	// WaitUntilFor would after its first failed condition test).
+	// ready at this instant, so park unconditionally.
 	t.ep.MarkWaitBegin(kind)
 	t.op.sub = 2
 	return 0, t.ep.CounterWait(&t.op.flag, 1, reason)
 }
 
-// sendCollT ships one operand word to dst under tag (sendColl's shape).
+// sendCollT ships one operand word to dst under tag.
 func (t *TProc) sendCollT(dst, tag int, val uint64) sim.PollableWait {
 	return t.requestT(dst, am.ClassSync, t.w.hColl, am.Args{uint64(tag), val})
 }
@@ -441,27 +451,53 @@ func (t *TProc) sendCollAccT(dst, tag int, val uint64, op ReduceOp) sim.Pollable
 }
 
 // recvCollT consumes the next operand under tag, waiting if it has not
-// arrived (recvColl's shape). op.sub: 0 fresh, 3 parked on the cell.
+// arrived. op.sub: 0 fresh, 3 parked on the cell.
 func (t *TProc) recvCollT(tag int) (uint64, sim.PollableWait) {
-	c := t.cell(tag)
 	if t.op.sub == 3 {
 		t.ep.MarkWaitEnd(am.WaitBarrier)
 		t.op.sub = 0
-		v := c.vals[c.exp&1]
-		c.exp++
-		return v, nil
+		return t.popOperand(tag), nil
 	}
-	// Park unconditionally: the engine steps the wait only once every
-	// processor at a smaller (clock, id) has run, which is exactly the
-	// blocking wait's leading Checkpoint. An operand that has already
-	// arrived satisfies the wait on that first step without advancing
+	// Park unconditionally: the scheduler tests the wait only once every
+	// processor at a smaller (clock, id) has run. An operand that has
+	// already arrived satisfies it on that first test without advancing
 	// the clock.
+	c := t.cell(tag)
 	t.ep.MarkWaitBegin(am.WaitBarrier)
 	t.op.sub = 3
 	return 0, t.ep.CounterWait(&c.cnt, c.exp+1, "splitc: collective recv")
 }
 
-// ----- continuation primitives -----
+// popOperand consumes tag's oldest arrived operand. The ring slot it
+// frees belongs to operand exp+2, which — if it has arrived — is the
+// oldest entry under tag in the spill FIFO.
+func (t *TProc) popOperand(tag int) uint64 {
+	c := t.cell(tag)
+	v := c.vals[c.exp&1]
+	if c.cnt-c.exp > 2 {
+		c.vals[c.exp&1] = t.unspill(tag)
+	}
+	c.exp++
+	return v
+}
+
+// unspill removes and returns the oldest overflowed operand under tag.
+func (t *TProc) unspill(tag int) uint64 {
+	for i, s := range t.spill {
+		if s.tag != tag {
+			continue
+		}
+		if i == 0 {
+			t.spill = t.spill[1:]
+		} else {
+			t.spill = append(t.spill[:i], t.spill[i+1:]...)
+		}
+		return s.val
+	}
+	panic("splitc: operand counters and overflow FIFO disagree")
+}
+
+// ----- primitives -----
 
 // WriteWordT is WriteWord: one pipelined short store, stalling only on a
 // full window. A nil return means the store was issued.
@@ -543,9 +579,13 @@ func (t *TProc) CompareSwapT(g GPtr, old, next uint64) (bool, sim.PollableWait) 
 	return v == 1, nil
 }
 
+// lockSpinCost is the charged cost of one local test-and-set retry
+// iteration (load, branch, backoff) in the Lock spin loop.
+const lockSpinCost = 200 * sim.Nanosecond
+
 // LockT is Lock: spin on TryLockT until acquired, charging the spin cost
-// and yielding between retries so peers (in particular the holder) can
-// run. op.pc: 0 enter, 1 trying, 2 re-entered after the yield.
+// and polling between retries so peers (in particular the holder) can
+// run. op.pc: 0 enter, 1 trying, 2 polling after a failed attempt.
 func (t *TProc) LockT(g GPtr) sim.PollableWait {
 	for {
 		switch t.op.pc {
@@ -565,12 +605,11 @@ func (t *TProc) LockT(g GPtr) sim.PollableWait {
 			t.failedLocks++
 			t.ep.Compute(lockSpinCost)
 			t.op.pc = 2
-			// The spin's Poll(): a yield (its leading Checkpoint), then
-			// one serviced arrival per further yield.
-			return sim.Yield
 		case 2:
-			if t.ep.PollOneDue() {
-				return sim.Yield
+			// A spinning processor still polls, or remote test-and-set
+			// requests to it could never be answered.
+			if wt := t.PollT(); wt != nil {
+				return wt
 			}
 			t.op.pc = 1
 		}
@@ -584,9 +623,17 @@ func (t *TProc) UnlockT(g GPtr) sim.PollableWait { return t.WriteWordT(g, 0) }
 // algorithm.
 func (t *TProc) BarrierT() sim.PollableWait { return t.w.sel.barrier.runT(t) }
 
-// barrierDissemT is barrierDissem: store-sync, then the dissemination
-// barrier. op.pc: 0 enter, 1 store-sync complete, 2 round dispatch
-// (op.r), 3 round notification received.
+// barrierDissemT is the dissemination barrier: after the store-sync, in
+// round r the processor notifies (id+2^r) mod P and waits for the
+// notification from (id-2^r) mod P. ⌈log2 P⌉ rounds of short sync
+// messages; round-trip free but latency-sensitive.
+//
+// Round counters are cumulative, which makes the algorithm robust to
+// processors being a full episode apart: per-pair FIFO delivery means
+// "count ≥ episode" implies all earlier episodes arrived too.
+//
+// op.pc: 0 enter, 1 store-sync complete, 2 round dispatch (op.r), 3 round
+// notification received.
 func (t *TProc) barrierDissemT() sim.PollableWait {
 	w, me, P := t.w, t.ID(), t.P()
 	for {
@@ -634,10 +681,14 @@ func (t *TProc) barrierDissemT() sim.PollableWait {
 	}
 }
 
-// bcastTreeT is bcastTree: the binomial broadcast sub-machine shared by
-// the tree all-reduce and the binomial broadcast, parameterized by the
-// collective's tag block. The value travels in op.acc. op.bpc: 0 enter,
-// 1 receiving, 2 forwarding (op.br round cursor).
+// bcastTreeT is the binomial broadcast sub-machine shared by the tree
+// all-reduce and the binomial broadcast. base is the collective's tag
+// block (tag base+r for round r) so different collectives don't
+// interleave. Virtual ids are rotated so the root plays id 0: vid
+// receives in the round matching its highest set bit and forwards in
+// every later round r to vid+2^r. The value travels in op.acc (the root
+// stores it there before the first call). op.bpc: 0 enter, 1 receiving, 2
+// forwarding (op.br round cursor).
 func (t *TProc) bcastTreeT(root int, base int) (uint64, sim.PollableWait) {
 	me, P := t.ID(), t.P()
 	rounds := logRounds(P)
@@ -678,13 +729,10 @@ func (t *TProc) bcastTreeT(root int, base int) (uint64, sim.PollableWait) {
 }
 
 // AllReduceT is AllReduce: the reduce-broadcast tree with a custom
-// operator. opFn must be a stable function value (use a package-level
-// function, not a per-call closure) since the primitive is re-entered
-// with it.
-//
-// Deprecated: custom operators always run the binomial tree, bypassing
-// the world's algorithm selection. Use AllReduceOpT with a ReduceOp (or
-// the AllReduceSumT/AllReduceMaxT wrappers).
+// operator. The primitive is re-entered with opFn, so every call of one
+// episode must pass the same function. Custom operators always run the
+// binomial tree, bypassing the world's algorithm selection; prefer
+// AllReduceOpT with a ReduceOp when a built-in operator fits.
 func (t *TProc) AllReduceT(val uint64, opFn func(a, b uint64) uint64) (uint64, sim.PollableWait) {
 	if t.P() == 1 {
 		return val, nil
@@ -692,9 +740,12 @@ func (t *TProc) AllReduceT(val uint64, opFn func(a, b uint64) uint64) (uint64, s
 	return t.allReduceTreeFnT(val, opFn)
 }
 
-// allReduceTreeFnT is allReduceTreeFn: binomial reduce to processor 0,
-// binomial broadcast back. op.pc: 0 enter, 1 round dispatch, 2 sending
-// the partial, 3 receiving a partial, 4 broadcasting.
+// allReduceTreeFnT is the reduce-broadcast tree all-reduce: binomial-tree
+// reduce to processor 0 (at round r, processors with bit r set send their
+// partial to the neighbor below and drop out; the others absorb a partial
+// from the neighbor above, when it exists) followed by a binomial
+// broadcast, 2·⌈log2 P⌉ message rounds. op.pc: 0 enter, 1 round dispatch,
+// 2 sending the partial, 3 receiving a partial, 4 broadcasting.
 func (t *TProc) allReduceTreeFnT(val uint64, opFn func(a, b uint64) uint64) (uint64, sim.PollableWait) {
 	w, me, P := t.w, t.ID(), t.P()
 	for {
@@ -773,8 +824,7 @@ func (t *TProc) AllReduceMaxT(v uint64) (uint64, sim.PollableWait) {
 }
 
 // BroadcastT is Broadcast: distribute root's val to all processors with
-// the world's selected broadcast algorithm. Successive BroadcastT
-// episodes must be separated by a BarrierT (see the package comment).
+// the world's selected broadcast algorithm.
 func (t *TProc) BroadcastT(root int, val uint64) (uint64, sim.PollableWait) {
 	P := t.P()
 	if P == 1 {

@@ -9,10 +9,11 @@ import (
 
 // The twin program exercises every primitive family — pipelined writes,
 // blocking reads, store sync, barriers, collectives, bulk transfers,
-// locks, and atomics — written once against the blocking API and once
-// against the continuation API, statement for statement. Both versions
-// run on the same machine parameters; the test pins that the virtual
-// timelines and the communication footprints agree.
+// locks, and atomics — written once against the blocking API (Run, one
+// coroutine per processor) and once as a Task (RunTasks, no stacks),
+// statement for statement. The primitives underneath are the same code;
+// what the test pins is that the two drivers schedule them identically:
+// same virtual timelines, same communication footprints.
 
 const twinWords = 600 // bulk payload exercises multi-fragment paths (> 512 words)
 
@@ -20,8 +21,8 @@ const twinWords = 600 // bulk payload exercises multi-fragment paths (> 512 word
 func twinBlocking(p *Proc, results []uint64) {
 	me := p.ID()
 	P := p.P()
-	base := p.Alloc(P + 2)          // [0,P) neighbor slots, P = lock word, P+1 = counter
-	bulk := p.Alloc(twinWords)      // bulk landing area
+	base := p.Alloc(P + 2)     // [0,P) neighbor slots, P = lock word, P+1 = counter
+	bulk := p.Alloc(twinWords) // bulk landing area
 	_ = bulk
 	p.Barrier()
 
@@ -205,6 +206,10 @@ func (k *twinTask) Step(t *TProc) (sim.PollableWait, bool) {
 	}
 }
 
+// NewTwinTask exports the twin task to the package's external tests
+// (observe_test.go imports packages that import splitc).
+func NewTwinTask(results []uint64) Task { return &twinTask{results: results} }
+
 func twinWorld(t *testing.T, p int) *World {
 	t.Helper()
 	w, err := NewWorld(p, logp.NOW(), 42)
@@ -214,10 +219,9 @@ func twinWorld(t *testing.T, p int) *World {
 	return w
 }
 
-// TestContMatchesBlocking pins the continuation runtime against the
-// coroutine runtime: identical program, identical machine → identical
-// results, identical message counts, and (no poll point in the twin
-// program outruns a runnable peer) identical virtual makespans.
+// TestContMatchesBlocking pins the resumable driver against the
+// coroutine driver: identical program, identical machine → identical
+// results, identical message counts, and identical virtual makespans.
 func TestContMatchesBlocking(t *testing.T) {
 	for _, P := range []int{1, 2, 16, 32} {
 		wb := twinWorld(t, P)

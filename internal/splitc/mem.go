@@ -1,46 +1,30 @@
 package splitc
 
-import (
-	"encoding/binary"
-	"fmt"
+import "fmt"
 
-	"repro/internal/am"
-)
+// The blocking memory primitives: each drives its resumptive form in
+// cont.go to completion (see Proc).
 
 // ReadWord performs a blocking read of the word at g: one short request,
 // one short reply, classified as read traffic. Local reads touch memory
 // directly and cost no communication.
 func (p *Proc) ReadWord(g GPtr) uint64 {
-	if int(g.Proc) == p.ID() {
-		return *p.w.word(g)
+	for {
+		v, wt := p.ReadWordT(g)
+		if wt == nil {
+			return v
+		}
+		p.sp.Await(wt)
 	}
-	w := p.w
-	var val uint64
-	done := false
-	p.ep.Request(int(g.Proc), am.ClassRead, func(ep *am.Endpoint, tok *am.Token, a am.Args) {
-		v := w.mem[a[0]>>32][uint32(a[0])]
-		ep.Reply(tok, func(ep *am.Endpoint, tok *am.Token, a am.Args) {
-			val = a[0]
-			done = true
-		}, am.Args{v})
-	}, am.Args{g.Pack()})
-	p.ep.WaitUntilFor(am.WaitRead, func() bool { return done }, "splitc: blocking read")
-	return val
 }
 
 // WriteWord performs a pipelined remote store of v to g: one short request
 // whose firmware-level ack completes it. The issuing processor continues
 // immediately; StoreSync (or Barrier) waits for all outstanding stores.
 func (p *Proc) WriteWord(g GPtr, v uint64) {
-	if int(g.Proc) == p.ID() {
-		*p.w.word(g) = v
-		return
+	for wt := p.WriteWordT(g, v); wt != nil; wt = p.WriteWordT(g, v) {
+		p.sp.Await(wt)
 	}
-	w := p.w
-	p.ep.Request(int(g.Proc), am.ClassWrite, func(ep *am.Endpoint, tok *am.Token, a am.Args) {
-		w.mem[a[0]>>32][uint32(a[0])] = a[1]
-	}, am.Args{g.Pack(), v})
-	p.storeByteCount += 8
 }
 
 // WriteWordSync is WriteWord followed by StoreSync — a blocking write.
@@ -53,41 +37,17 @@ func (p *Proc) WriteWordSync(g GPtr, v uint64) {
 // particular every pipelined store — has been applied at its destination
 // (Split-C's store counter synchronization).
 func (p *Proc) StoreSync() {
-	p.ep.WaitUntilFor(am.WaitStore, func() bool { return p.ep.TotalOutstanding() == 0 }, "splitc: store sync")
+	for wt := p.StoreSyncT(); wt != nil; wt = p.StoreSyncT() {
+		p.sp.Await(wt)
+	}
 }
-
-// fragWords is computed from the machine's bulk fragment size.
-func (p *Proc) fragWords() int { return p.w.m.Params().FragmentSize / 8 }
 
 // BulkPut copies vals into the global heap at g using the bulk-transfer
 // mechanism (one bulk fragment per ≤4 KB). Like WriteWord it is pipelined;
 // StoreSync waits for completion. Local puts are direct copies.
 func (p *Proc) BulkPut(g GPtr, vals []uint64) {
-	if int(g.Proc) == p.ID() {
-		copy(p.w.mem[g.Proc][g.Off:], vals)
-		return
-	}
-	w := p.w
-	frag := p.fragWords()
-	for off := 0; off < len(vals); off += frag {
-		end := off + frag
-		if end > len(vals) {
-			end = len(vals)
-		}
-		chunk := vals[off:end]
-		buf := make([]byte, 8*len(chunk))
-		for i, v := range chunk {
-			binary.LittleEndian.PutUint64(buf[8*i:], v)
-		}
-		target := g.Add(off)
-		p.ep.Store(int(g.Proc), am.ClassWrite, func(ep *am.Endpoint, tok *am.Token, a am.Args, data []byte) {
-			dst := UnpackGPtr(a[0])
-			mem := w.mem[dst.Proc]
-			for i := 0; i < len(data)/8; i++ {
-				mem[int(dst.Off)+i] = binary.LittleEndian.Uint64(data[8*i:])
-			}
-		}, am.Args{target.Pack()}, buf)
-		p.storeByteCount += int64(len(buf))
+	for wt := p.BulkPutT(g, vals); wt != nil; wt = p.BulkPutT(g, vals) {
+		p.sp.Await(wt)
 	}
 }
 
@@ -96,48 +56,14 @@ func (p *Proc) BulkPut(g GPtr, vals []uint64) {
 // Fragment requests are pipelined; the call returns when all data has
 // arrived. Local gets are direct copies.
 func (p *Proc) BulkGet(g GPtr, n int) []uint64 {
-	out := make([]uint64, n)
-	if int(g.Proc) == p.ID() {
-		copy(out, p.w.mem[g.Proc][g.Off:int(g.Off)+n])
-		return out
-	}
-	w := p.w
-	frag := p.fragWords()
-	received := 0
-	for off := 0; off < n; off += frag {
-		count := frag
-		if off+count > n {
-			count = n - off
+	for {
+		out, wt := p.BulkGetT(g, n)
+		if wt == nil {
+			return out
 		}
-		src := g.Add(off)
-		dstOff := off
-		p.ep.Request(int(g.Proc), am.ClassRead, func(ep *am.Endpoint, tok *am.Token, a am.Args) {
-			from := UnpackGPtr(a[0])
-			cnt := int(a[1])
-			mem := w.mem[from.Proc]
-			buf := make([]byte, 8*cnt)
-			for i := 0; i < cnt; i++ {
-				binary.LittleEndian.PutUint64(buf[8*i:], mem[int(from.Off)+i])
-			}
-			ep.ReplyBulk(tok, func(ep *am.Endpoint, tok *am.Token, a am.Args, data []byte) {
-				base := int(a[0])
-				for i := 0; i < len(data)/8; i++ {
-					out[base+i] = binary.LittleEndian.Uint64(data[8*i:])
-				}
-				received += len(data) / 8
-			}, am.Args{uint64(dstOff)}, buf)
-		}, am.Args{src.Pack(), uint64(count)})
+		p.sp.Await(wt)
 	}
-	p.ep.WaitUntilFor(am.WaitBulk, func() bool { return received == n }, "splitc: bulk get")
-	return out
 }
-
-// StoreBytes counts the bytes written via pipelined stores since the last
-// ResetStoreBytes (application-level accounting helper).
-func (p *Proc) StoreBytes() int64 { return p.storeByteCount }
-
-// ResetStoreBytes zeroes the pipelined-store byte counter.
-func (p *Proc) ResetStoreBytes() { p.storeByteCount = 0 }
 
 // CheckBounds panics with a helpful message when a global pointer is out
 // of range for n words; applications use it in debug paths.

@@ -21,7 +21,6 @@ package splitc
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/am"
 	"repro/internal/logp"
@@ -38,8 +37,6 @@ type World struct {
 
 	// barrier state, one per processor (handlers run on the owner).
 	barrier []barrierState
-	// collective state, one per processor.
-	coll []collState
 
 	// sel is the resolved collective selection and tag-space layout
 	// (see coll.go), fixed at construction.
@@ -48,23 +45,24 @@ type World struct {
 	// phases accumulates per-label processor time (see phase.go).
 	phases phaseAccount
 
-	// Continuation-runtime state (see cont.go): tp holds one TProc per
-	// processor during RunTasks, and the h* fields are the per-world
-	// handler set, created once so the steady-state send paths allocate
-	// no closures.
-	tp           []*TProc
-	hWrite       am.Handler
-	hBarrier     am.Handler
-	hColl        am.Handler
-	hCollAcc     am.Handler
-	hReply       am.Handler
-	hReadReq     am.Handler
-	hFetchAdd    am.Handler
-	hTryLock     am.Handler
-	hCAS         am.Handler
-	hBulkGetReq  am.Handler
-	hBulkPut     am.BulkHandler
-	hBulkGetRep  am.BulkHandler
+	// Primitive state (see cont.go): tp holds each processor's TProc for
+	// the duration of a run, on either driver, so handlers can reach the
+	// receiving processor's op and operand cells; the h* fields are the
+	// per-world handler set, created once so the steady-state send paths
+	// allocate no closures.
+	tp          []*TProc
+	hWrite      am.Handler
+	hBarrier    am.Handler
+	hColl       am.Handler
+	hCollAcc    am.Handler
+	hReply      am.Handler
+	hReadReq    am.Handler
+	hFetchAdd   am.Handler
+	hTryLock    am.Handler
+	hCAS        am.Handler
+	hBulkGetReq am.Handler
+	hBulkPut    am.BulkHandler
+	hBulkGetRep am.BulkHandler
 
 	// attached holds every hook set attached via Attach, in order; sync
 	// is the subset that also wants barrier/lock region events.
@@ -109,11 +107,6 @@ type barrierState struct {
 	episodes  int64
 }
 
-type collState struct {
-	// vals[r] queues the round-r operand values received, in arrival order.
-	vals [][]uint64
-}
-
 // Config collects every World construction knob. The zero value of each
 // field is a valid default (but Procs and Params must be set).
 type Config struct {
@@ -136,12 +129,6 @@ func NewWorld(p int, params logp.Params, seed int64) (*World, error) {
 	return NewWorldCfg(Config{Procs: p, Params: params, Seed: seed})
 }
 
-// NewWorldLimit is NewWorld with a virtual-time limit; runs exceeding it
-// fail with sim.ErrTimeLimit.
-func NewWorldLimit(p int, params logp.Params, seed int64, limit sim.Time) (*World, error) {
-	return NewWorldCfg(Config{Procs: p, Params: params, Seed: seed, TimeLimit: limit})
-}
-
 // NewWorldCfg builds a world from a full Config, resolving the
 // collective selection (including "auto" fields, tuned against cfg's own
 // machine) before the first processor runs.
@@ -158,7 +145,6 @@ func NewWorldCfg(cfg Config) (*World, error) {
 	w := &World{eng: eng, m: m, sel: sel}
 	w.mem = make([][]uint64, cfg.Procs)
 	w.barrier = make([]barrierState, cfg.Procs)
-	w.coll = make([]collState, cfg.Procs)
 	return w, nil
 }
 
@@ -175,17 +161,6 @@ func (w *World) barrierOf(id int) *barrierState {
 	return bs
 }
 
-// collOf returns processor id's collective operand queues, allocating
-// the tag table (sized by the world's tag-space layout; see coll.go) on
-// first touch. Same laziness rationale as barrierOf.
-func (w *World) collOf(id int) *collState {
-	cs := &w.coll[id]
-	if cs.vals == nil {
-		cs.vals = make([][]uint64, w.sel.numTags)
-	}
-	return cs
-}
-
 // logRounds returns ⌈log2 p⌉ (and ≥1 so P=1 still has state).
 func logRounds(p int) int {
 	r := 0
@@ -196,6 +171,16 @@ func logRounds(p int) int {
 		r = 1
 	}
 	return r
+}
+
+// highestBit returns the index of v's most significant set bit (-1 for 0).
+func highestBit(v int) int {
+	j := -1
+	for v != 0 {
+		v >>= 1
+		j++
+	}
+	return j
 }
 
 // Attach adds instrumentation to the world: each hook set receives every
@@ -230,18 +215,6 @@ func (w *World) Attached() []am.Hooks {
 	return out
 }
 
-func (p *Proc) syncEnter(r SyncRegion) {
-	for _, h := range p.w.sync {
-		h.SyncEnter(p.sp.ID(), r, p.sp.Clock())
-	}
-}
-
-func (p *Proc) syncExit(r SyncRegion) {
-	for _, h := range p.w.sync {
-		h.SyncExit(p.sp.ID(), r, p.sp.Clock())
-	}
-}
-
 // Engine exposes the underlying simulation engine.
 func (w *World) Engine() *sim.Engine { return w.eng }
 
@@ -257,12 +230,16 @@ func (w *World) P() int { return w.eng.P() }
 // Elapsed returns the virtual makespan of the last Run.
 func (w *World) Elapsed() sim.Time { return w.elapsed }
 
-// Run executes body on every processor SPMD-style. A final barrier is
-// implied so that all in-flight communication quiesces before any
-// processor's body is considered complete.
+// Run executes body on every processor SPMD-style, one coroutine per
+// processor. A final barrier is implied so that all in-flight
+// communication quiesces before any processor's body is considered
+// complete.
 func (w *World) Run(body func(p *Proc)) error {
+	w.initHandlers()
+	w.tp = make([]*TProc, w.P())
 	err := w.eng.Run(func(sp *sim.Proc) {
-		p := &Proc{w: w, ep: w.m.Endpoint(sp.ID()), sp: sp}
+		p := &Proc{TProc: TProc{w: w, ep: w.m.Endpoint(sp.ID()), sp: sp}}
+		w.tp[sp.ID()] = &p.TProc
 		body(p)
 		p.Barrier()
 		p.closePhase()
@@ -271,49 +248,31 @@ func (w *World) Run(body func(p *Proc)) error {
 	return err
 }
 
-// Proc is one processor's view of the world, passed to SPMD bodies.
+// Proc is one processor's blocking view of the world, passed to SPMD
+// bodies under Run. It is a TProc — the same identity, memory and
+// primitive state a Task sees under RunTasks — plus the drive loop: every
+// blocking method calls its resumptive "…T" form until that returns a nil
+// wait, parking the coroutine on each wait in between. The primitives
+// therefore exist once (cont.go); Run and RunTasks are two drivers of
+// them, and what a blocking call charges is by construction what the
+// continuation form charges. (sim.Proc.Await parks the coroutine:
+// awaiting sim.Yield is a Checkpoint, and any other wait is spin-polled
+// exactly as the resumable driver steps it.)
 type Proc struct {
-	w  *World
-	ep *am.Endpoint
-	sp *sim.Proc
-
-	storeByteCount int64 // bytes written by pipelined stores since reset
-	failedLocks    int64 // TryLock retries burned inside Lock
+	TProc
 
 	phaseName  string   // active phase label ("" = unlabeled)
 	phaseStart sim.Time // clock at the last EnterPhase
 }
 
-// ID returns the processor number in [0, P).
-func (p *Proc) ID() int { return p.sp.ID() }
-
-// P returns the processor count.
-func (p *Proc) P() int { return p.w.P() }
-
-// World returns the enclosing world.
-func (p *Proc) World() *World { return p.w }
-
-// EP exposes the raw Active Message endpoint for applications that need
-// custom message types (for example Mur-phi's state distribution).
-func (p *Proc) EP() *am.Endpoint { return p.ep }
-
-// Rand returns the processor's deterministic PRNG.
-func (p *Proc) Rand() *rand.Rand { return p.sp.Rand() }
-
-// Now returns the processor's virtual clock.
-func (p *Proc) Now() sim.Time { return p.sp.Clock() }
-
-// Compute charges local computation time (scaled by the machine's CPU
-// factor).
-func (p *Proc) Compute(d sim.Time) { p.ep.Compute(d) }
-
-// ComputeUs charges local computation time given in microseconds.
-func (p *Proc) ComputeUs(us float64) { p.ep.Compute(sim.FromMicros(us)) }
-
 // Poll services any arrived messages (handlers run, o_recv is charged).
 // Long local compute loops should poll periodically, as real Split-C
 // programs do implicitly at communication points.
-func (p *Proc) Poll() { p.ep.Poll() }
+func (p *Proc) Poll() {
+	for wt := p.PollT(); wt != nil; wt = p.PollT() {
+		p.sp.Await(wt)
+	}
+}
 
 // GPtr is a global pointer: a (processor, word-offset) pair into the
 // global heap. The zero GPtr is a valid pointer to word 0 of processor 0's
@@ -335,24 +294,5 @@ func UnpackGPtr(w uint64) GPtr {
 func (g GPtr) Add(n int) GPtr { return GPtr{Proc: g.Proc, Off: g.Off + int32(n)} }
 
 func (g GPtr) String() string { return fmt.Sprintf("g[%d:%d]", g.Proc, g.Off) }
-
-// Alloc reserves n words in the calling processor's global heap and
-// returns a pointer to them. Allocation is local; share pointers by
-// message or collectives.
-func (p *Proc) Alloc(n int) GPtr {
-	id := p.ID()
-	off := len(p.w.mem[id])
-	p.w.mem[id] = append(p.w.mem[id], make([]uint64, n)...)
-	return GPtr{Proc: int32(id), Off: int32(off)}
-}
-
-// Local returns a direct slice view of n words at g, which must live on
-// the calling processor.
-func (p *Proc) Local(g GPtr, n int) []uint64 {
-	if int(g.Proc) != p.ID() {
-		panic(fmt.Sprintf("splitc: Local(%v) on proc %d", g, p.ID()))
-	}
-	return p.w.mem[g.Proc][g.Off : int(g.Off)+n]
-}
 
 func (w *World) word(g GPtr) *uint64 { return &w.mem[g.Proc][g.Off] }
