@@ -107,10 +107,10 @@ func BenchmarkSweepParallel(b *testing.B) {
 
 // --- Simulator microbenchmarks -----------------------------------------
 
-// BenchmarkEngineDispatch measures the scheduler's park/wake dispatch
-// cycle: one processor repeatedly sleeps one tick, which schedules a wake
-// event, parks, and resumes when the event fires. With the same-proc
-// dispatch fast path this cycle never round-trips through a channel.
+// BenchmarkEngineDispatch measures the scheduler's block/wake cycle: one
+// processor repeatedly sleeps one tick, which schedules a wake event,
+// hands the sleep to the scheduler, and is resumed when the event fires —
+// one round trip from the body's stack to the scheduler's and back.
 func BenchmarkEngineDispatch(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.New(sim.Config{Procs: 1})
@@ -222,8 +222,8 @@ func BenchmarkMessageThroughput(b *testing.B) {
 	b.ReportMetric(float64(msgs), "msgs/op")
 }
 
-// BenchmarkSchedulerFastPath measures checkpoints that avoid goroutine
-// switches (DESIGN.md decision 1).
+// BenchmarkSchedulerFastPath measures checkpoints that keep the CPU
+// without leaving the body's stack (DESIGN.md decision 1, §11).
 func BenchmarkSchedulerFastPath(b *testing.B) {
 	eng := sim.New(sim.Config{Procs: 1})
 	err := eng.Run(func(p *sim.Proc) {

@@ -9,8 +9,8 @@
 // -tolerance (default 20%).
 //
 // Timing figures are host-specific: compare baselines only on the same
-// machine and toolchain. The deterministic columns (events run, switches,
-// switches saved) are comparable anywhere.
+// machine and toolchain. The deterministic columns (events run, switches)
+// are comparable anywhere.
 //
 // With -scale the hot-path matrix is replaced by the weak-scaling
 // matrix: the three scalekern continuation kernels up the processor

@@ -264,11 +264,11 @@ type Endpoint struct {
 	rel *relEndpoint
 }
 
-// epWait adapts an endpoint's spin-poll wait loop to sim.PollableWait, so
-// the engine can drive wait iterations inline instead of resuming the
-// waiter's goroutine (see Proc.ParkPollable) — and, in resumable mode,
-// so continuation bodies can park on it directly (see cont.go). Four
-// modes, chosen to keep the steady-state paths closure-free:
+// epWait expresses an endpoint's spin-poll wait loop as a
+// sim.PollableWait, the record the engine iterates on the waiter's
+// behalf: blocking operations hand it to sim.Proc.Await, continuation
+// bodies return it from Resume (see cont.go). Four modes, chosen to keep
+// the steady-state paths closure-free:
 //
 //   - waitModeWindow: a window stall on dst, ready when a request credit
 //     toward dst is free (the send path's stall).
@@ -378,9 +378,9 @@ func (ep *Endpoint) checkRequestContext(op string) {
 // Request sends a short active message to dst and returns once the host
 // processor has handed it to the NIC (the message itself is in flight).
 // It stalls first, spin-polling, if the outstanding-request window to dst
-// is full. It is the coroutine-side assembly of the three continuation
-// pieces in cont.go — poll, window wait, commit — so the blocking and
-// resumable send paths are one implementation.
+// is full. It is the blocking assembly of the three continuation pieces
+// in cont.go — poll, window wait, commit — so the blocking and resumable
+// send paths are one implementation.
 //
 //repro:hotpath
 func (ep *Endpoint) Request(dst int, class Class, h Handler, args Args) {

@@ -7,12 +7,11 @@ import (
 )
 
 // The endpoint's non-blocking pieces: the single implementation of the
-// send path, shared by both runtimes.
+// send path, shared by both body forms.
 //
-// A resumable processor body (sim.Resumable) cannot call the blocking
+// A state-machine processor body (sim.Resumable) cannot call the blocking
 // endpoint operations — Request, Store, Poll, WaitUntilFor — because they
-// park by yielding the calling goroutine's stack, and a resumable body
-// has none. The methods in this file are the three things each blocking
+// wait by suspending the caller's stack, and a state machine has none. The methods in this file are the three things each blocking
 // operation actually does:
 //
 //  1. poll   — PollOneDue services one arrival present at the NIC (GAM
@@ -22,20 +21,20 @@ import (
 //  3. commit — SendRequest / SendStore perform the charge, the window
 //     book-keeping, and the launch, with no possibility of blocking.
 //
-// The blocking operations in am.go are these same pieces assembled on the
-// coroutine side: where a continuation body returns sim.Yield the
+// The blocking operations in am.go are these same pieces assembled for a
+// body with a stack: where a continuation body returns sim.Yield the
 // blocking form calls Checkpoint, and where it returns a wait the
 // blocking form hands it to sim.Proc.Await. There is no second copy of
-// any charge or window rule to keep in step; what remains to argue is
-// only that the two ways of driving a wait agree (DESIGN.md §11).
+// any charge or window rule to keep in step, and one scheduler loop
+// takes the waits of both (DESIGN.md §11).
 
 // PollOneDue services at most one message that has arrived by the
 // processor's current time, charging o_recv and running its handler —
 // one step of a poll. Pending engine events due by the clock are drained
 // around the step so deliveries and credit returns materialize exactly as
 // a Checkpoint would have made them. Returns whether a message was
-// processed; the caller must yield (sim.Yield, or Checkpoint on the
-// coroutine side) before the first step and between steps so slower
+// processed; the caller must yield (sim.Yield, or Checkpoint in a
+// blocking body) before the first step and between steps so slower
 // processors interleave.
 //
 //repro:hotpath

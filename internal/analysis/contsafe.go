@@ -15,9 +15,10 @@ import (
 // the engine after every park, so three things must hold:
 //
 //  1. It never calls a blocking primitive (Await, WaitUntilFor, Checkpoint,
-//     Poll, Park, ParkPollable, Request, Store): those park by yielding
-//     a goroutine stack that a resumable body does not have. A poll
-//     function parks by returning a wait instead.
+//     Poll, Sleep, SleepUntil, Request, Store): those wait by suspending
+//     a stack that a resumable body does not have (the engine fails such
+//     a run; this finds it before one). A poll function waits by
+//     returning a wait instead.
 //  2. Every opState sub-state literal it assigns is consumed by some
 //     transition, and every literal it dispatches on is produced by
 //     some assignment — no dead or unreachable machine states. Zero is
@@ -42,15 +43,15 @@ func contsafeScopes() []string {
 }
 
 // blockingPrimitives are the method names a continuation function must
-// never call: each parks the calling goroutine (or, for Request/Store,
+// never call: each suspends the calling body (or, for Request/Store,
 // may) instead of returning a wait to the engine.
 var blockingPrimitives = map[string]bool{
 	"Await":        true,
 	"WaitUntilFor": true,
 	"Checkpoint":   true,
 	"Poll":         true,
-	"Park":         true,
-	"ParkPollable": true,
+	"Sleep":        true,
+	"SleepUntil":   true,
 	"Request":      true,
 	"Store":        true,
 }

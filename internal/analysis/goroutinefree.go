@@ -4,28 +4,31 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
+	"strings"
 )
 
-// GoroutineFree forbids go statements and channel operations inside
-// simulation packages. Each simulation must stay single-goroutine so
-// that a run is a pure function of its Spec: host concurrency belongs
+// GoroutineFree forbids go statements, channel operations and iter.Pull
+// inside simulation packages. Each simulation must stay single-goroutine
+// so that a run is a pure function of its Spec: host concurrency belongs
 // only to internal/run's worker pool, which parallelizes across
 // simulations, never within one.
 //
-// The one sanctioned exception is the coroutine compatibility shell in
-// internal/sim/engine.go, which multiplexes blocking SPMD bodies over
-// goroutines with a strict one-runnable-at-a-time handoff; those sites
-// carry //lint:allow goroutinefree annotations explaining why the
-// handoff is deterministic. The resumable runtime that replaced it as
-// the scaling path (sim/resume.go, am/cont.go, splitc/cont.go, the
-// scalekern kernels) runs every processor on the engine's own
-// goroutine and needs no exception — the shell-confinement test pins
-// that no allow directive appears outside engine.go.
+// iter.Pull is on the list because it starts a goroutine without a go
+// statement. It has exactly one sanctioned user, internal/sim/coro.go:
+// the adapter that lets the scheduler step a blocking SPMD body as a
+// Resumable, switching to the body's stack and back with no channel and
+// nothing for the host scheduler to order. That file is exempt by name;
+// there is no allow directive to carry, and the shell-confinement test
+// pins that none appears anywhere in the module.
 var GoroutineFree = &Analyzer{
 	Name: "goroutinefree",
-	Doc:  "forbid go statements and channel operations in simulation packages",
+	Doc:  "forbid go statements, channel operations and iter.Pull in simulation packages",
 	Run:  runGoroutineFree,
 }
+
+// coroFile is the one file that may call iter.Pull.
+const coroScope, coroFile = "internal/sim", "coro.go"
 
 func runGoroutineFree(pass *Pass) error {
 	if !inScope(pass.Pkg.Path(), simScopes()) {
@@ -33,8 +36,13 @@ func runGoroutineFree(pass *Pass) error {
 	}
 	scope := relScope(pass.Pkg.Path())
 	for _, f := range pass.Files {
+		pullOK := scope == coroScope && filepath.Base(pass.Fset.Position(f.Pos()).Filename) == coroFile
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch s := n.(type) {
+			case *ast.SelectorExpr:
+				if fn, ok := calleeFunc(pass.TypesInfo, s); ok && !pullOK && isPkgFunc(fn, "iter") && strings.HasPrefix(fn.Name(), "Pull") {
+					pass.Reportf(s.Pos(), "iter.%s in simulation package %s starts a goroutine; only %s/%s may", fn.Name(), scope, coroScope, coroFile)
+				}
 			case *ast.GoStmt:
 				pass.Reportf(s.Pos(),
 					"go statement in simulation package %s; simulations are single-goroutine — host concurrency belongs to internal/run's worker pool", scope)

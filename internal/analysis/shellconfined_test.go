@@ -9,14 +9,13 @@ import (
 	"repro/internal/analysis"
 )
 
-// TestGoroutineAllowsConfinedToShell pins where the goroutinefree
-// escape hatch may be used: only internal/sim/engine.go, the
-// compatibility shell that multiplexes blocking SPMD bodies over
-// coroutines. The resumable runtime (sim/resume.go, am/cont.go,
-// splitc/cont.go, the scalekern kernels) is engine-driven and needs no
-// goroutines at all — that is the point of the refactor — so an allow
-// directive appearing anywhere else means a channel crept into code
-// that is supposed to run a million processors on one goroutine.
+// TestGoroutineAllowsConfinedToShell pins that the goroutinefree escape
+// hatch is used nowhere. The simulator has no channel and no go statement
+// left to excuse: state-machine bodies never had a stack, and blocking
+// bodies are stepped through iter.Pull in internal/sim/coro.go, which the
+// analyzer exempts by file name. An allow directive appearing anywhere
+// means host concurrency crept back into code that must run a million
+// processors on one goroutine.
 func TestGoroutineAllowsConfinedToShell(t *testing.T) {
 	root, _, err := analysis.FindModule(".")
 	if err != nil {
@@ -49,15 +48,11 @@ func TestGoroutineAllowsConfinedToShell(t *testing.T) {
 			if !strings.Contains(line, "//lint:allow goroutinefree") {
 				continue
 			}
-			if rel == filepath.Join("internal", "sim", "engine.go") {
-				continue
-			}
-			if rel == filepath.Join("internal", "analysis", "goroutinefree.go") ||
-				strings.HasPrefix(rel, filepath.Join("internal", "analysis")+string(filepath.Separator)) {
+			if strings.HasPrefix(rel, filepath.Join("internal", "analysis")+string(filepath.Separator)) {
 				// The analyzer's own docs and tests mention the directive.
 				continue
 			}
-			t.Errorf("%s:%d: goroutinefree allow outside the coroutine shell (engine.go); the resumable runtime must stay channel-free", rel, i+1)
+			t.Errorf("%s:%d: goroutinefree allow directive; simulation packages have no exception left", rel, i+1)
 		}
 		return nil
 	})

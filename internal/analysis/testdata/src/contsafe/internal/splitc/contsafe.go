@@ -11,9 +11,9 @@ type PollableWait interface{ Ready() bool }
 // Proc provides the clock and the blocking primitives the fixtures call.
 type Proc struct{ now int64 }
 
-func (p *Proc) Now() int64      { return p.now }
-func (p *Proc) Park(at int64)   { _ = at }
-func (p *Proc) Request(dst int) { _ = dst }
+func (p *Proc) Now() int64         { return p.now }
+func (p *Proc) SleepUntil(t int64) { _ = t }
+func (p *Proc) Request(dst int)    { _ = dst }
 
 type task struct {
 	pc       int
@@ -21,9 +21,9 @@ type task struct {
 	deadline int64
 }
 
-// A continuation must return a wait instead of parking.
+// A continuation must return a wait instead of blocking.
 func (t *task) badBlock(p *Proc) PollableWait {
-	p.Park(t.deadline) // want `calls blocking primitive Park`
+	p.SleepUntil(t.deadline) // want `calls blocking primitive SleepUntil`
 	return nil
 }
 
@@ -78,5 +78,5 @@ func (t *task) goodStep(p *Proc) PollableWait {
 // No PollableWait result: not a continuation, free to block and stamp.
 func (t *task) setup(p *Proc) {
 	t.start = p.Now()
-	p.Park(t.start)
+	p.SleepUntil(t.start)
 }

@@ -1,7 +1,16 @@
-// Package gofreebad exercises goroutinefree: go statements and channel
-// operations inside a simulation package are findings; the escape
-// hatch used by internal/sim's cooperative scheduler is not.
+// Package gofreebad exercises goroutinefree: go statements, channel
+// operations and iter.Pull inside a simulation package are findings; a
+// site carrying the escape hatch is not.
 package gofreebad
+
+import "iter"
+
+func pull(seq iter.Seq[int]) int {
+	next, stop := iter.Pull(seq) // want `iter.Pull in simulation package internal/sim/gofreebad starts a goroutine`
+	defer stop()
+	v, _ := next()
+	return v
+}
 
 func spawn(work []int) int {
 	ch := make(chan int, len(work)) // want `channel construction in simulation package internal/sim`

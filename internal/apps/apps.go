@@ -123,11 +123,9 @@ type Result struct {
 
 // SchedCounters is the engine's scheduling cost profile for one run.
 type SchedCounters struct {
-	// Switches is the number of goroutine hand-offs performed.
+	// Switches is the number of hand-offs between blocking bodies'
+	// stacks (0 for a run of Tasks).
 	Switches int64
-	// SwitchesSaved is the number of hand-offs the engine avoided
-	// (fast-path parks and inline-driven wait iterations).
-	SwitchesSaved int64
 	// EventsRun is the number of discrete events executed.
 	EventsRun int64
 }
@@ -209,9 +207,8 @@ func Finish(app App, cfg Config, w *splitc.World, verified bool) Result {
 		Verified: verified,
 		Extra:    map[string]float64{},
 		Sched: SchedCounters{
-			Switches:      w.Engine().Switches(),
-			SwitchesSaved: w.Engine().SwitchesSaved(),
-			EventsRun:     w.Engine().EventsRun(),
+			Switches:  w.Engine().Switches(),
+			EventsRun: w.Engine().EventsRun(),
 		},
 	}
 	if pf := prof.Attached(w); pf != nil {

@@ -118,7 +118,6 @@ func measure(name string, messages int64, reps int, run func() (*sim.Engine, err
 		}
 		if eng != nil {
 			c.Switches = eng.Switches()
-			c.SwitchesSaved = eng.SwitchesSaved()
 			c.EventsRun = eng.EventsRun()
 			if s := wall.Seconds(); s > 0 {
 				c.EventsPerSec = float64(c.EventsRun) / s
@@ -256,13 +255,12 @@ func appCase(name string, o Options) (Case, error) {
 		messages += n
 	}
 	c := Case{
-		Name:          "app-" + name,
-		Messages:      messages,
-		WallMs:        float64(wall.Nanoseconds()) / 1e6,
-		Allocs:        int64(after.Mallocs - before.Mallocs),
-		Switches:      res.Sched.Switches,
-		SwitchesSaved: res.Sched.SwitchesSaved,
-		EventsRun:     res.Sched.EventsRun,
+		Name:      "app-" + name,
+		Messages:  messages,
+		WallMs:    float64(wall.Nanoseconds()) / 1e6,
+		Allocs:    int64(after.Mallocs - before.Mallocs),
+		Switches:  res.Sched.Switches,
+		EventsRun: res.Sched.EventsRun,
 	}
 	if messages > 0 {
 		c.NsPerMsg = float64(wall.Nanoseconds()) / float64(messages)

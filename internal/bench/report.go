@@ -50,12 +50,11 @@ type Case struct {
 	// ladder; growth with P means a per-processor cost proportional to
 	// the machine size leaked in.
 	BytesPerProc float64 `json:"bytes_per_proc,omitempty"`
-	// Switches / SwitchesSaved are the engine's goroutine hand-off
-	// counters; EventsRun is the event total. These are deterministic per
-	// workload, unlike the timing fields.
-	Switches      int64 `json:"switches"`
-	SwitchesSaved int64 `json:"switches_saved"`
-	EventsRun     int64 `json:"events_run"`
+	// Switches counts hand-offs between blocking bodies' stacks;
+	// EventsRun is the event total. These are deterministic per workload,
+	// unlike the timing fields.
+	Switches  int64 `json:"switches"`
+	EventsRun int64 `json:"events_run"`
 }
 
 // WriteFile writes the report as indented JSON.
@@ -89,14 +88,14 @@ func (r *Report) Render() string {
 	}
 	fmt.Fprintf(&b, "reprobench (%s, %s/%s)\n", mode, r.GoVersion, r.GOARCH)
 	fmt.Fprintf(&b, "%-24s %12s %10s %10s %12s %14s %12s %12s\n",
-		"case", "messages", "wall ms", "ns/msg", "allocs/msg", "events/sec", "B/proc", "sw saved")
+		"case", "messages", "wall ms", "ns/msg", "allocs/msg", "events/sec", "B/proc", "switches")
 	for _, c := range r.Cases {
 		bpp := "-"
 		if c.BytesPerProc > 0 {
 			bpp = fmt.Sprintf("%.0f", c.BytesPerProc)
 		}
 		fmt.Fprintf(&b, "%-24s %12d %10.1f %10.1f %12.4f %14.0f %12s %12d\n",
-			c.Name, c.Messages, c.WallMs, c.NsPerMsg, c.AllocsPerMsg, c.EventsPerSec, bpp, c.SwitchesSaved)
+			c.Name, c.Messages, c.WallMs, c.NsPerMsg, c.AllocsPerMsg, c.EventsPerSec, bpp, c.Switches)
 	}
 	return b.String()
 }

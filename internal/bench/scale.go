@@ -89,15 +89,14 @@ func scaleCase(app apps.App, procs int, o ScaleOptions) (Case, error) {
 	}
 	messages := res.Stats.TotalSent()
 	c := Case{
-		Name:          fmt.Sprintf("%s-P%d", app.Name(), procs),
-		Procs:         procs,
-		Messages:      messages,
-		WallMs:        float64(wall.Nanoseconds()) / 1e6,
-		Allocs:        int64(after.Mallocs - before.Mallocs),
-		BytesPerProc:  float64(after.TotalAlloc-before.TotalAlloc) / float64(procs),
-		Switches:      res.Sched.Switches,
-		SwitchesSaved: res.Sched.SwitchesSaved,
-		EventsRun:     res.Sched.EventsRun,
+		Name:         fmt.Sprintf("%s-P%d", app.Name(), procs),
+		Procs:        procs,
+		Messages:     messages,
+		WallMs:       float64(wall.Nanoseconds()) / 1e6,
+		Allocs:       int64(after.Mallocs - before.Mallocs),
+		BytesPerProc: float64(after.TotalAlloc-before.TotalAlloc) / float64(procs),
+		Switches:     res.Sched.Switches,
+		EventsRun:    res.Sched.EventsRun,
 	}
 	if messages > 0 {
 		c.NsPerMsg = float64(wall.Nanoseconds()) / float64(messages)

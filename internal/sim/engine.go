@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"runtime/debug"
-	"sync"
-)
+import "fmt"
 
 // Config controls engine construction.
 type Config struct {
@@ -20,64 +16,46 @@ type Config struct {
 }
 
 // Engine is a deterministic discrete-event simulator for SPMD programs.
-// Create one with New, then call Run (or RunEach) exactly once.
+// Create one with New, then call Run, RunEach or RunResumables exactly
+// once. Whatever form the processor bodies take, one loop (drive)
+// schedules them, on the caller's goroutine.
 type Engine struct {
 	procs     []*Proc
 	ready     procHeap
 	events    eventHeap
 	timeLimit Time
 
-	eventSeq   int64
-	liveCount  int
-	aborted    bool
-	failure    error
-	doneCh     chan struct{}
-	doneClosed bool
-	wg         sync.WaitGroup
+	eventSeq  int64
+	liveCount int
+	// failure is the first failure of the run (Fail, a time limit, a
+	// deadlock, a panicking body); once set the scheduler stops.
+	failure error
 
 	// seed feeds the lazily built per-processor PRNGs (see Proc.Rand).
 	seed int64
-	// started flips when Run/RunEach/RunResumables begins; engines are
-	// single-use.
+	// started flips when a run begins; engines are single-use.
 	started bool
-	// resumable marks a RunResumables run: processor bodies are state
-	// machines driven from the caller's goroutine, no coroutine shell
-	// exists, and the channel-based primitives must not be used.
-	resumable bool
-	// stepping is the processor whose Resume call is currently executing,
-	// for failure attribution when a resumable body panics.
-	stepping *Proc
-	// failMu serializes the teardown path. Steady-state execution is
-	// single-token and needs no locking, but once an abort begins, every
-	// parked goroutine is woken and unwinds concurrently — and a body can
-	// defer a panic of its own into that unwind, re-entering failure
-	// recording and teardown from several goroutines at once.
-	failMu sync.Mutex
+	// onStack is the blocking body that ran most recently (nil before the
+	// first, and always in a run of state machines, which have no stack).
+	onStack *Proc
 
-	// Counters exposed for scheduler diagnostics and ablation benchmarks.
-	switches    int64 // goroutine hand-offs performed
-	eventsRun   int64 // events executed
-	fastChecks  int64 // checkpoints that kept running without a switch
-	fastParks   int64 // parks whose dispatch picked the parker itself
-	inlineSteps int64 // pollable-wait iterations the dispatcher ran inline
+	switches  int64 // see Switches
+	eventsRun int64 // events executed
 }
 
-// abortSentinel unwinds parked processor goroutines when the engine aborts.
+// abortPanic unwinds whatever stack a failure was detected on, up to the
+// recover at that stack's root: drive's own, or a blocking body's.
 type abortPanic struct{}
 
 // ErrTimeLimit is returned by Run when Config.TimeLimit was exceeded.
 var ErrTimeLimit = fmt.Errorf("sim: virtual time limit exceeded")
-
-// timeLimitPanic carries ErrTimeLimit out of a checkpoint.
-type timeLimitPanic struct{}
 
 // New builds an engine with cfg.Procs processors, all at virtual time zero.
 func New(cfg Config) *Engine {
 	if cfg.Procs < 1 {
 		panic(fmt.Sprintf("sim: Config.Procs must be >= 1, got %d", cfg.Procs))
 	}
-	//lint:allow goroutinefree doneCh signals run completion to the single external caller of Run
-	e := &Engine{doneCh: make(chan struct{}), timeLimit: cfg.TimeLimit, seed: cfg.Seed}
+	e := &Engine{timeLimit: cfg.TimeLimit, seed: cfg.Seed}
 	e.procs = make([]*Proc, cfg.Procs)
 	for i := range e.procs {
 		e.procs[i] = newProc(e, i)
@@ -92,22 +70,14 @@ func (e *Engine) P() int { return len(e.procs) }
 // a run; during a run, program code receives its own *Proc.
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
-// Switches reports how many goroutine hand-offs the scheduler performed.
+// Switches reports how many times control passed from one blocking
+// body's stack to a different body's. Wait iterations the scheduler runs
+// on a parked body's behalf are not switches, and a run of state
+// machines (RunResumables) makes none.
 func (e *Engine) Switches() int64 { return e.switches }
 
 // EventsRun reports how many discrete events the engine executed.
 func (e *Engine) EventsRun() int64 { return e.eventsRun }
-
-// FastCheckpoints reports checkpoints resolved without a goroutine switch.
-func (e *Engine) FastCheckpoints() int64 { return e.fastChecks }
-
-// SwitchesSaved reports scheduler decisions resolved without a goroutine
-// hand-off that the pre-fast-path scheduler would have paid one for: parks
-// whose dispatch picked the parker itself (an event executed during the
-// dispatch woke it, and it was the next runnable), plus every pollable-wait
-// iteration the dispatcher drove inline instead of resuming the waiter's
-// goroutine (see Proc.ParkPollable).
-func (e *Engine) SwitchesSaved() int64 { return e.fastParks + e.inlineSteps }
 
 // MaxClock returns the largest processor clock, i.e. the parallel makespan.
 func (e *Engine) MaxClock() Time {
@@ -120,28 +90,24 @@ func (e *Engine) MaxClock() Time {
 	return mx
 }
 
-// Fail aborts the simulation with err; Run (or RunEach) returns it. It
-// may be called from an event or from a processor body — the layer that
-// detects an unrecoverable protocol condition (for example a message
-// exceeding its retransmission cap) uses it to surface a typed error
-// instead of letting the run hang. Fail does not return: it unwinds the
-// calling goroutine through the engine's abort path. If a failure is
-// already recorded, the first one wins.
+// Fail aborts the simulation with err; the run returns it. It may be
+// called from an event or from a processor body — the layer that detects
+// an unrecoverable protocol condition (for example a message exceeding
+// its retransmission cap) uses it to surface a typed error instead of
+// letting the run hang. Fail does not return: it unwinds the calling
+// stack. If a failure is already recorded, the first one wins.
 func (e *Engine) Fail(err error) {
 	e.recordFailure(err)
-	e.abortFromRunning()
 	panic(abortPanic{})
 }
 
 // recordFailure stores err as the simulation's failure unless one is
 // already recorded: the first failure wins, later ones (secondary panics
-// raised while goroutines unwind) must not mask the root cause.
+// raised while suspended bodies unwind) must not mask the root cause.
 func (e *Engine) recordFailure(err error) {
-	e.failMu.Lock()
 	if e.failure == nil {
 		e.failure = err
 	}
-	e.failMu.Unlock()
 }
 
 // EventFn is the typed form of a scheduled event: fn(arg, at) runs at
@@ -152,9 +118,9 @@ func (e *Engine) recordFailure(err error) {
 type EventFn func(arg any, at Time)
 
 // ScheduleAt registers fn to run at virtual time t. Events run in (t, FIFO)
-// order, in the goroutine of whichever processor reaches them first; they
-// must not block and must not call Park or Checkpoint. Events typically
-// deposit a message and call Proc.WakeAt.
+// order, on whichever stack reaches them first — the scheduler's or a
+// blocking body's; they must not call Await, Checkpoint or Sleep. Events
+// typically deposit a message and call Proc.WakeAt.
 //
 // The closure fn is one heap allocation at the call site; hot paths use
 // ScheduleCall instead.
@@ -190,75 +156,33 @@ func (e *Engine) Run(body func(*Proc)) error {
 	return e.RunEach(bodies)
 }
 
-// RunEach is Run with a distinct body per processor. This is the
-// compatibility shell of the two-mode runtime: bodies are ordinary
-// functions on per-processor goroutines, suspended and resumed through
-// buffered channels. RunResumables is the goroutine-free mode.
-func (e *Engine) RunEach(bodies []func(*Proc)) error {
-	if len(bodies) != len(e.procs) {
-		return fmt.Errorf("sim: RunEach got %d bodies for %d procs", len(bodies), len(e.procs))
-	}
-	if e.started {
-		return fmt.Errorf("sim: engine already started; New an engine per run")
-	}
-	e.started = true
-	e.liveCount = len(e.procs)
-	e.wg.Add(len(e.procs))
-	for i, p := range e.procs {
-		p.state = stateReady
-		//lint:allow goroutinefree resume is the coroutine handoff channel; buffer 1 so handoffs never block the sender
-		p.resume = make(chan struct{}, 1)
-		e.ready.push(p)
-		//lint:allow goroutinefree processor bodies are coroutines: exactly one is runnable at a time, handed off via resume
-		go e.procMain(p, bodies[i])
-	}
-	// Hand control to the first processor and wait for completion.
-	first := e.ready.pop()
-	first.state = stateRunning
-	//lint:allow goroutinefree deterministic coroutine handoff: the buffered resume send never blocks or races
-	first.resume <- struct{}{}
-	//lint:allow goroutinefree Run's caller parks here until the last coroutine signals completion
-	<-e.doneCh
-	e.wg.Wait()
-	return e.failure
-}
-
-func (e *Engine) procMain(p *Proc, body func(*Proc)) {
-	defer e.wg.Done()
+// drive is the scheduler: the one loop that pops the ready heap, for
+// state machines and blocking bodies alike. It ends when every body is
+// done, when nothing can run any more (deadlock), or at the first
+// failure.
+func (e *Engine) drive() {
+	var p *Proc // holds the CPU; the culprit if its turn panics
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
+		switch r := recover().(type) {
+		case nil, abortPanic:
+		default:
+			if p != nil {
+				e.recordFailure(fmt.Errorf("sim: proc %d panicked at %v: %v", p.id, p.clock, r))
+			} else {
+				e.recordFailure(fmt.Errorf("sim: event panicked: %v", r))
+			}
 		}
-		if _, ok := r.(abortPanic); ok {
-			return
-		}
-		// Like Fail, the first recorded failure wins: a second processor
-		// unwinding with its own panic (or a body deferring a panic into
-		// the abort path) must not mask the root cause.
-		if _, ok := r.(timeLimitPanic); ok {
-			e.recordFailure(fmt.Errorf("sim: proc %d at %v: %w", p.id, p.clock, ErrTimeLimit))
-			e.abortFromRunning()
-			return
-		}
-		e.recordFailure(fmt.Errorf("sim: proc %d panicked at %v: %v\n%s", p.id, p.clock, r, debug.Stack()))
-		e.abortFromRunning()
 	}()
-	//lint:allow goroutinefree each coroutine parks at birth until the scheduler hands it the CPU
-	<-p.resume
-	if e.aborted {
-		panic(abortPanic{})
+	for e.failure == nil {
+		p = nil // events that run inside next() belong to no processor
+		if p = e.next(); p == nil {
+			if e.liveCount > 0 {
+				e.recordFailure(e.deadlockError())
+			}
+			return
+		}
+		e.turn(p)
 	}
-	body(p)
-	e.finish(p)
-}
-
-// finish retires a processor whose body returned and dispatches the next
-// runnable entity. Called on p's goroutine, which simply returns afterwards.
-func (e *Engine) finish(p *Proc) {
-	p.state = stateDone
-	e.liveCount--
-	e.dispatch(p)
 }
 
 // next pops the runnable processor with the smallest clock, executing any
@@ -284,211 +208,95 @@ func (e *Engine) next() *Proc {
 	}
 }
 
+// turn gives the CPU to p, the minimum-(clock, id) runnable, and lets it
+// keep it for as long as it stays the minimum. While p is in a wait, each
+// pass is one wait iteration — test the condition, else service one due
+// unit of work, else spin forward to known future work or to a recorded
+// wakeup, else block; once the wait is over, p's body runs until it
+// names the next one. This is the only place that sequence exists:
+// blocking bodies do not loop over their waits, they hand them here
+// (Proc.Await).
+//
+//repro:hotpath
+func (e *Engine) turn(p *Proc) {
+	p.state = stateRunning
+	for {
+		switch w := p.wait; {
+		case w == nil:
+			next, done := p.body.Resume(p)
+			if done {
+				p.state = stateDone
+				p.body = nil
+				e.liveCount--
+				return
+			}
+			if next == nil {
+				panic(fmt.Sprintf("sim: proc %d Resume returned neither a wait nor done", p.id))
+			}
+			p.wait = next
+		case w.Ready(p):
+			p.wait = nil
+		case w.PollOne(p):
+			// Serviced one unit of work; its cost moved the clock.
+		default:
+			t, ok := w.NextWork(p)
+			if !ok {
+				if len(p.pendingWakes) == 0 {
+					p.state = stateBlocked
+					return
+				}
+				// A wakeup arrived while p was not blocked; consume the
+				// earliest instead of blocking. Shift in place rather than
+				// re-slicing so the backing array's capacity is never
+				// abandoned.
+				t = p.pendingWakes[0]
+				copy(p.pendingWakes, p.pendingWakes[1:])
+				p.pendingWakes = p.pendingWakes[:len(p.pendingWakes)-1]
+			}
+			p.AdvanceTo(t)
+		}
+		if !e.holds(p) {
+			p.state = stateReady
+			e.ready.push(p)
+			return
+		}
+	}
+}
+
+// holds is called with p running, after it took up a wait or moved its
+// clock. It runs every event due by p's clock and reports whether p is
+// still the minimum-(clock, id) runnable, i.e. whether next() would pick
+// it again. It is the scheduler's invariant in one place: a processor
+// gives up the CPU only after every event due by its clock has run —
+// including events, such as window-credit returns, whose timestamps lie
+// beyond other processors' clocks; slower processors' waits legitimately
+// observe those effects — and only the ready heap's order decides who
+// runs next. A processor found past the time limit here fails the run.
+//
+//repro:hotpath
+func (e *Engine) holds(p *Proc) bool {
+	if e.timeLimit > 0 && p.clock > e.timeLimit {
+		//lint:allow hotpathalloc the run is over: formatting the failure is off the steady path
+		e.Fail(fmt.Errorf("sim: proc %d at %v: %w", p.id, p.clock, ErrTimeLimit))
+	}
+	e.drainEvents(p.clock)
+	q := e.ready.peek()
+	return q == nil || p.before(q)
+}
+
 func (e *Engine) deadlockError() error {
 	msg := "sim: deadlock — all processors parked and no events pending\n"
 	for _, p := range e.procs {
 		if p.state == stateBlocked {
-			msg += fmt.Sprintf("  proc %d blocked at %v: %s\n", p.id, p.clock, p.blockReason)
+			msg += fmt.Sprintf("  proc %d blocked at %v: %s\n", p.id, p.clock, waitReason(p.wait))
 		}
 	}
 	return fmt.Errorf("%s", msg)
 }
 
-// abortFromRunning tears down the simulation from the currently running
-// goroutine: every parked goroutine is resumed and unwinds via abortPanic.
-// Reentrant: a goroutine whose unwind raises a secondary failure calls
-// this again, concurrently with the teardown already in flight — the
-// second call finds aborted set and only confirms the done signal.
-func (e *Engine) abortFromRunning() {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	if !e.aborted {
-		e.aborted = true
-		for _, p := range e.procs {
-			if p.state == stateReady || p.state == stateBlocked || p.state == statePending {
-				p.state = stateDone
-				// Resumable processors have no goroutine to unwind (resume
-				// is nil); marking them done is the whole teardown.
-				if p.resume != nil {
-					//lint:allow goroutinefree abort path: wake every parked coroutine so it unwinds via abortPanic
-					p.resume <- struct{}{}
-				}
-			}
-		}
-	}
-	e.signalDoneLocked()
-}
-
-func (e *Engine) signalDone() {
-	e.failMu.Lock()
-	e.signalDoneLocked()
-	e.failMu.Unlock()
-}
-
-func (e *Engine) signalDoneLocked() {
-	if !e.doneClosed {
-		e.doneClosed = true
-		//lint:allow goroutinefree completion signal to the single Run caller; closed exactly once
-		close(e.doneCh)
-	}
-}
-
-// switchTo hands the CPU from the running processor `from` (which stays
-// runnable) to `to`, and parks until someone hands control back.
-func (e *Engine) switchTo(from, to *Proc) {
-	e.switches++
-	from.state = stateReady
-	e.ready.push(from)
-	to.state = stateRunning
-	//lint:allow goroutinefree deterministic coroutine handoff: hand the CPU to the chosen processor
-	to.resume <- struct{}{}
-	//lint:allow goroutinefree park until some coroutine hands the CPU back
-	<-from.resume
-	if e.aborted {
-		panic(abortPanic{})
-	}
-}
-
-// dispatch is the central scheduler loop, entered whenever the processor
-// running on the current goroutine gives up the CPU: `from` has either
-// blocked (Park, ParkPollable) or retired (finish). It keeps choosing the
-// next runnable entity, driving pollable waits inline (stepWait) without
-// resuming their goroutines, until either `from` itself becomes the next
-// runnable again (fast path: keep executing on this goroutine, no channel
-// round-trip — the schedule is identical, next() already made the choice)
-// or a processor with a real continuation must run, in which case the CPU
-// is handed off and `from` parks until someone hands it back.
-//
-//repro:hotpath
-func (e *Engine) dispatch(from *Proc) {
-	for {
-		next := e.next()
-		if next == nil {
-			if from.state == stateDone {
-				if e.liveCount == 0 {
-					e.signalDone()
-					return
-				}
-				e.recordFailure(e.deadlockError())
-				e.abortFromRunning()
-				return
-			}
-			if e.liveCount == 0 {
-				// Unreachable: `from` itself is still live.
-				panic("sim: parked with no live processors")
-			}
-			e.recordFailure(e.deadlockError())
-			e.abortFromRunning()
-			panic(abortPanic{})
-		}
-		if next.wait != nil {
-			// The chosen processor is parked in a pollable wait: run one
-			// wait iteration right here instead of bouncing the CPU to its
-			// goroutine and back. stepWait leaves it runnable again or
-			// re-blocked, and the loop re-decides.
-			e.stepWait(next)
-			continue
-		}
-		if next == from {
-			e.fastParks++
-			from.state = stateRunning
-			return
-		}
-		e.switches++
-		next.state = stateRunning
-		// Read before the handoff: once next holds the token it may WakeAt
-		// `from` concurrently with this goroutine. The value is fixed at
-		// dispatch entry anyway (done means finish() called us).
-		done := from.state == stateDone
-		//lint:allow goroutinefree deterministic coroutine handoff: dispatch the unique next runnable
-		next.resume <- struct{}{}
-		if done {
-			return
-		}
-		//lint:allow goroutinefree park until WakeAt makes this processor runnable again
-		<-from.resume
-		if e.aborted {
-			panic(abortPanic{})
-		}
-		return
-	}
-}
-
-// stepWait executes one iteration of a pollable wait on behalf of the
-// blocked processor p, which the dispatcher just popped as the minimum-
-// clock runnable. The iteration mirrors the waiter's own loop exactly —
-// time-limit check, condition, poll one due message, spin toward a known
-// arrival, park again — at the same virtual instants and in the same
-// global order its goroutine would have run them; only the goroutine
-// hand-off is elided. Events due at or before p's clock have already run
-// (next() executes them before popping), matching the Checkpoint at the
-// top of the waiter's loop. Branches that advance p's clock finish with
-// drainEvents, reproducing the drain the next loop-top Checkpoint would
-// have performed at the advanced clock before any switch decision: a
-// Checkpoint-driven run executes every due event — including ones, such
-// as window-credit returns, whose timestamps lie beyond other processors'
-// clocks — before the scheduler picks the minimum again, and waiters'
-// conditions legitimately observe those effects.
-//
-//repro:hotpath
-func (e *Engine) stepWait(p *Proc) {
-	if e.timeLimit > 0 && p.clock > e.timeLimit {
-		// Same failure the waiter's own Checkpoint would have raised,
-		// attributed to the waiter, not to the goroutine driving it.
-		e.recordFailure(fmt.Errorf("sim: proc %d at %v: %w", p.id, p.clock, ErrTimeLimit))
-		e.abortFromRunning()
-		panic(abortPanic{})
-	}
-	e.inlineSteps++
-	// p stays stateBlocked for the duration of the step: its goroutine
-	// really is parked, so if the step panics (for example a handler
-	// violating discipline), abortFromRunning still wakes and unwinds it.
-	// No WakeAt can target p mid-step — wakes come only from events, and
-	// events never run inside a step — so the blocked state is never
-	// observed by a waker.
-	p.state = stateBlocked
-	w := p.wait
-	if w.Ready(p) {
-		// Condition holds: leave the wait. p stays runnable; the dispatch
-		// loop re-pops it and resumes its body (fast path when p is the
-		// dispatcher's own processor).
-		p.wait = nil
-		p.state = stateReady
-		e.ready.push(p)
-		return
-	}
-	if w.PollOne(p) {
-		p.state = stateReady
-		e.ready.push(p)
-		e.drainEvents(p.clock)
-		return
-	}
-	if t, ok := w.NextWork(p); ok {
-		p.AdvanceTo(t)
-		p.state = stateReady
-		e.ready.push(p)
-		e.drainEvents(p.clock)
-		return
-	}
-	// Park again — the same pending-wake consumption Park performs.
-	if len(p.pendingWakes) > 0 {
-		t := p.pendingWakes[0]
-		copy(p.pendingWakes, p.pendingWakes[1:])
-		p.pendingWakes = p.pendingWakes[:len(p.pendingWakes)-1]
-		p.AdvanceTo(t)
-		p.state = stateReady
-		e.ready.push(p)
-		e.drainEvents(p.clock)
-		return
-	}
-	p.state = stateBlocked
-}
-
-// drainEvents runs every event due at or before limit — the event loop of
-// a Checkpoint at that clock. Waking events see their target processors in
-// the same states a waiter's own Checkpoint would have shown them (the
-// stepped processor sits ready in the heap, so wakes for it accumulate as
-// pending, exactly as for a running processor).
+// drainEvents runs every event due at or before limit. Events that wake
+// the processor whose clock set the limit find it running or ready, so
+// their wakes accumulate as pending.
 //
 //repro:hotpath
 func (e *Engine) drainEvents(limit Time) {

@@ -100,13 +100,7 @@ type procHeap struct {
 
 func (h *procHeap) len() int { return len(h.ps) }
 
-func (h *procHeap) less(i, j int) bool {
-	a, b := h.ps[i], h.ps[j]
-	if a.clock != b.clock {
-		return a.clock < b.clock
-	}
-	return a.id < b.id
-}
+func (h *procHeap) less(i, j int) bool { return h.ps[i].before(h.ps[j]) }
 
 func (h *procHeap) swap(i, j int) {
 	h.ps[i], h.ps[j] = h.ps[j], h.ps[i]

@@ -1,6 +1,9 @@
 package sim
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // ClockKind classifies a clock advance for the optional per-processor
 // clock hook (see Proc.SetClockHook).
@@ -27,55 +30,53 @@ const (
 type procState uint8
 
 const (
-	statePending procState = iota // goroutine created, never dispatched
-	stateRunning                  // the single currently executing processor
+	statePending procState = iota // no run has started yet
+	stateRunning                  // holds the CPU: its turn in the scheduler
 	stateReady                    // runnable, waiting in the ready heap
-	stateBlocked                  // parked until WakeAt
+	stateBlocked                  // out of the heap until WakeAt
 	stateDone                     // body returned
 )
 
-// Proc is one simulated processor in either of the runtime's two modes.
-// In the coroutine shell (Run/RunEach) the body is an ordinary function
-// on its own goroutine, suspended and resumed through the buffered
-// resume channel; in resumable mode (RunResumables) the body is a state
-// machine the driver steps inline and the channel is never created. Both
-// modes manipulate virtual time through this handle, and both park on
-// the same PollableWait machinery — which is why a program expressed
-// either way sees the same virtual timeline at its waits. A Proc is not
-// safe for use from outside its body's execution context (the engine
-// guarantees only one body runs at a time, so cross-proc data structures
-// need no locking, but a Proc handle must not be captured by another
-// body); WakeAt is the one exception.
+// Proc is one simulated processor. Its body is a Resumable the scheduler
+// steps: either a state machine (RunResumables), or an ordinary blocking
+// function wrapped so that each of its waits becomes one Resume return
+// (RunEach). Both manipulate virtual time through this handle and wait on
+// the same PollableWait records, driven by the same loop (Engine.turn) —
+// which is why a program expressed either way sees the same virtual
+// timeline. A Proc is not safe for use from outside its body's execution
+// context (the engine guarantees only one body runs at a time, so
+// cross-proc data structures need no locking, but a Proc handle must not
+// be captured by another body); WakeAt is the one exception.
 type Proc struct {
 	id        int
 	eng       *Engine
 	clock     Time
 	state     procState
 	heapIndex int
-	// resume is the coroutine-shell handoff channel. It exists only for
-	// goroutine-backed processors (created by RunEach); resumable
-	// processors leave it nil — they have no goroutine to hand control to.
-	resume chan struct{}
-	// body is the processor's state machine in resumable mode, nil in the
-	// coroutine shell.
+	// body is what the scheduler steps; nil once it is done.
 	body Resumable
+	// yield suspends a blocking body on a wait until the scheduler has
+	// seen that wait over; it returns false when the run was torn down
+	// instead. nil for a state-machine body, which has no stack to suspend.
+	yield func(PollableWait) bool
 
-	blockReason string
 	// rng is built lazily by Rand: a million-processor machine whose
 	// bodies never draw random numbers should not pay ~5 KiB of PRNG
 	// state per processor up front.
 	rng *rand.Rand
 
 	// pendingWakes records WakeAt calls that arrived while the processor
-	// was not parked (running, ready, or not yet started). Park consumes
-	// them instead of blocking, so no wakeup is ever lost. Kept sorted
-	// ascending; typically empty or a single element.
+	// was not blocked (running, ready, or not yet started). A wait that
+	// would block consumes them instead, so no wakeup is ever lost. Kept
+	// sorted ascending; typically empty or a single element.
 	pendingWakes []Time
 
-	// wait, when non-nil, marks the processor as parked in a pollable
-	// wait (see ParkPollable): the dispatcher may drive its wait-loop
-	// iterations inline instead of resuming this goroutine.
+	// wait, when non-nil, is the wait the processor is in: the scheduler
+	// runs its iterations and resumes the body once it is over.
 	wait PollableWait
+	// sleep is the wait record behind SleepUntil, kept here so that
+	// sleeping allocates nothing.
+	sleep sleepWait
 
 	// onClock, when set, observes every clock mutation (see SetClockHook).
 	onClock func(kind ClockKind, from, to Time)
@@ -127,8 +128,8 @@ func (p *Proc) SetClockHook(fn func(kind ClockKind, from, to Time)) { p.onClock 
 // ClockStretch. This is the seam fault injection uses for per-processor
 // slowdown windows and one-off delays: the charging layer still observes
 // its base cost through its own hooks, while the injected extension is
-// attributed separately. fn runs synchronously on the processor's
-// goroutine in deterministic order and must not manipulate virtual time
+// attributed separately. fn runs synchronously in
+// deterministic order and must not manipulate virtual time
 // itself. nil detaches.
 func (p *Proc) SetStretch(fn func(from, d Time) Time) { p.onStretch = fn }
 
@@ -170,106 +171,24 @@ func (p *Proc) AdvanceTo(t Time) {
 	}
 }
 
-// Checkpoint is a synchronization point: all events due at or before the
-// processor's clock are executed, and if any runnable processor now has a
-// smaller clock (or equal clock and smaller ID), control transfers to it.
-// Communication layers call this at every poll point so that message
-// arrivals are observed in virtual-time order.
-//
-//repro:hotpath
-func (p *Proc) Checkpoint() {
-	e := p.eng
-	if e.resumable {
-		panic("sim: Checkpoint from a resumable body; use RunDueEvents and continuation waits")
+// before reports whether p is scheduled ahead of q: the strict total order
+// (clock, id) of the ready heap.
+func (p *Proc) before(q *Proc) bool {
+	if p.clock != q.clock {
+		return p.clock < q.clock
 	}
-	if e.timeLimit > 0 && p.clock > e.timeLimit {
-		panic(timeLimitPanic{})
-	}
-	switched := false
-	for {
-		for e.events.len() > 0 && e.events.peek().at <= p.clock {
-			ev := e.events.pop()
-			e.eventsRun++
-			ev.fn(ev.arg, ev.at)
-		}
-		q := e.ready.peek()
-		if q == nil || q.clock > p.clock || (q.clock == p.clock && q.id > p.id) {
-			if !switched {
-				e.fastChecks++
-			}
-			return
-		}
-		e.ready.pop()
-		if q.wait != nil {
-			// q is parked in a pollable wait: drive one iteration of it
-			// from here instead of switching goroutines. q was the heap
-			// minimum and p is running with a clock at or past q's, so q
-			// sees exactly the state its own checkpoint would have.
-			e.stepWait(q)
-			// A real hand-off would have suspended p here until it was
-			// the minimum again, with interim events draining at the
-			// clocks of the processors that actually run — not at p's
-			// (p's clock may lie far ahead and would fire future events
-			// early). Rejoin the heap and let the dispatcher decide;
-			// control returns when p is picked, and the loop then
-			// re-drains at p's clock exactly as a resumed Checkpoint
-			// would.
-			switched = true
-			p.state = stateReady
-			e.ready.push(p)
-			e.dispatch(p)
-			continue
-		}
-		switched = true
-		e.switchTo(p, q)
-	}
+	return p.id < q.id
 }
 
-// Park blocks the processor until another entity calls WakeAt on it.
-// Callers are responsible for the condition loop: check the awaited
-// condition, and Park again on spurious wakeups. Between the caller's
-// condition check and the block there is no window in which an event can
-// fire unobserved: Park runs no events itself, and events executed during
-// the dispatch see the processor already marked blocked, so their WakeAt
-// takes effect. Park panics (aborting the simulation with a deadlock
-// diagnosis) if nothing can ever wake the processor.
-//
-//repro:hotpath
-func (p *Proc) Park(reason string) {
-	if p.eng.resumable {
-		panic("sim: Park from a resumable body; return the wait from Resume instead")
-	}
-	if len(p.pendingWakes) > 0 {
-		// A wakeup already arrived while we were running or ready; consume
-		// the earliest one instead of blocking. Shift in place rather than
-		// re-slicing so the backing array's capacity is never abandoned
-		// (re-slicing from the front would shrink the capacity one element
-		// per wake and force a steady trickle of re-allocations).
-		t := p.pendingWakes[0]
-		copy(p.pendingWakes, p.pendingWakes[1:])
-		p.pendingWakes = p.pendingWakes[:len(p.pendingWakes)-1]
-		p.AdvanceTo(t)
-		p.Checkpoint()
-		return
-	}
-	p.state = stateBlocked
-	p.blockReason = reason
-	p.eng.dispatch(p)
-}
-
-// PollableWait is a wait loop the engine can drive on the waiter's behalf.
-// A processor spin-polling for a condition iterates a fixed shape — run a
-// checkpoint, test the condition, service one due unit of work, spin
-// forward to known future work, or park — and every step is expressible
-// against engine and endpoint state rather than the body's stack. A waiter
-// that parks through ParkPollable therefore never needs its goroutine
-// resumed just to discover there is nothing to do: whichever goroutine is
-// dispatching runs the iterations inline, at the same virtual instants and
-// in the same global order, and hands the CPU over only when Ready reports
-// the condition holds. The methods must not call Park, Checkpoint, or
-// anything else that yields.
+// PollableWait is what a processor waits on: a condition plus the work a
+// real processor would do while spin-polling for it. Every step is
+// expressed against engine and endpoint state rather than the body's
+// stack, so the scheduler runs the wait (Engine.turn) and the body is
+// resumed only once Ready holds. The methods must not wait themselves.
 type PollableWait interface {
 	// Ready reports whether the awaited condition holds; the wait ends.
+	// It must be a pure predicate: the scheduler may test it more than
+	// once at the same instant.
 	Ready(p *Proc) bool
 	// PollOne services at most one unit of work due at or before p's
 	// clock (for example one arrived message, charging its receive
@@ -281,66 +200,38 @@ type PollableWait interface {
 	NextWork(p *Proc) (t Time, ok bool)
 }
 
-// ParkPollable parks the processor like Park, but registers w so the
-// engine can drive the wait inline (see PollableWait). It returns true
-// when the engine established Ready and handed the CPU back — the caller
-// leaves its wait loop without re-testing — and false when a pending
-// wakeup was consumed instead of blocking, in which case the caller loops
-// and re-tests exactly as it would after Park.
-//
-//repro:hotpath
-func (p *Proc) ParkPollable(w PollableWait, reason string) bool {
-	if p.eng.resumable {
-		panic("sim: ParkPollable from a resumable body; return the wait from Resume instead")
-	}
-	if len(p.pendingWakes) > 0 {
-		t := p.pendingWakes[0]
-		copy(p.pendingWakes, p.pendingWakes[1:])
-		p.pendingWakes = p.pendingWakes[:len(p.pendingWakes)-1]
-		p.AdvanceTo(t)
-		p.Checkpoint()
-		return false
-	}
-	p.state = stateBlocked
-	p.blockReason = reason
-	p.wait = w
-	p.eng.dispatch(p)
-	return true
-}
-
-// Await is the coroutine-side wait loop: it spin-polls w to completion
-// on the calling processor's own goroutine, one iteration per pass —
-// checkpoint, test the condition, service one due unit of work, spin
-// forward to known future work, or park. It is the exact coroutine twin
-// of Engine.stepWait (which runs the same iteration on a parked waiter's
-// behalf), and the only such loop on this side: every blocking wait in
-// the layers above — endpoint window stalls, WaitUntilFor, and the
-// Split-C primitives' parks — funnels through it. Awaiting Yield is a
-// plain Checkpoint.
+// Await suspends a blocking body until w is over: every event due by the
+// processor's clock has run, every processor at a smaller (clock, id) has
+// had its turn, and Ready held. It hands w to the scheduler, which treats
+// it exactly as a wait returned from Resume; every blocking operation of
+// the layers above — endpoint window stalls, WaitUntilFor, the Split-C
+// primitives — funnels through it. When nothing but this processor can
+// run at its clock and w is already over, the scheduler would hand the
+// CPU straight back, and Await saves the round trip; the decision is
+// still the scheduler's own (Engine.holds).
 //
 //repro:hotpath
 func (p *Proc) Await(w PollableWait) {
-	for {
-		p.Checkpoint()
-		if w.Ready(p) {
-			return
-		}
-		if w.PollOne(p) {
-			continue
-		}
-		if t, ok := w.NextWork(p); ok {
-			// Something is already in flight to us; spin forward to it.
-			p.AdvanceTo(t)
-			continue
-		}
-		if p.ParkPollable(w, waitReason(w)) {
-			// The engine drove the wait to completion inline: Ready held
-			// at the instant the CPU was handed back, with all events due
-			// by then already executed. Leave without re-testing.
-			return
-		}
+	if p.yield == nil {
+		//lint:allow hotpathalloc misuse diagnosis; the run is over
+		p.eng.Fail(fmt.Errorf("sim: proc %d: Checkpoint, Await or Sleep from a resumable body; return the wait from Resume instead", p.id))
+	}
+	if p.eng.holds(p) && w.Ready(p) {
+		return
+	}
+	if !p.yield(w) {
+		panic(abortPanic{})
 	}
 }
+
+// Checkpoint is a synchronization point: all events due at or before the
+// processor's clock are executed, and every runnable processor with a
+// smaller clock (or equal clock and smaller ID) runs first. Communication
+// layers call this at every poll point so that message arrivals are
+// observed in virtual-time order.
+//
+//repro:hotpath
+func (p *Proc) Checkpoint() { p.Await(Yield) }
 
 // waitReason labels w for deadlock diagnostics.
 func waitReason(w PollableWait) string {
@@ -350,11 +241,11 @@ func waitReason(w PollableWait) string {
 	return "pollable wait"
 }
 
-// WakeAt makes a parked processor runnable at time t (or at its own clock,
-// whichever is later). If the processor is not currently parked, the wakeup
-// is recorded and the processor's next Park returns (at time t) instead of
-// blocking, so wakeups are never lost. WakeAt is the only Proc method that
-// may be called from outside p's own goroutine context (from events or
+// WakeAt makes a blocked processor runnable at time t (or at its own clock,
+// whichever is later). If the processor is not currently blocked, the
+// wakeup is recorded and a wait that would block spins forward to t
+// instead, so wakeups are never lost. WakeAt is the only Proc method that
+// may be called from outside p's own execution context (from events or
 // other bodies).
 //
 //repro:hotpath
@@ -388,22 +279,29 @@ func (p *Proc) WakeAt(t Time) {
 	}
 }
 
-// SleepUntil parks the processor until virtual time t. Spurious wakeups
-// (for example message deliveries) do not end the sleep early.
+// SleepUntil suspends the processor until virtual time t. Spurious wakeups
+// (for example message deliveries) do not end the sleep early; a t that is
+// not in the future makes it a Checkpoint.
 func (p *Proc) SleepUntil(t Time) {
-	if t <= p.clock {
-		p.Checkpoint()
-		return
+	if t > p.clock {
+		p.eng.ScheduleCall(t, wakeProcEvent, p)
 	}
-	p.eng.ScheduleCall(t, wakeProcEvent, p)
-	for p.clock < t {
-		p.Park("sleep")
-	}
+	p.sleep.until = t
+	p.Await(&p.sleep)
 }
 
 // wakeProcEvent is SleepUntil's alarm: a top-level EventFn, so arming a
 // sleep allocates nothing (the *Proc rides in the event's arg).
 func wakeProcEvent(arg any, at Time) { arg.(*Proc).WakeAt(at) }
 
-// Sleep parks the processor for a duration of virtual time.
+// sleepWait is over once the clock has reached until; the alarm's WakeAt
+// is what moves it there.
+type sleepWait struct{ until Time }
+
+func (s *sleepWait) Ready(p *Proc) bool        { return p.clock >= s.until }
+func (*sleepWait) PollOne(*Proc) bool          { return false }
+func (*sleepWait) NextWork(*Proc) (Time, bool) { return 0, false }
+func (*sleepWait) WaitReason() string          { return "sleep" }
+
+// Sleep suspends the processor for a duration of virtual time.
 func (p *Proc) Sleep(d Time) { p.SleepUntil(p.clock + d) }

@@ -22,6 +22,9 @@ func (w *ctrWait) PollOne(_ *Proc) bool          { return false }
 func (w *ctrWait) NextWork(_ *Proc) (Time, bool) { return 0, false }
 func (w *ctrWait) WaitReason() string            { return "test: counter wait" }
 
+// forever is a wait nothing ever ends.
+var forever = &ctrWait{ctr: new(int64), target: 1}
+
 func TestRunResumablesAdvances(t *testing.T) {
 	e := New(Config{Procs: 4, Seed: 1})
 	bodies := make([]Resumable, 4)
@@ -131,13 +134,19 @@ func TestRunResumablesTimeLimit(t *testing.T) {
 }
 
 func TestResumableForbidsCoroutinePrimitives(t *testing.T) {
-	e := New(Config{Procs: 1, Seed: 1})
-	err := e.RunResumables([]Resumable{stepFn(func(p *Proc) (PollableWait, bool) {
-		p.Checkpoint()
-		return nil, true
-	})})
-	if err == nil || !strings.Contains(err.Error(), "Checkpoint from a resumable body") {
-		t.Fatalf("err = %v, want Checkpoint violation", err)
+	for name, call := range map[string]func(*Proc){
+		"Checkpoint": (*Proc).Checkpoint,
+		"Await":      func(p *Proc) { p.Await(Yield) },
+		"Sleep":      func(p *Proc) { p.Sleep(10) },
+	} {
+		e := New(Config{Procs: 1, Seed: 1})
+		err := e.RunResumables([]Resumable{stepFn(func(p *Proc) (PollableWait, bool) {
+			call(p)
+			return nil, true
+		})})
+		if err == nil || !strings.Contains(err.Error(), "from a resumable body") {
+			t.Errorf("%s: err = %v, want the resumable-body violation", name, err)
+		}
 	}
 }
 
@@ -148,5 +157,72 @@ func TestEngineSingleUse(t *testing.T) {
 	}
 	if err := e.RunResumables([]Resumable{stepFn(func(p *Proc) (PollableWait, bool) { return nil, true })}); err == nil {
 		t.Fatal("second start on one engine should fail")
+	}
+}
+
+// TestYieldDrainsToOwnClock pins the scheduler's one invariant on the case
+// that tells it apart from "run events up to the minimum clock": proc 1
+// gives up the CPU at clock 100 with an event pending at t=80, while proc
+// 0 sits at clock 50 about to test a condition that event sets. Every
+// event due by the yielder's clock runs before anyone else does, so proc 0
+// sees the condition hold at 50 — whether the bodies are blocking
+// functions or state machines returning Yield.
+func TestYieldDrainsToOwnClock(t *testing.T) {
+	setup := func() (e *Engine, flag *int64, arm func()) {
+		e = New(Config{Procs: 2})
+		flag = new(int64)
+		return e, flag, func() {
+			e.ScheduleAt(80, func() { *flag = 1; e.Proc(0).WakeAt(80) })
+		}
+	}
+
+	var blocking Time
+	e, flag, arm := setup()
+	if err := e.Run(func(p *Proc) {
+		if p.ID() == 1 {
+			arm()
+			p.Advance(100)
+			p.Checkpoint()
+			return
+		}
+		p.Advance(50)
+		p.Checkpoint()
+		p.Await(&ctrWait{ctr: flag, target: 1})
+		blocking = p.Clock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var resumable Time
+	e, flag, arm = setup()
+	step := [2]int{}
+	if err := e.RunResumables([]Resumable{
+		stepFn(func(p *Proc) (PollableWait, bool) {
+			step[0]++
+			switch step[0] {
+			case 1:
+				p.Advance(50)
+				return Yield, false
+			case 2:
+				return &ctrWait{ctr: flag, target: 1}, false
+			}
+			resumable = p.Clock()
+			return nil, true
+		}),
+		stepFn(func(p *Proc) (PollableWait, bool) {
+			step[1]++
+			if step[1] == 1 {
+				arm()
+				p.Advance(100)
+				return Yield, false
+			}
+			return nil, true
+		}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	if blocking != 50 || resumable != 50 {
+		t.Errorf("proc 0 saw the t=80 event's effect at %v (blocking) and %v (resumable), want 50 for both", blocking, resumable)
 	}
 }

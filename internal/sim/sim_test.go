@@ -151,18 +151,19 @@ func TestEventFIFOAtSameInstant(t *testing.T) {
 }
 
 func TestParkAndWake(t *testing.T) {
-	// Proc 1 parks; proc 0 schedules an event that wakes it at t=50.
+	// Proc 0 blocks; proc 1 schedules an event that wakes it at t=50.
 	var wokeAt Time
+	var released int64
 	e := New(Config{Procs: 2})
 	err := e.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			target := e.Proc(1)
-			e.ScheduleAt(50, func() { target.WakeAt(50) })
+		if p.ID() == 1 {
+			target := e.Proc(0)
+			e.ScheduleAt(50, func() { released = 1; target.WakeAt(50) })
 			p.Advance(100)
 			p.Checkpoint()
 			return
 		}
-		p.Park("waiting for proc 0")
+		p.Await(&ctrWait{ctr: &released, target: 1})
 		wokeAt = p.Clock()
 	})
 	if err != nil {
@@ -174,17 +175,18 @@ func TestParkAndWake(t *testing.T) {
 }
 
 func TestWakeAtDoesNotRewindClock(t *testing.T) {
+	var released int64
 	e := New(Config{Procs: 2})
 	err := e.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			target := e.Proc(1)
-			e.ScheduleAt(10, func() { target.WakeAt(10) })
+		if p.ID() == 1 {
+			target := e.Proc(0)
+			e.ScheduleAt(10, func() { released = 1; target.WakeAt(10) })
 			p.Advance(100)
 			p.Checkpoint()
 			return
 		}
 		p.Advance(40) // clock ahead of the wake time
-		p.Park("wait")
+		p.Await(&ctrWait{ctr: &released, target: 1})
 		if p.Clock() != 40 {
 			t.Errorf("clock rewound to %v", p.Clock())
 		}
@@ -217,14 +219,12 @@ func TestSleepUntil(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	e := New(Config{Procs: 2})
-	err := e.Run(func(p *Proc) {
-		p.Park("never woken")
-	})
+	err := e.Run(func(p *Proc) { p.Await(forever) })
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("expected deadlock error, got %v", err)
 	}
-	if !strings.Contains(err.Error(), "never woken") {
-		t.Errorf("deadlock error missing park reason: %v", err)
+	if !strings.Contains(err.Error(), forever.WaitReason()) {
+		t.Errorf("deadlock error missing wait reason: %v", err)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestPanicPropagation(t *testing.T) {
 		if p.ID() == 2 {
 			panic("boom")
 		}
-		p.Park("stranded by the panic")
+		p.Await(forever)
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("expected panic error, got %v", err)
@@ -259,7 +259,7 @@ func TestFirstFailureWins(t *testing.T) {
 				// overwrite the root-cause failure.
 				panic("secondary failure during unwind")
 			}()
-			p.Park("waiting forever")
+			p.Await(forever)
 		}
 		p.Advance(5)
 		p.Checkpoint()
@@ -280,7 +280,7 @@ func TestTimeLimitFirstFailureWins(t *testing.T) {
 	err := e.Run(func(p *Proc) {
 		if p.ID() == 1 {
 			defer func() { panic("secondary") }()
-			p.Park("waiting forever")
+			p.Await(forever)
 		}
 		p.Advance(1000)
 		p.Checkpoint()
@@ -395,40 +395,32 @@ func TestSeedChangesSchedule(t *testing.T) {
 }
 
 func TestSchedulerCounters(t *testing.T) {
-	e := New(Config{Procs: 2})
-	if err := e.Run(func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Advance(10)
-			p.Checkpoint()
+	run := func(procs int) *Engine {
+		e := New(Config{Procs: procs})
+		if err := e.Run(func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Advance(10)
+				p.Checkpoint()
+			}
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
+		return e
 	}
-	if e.Switches() == 0 {
-		t.Error("expected some goroutine switches")
+	// Two processors in lock-step take turns on two stacks.
+	if e := run(2); e.Switches() == 0 {
+		t.Error("two checkpointing procs made no switches")
 	}
-
-	// A lone processor checkpointing never needs a goroutine switch.
-	solo := New(Config{Procs: 1})
-	if err := solo.Run(func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Advance(10)
-			p.Checkpoint()
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if solo.FastCheckpoints() != 10 {
-		t.Errorf("fast checkpoints = %d, want 10", solo.FastCheckpoints())
-	}
-	if solo.Switches() != 0 {
-		t.Errorf("switches = %d, want 0", solo.Switches())
+	// A lone processor never leaves its stack.
+	if e := run(1); e.Switches() != 0 {
+		t.Errorf("solo switches = %d, want 0", e.Switches())
 	}
 }
 
 func TestPendingWakeConsumedByPark(t *testing.T) {
-	// Two wakeups arrive while the target is still ready; both must be
-	// observed by successive Parks, in order.
+	// Two wakeups arrive while the target is still ready; a wait that
+	// would otherwise block must consume both, in order, spinning the
+	// clock forward to each.
 	var wakes []Time
 	e := New(Config{Procs: 2})
 	err := e.Run(func(p *Proc) {
@@ -442,10 +434,9 @@ func TestPendingWakeConsumedByPark(t *testing.T) {
 		}
 		p.Advance(1)
 		p.Checkpoint() // proc 0 runs ahead, both events fire while we are ready
-		p.Park("first")
-		wakes = append(wakes, p.Clock())
-		p.Park("second")
-		wakes = append(wakes, p.Clock())
+		p.SetClockHook(func(_ ClockKind, _, to Time) { wakes = append(wakes, to) })
+		p.sleep.until = 30 // a sleep with no alarm of its own
+		p.Await(&p.sleep)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -576,5 +567,92 @@ func TestTimeLimit(t *testing.T) {
 	})
 	if err == nil || !errors.Is(err, ErrTimeLimit) {
 		t.Fatalf("expected ErrTimeLimit, got %v", err)
+	}
+}
+
+// TestAbortLeaksNothing runs every way a run of blocking bodies can abort
+// with three bystanders suspended in waits. Run must return the root
+// cause — not what a bystander raises while it unwinds — and every body's
+// coroutine must be gone when it does.
+func TestAbortLeaksNothing(t *testing.T) {
+	rootCause := errors.New("root cause")
+	cases := []struct {
+		name      string
+		cfg       Config
+		culprit   func(e *Engine, p *Proc) // proc 0
+		bystander func(p *Proc)            // deferred by procs 1..3: runs as they unwind
+		want      func(error) bool
+	}{
+		{
+			name:    "Fail from a body",
+			culprit: func(e *Engine, p *Proc) { p.Advance(5); p.Checkpoint(); e.Fail(rootCause) },
+			want:    func(err error) bool { return errors.Is(err, rootCause) },
+		},
+		{
+			name: "Fail from an event",
+			culprit: func(e *Engine, p *Proc) {
+				e.ScheduleAt(10, func() { e.Fail(rootCause) })
+				p.Await(forever)
+			},
+			want: func(err error) bool { return errors.Is(err, rootCause) },
+		},
+		{
+			name:    "deadlock",
+			culprit: func(_ *Engine, p *Proc) { p.Await(forever) },
+			want:    func(err error) bool { return err != nil && strings.Contains(err.Error(), "deadlock") },
+		},
+		{
+			name: "time limit",
+			cfg:  Config{TimeLimit: 100},
+			culprit: func(_ *Engine, p *Proc) {
+				for {
+					p.Advance(10)
+					p.Checkpoint()
+				}
+			},
+			want: func(err error) bool { return errors.Is(err, ErrTimeLimit) },
+		},
+		{
+			name:    "body panic",
+			culprit: func(_ *Engine, p *Proc) { p.Advance(5); p.Checkpoint(); panic("root cause") },
+			want:    func(err error) bool { return err != nil && strings.Contains(err.Error(), "proc 0 panicked") },
+		},
+		{
+			name:      "bystanders panic while unwinding",
+			culprit:   func(_ *Engine, p *Proc) { p.Advance(5); p.Checkpoint(); panic("root cause") },
+			bystander: func(*Proc) { panic("secondary") },
+			want: func(err error) bool {
+				return err != nil && strings.Contains(err.Error(), "root cause") && !strings.Contains(err.Error(), "secondary")
+			},
+		},
+		{
+			name:      "bystanders wait while unwinding",
+			culprit:   func(e *Engine, p *Proc) { p.Advance(5); p.Checkpoint(); e.Fail(rootCause) },
+			bystander: func(p *Proc) { p.Checkpoint(); p.Await(forever) },
+			want:      func(err error) bool { return errors.Is(err, rootCause) },
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			c.cfg.Procs = 4
+			e := New(c.cfg)
+			err := e.Run(func(p *Proc) {
+				if p.ID() == 0 {
+					c.culprit(e, p)
+					return
+				}
+				if c.bystander != nil {
+					defer c.bystander(p)
+				}
+				p.Await(forever)
+			})
+			if !c.want(err) {
+				t.Errorf("Run returned %v", err)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("%d goroutines before the run, %d after", before, after)
+			}
+		})
 	}
 }

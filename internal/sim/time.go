@@ -1,22 +1,20 @@
 // Package sim provides a deterministic discrete-event simulation engine
-// for SPMD cluster programs, with two processor runtimes behind one
-// scheduling core.
+// for SPMD cluster programs: one cooperative scheduler, two forms a
+// processor body may take.
 //
-// In the coroutine shell (Engine.Run / RunEach), each of the P logical
-// processors runs its body on a goroutine under a cooperative scheduler:
-// exactly one executes at a time, and at every synchronization point (a
-// "checkpoint") control passes to the runnable processor with the
-// smallest virtual clock. In resumable mode (Engine.RunResumables), a
-// processor body is a state machine the engine steps inline from one
-// driver loop on the caller's goroutine — no goroutines, channels, or
-// stacks per processor, which is what lets the simulated machine scale
-// to a million processors. Both modes share the ready and event heaps,
-// the pollable-wait machinery (the engine drives parked waits itself in
-// either mode), and the same stable tie-breaking, so every run is
-// bit-for-bit reproducible and the two runtimes agree wherever a
-// processor parks. Pending events whose timestamps have been reached are
-// executed before any processor proceeds past them, so processors
-// observe a causally consistent virtual timeline.
+// Exactly one of the P logical processors executes at a time, and at
+// every synchronization point (a "checkpoint") control passes to the
+// runnable processor with the smallest virtual clock, ties broken by id.
+// A body is either a state machine the scheduler steps in place
+// (Engine.RunResumables) — no stack per processor, which is what lets
+// the simulated machine scale to a million processors — or an ordinary
+// blocking function (Engine.Run / RunEach), which the scheduler steps the
+// same way through a coroutine that suspends it at each wait. Waits are
+// records the scheduler iterates, not loops the body runs, so both forms
+// go through the same code and every run is bit-for-bit reproducible.
+// Pending events whose timestamps have been reached are executed before
+// any processor proceeds past them, so processors observe a causally
+// consistent virtual timeline.
 package sim
 
 import "fmt"

@@ -21,22 +21,18 @@ import (
 //		return wt, false // park; re-call ReadWordT on re-entry
 //	}
 //
-// Two drivers run these methods. RunTasks steps a Task per processor on
-// sim.RunResumables — one driver goroutine, no stacks, which is what
-// scales to a million processors; a Task returns each wait to the engine.
-// Run gives each processor a coroutine and the blocking Proc API, whose
-// every method is the loop above with sim.Proc.Await in place of the
-// return (see Proc). Either way the sequence a primitive executes — its
-// poll points, window stalls, sends with their classes, wait conditions,
-// and the instrumentation hooks around them — is this file's, so the two
-// drivers cannot charge differently. That their timelines are also
-// bit-identical rests on two scheduler equivalences only: a park on
-// sim.Yield is a Checkpoint (the engine resumes a parked processor only
-// once every peer at a smaller (clock, id) has run and every event due
-// by its clock has fired), and Await's loop is Engine.stepWait's
-// iteration. See DESIGN.md §11; the cross-driver twin tests pin it under
-// the NOW parameter set, whose clustered arrivals would expose any
-// poll-point divergence.
+// Two kinds of body call these methods. RunTasks steps a Task per
+// processor on sim.RunResumables — no stacks, which is what scales to a
+// million processors; a Task returns each wait to the engine. Run gives
+// each processor a stack and the blocking Proc API, whose every method is
+// the loop above with sim.Proc.Await in place of the return (see Proc).
+// Either way the sequence a primitive executes — its poll points, window
+// stalls, sends with their classes, wait conditions, and the
+// instrumentation hooks around them — is this file's, and the engine's
+// one scheduler loop takes each wait the same way whichever kind of body
+// named it, so the two cannot charge or interleave differently. See
+// DESIGN.md §11; the twin tests still run both under the NOW parameter
+// set, whose clustered arrivals would expose any poll-point divergence.
 //
 // One primitive may be in flight per processor at a time (one body, and
 // handlers may not wait). Primitives reset the op cell on completion, so

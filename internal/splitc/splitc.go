@@ -230,8 +230,8 @@ func (w *World) P() int { return w.eng.P() }
 // Elapsed returns the virtual makespan of the last Run.
 func (w *World) Elapsed() sim.Time { return w.elapsed }
 
-// Run executes body on every processor SPMD-style, one coroutine per
-// processor. A final barrier is implied so that all in-flight
+// Run executes body on every processor SPMD-style, each on its own
+// stack. A final barrier is implied so that all in-flight
 // communication quiesces before any processor's body is considered
 // complete.
 func (w *World) Run(body func(p *Proc)) error {
@@ -252,12 +252,10 @@ func (w *World) Run(body func(p *Proc)) error {
 // bodies under Run. It is a TProc — the same identity, memory and
 // primitive state a Task sees under RunTasks — plus the drive loop: every
 // blocking method calls its resumptive "…T" form until that returns a nil
-// wait, parking the coroutine on each wait in between. The primitives
-// therefore exist once (cont.go); Run and RunTasks are two drivers of
-// them, and what a blocking call charges is by construction what the
-// continuation form charges. (sim.Proc.Await parks the coroutine:
-// awaiting sim.Yield is a Checkpoint, and any other wait is spin-polled
-// exactly as the resumable driver steps it.)
+// wait, suspending the body on each wait in between (sim.Proc.Await). The
+// primitives therefore exist once (cont.go), and what a blocking call
+// charges is by construction what the continuation form charges; the
+// engine schedules the waits of both through one loop.
 type Proc struct {
 	TProc
 
