@@ -4,19 +4,10 @@
 // for the same design point cost one simulation total.
 //
 //	reprod serve [-addr :8080] [-cache .reprod-cache] [-workers N] [-max-queue N] [-addr-file path]
-//	reprod loadtest [-addr URL] [-n 5000] [-concurrency 1000] [-hot 0.75] [-out results/BENCH_service.json]
-//	reprod tolbench [-addr URL] [-app radix] [-points 40] [-out results/BENCH_tolerance.json]
 //
 // serve binds the daemon; -addr-file records the actual listen address
-// (useful with ':0' in CI). loadtest drives a daemon — the one at -addr,
-// or a self-spawned in-process one when -addr is empty — with seeded
-// concurrent clients over a mixed hot/cold key population, honors 429
-// backpressure via Retry-After, and writes a machine-readable report
-// (requests/sec, client latency percentiles, server cache hit rate).
-// tolbench asks one daemon the same overhead-sweep question both ways —
-// N+1 simulations vs one instrumented run through the analytic fast
-// path (/v1/sweep with "analytic": true) — and reports the wall-clock
-// ratio and the analytic-vs-measured error over the grid.
+// (useful with ':0' in CI and for benchmark/, which launches exactly
+// this command as its served child).
 //
 // Endpoints: POST /v1/run, /v1/sweep, /v1/tolerance, /v1/experiment
 // (add ?stream=1 for SSE progress), GET /v1/stats, /healthz. Example:
@@ -26,20 +17,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -55,10 +38,6 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		err = serveCmd(os.Args[2:])
-	case "loadtest":
-		err = loadtestCmd(os.Args[2:])
-	case "tolbench":
-		err = tolbenchCmd(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -75,10 +54,12 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  reprod serve    [-addr :8080] [-cache DIR] [-workers N] [-max-queue N] [-addr-file PATH]
-  reprod loadtest [-addr URL] [-cache DIR] [-n N] [-concurrency N] [-hot FRAC] [-seed N] [-out PATH]
-  reprod tolbench [-addr URL] [-app NAME] [-procs N] [-scale F] [-seed N] [-points N] [-out PATH]`)
+  reprod serve [-addr :8080] [-cache DIR] [-workers N] [-max-queue N] [-addr-file PATH]`)
 }
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so an idle or trickling client cannot hold one open.
+const readHeaderTimeout = 10 * time.Second
 
 // serveCmd binds the daemon and runs until SIGINT/SIGTERM, then shuts
 // down gracefully: HTTP first, then the worker pool drain.
@@ -108,7 +89,7 @@ func serveCmd(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "reprod: serving on %s (cache %s)\n", ln.Addr(), *cacheDir)
 
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)
@@ -125,416 +106,4 @@ func serveCmd(args []string) error {
 	err = hs.Shutdown(shutdownCtx)
 	s.Close()
 	return err
-}
-
-// report is the machine-readable loadtest result (BENCH_service.json).
-type report struct {
-	Schema      int     `json:"schema"`
-	GoVersion   string  `json:"go_version"`
-	GOARCH      string  `json:"goarch"`
-	Requests    int     `json:"requests"`
-	Concurrency int     `json:"concurrency"`
-	HotFrac     float64 `json:"hot_frac"`
-	HotKeys     int     `json:"hot_keys"`
-	ColdKeys    int     `json:"cold_keys"`
-	Seed        int64   `json:"seed"`
-
-	WallMs     float64 `json:"wall_ms"`
-	ReqPerSec  float64 `json:"req_per_sec"`
-	OK         int64   `json:"ok"`
-	Retries429 int64   `json:"retries_429"`
-	Errors     int64   `json:"errors"`
-
-	LatencyUs latencyReport `json:"latency_us"`
-
-	// Server-side view after the run.
-	HitRate   float64 `json:"hit_rate"`
-	DiskHits  int64   `json:"disk_hits"`
-	Computed  int64   `json:"computed"`
-	Coalesced int64   `json:"coalesced"`
-	Rejected  int64   `json:"rejected"`
-	MaxDepth  int     `json:"max_queue_depth"`
-	Workers   int     `json:"workers"`
-}
-
-// latencyReport holds exact client-observed percentiles (the loadtest
-// keeps every sample, unlike the server's bucketed histograms).
-type latencyReport struct {
-	MeanUs int64 `json:"mean"`
-	P50Us  int64 `json:"p50"`
-	P90Us  int64 `json:"p90"`
-	P99Us  int64 `json:"p99"`
-	MaxUs  int64 `json:"max"`
-}
-
-// tolReport is the machine-readable analytic-sweep benchmark
-// (BENCH_tolerance.json): one overhead sweep answered twice — by N+1
-// simulations through /v1/sweep, and by one instrumented run through
-// the analytic fast path — with the wall-clock ratio and the
-// cross-validation error between the two answers.
-type tolReport struct {
-	Schema    int    `json:"schema"`
-	GoVersion string `json:"go_version"`
-	GOARCH    string `json:"goarch"`
-
-	App    string  `json:"app"`
-	Procs  int     `json:"procs"`
-	Scale  float64 `json:"scale"`
-	Seed   int64   `json:"seed"`
-	Knob   string  `json:"knob"`
-	Points int     `json:"points"`
-
-	// Cold analytic: one instrumented simulation + curve evaluation.
-	AnalyticColdMs   float64 `json:"analytic_cold_wall_ms"`
-	AnalyticColdRuns int     `json:"analytic_cold_runs"`
-	// Warm analytic: pure curve evaluation from the persistent store.
-	AnalyticWarmMs   float64 `json:"analytic_warm_wall_ms"`
-	AnalyticWarmRuns int     `json:"analytic_warm_runs"`
-	// Measured: baseline + one simulation per point.
-	MeasuredMs   float64 `json:"measured_wall_ms"`
-	MeasuredRuns int     `json:"measured_runs"`
-
-	SpeedupCold float64 `json:"speedup_cold"` // measured / analytic-cold
-	SpeedupWarm float64 `json:"speedup_warm"` // measured / analytic-warm
-
-	// Agreement between the two answers over the swept points.
-	ErrAtZeroPct float64 `json:"err_at_zero_pct"`
-	MaxAbsErrPct float64 `json:"max_abs_err_pct"`
-	Workers      int     `json:"workers"`
-}
-
-// tolbenchCmd quantifies the analytic fast path: it asks one daemon the
-// same overhead-sweep question both ways on a cold cache and reports
-// the wall-clock ratio (the PR's ≥10× headline) plus the analytic-vs-
-// measured error over the grid.
-func tolbenchCmd(args []string) error {
-	fs := flag.NewFlagSet("tolbench", flag.ExitOnError)
-	var (
-		addr    = fs.String("addr", "", "daemon base URL; empty spawns an in-process daemon on a fresh temp cache")
-		app     = fs.String("app", "radix", "application")
-		procs   = fs.Int("procs", 8, "cluster size")
-		scale   = fs.Float64("scale", 1.0/2048, "input scale")
-		seed    = fs.Int64("seed", 1, "simulation seed")
-		points  = fs.Int("points", 40, "sweep grid size (overhead deltas, µs)")
-		out     = fs.String("out", "results/BENCH_tolerance.json", "report path ('' = stdout only)")
-		workers = fs.Int("workers", 0, "in-process daemon worker count (0 = GOMAXPROCS)")
-	)
-	fs.Parse(args)
-	if *points < 2 {
-		return errors.New("tolbench: -points must be at least 2")
-	}
-
-	base := *addr
-	if base == "" {
-		tmp, err := os.MkdirTemp("", "reprod-tolbench-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		s, err := service.New(service.Config{CacheDir: tmp, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{Handler: s.Handler()}
-		go hs.Serve(ln)
-		defer hs.Close()
-		base = "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "reprod: in-process daemon on %s (cache %s)\n", base, tmp)
-	}
-
-	// A 40-point overhead grid over the paper's sweep range [0, 100) µs.
-	values := make([]float64, *points)
-	for i := range values {
-		values[i] = 100 * float64(i) / float64(*points)
-	}
-	ctx := context.Background()
-	c := &service.Client{BaseURL: base, ID: "tolbench"}
-	req := service.SweepRequest{
-		App: *app, Procs: *procs, Scale: *scale, Seed: *seed,
-		Knob: "o", Values: values,
-	}
-
-	sweep := func(analytic bool) (*service.SweepResponse, time.Duration, error) {
-		r := req
-		r.Analytic = analytic
-		t0 := time.Now()
-		resp, err := c.Sweep(ctx, r)
-		return resp, time.Since(t0), err
-	}
-
-	// Analytic first (cold, then warm), so the measured sweep cannot have
-	// pre-warmed anything for it: the instrumented baseline keys
-	// separately from every measured run.
-	anaCold, coldWall, err := sweep(true)
-	if err != nil {
-		return fmt.Errorf("tolbench: analytic sweep: %w", err)
-	}
-	anaWarm, warmWall, err := sweep(true)
-	if err != nil {
-		return fmt.Errorf("tolbench: warm analytic sweep: %w", err)
-	}
-	meas, measWall, err := sweep(false)
-	if err != nil {
-		return fmt.Errorf("tolbench: measured sweep: %w", err)
-	}
-
-	rep := tolReport{
-		Schema:    1,
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		App:       *app, Procs: *procs, Scale: *scale, Seed: *seed,
-		Knob: "o", Points: *points,
-		AnalyticColdMs:   float64(coldWall.Nanoseconds()) / 1e6,
-		AnalyticColdRuns: anaCold.Cache.Computed,
-		AnalyticWarmMs:   float64(warmWall.Nanoseconds()) / 1e6,
-		AnalyticWarmRuns: anaWarm.Cache.Computed,
-		MeasuredMs:       float64(measWall.Nanoseconds()) / 1e6,
-		MeasuredRuns:     meas.Cache.Computed,
-		SpeedupCold:      float64(measWall) / float64(coldWall),
-		SpeedupWarm:      float64(measWall) / float64(warmWall),
-	}
-	for i, mp := range meas.Points {
-		if mp.Livelocked || mp.ElapsedNs == 0 || i >= len(anaCold.Points) {
-			continue
-		}
-		e := 100 * abs(float64(anaCold.Points[i].ElapsedNs)-float64(mp.ElapsedNs)) / float64(mp.ElapsedNs)
-		if mp.Value == 0 {
-			rep.ErrAtZeroPct = e
-		}
-		if e > rep.MaxAbsErrPct {
-			rep.MaxAbsErrPct = e
-		}
-	}
-	stc := &service.Client{BaseURL: base}
-	if st, err := stc.Stats(ctx); err == nil {
-		rep.Workers = st.Sched.Workers
-	}
-
-	fmt.Printf("tolbench: %s p%d ×%d points: measured %.0fms (%d runs) vs analytic %.0fms cold / %.1fms warm → %.1fx / %.0fx; max err %.1f%%, err at Δ=0 %.2f%%\n",
-		rep.App, rep.Procs, rep.Points, rep.MeasuredMs, rep.MeasuredRuns,
-		rep.AnalyticColdMs, rep.AnalyticWarmMs, rep.SpeedupCold, rep.SpeedupWarm,
-		rep.MaxAbsErrPct, rep.ErrAtZeroPct)
-	if *out == "" {
-		return nil
-	}
-	if dir := filepath.Dir(*out); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(*out, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("tolbench: report written to %s\n", *out)
-	return nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// loadtestCmd drives a daemon with seeded concurrent clients over a
-// mixed hot/cold key population and writes the report.
-func loadtestCmd(args []string) error {
-	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
-	var (
-		addr        = fs.String("addr", "", "daemon base URL; empty spawns an in-process daemon")
-		cacheDir    = fs.String("cache", "", "cache dir for the in-process daemon (empty = fresh temp dir)")
-		n           = fs.Int("n", 5000, "total requests")
-		concurrency = fs.Int("concurrency", 1000, "concurrent client goroutines")
-		hotFrac     = fs.Float64("hot", 0.75, "fraction of requests aimed at the hot key set")
-		hotKeys     = fs.Int("hot-keys", 16, "distinct hot specs")
-		coldKeys    = fs.Int("cold-keys", 256, "distinct cold specs")
-		seed        = fs.Int64("seed", 1, "loadtest RNG seed (key choice per request)")
-		out         = fs.String("out", "results/BENCH_service.json", "report path ('' = stdout only)")
-		workers     = fs.Int("workers", 0, "in-process daemon worker count (0 = GOMAXPROCS)")
-	)
-	fs.Parse(args)
-	if *concurrency < 1 || *n < 1 {
-		return errors.New("loadtest: -n and -concurrency must be positive")
-	}
-
-	base := *addr
-	if base == "" {
-		dir := *cacheDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "reprod-loadtest-*")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		s, err := service.New(service.Config{CacheDir: dir, Workers: *workers})
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{Handler: s.Handler()}
-		go hs.Serve(ln)
-		defer hs.Close()
-		base = "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "reprod: in-process daemon on %s (cache %s)\n", base, dir)
-	}
-
-	// Key population: hot keys are revisited constantly (cache and
-	// coalescing territory), cold keys mostly execute. Every key is a
-	// distinct seed of one tiny app config, so each is one real
-	// simulation with a distinct canonical hash.
-	key := func(i int) service.RunRequest {
-		return service.RunRequest{
-			SpecJSON: service.SpecJSON{App: "radix", Procs: 4, Scale: 1.0 / 4096, Seed: int64(1 + i)},
-			Minimal:  true,
-		}
-	}
-	keyOf := func(rng *rand.Rand) service.RunRequest {
-		if rng.Float64() < *hotFrac {
-			return key(rng.Intn(*hotKeys))
-		}
-		return key(*hotKeys + rng.Intn(*coldKeys))
-	}
-
-	httpc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: *concurrency}}
-	var (
-		next    atomic.Int64
-		ok      atomic.Int64
-		retries atomic.Int64
-		fails   atomic.Int64
-		mu      sync.Mutex
-		lats    []int64
-		firstE  error
-	)
-	ctx := context.Background()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < *concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed + int64(w)*7919))
-			c := &service.Client{BaseURL: base, ID: fmt.Sprintf("load-%d", w), HTTP: httpc}
-			for {
-				if next.Add(1) > int64(*n) {
-					return
-				}
-				req := keyOf(rng)
-				t0 := time.Now()
-				for {
-					_, err := c.Run(ctx, req)
-					if err == nil {
-						break
-					}
-					var re *service.RetryError
-					if errors.As(err, &re) {
-						retries.Add(1)
-						time.Sleep(re.After)
-						continue
-					}
-					fails.Add(1)
-					mu.Lock()
-					if firstE == nil {
-						firstE = err
-					}
-					mu.Unlock()
-					break
-				}
-				us := time.Since(t0).Microseconds()
-				ok.Add(1)
-				mu.Lock()
-				lats = append(lats, us)
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	if firstE != nil {
-		return fmt.Errorf("loadtest: %d request(s) failed, first: %v", fails.Load(), firstE)
-	}
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(q float64) int64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(q * float64(len(lats)-1))
-		return lats[i]
-	}
-	var sum int64
-	for _, v := range lats {
-		sum += v
-	}
-	rep := report{
-		Schema:      1,
-		GoVersion:   runtime.Version(),
-		GOARCH:      runtime.GOARCH,
-		Requests:    *n,
-		Concurrency: *concurrency,
-		HotFrac:     *hotFrac,
-		HotKeys:     *hotKeys,
-		ColdKeys:    *coldKeys,
-		Seed:        *seed,
-		WallMs:      float64(wall.Nanoseconds()) / 1e6,
-		ReqPerSec:   float64(ok.Load()) / wall.Seconds(),
-		OK:          ok.Load(),
-		Retries429:  retries.Load(),
-	}
-	if len(lats) > 0 {
-		rep.LatencyUs = latencyReport{
-			MeanUs: sum / int64(len(lats)),
-			P50Us:  pct(0.50),
-			P90Us:  pct(0.90),
-			P99Us:  pct(0.99),
-			MaxUs:  lats[len(lats)-1],
-		}
-	}
-	stc := &service.Client{BaseURL: base, HTTP: httpc}
-	if st, err := stc.Stats(ctx); err == nil {
-		rep.HitRate = st.HitRate
-		rep.DiskHits = st.Cache.DiskHits
-		rep.Computed = st.Cache.Computed
-		rep.Coalesced = st.Cache.Coalesced
-		rep.Rejected = st.Cache.Rejected
-		rep.MaxDepth = st.Sched.MaxDepth
-		rep.Workers = st.Sched.Workers
-	}
-
-	fmt.Printf("loadtest: %d requests, %d concurrent: %.0f req/s, hit rate %.1f%%, p50 %dµs p99 %dµs, %d retries\n",
-		rep.Requests, rep.Concurrency, rep.ReqPerSec, 100*rep.HitRate,
-		rep.LatencyUs.P50Us, rep.LatencyUs.P99Us, rep.Retries429)
-	if *out == "" {
-		return nil
-	}
-	if dir := filepath.Dir(*out); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(*out, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("loadtest: report written to %s\n", *out)
-	return nil
 }

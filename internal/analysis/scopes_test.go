@@ -8,8 +8,8 @@ import "testing"
 // goroutinefree) and the no-global-state analyzers must not claim them —
 // the daemon legitimately uses wall-clock time, goroutines, and mutable
 // server state. The module-wide analyzers (seededrand, maporder) still
-// cover them: the loadtest's key choice must be seeded and every
-// JSON/stats surface must iterate maps in sorted order.
+// cover them: any randomness there must be seeded and every JSON/stats
+// surface must iterate maps in sorted order.
 func TestServiceScopeDecision(t *testing.T) {
 	outside := []string{"repro/internal/service", "repro/cmd/reprod"}
 	for _, pkg := range outside {

@@ -104,8 +104,9 @@ type Result struct {
 	// Profile is the stall attribution of the run (nil unless
 	// Config.Profile was set).
 	Profile *prof.Profile
-	// Sched reports the engine's scheduler counters for the run — the
-	// axis the reprobench harness tracks across engine changes.
+	// Sched reports the engine's scheduler counters for the run: the
+	// host-independent axis (switches, events) that benchmark/ reports
+	// per app beside its timings.
 	Sched SchedCounters
 	// Graph is the parametric communication DAG extracted from the run
 	// (nil unless Config.Depgraph was set). Excluded from JSON: it is

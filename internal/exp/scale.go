@@ -22,9 +22,9 @@ import (
 // the knob ordering observed at the paper's size still holds at depth.
 //
 // Every column is derived from virtual time and deterministic counters,
-// so the table is bit-identical at any -jobs setting. Host wall-clock
-// throughput (events/sec) for the same ladder is reprobench's job: see
-// the scale matrix writing BENCH_scale.json.
+// so the table is bit-identical at any -jobs setting. What the ladder
+// costs the host is benchmark/'s job: the scale-10k workload and its
+// scalekern.* per-layer metrics (ns/event, bytes/proc) up to P = 10k.
 
 // scaleDeltaUs is the added overhead/gap/latency of each sensitivity
 // run, in µs — fig5/fig6's mid-range point, large enough to dominate
@@ -39,7 +39,7 @@ var scaleKnobs = []core.Knob{core.KnobO, core.KnobG, core.KnobL}
 // knob orderings are judged on the 32 → 100k rungs, which already span
 // 3.5 decades of machine size. The million-processor rung's job is the
 // baseline itself — the machine runs, its virtual time and traffic are
-// deterministic, and its host cost is recorded in BENCH_scale.json.
+// deterministic.
 const scaleSweepMaxP = 100_000
 
 // scaleRungs is the weak-scaling ladder. The first rung is the options'
@@ -87,7 +87,11 @@ func ResolveApp(name string) (apps.App, error) {
 	if a, err := suite.ByName(name); err == nil {
 		return a, nil
 	}
-	return scalekern.ByName(name)
+	if a, err := scalekern.ByName(name); err == nil {
+		return a, nil
+	}
+	return nil, fmt.Errorf("unknown application %q (have %v and the kernels %v with their -blk twins)",
+		name, suite.Names(), scalekern.Names())
 }
 
 // scalePlan declares the ladder: per kernel and rung, one baseline plus
@@ -210,6 +214,6 @@ func scaleRender(o Options, st *run.Store) (*Table, error) {
 		fmt.Sprintf("weak scaling: fixed per-processor input (scale %.4g), Δ = +%gµs per knob", o.Scale, float64(scaleDeltaUs)),
 		fmt.Sprintf("anchor rung is -procs (%d); 'holds' means the o/g/L sensitivity ordering matches it", o.Procs),
 		fmt.Sprintf("rungs above P=%d run baseline-only; orderings are judged through that depth", scaleSweepMaxP),
-		"all columns are virtual-time/deterministic; host events/sec lives in BENCH_scale.json (reprobench)")
+		"all columns are virtual-time/deterministic; host ns/event and bytes/proc are benchmark/'s scalekern.* metrics")
 	return t, nil
 }

@@ -57,7 +57,9 @@ func (r *Runner) params() logp.Params {
 	return r.Params
 }
 
-func (r *Runner) resolve(name string) (apps.App, error) {
+// App resolves an application name the way every run of this Runner
+// will, so a caller can reject an unknown name before queueing work.
+func (r *Runner) App(name string) (apps.App, error) {
 	if r.Resolve != nil {
 		return r.Resolve(name)
 	}
@@ -182,7 +184,7 @@ func (r *Runner) wave(ctx context.Context, st *Store, specs []Spec, prog *progre
 // runBaseline executes an unmodified-machine run.
 func (r *Runner) runBaseline(s Spec) Outcome {
 	out := Outcome{Spec: s}
-	a, err := r.resolve(s.App)
+	a, err := r.App(s.App)
 	if err != nil {
 		out.Err = err
 		return out
@@ -228,7 +230,7 @@ func (r *Runner) ExecSweep(s Spec, base Outcome) Outcome {
 		out.Err = fmt.Errorf("baseline %v: %w", base.Spec, base.Err)
 		return out
 	}
-	a, err := r.resolve(s.App)
+	a, err := r.App(s.App)
 	if err != nil {
 		out.Err = err
 		return out

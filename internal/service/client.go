@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// Client is a minimal typed client for the daemon, used by cmd/reprod's
-// loadtest mode and by the smoke tests. It surfaces backpressure
+// Client is a minimal typed client for the daemon; the package's tests
+// drive every endpoint through it. It surfaces backpressure
 // explicitly: a 429 decodes into *RetryError carrying the server's
 // Retry-After hint.
 type Client struct {

@@ -69,9 +69,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError maps a failure to its HTTP shape: queue-full →
 // 429 + Retry-After, client-gone → nothing (the connection is dead),
-// everything else → the given status with a JSON envelope.
+// a body past maxBodyBytes → 413, everything else → the given status
+// with a JSON envelope.
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: err.Error()})
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(s.sched.RetryAfterSeconds()))
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: err.Error()})
@@ -85,8 +89,12 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	}
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds what the daemon will read of one request. The
+// largest legitimate body is a few hundred bytes of spec or options.
+const maxBodyBytes = 1 << 20
+
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("service: bad request body: %w", err)
@@ -106,11 +114,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // first (cached like any run), exactly as in an offline plan.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	spec, err := req.SpecJSON.Spec()
+	if err == nil {
+		_, err = s.runner.App(spec.App)
+	}
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -157,7 +168,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // streaming per-run progress over SSE.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
@@ -172,6 +183,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if k == core.KnobNone {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("service: sweep needs a knob (o, g, L, bw)"))
+		return
+	}
+	if _, err := s.runner.App(req.App); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	if req.Analytic {
@@ -334,7 +349,7 @@ func (s *Server) writeAnalytic(w http.ResponseWriter, r *http.Request, spec run.
 // explaining why.
 func (s *Server) handleTolerance(w http.ResponseWriter, r *http.Request) {
 	var req ToleranceRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
@@ -347,6 +362,9 @@ func (s *Server) handleTolerance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, err := instrumentedSpec(req.App, req.Procs, req.Scale, req.Seed, req.Verify, req.CPUSpeedup, req.Coll)
+	if err == nil {
+		_, err = s.runner.App(spec.App)
+	}
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -390,7 +408,7 @@ func (s *Server) handleTolerance(w http.ResponseWriter, r *http.Request) {
 // the same options, whether the runs computed or came from the cache.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}

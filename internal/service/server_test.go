@@ -465,49 +465,54 @@ func TestServiceAnalyticSweep(t *testing.T) {
 	}
 }
 
-// TestServiceBadRequests pins the error contract for malformed input.
+// TestServiceBadRequests pins the admission boundary: a request the
+// client got wrong — malformed, oversized, or naming an app no resolver
+// knows — answers 4xx with a JSON error before anything is queued, so
+// the daemon's own error counter stays at zero.
 func TestServiceBadRequests(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
 
-	wantStatus := func(err error, code int) {
-		t.Helper()
-		se, ok := err.(*StatusError)
-		if !ok {
-			t.Fatalf("err = %v, want *StatusError", err)
+	const unknownApp = `"app":"no-such-app","procs":4,"scale":0.001,"seed":1`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+		errHas           string
+	}{
+		{"missing app", "/v1/run", `{"app":"","procs":4,"scale":1}`, 400, "missing app"},
+		{"bad knob", "/v1/run", `{"app":"radix","procs":4,"scale":0.001,"knob":"zz"}`, 400, "zz"},
+		{"unknown field", "/v1/run", `{"app":"radix","procs":4,"scale":0.001,"bogus":1}`, 400, "bogus"},
+		{"sweep without values", "/v1/sweep", `{"app":"radix","procs":4,"scale":0.001,"knob":"o"}`, 400, "values"},
+		{"sweep without a knob", "/v1/sweep", `{"app":"radix","procs":4,"scale":0.001,"values":[1]}`, 400, "knob"},
+		{"unknown experiment", "/v1/experiment", `{"id":"no-such-figure"}`, 400, "no-such-figure"},
+		{"unknown app: run", "/v1/run", `{` + unknownApp + `}`, 400, "have ["},
+		{"unknown app: measured sweep", "/v1/sweep", `{` + unknownApp + `,"knob":"o","values":[1,2]}`, 400, "have ["},
+		{"unknown app: analytic sweep", "/v1/sweep", `{` + unknownApp + `,"knob":"o","values":[1,2],"analytic":true}`, 400, "have ["},
+		{"unknown app: tolerance", "/v1/tolerance", `{` + unknownApp + `}`, 400, "have ["},
+		{"oversized body", "/v1/run", `{"app":"` + strings.Repeat("x", maxBodyBytes) + `"}`, 413, "too large"},
+	} {
+		resp, err := c.httpClient().Post(c.BaseURL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if se.Code != code {
-			t.Fatalf("status = %d (%s), want %d", se.Code, se.Message, code)
+		var e ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status = %d (%s), want %d", tc.name, resp.StatusCode, e.Error, tc.want)
+		}
+		if derr != nil || !strings.Contains(e.Error, tc.errHas) {
+			t.Errorf("%s: error body = %q (decode: %v), want JSON naming %q", tc.name, e.Error, derr, tc.errHas)
 		}
 	}
 
-	_, err := c.Run(ctx, RunRequest{SpecJSON: SpecJSON{App: "", Procs: 4, Scale: 1}})
-	wantStatus(err, http.StatusBadRequest)
-
-	_, err = c.Run(ctx, RunRequest{SpecJSON: SpecJSON{App: "radix", Procs: 4, Scale: 1.0 / 4096, Knob: "zz"}})
-	wantStatus(err, http.StatusBadRequest)
-
-	_, err = c.Run(ctx, RunRequest{SpecJSON: SpecJSON{App: "no-such-app", Procs: 4, Scale: 1.0 / 4096, Seed: 1}})
-	wantStatus(err, http.StatusInternalServerError)
-
-	_, err = c.Sweep(ctx, SweepRequest{App: "radix", Procs: 4, Scale: 1.0 / 4096, Knob: "o"})
-	wantStatus(err, http.StatusBadRequest) // no values
-
-	_, err = c.Sweep(ctx, SweepRequest{App: "radix", Procs: 4, Scale: 1.0 / 4096, Knob: "", Values: []float64{1}})
-	wantStatus(err, http.StatusBadRequest) // sweep without a knob
-
-	_, err = c.Experiment(ctx, ExperimentRequest{ID: "no-such-figure"})
-	wantStatus(err, http.StatusBadRequest)
-
-	// Unknown JSON fields are rejected, not silently dropped.
-	resp, herr := c.httpClient().Post(c.BaseURL+"/v1/run", "application/json",
-		strings.NewReader(`{"app":"radix","procs":4,"scale":0.001,"bogus":1}`))
-	if herr != nil {
-		t.Fatal(herr)
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field status = %d, want 400", resp.StatusCode)
+	if st.Cache.RunErrors != 0 || st.Cache.Computed != 0 {
+		t.Errorf("bad requests reached the pool: run_errors = %d, computed = %d, want 0 and 0",
+			st.Cache.RunErrors, st.Cache.Computed)
 	}
 }
 

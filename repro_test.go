@@ -2,6 +2,8 @@ package repro_test
 
 import (
 	"math"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -122,5 +124,42 @@ func TestPresetsDiffer(t *testing.T) {
 	}
 	if repro.LAN().DeltaO != repro.FromMicros(100) {
 		t.Error("LAN preset should add 100µs overhead")
+	}
+}
+
+// docPath matches a repository path as the docs and CI spell one,
+// rooted at a top-level source or artifact directory; the ./cmd/X of a
+// `go run` line and the internal/x of an import path match too.
+var docPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_-])((?:cmd|internal|results|examples|benchmark)/[A-Za-z0-9_./*{}<>,-]+)`)
+
+// TestDocsNameExistingPaths keeps the living documents and CI honest
+// across deletions: every path they name must exist in the tree.
+// Globs, brace sets, "..." and <placeholders> are skipped. ROADMAP.md
+// and CHANGES.md are history and benchmark/README.md belongs to the
+// frozen benchmark; none of the three is checked.
+func TestDocsNameExistingPaths(t *testing.T) {
+	for _, doc := range []string{
+		"README.md",
+		"DESIGN.md",
+		"EXPERIMENTS.md",
+		".github/workflows/ci.yml",
+		".claude/skills/verify/SKILL.md",
+	} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Errorf("%s: %v", doc, err)
+			continue
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range docPath.FindAllStringSubmatch(line, -1) {
+				p := strings.TrimRight(m[1], ".,-/")
+				if strings.ContainsAny(p, "*{}<>,") || strings.Contains(p, "...") {
+					continue
+				}
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("%s:%d names %s, which does not exist", doc, i+1, p)
+				}
+			}
+		}
 	}
 }
