@@ -13,6 +13,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/run"
+	"repro/internal/sim"
 )
 
 // diskVersion is the on-disk entry format version. Entries with a
@@ -34,7 +35,11 @@ const diskVersion = 1
 //   - reads are verified: the payload checksum must match, the stored
 //     spec must re-hash to the entry's address, and the address must
 //     match the filename; any mismatch (truncation, bit rot, a hand-
-//     edited file) surfaces as ErrCorrupt and the caller recomputes;
+//     edited file) surfaces as ErrCorrupt and the caller recomputes.
+//     There is one read path and it always runs every check; what a
+//     caller chooses is only whether the verified result is then
+//     decoded (Load) or left as bytes (a minimal answer reads the
+//     entry's head alone);
 //   - entries are loaded lazily — the store never scans the directory.
 type DiskStore struct {
 	root string
@@ -82,44 +87,104 @@ type payloadJSON struct {
 	Result apps.Result `json:"result"`
 }
 
-// Load fetches the outcome for a spec. found reports whether an entry
-// existed at all; a found entry that fails verification returns
+// payloadHead is payloadJSON as a minimal answer reads it: the same
+// keys, with only the two result fields such an answer carries. The
+// decoder steps over the rest of the result without building it.
+type payloadHead struct {
+	Spec   SpecJSON   `json:"spec"`
+	Point  core.Point `json:"point"`
+	Result struct {
+		Elapsed  sim.Time
+		Verified bool
+	} `json:"result"`
+}
+
+// entry is one verified read of an object file: the head decoded, the
+// payload — which the checksum covered whole, result included — kept as
+// bytes until outcome decodes the result from it.
+type entry struct {
+	spec     run.Spec
+	point    core.Point
+	elapsed  sim.Time
+	verified bool
+	payload  json.RawMessage
+}
+
+// read fetches and verifies the entry stored under a spec hash; it is
+// the store's only read path. found reports whether an entry existed at
+// all; a found entry that fails any check — version, address, payload
+// checksum, or the stored spec re-hashing to the address — returns
 // ErrCorrupt (wrapped with detail) and should be recomputed.
-func (d *DiskStore) Load(s run.Spec) (out run.Outcome, found bool, err error) {
-	hash := s.Hash()
+func (d *DiskStore) read(hash string) (entry, bool, error) {
 	raw, rerr := os.ReadFile(d.entryPath(hash))
 	if rerr != nil {
 		if errors.Is(rerr, fs.ErrNotExist) {
-			return run.Outcome{}, false, nil
+			return entry{}, false, nil
 		}
-		return run.Outcome{}, true, fmt.Errorf("%w: %v", ErrCorrupt, rerr)
+		return entry{}, true, fmt.Errorf("%w: %v", ErrCorrupt, rerr)
 	}
 	var e diskEntry
 	if jerr := json.Unmarshal(raw, &e); jerr != nil {
-		return run.Outcome{}, true, fmt.Errorf("%w: %s: %v", ErrCorrupt, hash, jerr)
+		return entry{}, true, fmt.Errorf("%w: %s: %v", ErrCorrupt, hash, jerr)
 	}
 	if e.Version != diskVersion {
-		return run.Outcome{}, true, fmt.Errorf("%w: %s: version %d, want %d", ErrCorrupt, hash, e.Version, diskVersion)
+		return entry{}, true, fmt.Errorf("%w: %s: version %d, want %d", ErrCorrupt, hash, e.Version, diskVersion)
 	}
 	if e.Hash != hash {
-		return run.Outcome{}, true, fmt.Errorf("%w: entry %s claims hash %s", ErrCorrupt, hash, e.Hash)
+		return entry{}, true, fmt.Errorf("%w: entry %s claims hash %s", ErrCorrupt, hash, e.Hash)
 	}
 	sum := sha256.Sum256(e.Payload)
 	if hex.EncodeToString(sum[:]) != e.Sum {
-		return run.Outcome{}, true, fmt.Errorf("%w: %s: payload checksum mismatch", ErrCorrupt, hash)
+		return entry{}, true, fmt.Errorf("%w: %s: payload checksum mismatch", ErrCorrupt, hash)
 	}
-	var p payloadJSON
-	if jerr := json.Unmarshal(e.Payload, &p); jerr != nil {
-		return run.Outcome{}, true, fmt.Errorf("%w: %s: payload: %v", ErrCorrupt, hash, jerr)
+	var h payloadHead
+	if jerr := json.Unmarshal(e.Payload, &h); jerr != nil {
+		return entry{}, true, fmt.Errorf("%w: %s: payload: %v", ErrCorrupt, hash, jerr)
 	}
-	spec, serr := p.Spec.Spec()
+	spec, serr := h.Spec.Spec()
 	if serr != nil {
-		return run.Outcome{}, true, fmt.Errorf("%w: %s: stored spec: %v", ErrCorrupt, hash, serr)
+		return entry{}, true, fmt.Errorf("%w: %s: stored spec: %v", ErrCorrupt, hash, serr)
 	}
-	if spec.Hash() != hash {
-		return run.Outcome{}, true, fmt.Errorf("%w: %s: stored spec re-hashes to %s", ErrCorrupt, hash, spec.Hash())
+	if got := spec.Hash(); got != hash {
+		return entry{}, true, fmt.Errorf("%w: %s: stored spec re-hashes to %s", ErrCorrupt, hash, got)
 	}
-	return run.Outcome{Spec: spec, Res: p.Result, Point: p.Point}, true, nil
+	return entry{
+		spec: spec, point: h.Point,
+		elapsed: h.Result.Elapsed, verified: h.Result.Verified,
+		payload: e.Payload,
+	}, true, nil
+}
+
+// head is the entry as an outcome without decoding anything further:
+// Res holds only Elapsed and Verified, which is all a minimal answer and
+// a sweep's denominator read.
+func (e entry) head() run.Outcome {
+	return run.Outcome{
+		Spec: e.spec, Point: e.point,
+		Res: apps.Result{Elapsed: e.elapsed, Verified: e.verified},
+	}
+}
+
+// outcome decodes the full result. The bytes passed the checksum, so a
+// failure here means they were written as something other than an
+// apps.Result; that is ErrCorrupt like any other unreadable entry.
+func (e entry) outcome() (run.Outcome, error) {
+	var p payloadJSON
+	if err := json.Unmarshal(e.payload, &p); err != nil {
+		return run.Outcome{}, fmt.Errorf("%w: %v: result: %v", ErrCorrupt, e.spec, err)
+	}
+	return run.Outcome{Spec: e.spec, Res: p.Result, Point: e.point}, nil
+}
+
+// Load fetches the full outcome for a spec: a verified read, then the
+// result decoded. found and err are as for read.
+func (d *DiskStore) Load(s run.Spec) (out run.Outcome, found bool, err error) {
+	e, found, err := d.read(s.Hash())
+	if err != nil || !found {
+		return run.Outcome{}, found, err
+	}
+	out, err = e.outcome()
+	return out, true, err
 }
 
 // Store persists a completed outcome atomically. Outcomes carrying an

@@ -14,77 +14,133 @@ import (
 // request for the same hash waits on the same flight — the
 // cross-request twin of run.Store's singleflight.
 type flight struct {
-	done chan struct{} // closed when out/src are valid
-	out  run.Outcome
+	done chan struct{} // closed when out/hit/src are valid
+	out  run.Outcome   // for a disk hit, hit.head()
+	hit  *entry        // the verified entry behind a disk hit, else nil
 	src  string
 }
 
+// baseFunc resolves a sweep spec's baseline. Only a miss calls it: the
+// baseline's elapsed time is the denominator ExecSweep measures against,
+// and a stored point already carries its slowdown.
+type baseFunc func() (run.Outcome, error)
+
 // resolve produces the outcome for one spec: from the persistent store,
 // by coalescing onto an identical in-flight run, or by executing on the
-// shared pool under the client's fair-share queue. base carries the
-// already-resolved baseline outcome for sweep specs (nil for
-// baselines).
+// shared pool under the client's fair-share queue. hash is spec.Hash(),
+// computed once by the caller; base is nil for baselines.
+//
+// Without full, a disk hit's Res carries only Elapsed and Verified — all
+// a minimal answer and a sweep's denominator read — and the stored
+// result is never decoded. With full it is decoded here; stored bytes
+// that pass every check of the read and still do not decode are a
+// corrupt entry like any other: counted, recomputed and overwritten.
 //
 // The returned error is transport-level (queue full, context canceled);
 // run-level failures travel inside the outcome's Err. On cancellation
 // the underlying run keeps going for any other waiters and still warms
 // the cache — cancellation abandons the wait, not the work.
-func (s *Server) resolve(ctx context.Context, client string, spec run.Spec, base *run.Outcome) (run.Outcome, string, error) {
-	hash := spec.Hash()
-
-	s.mu.Lock()
-	if f, ok := s.inflight[hash]; ok {
-		s.mu.Unlock()
-		return s.await(ctx, f, true)
-	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[hash] = f
-	s.mu.Unlock()
-
-	// Persistent store probe (lazily, outside the lock).
-	out, found, err := s.disk.Load(spec)
-	if err == nil && found {
-		s.finish(hash, f, out, SourceDisk)
-		return s.await(ctx, f, false)
-	}
-	if err != nil {
-		// A found-but-corrupt entry: recompute and overwrite.
+func (s *Server) resolve(ctx context.Context, client string, spec run.Spec, hash string, full bool, base baseFunc) (run.Outcome, string, error) {
+	for probe := true; ; probe = false {
+		f, coalesced := s.fly(client, spec, hash, base, probe)
+		out, src, err := s.await(ctx, f, coalesced)
+		if err != nil || f.hit == nil || !full {
+			return out, src, err
+		}
+		start := time.Now()
+		out, err = f.hit.outcome()
+		s.stages.observe("decode", time.Since(start))
+		if err == nil {
+			return out, src, nil
+		}
 		s.mu.Lock()
 		s.counts.corrupt++
 		s.mu.Unlock()
 	}
+}
 
+// fly joins the in-flight resolution of a hash or starts one. A started
+// flight probes the persistent store first (unless the caller already
+// found the entry unusable) and only on a miss resolves the baseline
+// and queues the run. It returns as soon as the flight is certain to
+// finish on its own.
+func (s *Server) fly(client string, spec run.Spec, hash string, base baseFunc, probe bool) (f *flight, coalesced bool) {
+	s.mu.Lock()
+	if f, ok := s.inflight[hash]; ok {
+		s.mu.Unlock()
+		return f, true
+	}
+	f = &flight{done: make(chan struct{})}
+	s.inflight[hash] = f
+	s.mu.Unlock()
+
+	// Persistent store probe (lazily, outside the lock).
+	if probe {
+		start := time.Now()
+		e, found, err := s.disk.read(hash)
+		if found {
+			s.stages.observe("load", time.Since(start))
+		}
+		if err == nil && found {
+			s.finish(hash, f, e.head(), &e, SourceDisk)
+			return f, false
+		}
+		if err != nil {
+			// A found-but-corrupt entry: recompute and overwrite.
+			s.mu.Lock()
+			s.counts.corrupt++
+			s.mu.Unlock()
+		}
+	}
+
+	var bout run.Outcome
+	if base != nil {
+		var err error
+		if bout, err = base(); err != nil {
+			// The baseline was refused (queue full): so is this run, and
+			// every waiter on it.
+			s.finish(hash, f, run.Outcome{Spec: spec, Err: err}, nil, SourceComputed)
+			return f, false
+		}
+	}
+	queued := time.Now()
 	submitErr := s.sched.Submit(client, func() {
+		started := time.Now()
+		s.stages.observe("queue_wait", started.Sub(queued))
 		var out run.Outcome
 		if spec.IsBaseline() {
 			out = s.runner.ExecBaseline(spec)
 		} else if base == nil {
 			out = run.Outcome{Spec: spec, Err: fmt.Errorf("service: sweep %v resolved without a baseline", spec)}
 		} else {
-			out = s.runner.ExecSweep(spec, *base)
+			out = s.runner.ExecSweep(spec, bout)
 		}
+		stored := time.Now()
+		s.stages.observe("execute", stored.Sub(started))
 		if out.Err == nil {
-			if werr := s.disk.Store(out); werr != nil {
+			werr := s.disk.Store(out)
+			s.stages.observe("persist", time.Since(stored))
+			if werr != nil {
 				s.mu.Lock()
 				s.counts.writeErrors++
 				s.mu.Unlock()
 			}
 		}
-		s.finish(hash, f, out, SourceComputed)
+		s.finish(hash, f, out, nil, SourceComputed)
 	})
 	if submitErr != nil {
 		// Backpressure: fail this flight fast so every waiter sees the
 		// rejection too (they would hit the same full queue).
-		s.finish(hash, f, run.Outcome{Spec: spec, Err: submitErr}, SourceComputed)
-		return run.Outcome{}, "", submitErr
+		s.finish(hash, f, run.Outcome{Spec: spec, Err: submitErr}, nil, SourceComputed)
 	}
-	return s.await(ctx, f, false)
+	return f, false
 }
 
 // finish publishes a flight's outcome and retires it from the in-flight
 // table, updating the aggregate counters.
-func (s *Server) finish(hash string, f *flight, out run.Outcome, src string) {
+func (s *Server) finish(hash string, f *flight, out run.Outcome, hit *entry, src string) {
 	f.out = out
+	f.hit = hit
 	f.src = src
 	s.mu.Lock()
 	delete(s.inflight, hash)
@@ -216,26 +272,27 @@ func (s *Server) resolveWave(ctx context.Context, client string, p *run.Plan, pr
 		wg.Add(1)
 		go func(sp run.Spec) {
 			defer wg.Done()
-			var base *run.Outcome
+			hash := sp.Hash()
+			var base baseFunc
 			if !sp.IsBaseline() {
 				b, ok := p.BaselineOf(sp)
 				if !ok {
 					out := run.Outcome{Spec: sp, Err: fmt.Errorf("run: %v has no declared baseline", sp)}
 					pr.store.Put(out)
-					prog.report(sp, sp.Hash(), SourceComputed, 0, out.Err)
+					prog.report(sp, hash, SourceComputed, 0, out.Err)
 					return
 				}
-				if bout, ok := pr.store.Get(b); ok {
-					base = &bout
-				} else {
+				bout, ok := pr.store.Get(b)
+				if !ok {
 					out := run.Outcome{Spec: sp, Err: fmt.Errorf("run: baseline %v missing from store", b)}
 					pr.store.Put(out)
-					prog.report(sp, sp.Hash(), SourceComputed, 0, out.Err)
+					prog.report(sp, hash, SourceComputed, 0, out.Err)
 					return
 				}
+				base = func() (run.Outcome, error) { return bout, nil }
 			}
 			start := time.Now()
-			out, src, err := s.resolve(ctx, client, sp, base)
+			out, src, err := s.resolve(ctx, client, sp, hash, true, base)
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
@@ -246,7 +303,7 @@ func (s *Server) resolveWave(ctx context.Context, client string, p *run.Plan, pr
 			}
 			pr.store.Put(out)
 			mu.Lock()
-			pr.sources[sp.Hash()] = src
+			pr.sources[hash] = src
 			switch src {
 			case SourceDisk:
 				pr.counts.DiskHits++
@@ -256,7 +313,7 @@ func (s *Server) resolveWave(ctx context.Context, client string, p *run.Plan, pr
 				pr.counts.Coalesced++
 			}
 			mu.Unlock()
-			prog.report(sp, sp.Hash(), src, time.Since(start), out.Err)
+			prog.report(sp, hash, src, time.Since(start), out.Err)
 		}(sp)
 	}
 	wg.Wait()

@@ -110,8 +110,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// handleRun resolves a single spec. A sweep spec's baseline resolves
-// first (cached like any run), exactly as in an offline plan.
+// handleRun resolves a single spec. The spec itself is probed first; a
+// sweep spec's baseline is resolved (cached like any run) only when the
+// point has to be computed, so a stored point is one load and does not
+// depend on its baseline's entry. A minimal answer is made of the
+// entry's head alone and never decodes the stored result.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -129,16 +132,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	client := clientID(r)
 	ctx := r.Context()
 	start := time.Now()
-	var base *run.Outcome
+	hash := spec.Hash()
+	var base baseFunc
 	if !spec.IsBaseline() {
-		bout, _, berr := s.resolve(ctx, client, spec.BaselineSpec(false), nil)
-		if berr != nil {
-			s.writeError(w, r, http.StatusInternalServerError, berr)
-			return
+		base = func() (run.Outcome, error) {
+			// Not under the request's context: other requests may be
+			// waiting on this point by the time the client gives up.
+			b := spec.BaselineSpec(false)
+			bout, _, err := s.resolve(context.WithoutCancel(ctx), client, b, b.Hash(), false, nil)
+			return bout, err
 		}
-		base = &bout
 	}
-	out, src, err := s.resolve(ctx, client, spec, base)
+	out, src, err := s.resolve(ctx, client, spec, hash, !req.Minimal, base)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
@@ -149,7 +154,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := RunResponse{
 		Spec:      SpecToJSON(out.Spec),
-		Hash:      out.Spec.Hash(),
+		Hash:      hash,
 		Source:    src,
 		Cached:    src != SourceComputed,
 		WallUs:    time.Since(start).Microseconds(),
@@ -233,10 +238,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if out.Err != nil {
 				return nil, out.Err
 			}
+			hash := sp.Hash()
 			resp.Points = append(resp.Points, SweepPoint{
 				PointJSON: pointToJSON(out.Point),
-				Hash:      sp.Hash(),
-				Source:    pr.sources[sp.Hash()],
+				Hash:      hash,
+				Source:    pr.sources[hash],
 			})
 		}
 		return resp, nil
@@ -275,7 +281,8 @@ func (s *Server) serveAnalyticSweep(w http.ResponseWriter, r *http.Request, req 
 		return
 	}
 	start := time.Now()
-	out, src, err := s.resolve(r.Context(), clientID(r), spec, nil)
+	hash := spec.Hash()
+	out, src, err := s.resolve(r.Context(), clientID(r), spec, hash, true, nil)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
@@ -294,7 +301,7 @@ func (s *Server) serveAnalyticSweep(w http.ResponseWriter, r *http.Request, req 
 	resp := &SweepResponse{
 		App: req.App, Knob: req.Knob,
 		Baseline: pointToJSON(out.Point),
-		BaseHash: spec.Hash(),
+		BaseHash: hash,
 		Cache:    CacheCounts{Total: 1},
 	}
 	switch src {
@@ -318,13 +325,13 @@ func (s *Server) serveAnalyticSweep(w http.ResponseWriter, r *http.Request, req 
 		}
 		resp.Points = append(resp.Points, SweepPoint{PointJSON: pt, Hash: resp.BaseHash, Source: SourceAnalytic})
 	}
-	s.writeAnalytic(w, r, spec, src, start, resp)
+	s.writeAnalytic(w, r, spec, hash, src, start, resp)
 }
 
 // writeAnalytic writes an analytic response plain, or over SSE (one
 // progress tick for the instrumented run, then the result) so streaming
 // clients see the same event protocol as a simulated plan.
-func (s *Server) writeAnalytic(w http.ResponseWriter, r *http.Request, spec run.Spec, src string, start time.Time, resp any) {
+func (s *Server) writeAnalytic(w http.ResponseWriter, r *http.Request, spec run.Spec, hash, src string, start time.Time, resp any) {
 	if !wantStream(r) {
 		writeJSON(w, http.StatusOK, resp)
 		return
@@ -335,7 +342,7 @@ func (s *Server) writeAnalytic(w http.ResponseWriter, r *http.Request, spec run.
 		return
 	}
 	_ = emit("progress", PlanEvent{
-		Done: 1, Total: 1, Spec: spec.String(), Hash: spec.Hash(),
+		Done: 1, Total: 1, Spec: spec.String(), Hash: hash,
 		Source: src, WallUs: time.Since(start).Microseconds(),
 	})
 	_ = emit("result", resp)
@@ -370,7 +377,8 @@ func (s *Server) handleTolerance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	out, src, err := s.resolve(r.Context(), clientID(r), spec, nil)
+	hash := spec.Hash()
+	out, src, err := s.resolve(r.Context(), clientID(r), spec, hash, true, nil)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
@@ -381,7 +389,7 @@ func (s *Server) handleTolerance(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := ToleranceResponse{
 		Spec:      SpecToJSON(out.Spec),
-		Hash:      out.Spec.Hash(),
+		Hash:      hash,
 		Source:    src,
 		Cached:    src != SourceComputed,
 		WallUs:    time.Since(start).Microseconds(),

@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -125,7 +128,8 @@ func TestServiceRunEndpoint(t *testing.T) {
 		t.Fatalf("warm run differs: %+v vs %+v", r2, r1)
 	}
 
-	// A swept spec auto-resolves its baseline (already cached here).
+	// A swept spec that has to run auto-resolves its baseline (already
+	// cached here).
 	sweep := RunRequest{
 		SpecJSON: SpecJSON{App: "radix", Procs: 4, Scale: 1.0 / 4096, Seed: 1, Knob: "o", Value: 25},
 		Minimal:  true,
@@ -142,6 +146,116 @@ func TestServiceRunEndpoint(t *testing.T) {
 	}
 	if r3.Point.Slowdown <= 0 {
 		t.Fatalf("sweep slowdown = %v", r3.Point.Slowdown)
+	}
+}
+
+// TestServiceRunReadsWhatItServes walks /v1/run through every way a
+// point and its baseline can be cold, warm, missing or damaged, and pins
+// what each request reads by what it moves in /v1/stats: a stored point
+// is one load whatever became of its baseline, a point that has to be
+// computed looks its baseline up exactly once, a hit that carries the
+// result carries the one that was computed, and a stored result that
+// does not decode is recomputed, not served and not a 500.
+func TestServiceRunReadsWhatItServes(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+
+	spec := func(knob string, value float64) SpecJSON {
+		return SpecJSON{App: "radix", Procs: 4, Scale: 1.0 / 4096, Seed: 1, Knob: knob, Value: value}
+	}
+	baseline, pointA, pointB := spec("", 0), spec("o", 25), spec("o", 5)
+	baseSpec, err := baseline.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePath := s.disk.entryPath(baseSpec.Hash())
+
+	var computed *RunResponse // pointB's answer from the run itself
+	var before CacheTotals
+	for _, step := range []struct {
+		name    string
+		prepare func()
+		spec    SpecJSON
+		minimal bool
+		source  string
+		// What the request moves in /v1/stats.
+		hits, computed, corrupt int64
+	}{
+		{name: "cold point, cold baseline: both run", spec: pointA, minimal: true, source: SourceComputed, computed: 2},
+		{name: "cold point, warm baseline: one look-up", spec: pointB, source: SourceComputed, hits: 1, computed: 1},
+		{name: "warm point: one load", spec: pointA, minimal: true, source: SourceDisk, hits: 1},
+		{name: "warm point with its result", spec: pointB, source: SourceDisk, hits: 1},
+		{
+			name: "undecodable result, head asked: served",
+			prepare: func() {
+				raw, err := os.ReadFile(basePath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(basePath, reseal(t, raw, `"Procs":4`, `"Procs":"four"`), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			spec: baseline, minimal: true, source: SourceDisk, hits: 1,
+		},
+		// The probe finds a verified entry (a hit) before the result in
+		// it turns out not to be one.
+		{name: "undecodable result, result asked: recomputed", spec: baseline, source: SourceComputed, hits: 1, computed: 1, corrupt: 1},
+		{name: "recomputed entry overwrote the bad one", spec: baseline, source: SourceDisk, hits: 1},
+		{
+			name: "warm point, baseline gone: still one load",
+			prepare: func() {
+				if err := os.Remove(basePath); err != nil {
+					t.Fatal(err)
+				}
+			},
+			spec: pointA, minimal: true, source: SourceDisk, hits: 1,
+		},
+	} {
+		if step.prepare != nil {
+			step.prepare()
+		}
+		r, err := c.Run(ctx, RunRequest{SpecJSON: step.spec, Minimal: step.minimal})
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if r.Source != step.source || r.Cached != (step.source != SourceComputed) {
+			t.Errorf("%s: source = %q cached=%v, want %q", step.name, r.Source, r.Cached, step.source)
+		}
+		if r.ElapsedNs <= 0 || r.Point.Slowdown <= 0 {
+			t.Errorf("%s: answer incomplete: %+v", step.name, r)
+		}
+		if (r.Result == nil) != step.minimal {
+			t.Errorf("%s: minimal=%v but result present=%v", step.name, step.minimal, r.Result != nil)
+		}
+		if step.spec == pointB {
+			if computed == nil {
+				computed = r
+			} else if !reflect.DeepEqual(r.Result, computed.Result) || r.Point != computed.Point || r.ElapsedNs != computed.ElapsedNs {
+				t.Errorf("%s: a hit's result differs from the computed one:\n hit      %+v\n computed %+v", step.name, r.Result, computed.Result)
+			}
+		}
+		after := s.Stats().Cache
+		if d := [3]int64{after.DiskHits - before.DiskHits, after.Computed - before.Computed, after.Corrupt - before.Corrupt}; d != [3]int64{step.hits, step.computed, step.corrupt} {
+			t.Errorf("%s: moved disk_hits, computed, corrupt_recovered by %v, want [%d %d %d]",
+				step.name, d, step.hits, step.computed, step.corrupt)
+		}
+		before = after
+	}
+
+	// Every stage of those resolutions left a histogram beside the
+	// per-endpoint ones.
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"load", "decode", "queue_wait", "execute", "persist"} {
+		if st.Stages[stage].Count == 0 {
+			t.Errorf("no %q samples in /v1/stats stages_us: %+v", stage, st.Stages)
+		}
+	}
+	if got := st.Stages["execute"].Count; got != st.Cache.Computed {
+		t.Errorf("execute samples = %d, computed = %d: want one per run", got, st.Cache.Computed)
 	}
 }
 
@@ -168,7 +282,7 @@ func TestServiceCoalesce(t *testing.T) {
 	}
 	results := make(chan res, 2)
 	resolveOne := func(client string) {
-		_, src, err := s.resolve(ctx, client, spec, nil)
+		_, src, err := s.resolve(ctx, client, spec, hash, true, nil)
 		results <- res{src, err}
 	}
 	go resolveOne("a")
@@ -567,7 +681,9 @@ func TestServiceConcurrentMixedLoad(t *testing.T) {
 			for {
 				r, err := cl.Run(ctx, RunRequest{
 					SpecJSON: SpecJSON{App: "radix", Procs: 4, Scale: 1.0 / 4096, Seed: seed},
-					Minimal:  true,
+					// Both kinds of waiter meet on the same flights: one
+					// reads the head, the other decodes the result.
+					Minimal: i%2 == 0,
 				})
 				if err != nil {
 					if _, retry := err.(*RetryError); retry {
@@ -575,6 +691,10 @@ func TestServiceConcurrentMixedLoad(t *testing.T) {
 						continue
 					}
 					errs <- err
+					return
+				}
+				if (r.Result == nil) != (i%2 == 0) || (r.Result != nil && int64(r.Result.Elapsed) != r.ElapsedNs) {
+					errs <- fmt.Errorf("request %d: result %+v does not fit the answer %+v", i, r.Result, r)
 					return
 				}
 				results <- obs{seed, r.Hash, r.ElapsedNs}

@@ -10,7 +10,9 @@
 //     disk (DiskStore): written atomically (temp file + rename),
 //     loaded lazily, and verified on every read (payload checksum and
 //     spec-hash match), so a crashed writer or a corrupted entry
-//     degrades to a recompute, never to a wrong answer;
+//     degrades to a recompute, never to a wrong answer; a hit decodes
+//     only what its answer carries — the entry's head always, the
+//     result in it when asked;
 //   - misses execute on one shared bounded worker pool (Scheduler)
 //     with fair round-robin scheduling across clients, admission
 //     control (a bounded queue), and backpressure: when the queue is
@@ -20,7 +22,7 @@
 //     twin of run.Store's singleflight);
 //   - running plans can stream per-run progress over SSE, and /v1/stats
 //     exposes hit rates, queue depth, executed-vs-deduped counters, and
-//     per-endpoint latency histograms.
+//     latency histograms per endpoint and per stage of a resolution.
 //
 // The daemon sits outside the simulation boundary: it may use
 // goroutines and wall-clock time freely (reprolint's sim scopes exclude
@@ -84,9 +86,10 @@ type Server struct {
 	counts   cacheCounters
 	reqs     map[string]int64
 
-	start time.Time
-	lat   *latencySet
-	mux   *http.ServeMux
+	start  time.Time
+	lat    *latencySet // whole requests, by endpoint
+	stages *latencySet // the steps of a resolution, by stage
+	mux    *http.ServeMux
 }
 
 // cacheCounters aggregates resolution outcomes daemon-wide.
@@ -118,6 +121,7 @@ func New(cfg Config) (*Server, error) {
 		reqs:     map[string]int64{},
 		start:    time.Now(),
 		lat:      newLatencySet(),
+		stages:   newLatencySet(),
 	}
 	s.mux = s.routes()
 	return s, nil

@@ -123,6 +123,10 @@ type StatsResponse struct {
 	HitRate  float64                   `json:"hit_rate"`
 	Sched    SchedStats                `json:"scheduler"`
 	Latency  map[string]LatencySummary `json:"latency_us"`
+	// Stages times the steps of a resolution: load (read an entry,
+	// verify it, decode its head), decode (a stored result, when an
+	// answer carries it), and for a miss queue_wait, execute, persist.
+	Stages   map[string]LatencySummary `json:"stages_us"`
 	CacheDir string                    `json:"cache_dir"`
 }
 
@@ -166,6 +170,7 @@ func (s *Server) Stats() StatsResponse {
 		},
 		Sched:    s.sched.Stats(),
 		Latency:  s.lat.snapshot(),
+		Stages:   s.stages.snapshot(),
 		CacheDir: s.disk.Root(),
 	}
 	if total := c.diskHits + c.coalesced + c.computed; total > 0 {
