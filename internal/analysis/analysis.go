@@ -64,7 +64,6 @@ func All() []*Analyzer {
 		GoroutineFree,
 		HotPathAlloc,
 		ContSafe,
-		ChargeTwin,
 	}
 }
 

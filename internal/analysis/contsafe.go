@@ -10,7 +10,7 @@ import (
 
 // ContSafe proves the continuation runtime's structural invariants in
 // the packages that host resumable state machines (am/cont.go,
-// splitc/cont.go, and the scalekern twins). A continuation function —
+// splitc/cont.go, and the scalekern kernels). A continuation function —
 // any function whose results include a PollableWait — is re-entered by
 // the engine after every park, so three things must hold:
 //

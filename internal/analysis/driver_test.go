@@ -157,47 +157,6 @@ func (h *heap) pop() int {
 	}
 }
 
-// TestMutationChargeTwinDivergence is the twin mutation check: doubling
-// a continuation kernel's compute charge relative to its blocking twin
-// produces a chargetwin finding, which makes cmd/reprolint exit 1.
-func TestMutationChargeTwinDivergence(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": "module sample\n\ngo 1.22\n",
-		"internal/apps/scalekern/kern.go": `package scalekern
-
-type Proc struct{}
-
-func (p *Proc) ComputeUs(us float64)  { _ = us }
-func (p *Proc) ComputeUsT(us float64) { _ = us }
-func (p *Proc) Barrier()              {}
-func (p *Proc) BarrierT()             {}
-
-func radixBody(p *Proc, n int) {
-	_ = n
-	p.ComputeUs(0.4)
-	p.Barrier()
-}
-
-type radixTask struct{ pc int }
-
-func (t *radixTask) Step(p *Proc) {
-	p.ComputeUsT(0.8) // injected divergence: double charge
-	p.BarrierT()
-}
-`,
-	})
-	rep, err := analysis.Run(dir, []string{"./..."}, analysis.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Findings) != 1 || rep.Findings[0].Analyzer != "chargetwin" {
-		t.Fatalf("want exactly 1 chargetwin finding, got %v", rep.Findings)
-	}
-	if !strings.Contains(rep.Findings[0].Message, "diverges from blocking twin radixBody") {
-		t.Errorf("finding should name the blocking twin: %s", rep.Findings[0].Message)
-	}
-}
-
 // TestRunJobsMatchesSequential pins the parallel driver's determinism:
 // the merged, sorted report is identical at any worker count.
 func TestRunJobsMatchesSequential(t *testing.T) {

@@ -26,16 +26,12 @@ const (
 	em3dFieldMixConst = 2654435761
 )
 
-// Em3d is the scale-em3d kernel. Blocking selects the coroutine twin.
-type Em3d struct {
-	Blocking bool
-}
+// Em3d is the scale-em3d kernel.
+type Em3d struct{}
 
-func (a Em3d) Name() string      { return blkSuffix("scale-em3d", a.Blocking) }
+func (Em3d) Name() string        { return "scale-em3d" }
 func (Em3d) PaperName() string   { return "EM3D (scale)" }
-func (a Em3d) Description() string {
-	return "Weak-scaling ring relaxation with bulk ghost exchange (" + mode(a.Blocking) + " runtime)"
-}
+func (Em3d) Description() string { return "Weak-scaling ring relaxation with bulk ghost exchange" }
 
 func em3dWords(cfg apps.Config) int {
 	return apps.ScaleInt(em3dPaperWords, cfg.Scale, 16)
@@ -86,14 +82,9 @@ func (a Em3d) Run(cfg apps.Config) (apps.Result, error) {
 	if cfg.Verify {
 		sh.sum = make([]uint64, cfg.Procs)
 	}
-	if a.Blocking {
-		err = w.Run(func(p *splitc.Proc) { em3dBody(p, sh, cfg.Verify) })
-	} else {
-		err = w.RunTasks(func(id int) splitc.Task {
-			return &em3dTask{sh: sh, verify: cfg.Verify}
-		})
-	}
-	if err != nil {
+	if err := w.RunTasks(func(id int) splitc.Task {
+		return &em3dTask{sh: sh, verify: cfg.Verify}
+	}); err != nil {
 		return apps.Result{}, err
 	}
 	if cfg.Verify {
@@ -119,51 +110,8 @@ func em3dUpdate(f, gl, gr, gb []uint64, iter int) {
 	}
 }
 
-// em3dBody is the blocking twin. The continuation task below makes the
-// same primitive calls with the same compute charges, in the same order.
-func em3dBody(p *splitc.Proc, sh *em3dShared, verify bool) {
-	me, P, B := p.ID(), p.P(), sh.b
-	left := (me - 1 + P) % P
-	right := (me + 1) % P
-	gl := p.Alloc(em3dGhostWords)
-	gr := p.Alloc(em3dGhostWords)
-	gb := p.Alloc(B)
-	field := p.Alloc(B)
-	sh.gl[me], sh.gr[me], sh.gb[me] = gl, gr, gb
-	f := p.Local(field, B)
-	for i := range f {
-		f[i] = em3dInitAt(sh.seed, me, i)
-	}
-	p.ComputeUs(em3dInitCostUs * float64(B))
-	p.Barrier()
-
-	for it := 0; it < sh.iters; it++ {
-		// Boundary exchange: my low words go to the left neighbor's gr
-		// (I am its right neighbor), my high words to the right
-		// neighbor's gl.
-		for j := 0; j < em3dGhostWords; j++ {
-			p.ComputeUs(em3dBoundCostUs)
-			p.WriteWord(splitc.GPtr{Proc: int32(left), Off: sh.gr[left].Off + int32(j)}, splitmix64(f[j]))
-			p.ComputeUs(em3dBoundCostUs)
-			p.WriteWord(splitc.GPtr{Proc: int32(right), Off: sh.gl[right].Off + int32(j)}, splitmix64(f[B-1-j]))
-		}
-		// Field push: the whole block to the right neighbor's bulk ghost.
-		p.BulkPut(splitc.GPtr{Proc: int32(right), Off: sh.gb[right].Off}, f)
-		p.Barrier() // store-sync implies all ghosts arrived
-		em3dUpdate(f, p.Local(gl, em3dGhostWords), p.Local(gr, em3dGhostWords), p.Local(gb, B), it)
-		p.ComputeUs(em3dUpdateCostUs * float64(B))
-		p.Barrier() // neighbors must finish reading ghosts before the next wave lands
-	}
-	if verify {
-		var sum uint64
-		for _, v := range f {
-			sum += v
-		}
-		sh.sum[me] = sum
-	}
-}
-
-// em3dTask is the continuation twin of em3dBody.
+// em3dTask is one processor's relaxation loop as a state machine: pc
+// names the primitive the processor is in (or about to enter).
 type em3dTask struct {
 	sh     *em3dShared
 	verify bool
@@ -202,9 +150,11 @@ func (k *em3dTask) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 			k.it, k.j, k.half = 0, 0, 0
 			k.pc = 2
 		case 2:
-			// Resumptive boundary exchange: half tracks which of the two
-			// writes of word j is in flight, and charged guards the
-			// per-write compute so a window stall never double-charges.
+			// Boundary exchange: my low words go to the left neighbor's gr
+			// (I am its right neighbor), my high words to the right
+			// neighbor's gl. half tracks which of the two writes of word
+			// j is in flight, and charged guards the per-write compute so
+			// a window stall never double-charges.
 			f := t.Local(k.field, B)
 			for k.j < em3dGhostWords {
 				if k.half == 0 {
@@ -233,19 +183,21 @@ func (k *em3dTask) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 			}
 			k.pc = 3
 		case 3:
+			// Field push: the whole block to the right neighbor's bulk ghost.
 			f := t.Local(k.field, B)
 			if wt := t.BulkPutT(splitc.GPtr{Proc: int32(right), Off: k.sh.gb[right].Off}, f); wt != nil {
 				return wt, false
 			}
 			k.pc = 4
 		case 4:
-			if wt := t.BarrierT(); wt != nil {
+			if wt := t.BarrierT(); wt != nil { // store-sync implies all ghosts arrived
 				return wt, false
 			}
 			em3dUpdate(t.Local(k.field, B), t.Local(k.gl, em3dGhostWords), t.Local(k.gr, em3dGhostWords), t.Local(k.gb, B), k.it)
 			t.ComputeUs(em3dUpdateCostUs * float64(B))
 			k.pc = 5
 		case 5:
+			// Neighbors must finish reading ghosts before the next wave lands.
 			if wt := t.BarrierT(); wt != nil {
 				return wt, false
 			}

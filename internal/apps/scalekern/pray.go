@@ -21,16 +21,12 @@ const (
 	prayShadeCostUs = 0.20 // per round: shade with the fetched value
 )
 
-// Pray is the scale-pray kernel. Blocking selects the coroutine twin.
-type Pray struct {
-	Blocking bool
-}
+// Pray is the scale-pray kernel.
+type Pray struct{}
 
-func (a Pray) Name() string      { return blkSuffix("scale-pray", a.Blocking) }
+func (Pray) Name() string        { return "scale-pray" }
 func (Pray) PaperName() string   { return "P-Ray (scale)" }
-func (a Pray) Description() string {
-	return "Weak-scaling hashed-partner read/reply rounds (" + mode(a.Blocking) + " runtime)"
-}
+func (Pray) Description() string { return "Weak-scaling hashed-partner read/reply rounds" }
 
 func prayRounds(cfg apps.Config) int {
 	return apps.ScaleInt(prayPaperRounds, cfg.Scale, 8)
@@ -79,14 +75,9 @@ func (a Pray) Run(cfg apps.Config) (apps.Result, error) {
 		slot:   make([]splitc.GPtr, cfg.Procs),
 		failed: make([]bool, cfg.Procs),
 	}
-	if a.Blocking {
-		err = w.Run(func(p *splitc.Proc) { prayBody(p, sh, cfg.Verify) })
-	} else {
-		err = w.RunTasks(func(id int) splitc.Task {
-			return &prayTask{sh: sh, verify: cfg.Verify}
-		})
-	}
-	if err != nil {
+	if err := w.RunTasks(func(id int) splitc.Task {
+		return &prayTask{sh: sh, verify: cfg.Verify}
+	}); err != nil {
 		return apps.Result{}, err
 	}
 	if cfg.Verify {
@@ -102,37 +93,8 @@ func (a Pray) Run(cfg apps.Config) (apps.Result, error) {
 	return res, nil
 }
 
-// prayBody is the blocking twin. The continuation task below makes the
-// same primitive calls with the same compute charges, in the same order.
-func prayBody(p *splitc.Proc, sh *prayShared, verify bool) {
-	me, P := p.ID(), p.P()
-	slot := p.Alloc(1)
-	sh.slot[me] = slot
-	p.WriteWord(slot, praySceneAt(sh.seed, me)) // local publish
-	p.Barrier()
-
-	var acc uint64
-	ok := true
-	for r := 0; r < sh.rounds; r++ {
-		q := prayPartner(sh.seed, me, r, P)
-		p.ComputeUs(prayRayCostUs)
-		v := p.ReadWord(splitc.GPtr{Proc: int32(q), Off: sh.slot[q].Off})
-		if v != praySceneAt(sh.seed, q) {
-			ok = false
-		}
-		acc += splitmix64(v ^ uint64(r))
-		p.ComputeUs(prayShadeCostUs)
-	}
-	sum := p.AllReduceSum(acc)
-	if me == 0 {
-		sh.checksum = sum
-	}
-	if verify {
-		sh.failed[me] = !ok
-	}
-}
-
-// prayTask is the continuation twin of prayBody.
+// prayTask is one processor's lookup rounds as a state machine: pc
+// names the primitive the processor is in (or about to enter).
 type prayTask struct {
 	sh     *prayShared
 	verify bool
@@ -162,8 +124,8 @@ func (k *prayTask) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 			k.r = 0
 			k.pc = 2
 		case 2:
-			// Resumptive lookup loop: charged guards the per-round ray
-			// cost so a parked read is re-entered without re-charging.
+			// Lookup rounds: charged guards the per-round ray cost so a
+			// parked read is re-entered without re-charging.
 			for k.r < k.sh.rounds {
 				q := prayPartner(k.sh.seed, me, k.r, P)
 				if !k.charged {

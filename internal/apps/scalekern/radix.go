@@ -27,16 +27,12 @@ const (
 	radixCheckCostUs = 0.02 // per key: verification scan share
 )
 
-// Radix is the scale-radix kernel. Blocking selects the coroutine twin.
-type Radix struct {
-	Blocking bool
-}
+// Radix is the scale-radix kernel.
+type Radix struct{}
 
-func (a Radix) Name() string      { return blkSuffix("scale-radix", a.Blocking) }
+func (Radix) Name() string        { return "scale-radix" }
 func (Radix) PaperName() string   { return "Radix (scale)" }
-func (a Radix) Description() string {
-	return "Weak-scaling counting-sort digit pass (" + mode(a.Blocking) + " runtime)"
-}
+func (Radix) Description() string { return "Weak-scaling counting-sort digit pass" }
 
 func radixKeys(cfg apps.Config) int {
 	return apps.ScaleInt(radixPaperKeys, cfg.Scale, 16)
@@ -76,14 +72,9 @@ func (a Radix) Run(cfg apps.Config) (apps.Result, error) {
 		dest:   make([]splitc.GPtr, cfg.Procs),
 		failed: make([]bool, cfg.Procs),
 	}
-	if a.Blocking {
-		err = w.Run(func(p *splitc.Proc) { radixBody(p, sh, cfg.Verify) })
-	} else {
-		err = w.RunTasks(func(id int) splitc.Task {
-			return &radixTask{sh: sh, verify: cfg.Verify}
-		})
-	}
-	if err != nil {
+	if err := w.RunTasks(func(id int) splitc.Task {
+		return &radixTask{sh: sh, verify: cfg.Verify}
+	}); err != nil {
 		return apps.Result{}, err
 	}
 	if cfg.Verify {
@@ -96,76 +87,6 @@ func (a Radix) Run(cfg apps.Config) (apps.Result, error) {
 	res := apps.Finish(a, cfg, w, cfg.Verify)
 	res.Extra["keys_per_proc"] = float64(sh.k)
 	return res, nil
-}
-
-// radixBody is the blocking twin. The continuation task below makes the
-// same primitive calls with the same compute charges, in the same order.
-func radixBody(p *splitc.Proc, sh *radixShared, verify bool) {
-	me, P, K := p.ID(), p.P(), sh.k
-	dest := p.Alloc(K)
-	sh.dest[me] = dest
-	p.Barrier()
-
-	// Histogram pass over regenerated keys (keys are never stored: the
-	// hash is cheaper than the memory at a million processors).
-	var hist [radixBuckets]uint64
-	for i := 0; i < K; i++ {
-		key := radixKeyAt(sh.seed, me, i, K)
-		hist[key&(radixBuckets-1)]++
-		p.ComputeUs(radixHistCostUs)
-	}
-
-	// Per-bucket global ranks: an exclusive scan gives this processor's
-	// offset within the bucket, and the last processor's inclusive value
-	// — broadcast back — gives the bucket total. The barrier separates
-	// the collective episodes so bucket d+1's traffic cannot land in
-	// bucket d's tag window.
-	var scanX, tot [radixBuckets]uint64
-	for d := 0; d < radixBuckets; d++ {
-		excl := p.ScanAdd(hist[d])
-		tot[d] = p.Broadcast(P-1, excl+hist[d])
-		scanX[d] = excl
-		p.Barrier()
-	}
-	var base [radixBuckets]uint64
-	for d := 1; d < radixBuckets; d++ {
-		base[d] = base[d-1] + tot[d-1]
-	}
-
-	// Permute: every key goes to its global rank with a pipelined write
-	// (stored as key+1 so verification can spot unwritten slots). The
-	// closing barrier's store-sync implies delivery.
-	var cnt [radixBuckets]uint64
-	for i := 0; i < K; i++ {
-		key := radixKeyAt(sh.seed, me, i, K)
-		d := key & (radixBuckets - 1)
-		p.ComputeUs(radixPermCostUs)
-		g := base[d] + scanX[d] + cnt[d]
-		owner := int(g) / K
-		p.WriteWord(splitc.GPtr{Proc: int32(owner), Off: sh.dest[owner].Off + int32(int(g)%K)}, key+1)
-		cnt[d]++
-	}
-	p.Barrier()
-
-	if !verify {
-		return
-	}
-	ok, storedSum := radixCheckLocal(p.Local(dest, K))
-	p.ComputeUs(radixCheckCostUs * float64(K))
-	if me > 0 {
-		prev := p.ReadWord(splitc.GPtr{Proc: int32(me - 1), Off: sh.dest[me-1].Off + int32(K-1)})
-		if !radixBoundaryOK(prev, p.Local(dest, K)[0]) {
-			ok = false
-		}
-	}
-	var inputSum uint64
-	for i := 0; i < K; i++ {
-		inputSum += radixKeyAt(sh.seed, me, i, K)
-	}
-	if p.AllReduceSum(storedSum-inputSum) != 0 {
-		ok = false
-	}
-	sh.failed[me] = !ok
 }
 
 // radixCheckLocal scans one destination segment: every slot written,
@@ -191,7 +112,9 @@ func radixBoundaryOK(prev, first uint64) bool {
 	return prev != 0 && first != 0 && (prev-1)&(radixBuckets-1) <= (first-1)&(radixBuckets-1)
 }
 
-// radixTask is the continuation twin of radixBody.
+// radixTask is one processor's digit pass as a state machine: pc names
+// the primitive the processor is in (or about to enter), and every loop
+// that can park keeps its induction state in the struct.
 type radixTask struct {
 	sh     *radixShared
 	verify bool
@@ -221,6 +144,9 @@ func (k *radixTask) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 			if wt := t.BarrierT(); wt != nil {
 				return wt, false
 			}
+			// Histogram pass over regenerated keys (keys are never
+			// stored: the hash is cheaper than the memory at a million
+			// processors).
 			for i := 0; i < K; i++ {
 				key := radixKeyAt(k.sh.seed, me, i, K)
 				k.hist[key&(radixBuckets-1)]++
@@ -229,6 +155,11 @@ func (k *radixTask) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 			k.d = 0
 			k.pc = 2
 		case 2:
+			// Per-bucket global ranks: an exclusive scan gives this
+			// processor's offset within the bucket, and the last
+			// processor's inclusive value — broadcast back — gives the
+			// bucket total. The barrier separates the collective episodes
+			// so bucket d+1's traffic cannot land in bucket d's tag window.
 			v, wt := t.ScanAddT(k.hist[k.d])
 			if wt != nil {
 				return wt, false
@@ -257,10 +188,13 @@ func (k *radixTask) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 			k.i = 0
 			k.pc = 5
 		case 5:
-			// Resumptive permute: the compute charge lands once per key
-			// (charged guards re-entry), and rank state advances only
-			// after the write is issued, so a window-stalled WriteWordT
-			// is re-called with identical arguments.
+			// Permute: every key goes to its global rank with a pipelined
+			// write (stored as key+1 so verification can spot unwritten
+			// slots); the closing barrier's store-sync implies delivery.
+			// The compute charge lands once per key (charged guards
+			// re-entry), and rank state advances only after the write is
+			// issued, so a window-stalled WriteWordT is re-called with
+			// identical arguments.
 			for k.i < K {
 				key := radixKeyAt(k.sh.seed, me, k.i, K)
 				d := key & (radixBuckets - 1)
@@ -291,7 +225,7 @@ func (k *radixTask) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 			k.pc = 7
 		case 7:
 			if me > 0 {
-				prev, wt := t.ReadWordT(splitc.GPtr{Proc: int32(me - 1), Off: k.sh.dest[me-1].Off + int32(K - 1)})
+				prev, wt := t.ReadWordT(splitc.GPtr{Proc: int32(me - 1), Off: k.sh.dest[me-1].Off + int32(K-1)})
 				if wt != nil {
 					return wt, false
 				}

@@ -1,12 +1,11 @@
 // Package scalekern holds the weak-scaling kernel suite: three small,
 // communication-faithful kernels used to push the simulated machine far
 // past the paper's 32 processors (the scale experiment runs them at up
-// to P = 1M). Each kernel is written twice against the splitc layer —
-// once as a blocking SPMD body for the coroutine runtime and once as a
-// resumable Task state machine for the continuation runtime — with the
-// same primitive calls and compute charges statement for statement, so
-// the two modes produce identical virtual timelines (pinned by the
-// package tests at small P).
+// to P = 1M). Each kernel is a resumable splitc.Task state machine, so
+// a run holds no per-processor stack; its virtual timeline is pinned by
+// its Verify self-check against a serial reference, by the package's
+// TestKernelTimelinesPinned at small P and by benchmark/golden.json at
+// P = 10 000.
 //
 // The kernels cover the three communication archetypes of the paper's
 // suite:
@@ -30,12 +29,12 @@ import (
 	"repro/internal/apps"
 )
 
-// All returns the continuation-mode kernel suite in canonical order.
+// All returns the kernel suite in canonical order.
 func All() []apps.App {
 	return []apps.App{Radix{}, Em3d{}, Pray{}}
 }
 
-// Names lists the continuation-mode kernel names in canonical order.
+// Names lists the kernel names in canonical order.
 func Names() []string {
 	var out []string
 	for _, a := range All() {
@@ -44,50 +43,23 @@ func Names() []string {
 	return out
 }
 
-// ByName resolves a kernel by name. The "-blk" suffix selects the
-// blocking (coroutine-runtime) twin of a kernel, used by the
-// cross-runtime equivalence tests.
+// ByName resolves a kernel by name.
 func ByName(name string) (apps.App, error) {
-	switch name {
-	case "scale-radix":
-		return Radix{}, nil
-	case "scale-radix-blk":
-		return Radix{Blocking: true}, nil
-	case "scale-em3d":
-		return Em3d{}, nil
-	case "scale-em3d-blk":
-		return Em3d{Blocking: true}, nil
-	case "scale-pray":
-		return Pray{}, nil
-	case "scale-pray-blk":
-		return Pray{Blocking: true}, nil
+	for _, a := range All() {
+		if a.Name() == name {
+			return a, nil
+		}
 	}
-	return nil, fmt.Errorf("scalekern: unknown kernel %q (have scale-radix, scale-em3d, scale-pray and their -blk twins)", name)
+	return nil, fmt.Errorf("scalekern: unknown kernel %q (have %v)", name, Names())
 }
 
 // splitmix64 is the kernels' deterministic hash: input generation and
-// partner selection derive from it so both runtime modes (and reruns)
-// see bit-identical inputs without touching the per-processor PRNG.
+// partner selection derive from it so reruns see bit-identical inputs
+// without touching the per-processor PRNG.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	z := x
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
-}
-
-// mode renders the runtime mode for descriptions.
-func mode(blocking bool) string {
-	if blocking {
-		return "coroutine"
-	}
-	return "continuation"
-}
-
-// blkSuffix appends the blocking-twin name suffix.
-func blkSuffix(name string, blocking bool) string {
-	if blocking {
-		return name + "-blk"
-	}
-	return name
 }

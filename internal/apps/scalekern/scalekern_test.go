@@ -1,50 +1,55 @@
 package scalekern
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
 )
 
-// kernelPairs lists each kernel with its blocking twin.
-func kernelPairs() [][2]apps.App {
-	return [][2]apps.App{
-		{Radix{}, Radix{Blocking: true}},
-		{Em3d{}, Em3d{Blocking: true}},
-		{Pray{}, Pray{Blocking: true}},
-	}
-}
-
-// TestKernelsMatchBlocking pins each kernel's continuation run against
-// its coroutine twin: identical config → identical virtual makespan,
-// message footprint, and (via Verify) identical answers.
-func TestKernelsMatchBlocking(t *testing.T) {
-	for _, pair := range kernelPairs() {
-		cont, blk := pair[0], pair[1]
-		for _, P := range []int{1, 2, 32, 64} {
-			cfg := apps.Config{Procs: P, Seed: 7, Verify: true}
-			rc, err := cont.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s P=%d: %v", cont.Name(), P, err)
-			}
-			rb, err := blk.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s P=%d: %v", blk.Name(), P, err)
-			}
-			if rc.Elapsed != rb.Elapsed {
-				t.Errorf("%s P=%d: continuation elapsed %v, coroutine %v", cont.Name(), P, rc.Elapsed, rb.Elapsed)
-			}
-			if sc, sb := rc.Stats.TotalSent(), rb.Stats.TotalSent(); sc != sb {
-				t.Errorf("%s P=%d: continuation sent %d messages, coroutine %d", cont.Name(), P, sc, sb)
-			}
-			if rc.Summary != rb.Summary {
-				t.Errorf("%s P=%d: summaries differ:\n  continuation %+v\n  coroutine    %+v", cont.Name(), P, rc.Summary, rb.Summary)
-			}
+// TestKernelTimelinesPinned holds each kernel's virtual makespan and
+// message count at small P to the values its Task and its (since
+// deleted) blocking twin agreed on at commit cec5b90, with Verify
+// checking the answers against the serial reference. A changed compute
+// charge, a reordered primitive or a lost message moves a row.
+func TestKernelTimelinesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		kernel    string
+		procs     int
+		elapsedNs int64
+		sent      int64
+	}{
+		{"scale-radix", 1, 14080, 0},
+		{"scale-radix", 2, 362480, 76},
+		{"scale-radix", 32, 1180480, 3225},
+		{"scale-radix", 64, 1269880, 6970},
+		{"scale-em3d", 1, 10240, 0},
+		{"scale-em3d", 2, 409788, 92},
+		{"scale-em3d", 32, 841788, 2752},
+		{"scale-em3d", 64, 949788, 6144},
+		{"scale-pray", 1, 4800, 0},
+		{"scale-pray", 2, 225800, 38},
+		{"scale-pray", 32, 445800, 894},
+		{"scale-pray", 64, 503600, 1918},
+	} {
+		a, err := ByName(tc.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run(apps.Config{Procs: tc.procs, Seed: 7, Verify: true})
+		if err != nil {
+			t.Fatalf("%s P=%d: %v", tc.kernel, tc.procs, err)
+		}
+		if got := int64(res.Elapsed); got != tc.elapsedNs {
+			t.Errorf("%s P=%d: elapsed %d ns, want %d", tc.kernel, tc.procs, got, tc.elapsedNs)
+		}
+		if got := res.Stats.TotalSent(); got != tc.sent {
+			t.Errorf("%s P=%d: sent %d messages, want %d", tc.kernel, tc.procs, got, tc.sent)
 		}
 	}
 }
 
-// TestKernelsDeterministic pins that two identical continuation runs
+// TestKernelsDeterministic pins that two identical runs
 // produce the same virtual timeline.
 func TestKernelsDeterministic(t *testing.T) {
 	for _, a := range All() {
@@ -64,7 +69,8 @@ func TestKernelsDeterministic(t *testing.T) {
 	}
 }
 
-// TestByName pins the registry, including the -blk twins.
+// TestByName pins the registry: the three kernels by their names, and
+// nothing under the retired -blk spelling.
 func TestByName(t *testing.T) {
 	for _, name := range []string{"scale-radix", "scale-em3d", "scale-pray"} {
 		a, err := ByName(name)
@@ -74,15 +80,10 @@ func TestByName(t *testing.T) {
 		if a.Name() != name {
 			t.Errorf("ByName(%q).Name() = %q", name, a.Name())
 		}
-		b, err := ByName(name + "-blk")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Name() != name+"-blk" {
-			t.Errorf("ByName(%q).Name() = %q", name+"-blk", b.Name())
-		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("ByName(nope) should fail")
+	for _, name := range []string{"nope", "scale-radix-blk"} {
+		if _, err := ByName(name); err == nil || !strings.Contains(err.Error(), "unknown kernel") {
+			t.Errorf("ByName(%q) = %v, want an unknown-kernel error", name, err)
+		}
 	}
 }

@@ -187,12 +187,3 @@ func fig4Render(o Options, st *run.Store) (*Table, error) {
 	}
 	return t, nil
 }
-
-// Table3 reports each application's input set and base run times.
-func Table3(o Options) (*Table, error) { return runPair(table3Plan, table3Render, o) }
-
-// Table4 reports the per-application communication summary on 32 nodes.
-func Table4(o Options) (*Table, error) { return runPair(table4Plan, table4Render, o) }
-
-// Fig4 renders the communication-balance matrices.
-func Fig4(o Options) (*Table, error) { return runPair(fig4Plan, fig4Render, o) }

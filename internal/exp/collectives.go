@@ -369,6 +369,3 @@ func collectivesRender(o Options, st *run.Store) (*Table, error) {
 		"is measured on the same world and subtracted back out")
 	return t, nil
 }
-
-// Collectives runs the collectives experiment standalone.
-func Collectives(o Options) (*Table, error) { return runPair(collectivesPlan, collectivesRender, o) }

@@ -198,12 +198,6 @@ func Render(id string, o Options, st *run.Store) (*Table, error) {
 	return e.Render(o.Norm(), st)
 }
 
-// runPair is the plan-execute-render path behind the per-artifact
-// convenience functions (Fig5b, Table5, …).
-func runPair(plan func(Options) (*run.Plan, error), render func(Options, *run.Store) (*Table, error), o Options) (*Table, error) {
-	return Experiment{Plan: plan, Render: render}.Run(o)
-}
-
 // noRuns adapts a calibration-only experiment to the Render signature.
 func noRuns(f func(Options) (*Table, error)) func(Options, *run.Store) (*Table, error) {
 	return func(o Options, _ *run.Store) (*Table, error) { return f(o) }

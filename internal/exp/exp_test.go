@@ -18,6 +18,16 @@ func quickOpts() Options {
 	}
 }
 
+// runID runs one registered experiment the way cmd/repro, the daemon
+// and benchmark/ do: look it up, then plan, execute and render.
+func runID(id string, o Options) (*Table, error) {
+	e, err := ByID(id)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(o)
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "fig3", "table2", "table3", "fig4", "table4",
 		"fig5a", "fig5b", "table5", "fig6", "table6", "fig7", "fig8",
@@ -96,11 +106,7 @@ func TestSmallSuiteExperiments(t *testing.T) {
 	o := quickOpts()
 	o.Apps = []string{"radix", "em3d-read", "nowsort"}
 	for _, id := range []string{"table3", "table4", "fig4"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab, err := e.Run(o)
+		tab, err := runID(id, o)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -116,7 +122,7 @@ func TestSmallSuiteExperiments(t *testing.T) {
 func TestOverheadSweepQuick(t *testing.T) {
 	o := quickOpts()
 	o.Apps = []string{"radix", "nowsort"}
-	tab, err := Fig5b(o)
+	tab, err := runID("fig5b", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +143,7 @@ func TestOverheadSweepQuick(t *testing.T) {
 func TestPredictedTableQuick(t *testing.T) {
 	o := quickOpts()
 	o.Apps = []string{"sample"}
-	tab, err := Table5(o)
+	tab, err := runID("table5", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +170,7 @@ func TestDeterminismAcrossJobs(t *testing.T) {
 	render := func(jobs int) string {
 		o := o
 		o.Jobs = jobs
-		tab, err := Fig5b(o)
+		tab, err := runID("fig5b", o)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -184,7 +190,7 @@ func TestDeterminismAcrossJobs(t *testing.T) {
 func TestProfileQuick(t *testing.T) {
 	o := quickOpts()
 	o.Apps = []string{"radix", "nowsort"}
-	tab, err := ProfileTable(o)
+	tab, err := runID("profile", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +238,7 @@ func TestProfileDeterminismAcrossJobs(t *testing.T) {
 	render := func(jobs int) string {
 		o := o
 		o.Jobs = jobs
-		tab, err := ProfileTable(o)
+		tab, err := runID("profile", o)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -252,7 +258,7 @@ func TestProfileDeterminismAcrossJobs(t *testing.T) {
 func TestFaultsQuick(t *testing.T) {
 	o := quickOpts()
 	o.Apps = []string{"radix", "nowsort"}
-	tab, err := Faults(o)
+	tab, err := runID("faults", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +325,7 @@ func TestFaultsDeterminismAcrossJobs(t *testing.T) {
 	render := func(jobs int) string {
 		o := o
 		o.Jobs = jobs
-		tab, err := Faults(o)
+		tab, err := runID("faults", o)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -397,7 +403,7 @@ func TestTableRendering(t *testing.T) {
 func TestExtBurstQuick(t *testing.T) {
 	o := quickOpts()
 	o.Apps = []string{"radix", "nowsort"}
-	tab, err := ExtBurst(o)
+	tab, err := runID("ext-burst", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +426,7 @@ func TestExtBurstQuick(t *testing.T) {
 func TestExtTradeoffQuick(t *testing.T) {
 	o := quickOpts()
 	o.Apps = []string{"em3d-write", "nowsort"}
-	tab, err := ExtTradeoff(o)
+	tab, err := runID("ext-tradeoff", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +444,7 @@ func TestExtTradeoffQuick(t *testing.T) {
 
 func TestExtPhasesQuick(t *testing.T) {
 	o := quickOpts()
-	tab, err := ExtPhases(o)
+	tab, err := runID("ext-phases", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +508,7 @@ func TestCollectivesTunerMatchesMeasured(t *testing.T) {
 func TestCollectivesQuick(t *testing.T) {
 	o := quickOpts()
 	o.Apps = []string{"radix"}
-	tab, err := Collectives(o)
+	tab, err := runID("collectives", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +547,7 @@ func TestCollectivesDeterminismAcrossJobs(t *testing.T) {
 	render := func(jobs int) string {
 		o := o
 		o.Jobs = jobs
-		tab, err := Collectives(o)
+		tab, err := runID("collectives", o)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

@@ -240,15 +240,6 @@ func extPhasesRender(o Options, st *run.Store) (*Table, error) {
 	return t, nil
 }
 
-// ExtBurst measures burstiness against the gap models.
-func ExtBurst(o Options) (*Table, error) { return runPair(extBurstPlan, extBurstRender, o) }
-
-// ExtTradeoff compares processor against network investment.
-func ExtTradeoff(o Options) (*Table, error) { return runPair(extTradeoffPlan, extTradeoffRender, o) }
-
-// ExtPhases dissects Radix's phase shares under overhead.
-func ExtPhases(o Options) (*Table, error) { return runPair(extPhasesPlan, extPhasesRender, o) }
-
 // suiteApp resolves one application by name (thin wrapper so extension
 // experiments read naturally).
 func suiteApp(name string) (apps.App, error) {

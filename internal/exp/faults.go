@@ -139,6 +139,3 @@ func faultsRender(o Options, st *run.Store) (*Table, error) {
 		"N/A: exceeded the livelock time limit")
 	return t, nil
 }
-
-// Faults runs the fault-injection experiment standalone.
-func Faults(o Options) (*Table, error) { return runPair(faultsPlan, faultsRender, o) }

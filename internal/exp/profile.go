@@ -152,6 +152,3 @@ func profileRender(o Options, st *run.Store) (*Table, error) {
 		"N/A: exceeded the livelock time limit (the paper's Barnes behavior)")
 	return t, nil
 }
-
-// ProfileTable runs the stall-attribution experiment standalone.
-func ProfileTable(o Options) (*Table, error) { return runPair(profilePlan, profileRender, o) }

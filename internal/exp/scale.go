@@ -61,8 +61,8 @@ func scaleRungs(o Options) []int {
 	return out
 }
 
-// scaleApps is the kernel set: the three scalekern continuation
-// kernels, one per communication archetype. Options.Apps restricts it
+// scaleApps is the kernel set: the three scalekern kernels, one per
+// communication archetype. Options.Apps restricts it
 // (kernel names, e.g. "scale-pray"), mirroring the paper experiments.
 func scaleApps(o Options) ([]apps.App, error) {
 	if len(o.Apps) == 0 {
@@ -90,7 +90,7 @@ func ResolveApp(name string) (apps.App, error) {
 	if a, err := scalekern.ByName(name); err == nil {
 		return a, nil
 	}
-	return nil, fmt.Errorf("unknown application %q (have %v and the kernels %v with their -blk twins)",
+	return nil, fmt.Errorf("unknown application %q (have %v and the kernels %v)",
 		name, suite.Names(), scalekern.Names())
 }
 
@@ -137,9 +137,6 @@ func scaleWireKB(st *am.Stats) float64 {
 	bytes := st.TotalBulkBytes() + small*am.SmallWireBytes
 	return float64(bytes) / float64(st.P()) / 1024
 }
-
-// ScaleTable runs the scale experiment standalone.
-func ScaleTable(o Options) (*Table, error) { return runPair(scalePlan, scaleRender, o) }
 
 func scaleRender(o Options, st *run.Store) (*Table, error) {
 	o = o.Norm()

@@ -15,7 +15,7 @@ func TestScaleQuick(t *testing.T) {
 	}
 	o := quickOpts()
 	o.Apps = []string{"scale-pray"}
-	tab, err := ScaleTable(o)
+	tab, err := runID("scale", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestScaleDeterminismAcrossJobs(t *testing.T) {
 	render := func(jobs int) string {
 		o := o
 		o.Jobs = jobs
-		tab, err := ScaleTable(o)
+		tab, err := runID("scale", o)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

@@ -143,21 +143,6 @@ func fig8Render(o Options, st *run.Store) (*Table, error) {
 	return slowdownRender("fig8", "Slowdown vs bulk bandwidth (32 nodes)", "MB/s", o, st, o.Procs, core.KnobBW, bulkBWPoints)
 }
 
-// Fig5a is the overhead sensitivity sweep on 16 nodes.
-func Fig5a(o Options) (*Table, error) { return runPair(fig5aPlan, fig5aRender, o) }
-
-// Fig5b is the overhead sensitivity sweep on 32 nodes.
-func Fig5b(o Options) (*Table, error) { return runPair(fig5bPlan, fig5bRender, o) }
-
-// Fig6 is the gap sensitivity sweep.
-func Fig6(o Options) (*Table, error) { return runPair(fig6Plan, fig6Render, o) }
-
-// Fig7 is the latency sensitivity sweep.
-func Fig7(o Options) (*Table, error) { return runPair(fig7Plan, fig7Render, o) }
-
-// Fig8 is the bulk-bandwidth sensitivity sweep.
-func Fig8(o Options) (*Table, error) { return runPair(fig8Plan, fig8Render, o) }
-
 // predictedPlan declares the measured-vs-predicted matrix for one knob:
 // the same specs as the corresponding slowdown sweep at the options'
 // cluster size, so Table 5 shares every run with Fig 5b and Table 6 with
@@ -231,11 +216,3 @@ func table6Render(o Options, st *run.Store) (*Table, error) {
 	return predictedRender("table6", "Measured vs predicted, varying gap (32 nodes)",
 		"Δg(µs)", o, st, core.KnobG, gapPoints, model.GapBurst)
 }
-
-// Table5 compares measured run times against the overhead model
-// r = r0 + 2·m·Δo.
-func Table5(o Options) (*Table, error) { return runPair(table5Plan, table5Render, o) }
-
-// Table6 compares measured run times against the burst gap model
-// r = r0 + m·Δg.
-func Table6(o Options) (*Table, error) { return runPair(table6Plan, table6Render, o) }

@@ -155,7 +155,3 @@ func abs(v float64) float64 {
 	}
 	return v
 }
-
-// ToleranceTable is the plan-execute-render convenience for the
-// analytic-tolerance cross-validation.
-func ToleranceTable(o Options) (*Table, error) { return runPair(tolerancePlan, toleranceRender, o) }

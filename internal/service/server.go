@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/run"
-	"repro/internal/sim"
 	"repro/internal/tolerance"
 )
 
@@ -194,10 +193,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if req.Analytic {
-		s.serveAnalyticSweep(w, r, req, k)
-		return
-	}
 	p := run.NewPlan()
 	specs := make([]run.Spec, len(req.Values))
 	var baseSpec run.Spec
@@ -250,110 +245,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.servePlan(w, r, p, func(pr *planResult) (any, error) { return build(pr) })
 }
 
-// instrumentedSpec builds the depgraph-instrumented baseline spec
-// behind the analytic endpoints, validated like any wire spec.
-func instrumentedSpec(app string, procs int, scale float64, seed int64, verify bool, cpu float64, coll *CollJSON) (run.Spec, error) {
-	w := SpecJSON{
-		App: app, Procs: procs, Scale: scale, Seed: seed,
-		Verify: verify, CPUSpeedup: cpu, Coll: coll, Depgraph: true,
-	}
-	return w.Spec()
-}
-
-// serveAnalyticSweep answers a sweep from the analytic makespan curves
-// of one instrumented baseline run: N design points, at most one
-// simulation (zero once the instrumented run is in the persistent
-// store). Predicted points report Source "analytic" and carry the
-// instrumented run's hash — the content address of the data the
-// prediction came from. Livelock mirrors the measured semantics: a
-// predicted makespan at or past LivelockFactor× the base reports as
-// livelocked with zero elapsed.
-func (s *Server) serveAnalyticSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, k core.Knob) {
-	axis := KnobName(k)
-	if _, ok := (&tolerance.Curves{}).ByAxis(axis); !ok {
-		s.writeError(w, r, http.StatusBadRequest,
-			fmt.Errorf("service: analytic sweep models o, g, and L only (got %q)", req.Knob))
-		return
-	}
-	spec, err := instrumentedSpec(req.App, req.Procs, req.Scale, req.Seed, req.Verify, req.CPUSpeedup, req.Coll)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	start := time.Now()
-	hash := spec.Hash()
-	out, src, err := s.resolve(r.Context(), clientID(r), spec, hash, true, nil)
-	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	if out.Err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, out.Err)
-		return
-	}
-	if out.Res.Curves == nil {
-		s.writeError(w, r, http.StatusInternalServerError,
-			fmt.Errorf("service: %v has no analytic curves: %s", spec, out.Res.DepgraphErr))
-		return
-	}
-	c, _ := out.Res.Curves.ByAxis(axis)
-	base := c.Base()
-	resp := &SweepResponse{
-		App: req.App, Knob: req.Knob,
-		Baseline: pointToJSON(out.Point),
-		BaseHash: hash,
-		Cache:    CacheCounts{Total: 1},
-	}
-	switch src {
-	case SourceDisk:
-		resp.Cache.DiskHits++
-	case SourceComputed:
-		resp.Cache.Computed++
-	case SourceCoalesced:
-		resp.Cache.Coalesced++
-	}
-	for _, v := range req.Values {
-		pred := c.Eval(sim.FromMicros(v))
-		pt := PointJSON{Value: v}
-		if base > 0 && pred >= base*core.LivelockFactor {
-			pt.Livelocked = true
-		} else {
-			pt.ElapsedNs = int64(pred)
-			if base > 0 {
-				pt.Slowdown = float64(pred) / float64(base)
-			}
-		}
-		resp.Points = append(resp.Points, SweepPoint{PointJSON: pt, Hash: resp.BaseHash, Source: SourceAnalytic})
-	}
-	s.writeAnalytic(w, r, spec, hash, src, start, resp)
-}
-
-// writeAnalytic writes an analytic response plain, or over SSE (one
-// progress tick for the instrumented run, then the result) so streaming
-// clients see the same event protocol as a simulated plan.
-func (s *Server) writeAnalytic(w http.ResponseWriter, r *http.Request, spec run.Spec, hash, src string, start time.Time, resp any) {
-	if !wantStream(r) {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	emit, err := sseWriter(w)
-	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	_ = emit("progress", PlanEvent{
-		Done: 1, Total: 1, Spec: spec.String(), Hash: hash,
-		Source: src, WallUs: time.Since(start).Microseconds(),
-	})
-	_ = emit("result", resp)
-}
-
 // handleTolerance resolves one instrumented baseline (content-addressed
 // by its depgraph-keyed hash like any run) and reports its analytic
-// makespan curves and per-axis tolerance figures — the whole sweep's
-// answer from a single simulation. A run outside the model's validity
-// region still answers 200, with the curves absent and depgraph_error
-// explaining why.
+// makespan curves and per-axis tolerance figures. The curves freeze the
+// baseline's schedule, so they are a shape model to read next to the
+// measured error table of EXPERIMENTS.md, not sweep points: /v1/sweep
+// always simulates. A run outside the model's validity region still
+// answers 200, with the curves absent and depgraph_error explaining
+// why.
 func (s *Server) handleTolerance(w http.ResponseWriter, r *http.Request) {
 	var req ToleranceRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -368,7 +267,10 @@ func (s *Server) handleTolerance(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("service: tolerance factor %g < 1", factor))
 		return
 	}
-	spec, err := instrumentedSpec(req.App, req.Procs, req.Scale, req.Seed, req.Verify, req.CPUSpeedup, req.Coll)
+	spec, err := SpecJSON{
+		App: req.App, Procs: req.Procs, Scale: req.Scale, Seed: req.Seed,
+		Verify: req.Verify, CPUSpeedup: req.CPUSpeedup, Coll: req.Coll, Depgraph: true,
+	}.Spec()
 	if err == nil {
 		_, err = s.runner.App(spec.App)
 	}

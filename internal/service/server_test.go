@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
@@ -50,7 +49,11 @@ func TestServiceFig5bByteIdentity(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 4})
 	ctx := context.Background()
 
-	offline, err := exp.Fig5b(exp.Options{Procs: 8, Scale: 1.0 / 2048, Seed: 1, Quick: true, Apps: []string{"radix"}})
+	fig5b, err := exp.ByID("fig5b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := fig5b.Run(quickFig5bOptions().options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,6 +392,11 @@ func TestServiceSweepSSE(t *testing.T) {
 	if len(plain.Points) != 2 {
 		t.Fatalf("points = %d, want 2", len(plain.Points))
 	}
+	for i, p := range plain.Points {
+		if p.Source != SourceComputed {
+			t.Fatalf("cold point %d source = %q, want a simulation", i, p.Source)
+		}
+	}
 
 	body, err := json.Marshal(sweepReq)
 	if err != nil {
@@ -515,67 +523,12 @@ func TestServiceToleranceEndpoint(t *testing.T) {
 	if !bytes.Equal(wj, cj) {
 		t.Fatal("warm curves not identical to cold")
 	}
-}
-
-// TestServiceAnalyticSweep pins the sweep fast path: with analytic set,
-// a whole value matrix resolves from one instrumented run — every point
-// reports Source "analytic" and the instrumented run's hash, and the
-// prediction at delta zero is exactly the measured baseline.
-func TestServiceAnalyticSweep(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 2})
-	ctx := context.Background()
-
-	req := SweepRequest{
-		App: "radix", Procs: 4, Scale: 1.0 / 4096, Seed: 1,
-		Knob: "o", Values: []float64{0, 5, 25}, Analytic: true,
-	}
-	cold, err := c.Sweep(ctx, req)
+	st, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Cache.Total != 1 || cold.Cache.Computed != 1 {
-		t.Fatalf("cold cache counts = %+v, want one computed run", cold.Cache)
-	}
-	if len(cold.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(cold.Points))
-	}
-	for i, p := range cold.Points {
-		if p.Source != SourceAnalytic {
-			t.Fatalf("point %d source = %q, want analytic", i, p.Source)
-		}
-		if p.Hash != cold.BaseHash {
-			t.Fatalf("point %d hash %q != instrumented hash %q", i, p.Hash, cold.BaseHash)
-		}
-	}
-	if cold.Points[0].ElapsedNs != cold.Baseline.ElapsedNs || cold.Points[0].Slowdown != 1 {
-		t.Fatalf("prediction at delta 0 = %+v, want the baseline %+v", cold.Points[0], cold.Baseline)
-	}
-	if cold.Points[2].ElapsedNs < cold.Points[1].ElapsedNs {
-		t.Fatalf("predictions not monotone: %+v", cold.Points)
-	}
-
-	// Warm pass: zero simulations.
-	warm, err := c.Sweep(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Cache.DiskHits != 1 || warm.Cache.Computed != 0 {
-		t.Fatalf("warm cache counts = %+v, want one disk hit", warm.Cache)
-	}
-	for i := range warm.Points {
-		if warm.Points[i] != cold.Points[i] {
-			t.Fatalf("warm point %d differs: %+v vs %+v", i, warm.Points[i], cold.Points[i])
-		}
-	}
-
-	// The bulk-bandwidth knob has no analytic curve.
-	_, err = c.Sweep(ctx, SweepRequest{
-		App: "radix", Procs: 4, Scale: 1.0 / 4096, Seed: 1,
-		Knob: "bw", Values: []float64{10}, Analytic: true,
-	})
-	se, ok := err.(*StatusError)
-	if !ok || se.Code != http.StatusBadRequest {
-		t.Fatalf("analytic bw sweep err = %v, want 400", err)
+	if st.Cache.Computed != 1 {
+		t.Fatalf("computed = %d after a cold and a warm request, want 1: the warm one simulates nothing", st.Cache.Computed)
 	}
 }
 
@@ -601,7 +554,8 @@ func TestServiceBadRequests(t *testing.T) {
 		{"unknown experiment", "/v1/experiment", `{"id":"no-such-figure"}`, 400, "no-such-figure"},
 		{"unknown app: run", "/v1/run", `{` + unknownApp + `}`, 400, "have ["},
 		{"unknown app: measured sweep", "/v1/sweep", `{` + unknownApp + `,"knob":"o","values":[1,2]}`, 400, "have ["},
-		{"unknown app: analytic sweep", "/v1/sweep", `{` + unknownApp + `,"knob":"o","values":[1,2],"analytic":true}`, 400, "have ["},
+		{"analytic field is gone", "/v1/sweep", `{"app":"radix","procs":4,"scale":0.001,"knob":"o","values":[1,2],"analytic":true}`, 400, "analytic"},
+		{"blk kernel is gone", "/v1/run", `{"app":"scale-pray-blk","procs":4,"scale":0.001,"seed":1}`, 400, "have ["},
 		{"unknown app: tolerance", "/v1/tolerance", `{` + unknownApp + `}`, 400, "have ["},
 		{"oversized body", "/v1/run", `{"app":"` + strings.Repeat("x", maxBodyBytes) + `"}`, 413, "too large"},
 	} {

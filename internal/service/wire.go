@@ -133,7 +133,6 @@ const (
 	SourceDisk      = "disk"      // served from the persistent store
 	SourceComputed  = "computed"  // executed on the shared worker pool
 	SourceCoalesced = "coalesced" // joined an identical in-flight run
-	SourceAnalytic  = "analytic"  // evaluated from cached tolerance curves
 )
 
 // RunRequest asks for one spec. Minimal omits the full result payload
@@ -157,12 +156,8 @@ type RunResponse struct {
 }
 
 // SweepRequest asks for one app × knob × values matrix (the paper's
-// fig5–fig8 shape). The baseline run is implied. Analytic answers the
-// whole matrix from a single instrumented baseline run instead of N
-// simulations: the points are evaluated from the run's parametric
-// makespan curves (internal/tolerance) and report Source "analytic".
-// Only the o, g, and L knobs have curves; an analytic bw sweep is a
-// bad request.
+// fig5–fig8 shape). The baseline run is implied, and every point is a
+// simulation or a verified cache hit of one.
 type SweepRequest struct {
 	App        string    `json:"app"`
 	Procs      int       `json:"procs"`
@@ -173,7 +168,6 @@ type SweepRequest struct {
 	Verify     bool      `json:"verify,omitempty"`
 	CPUSpeedup float64   `json:"cpu_speedup,omitempty"`
 	Coll       *CollJSON `json:"coll,omitempty"`
-	Analytic   bool      `json:"analytic,omitempty"`
 }
 
 // SweepPoint is one resolved design point of a sweep.
@@ -197,7 +191,8 @@ type SweepResponse struct {
 // curves: one instrumented baseline run (content-addressed in the
 // persistent store like any result, with the depgraph bit in its key)
 // yields the full T(Δo), T(ΔL), T(Δg) makespan curves and per-axis
-// tolerance figures without any sweep simulations.
+// tolerance figures. The curves hold the baseline's schedule fixed, so
+// they model a sweep's shape and do not stand in for its points.
 type ToleranceRequest struct {
 	App        string    `json:"app"`
 	Procs      int       `json:"procs"`

@@ -258,8 +258,7 @@ func Suite() []App { return suite.All() }
 
 // AppByName finds an application by its short name: the paper suite
 // (for example "radix", "em3d-read", "nowsort") first, then the
-// weak-scaling kernels ("scale-radix", "scale-em3d", "scale-pray" and
-// their "-blk" coroutine twins).
+// weak-scaling kernels ("scale-radix", "scale-em3d", "scale-pray").
 func AppByName(name string) (App, error) { return exp.ResolveApp(name) }
 
 // Experiments lists every table/figure experiment in paper order.
