@@ -113,6 +113,29 @@ func TestRepro(t *testing.T) {
 	})
 }
 
+// TestReproWritesProfiles: -cpuprofile and -memprofile leave non-empty
+// files behind on the way out of a render and of an error exit alike.
+func TestReproWritesProfiles(t *testing.T) {
+	for _, tc := range []struct {
+		exp  string
+		exit int
+	}{{"table1", 0}, {"fig99", 1}} {
+		t.Run(tc.exp, func(t *testing.T) {
+			dir := t.TempDir()
+			cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+			code, out := run(t, "repro", "-exp", tc.exp, "-cpuprofile", cpu, "-memprofile", mem)
+			if code != tc.exit {
+				t.Fatalf("exit %d, want %d\n%s", code, tc.exit, out)
+			}
+			for _, path := range []string{cpu, mem} {
+				if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+					t.Errorf("%s: %v, want a non-empty profile", filepath.Base(path), err)
+				}
+			}
+		})
+	}
+}
+
 func TestAppstat(t *testing.T) {
 	checkGolden(t, "appstat", []invocation{
 		{"appstat-h", []string{"-h"}, 0},

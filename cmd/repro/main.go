@@ -12,6 +12,7 @@
 //	repro -list
 //	repro -exp fig5b [-procs 32] [-scale 0.00390625] [-apps radix,sample] [-jobs 8]
 //	repro -exp all -quick -csv -out results/
+//	repro -exp fig5b -quick -jobs 2 -cpuprofile cpu.out
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -28,7 +30,11 @@ import (
 	"repro"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main returning its exit code, so that the profiles are stopped
+// and written on every way out.
+func run() int {
 	var (
 		expID   = flag.String("exp", "", "experiment id (table1..fig8) or 'all' (everything except the hours-long 'scale')")
 		list    = flag.Bool("list", false, "list available experiments")
@@ -42,18 +48,40 @@ func main() {
 		csvOut  = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		outDir  = flag.String("out", "", "write per-experiment files into this directory")
 		quiet   = flag.Bool("quiet", false, "suppress the live progress line and run summary")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
+		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
+
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "repro: -cpuprofile: %v\n", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "repro: -cpuprofile: %v\n", err)
+			}
+		}()
+	}
+	if *memProf != "" {
+		defer writeAllocProfile(*memProf)
+	}
 
 	if *list {
 		for _, e := range repro.Experiments() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 	if *expID == "" {
 		fmt.Fprintln(os.Stderr, "repro: -exp <id>|all required (see -list)")
-		os.Exit(2)
+		return 2
 	}
 
 	opts := repro.Options{
@@ -87,7 +115,7 @@ func main() {
 	plan, err := repro.PlanExperiments(ids, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	// Phase 2: execute the plan on the worker pool, narrating progress.
@@ -100,7 +128,7 @@ func main() {
 		tracker.finish()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if !*quiet {
 			tracker.summarize(os.Stderr, plan, time.Since(start), effectiveJobs(*jobs))
@@ -113,7 +141,7 @@ func main() {
 		tab, err := repro.RenderExperiment(id, opts, store)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %s: %v\n", id, err)
-			os.Exit(1)
+			return 1
 		}
 		body := tab.Text()
 		if *csvOut {
@@ -126,18 +154,37 @@ func main() {
 			}
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
 				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 			path := filepath.Join(*outDir, id+ext)
 			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Printf("%-8s -> %s (rendered in %v)\n", id, path, time.Since(start).Round(time.Millisecond))
 			continue
 		}
 		fmt.Print(body)
 		fmt.Println()
+	}
+	return 0
+}
+
+// writeAllocProfile writes every allocation since the start of the
+// process, the profile `go test -memprofile` writes.
+func writeAllocProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: -memprofile: %v\n", err)
+		return
+	}
+	runtime.GC() // complete the profile up to now
+	err = pprof.Lookup("allocs").WriteTo(f, 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: -memprofile: %v\n", err)
 	}
 }
 

@@ -434,6 +434,10 @@ func (ep *Endpoint) Store(dst int, class Class, h BulkHandler, args Args, data [
 // the mechanism behind bulk gets: a short read request whose reply is a
 // DMA transfer. Like short replies it bypasses the window (the requester's
 // own window already bounds it) and is legal from handler context.
+// ReplyBulk takes ownership of data: the slice itself travels and is
+// handed to h on the requester, so the caller builds it for this reply and
+// does not touch it again (Store, whose callers send from live memory,
+// copies instead).
 func (ep *Endpoint) ReplyBulk(tok *Token, h BulkHandler, args Args, data []byte) {
 	if tok == nil || tok.IsReply {
 		panic("am: ReplyBulk requires a request token")
@@ -449,10 +453,8 @@ func (ep *Endpoint) ReplyBulk(tok *Token, h BulkHandler, args Args, data []byte)
 		panic(fmt.Sprintf("am: ReplyBulk of %d bytes exceeds fragment size %d", len(data), p.FragmentSize))
 	}
 	tok.replied = true
-	buf := make([]byte, len(data))
-	copy(buf, data)
 	msg := ep.m.getMsg()
-	msg.kind, msg.src, msg.dst, msg.class, msg.bulkH, msg.args, msg.data = kindBulkReply, ep.ID(), tok.Src, tok.Class, h, args, buf
+	msg.kind, msg.src, msg.dst, msg.class, msg.bulkH, msg.args, msg.data = kindBulkReply, ep.ID(), tok.Src, tok.Class, h, args, data
 	ep.chargeSend()
 	ep.m.stats.countSendAt(ep.ID(), tok.Src, tok.Class, true, len(data), ep.proc.Clock())
 	ep.launch(msg)

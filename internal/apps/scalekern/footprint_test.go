@@ -16,10 +16,11 @@ import (
 // the sparse large-P representations that the million-processor rung
 // actually uses.
 //
-// Budgets are ~1.5x the measured values (radix ~5.5 KB, pray ~2.9 KB
-// per processor at P = 10k), absorbing allocator and toolchain noise
-// while still catching any per-processor cost that grows with machine
-// size: an O(P) slip multiplies the figure a thousandfold at this P.
+// Budgets are 1.2x and 1.1x the measured values (radix ~6.8 KB, pray
+// ~4.1 KB per processor at P = 10k, Go 1.24), absorbing allocator and
+// toolchain noise while still catching any per-processor cost that
+// grows with machine size: an O(P) slip multiplies the figure a
+// thousandfold at this P.
 // Radix carries the largest budget because its per-bucket collective
 // cells grow with the log P scan depth.
 func TestSteadyStateFootprint(t *testing.T) {

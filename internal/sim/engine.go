@@ -56,6 +56,7 @@ func New(cfg Config) *Engine {
 		panic(fmt.Sprintf("sim: Config.Procs must be >= 1, got %d", cfg.Procs))
 	}
 	e := &Engine{timeLimit: cfg.TimeLimit, seed: cfg.Seed}
+	e.ready.ps = make([]readyEntry, 0, cfg.Procs) // its high-water mark
 	e.procs = make([]*Proc, cfg.Procs)
 	for i := range e.procs {
 		e.procs[i] = newProc(e, i)
@@ -161,7 +162,9 @@ func (e *Engine) Run(body func(*Proc)) error {
 // done, when nothing can run any more (deadlock), or at the first
 // failure.
 func (e *Engine) drive() {
-	var p *Proc // holds the CPU; the culprit if its turn panics
+	// p holds the CPU and is the culprit if its turn panics; nil while
+	// next() runs, whose events belong to no processor.
+	var p *Proc
 	defer func() {
 		switch r := recover().(type) {
 		case nil, abortPanic:
@@ -174,14 +177,15 @@ func (e *Engine) drive() {
 		}
 	}()
 	for e.failure == nil {
-		p = nil // events that run inside next() belong to no processor
-		if p = e.next(); p == nil {
-			if e.liveCount > 0 {
-				e.recordFailure(e.deadlockError())
+		if p == nil {
+			if p = e.next(); p == nil {
+				if e.liveCount > 0 {
+					e.recordFailure(e.deadlockError())
+				}
+				return
 			}
-			return
 		}
-		e.turn(p)
+		p = e.turn(p)
 	}
 }
 
@@ -217,8 +221,14 @@ func (e *Engine) next() *Proc {
 // blocking bodies do not loop over their waits, they hand them here
 // (Proc.Await).
 //
+// turn returns who runs next when it already knows: a p that stopped
+// being the minimum changes places with the ready heap's root in one
+// sift, and the old root is what next() would have popped — holds has
+// just run every event due by p's clock, which is not before the root's.
+// It returns nil when p finished or blocked, and next() must look.
+//
 //repro:hotpath
-func (e *Engine) turn(p *Proc) {
+func (e *Engine) turn(p *Proc) *Proc {
 	p.state = stateRunning
 	for {
 		switch w := p.wait; {
@@ -228,7 +238,7 @@ func (e *Engine) turn(p *Proc) {
 				p.state = stateDone
 				p.body = nil
 				e.liveCount--
-				return
+				return nil
 			}
 			if next == nil {
 				panic(fmt.Sprintf("sim: proc %d Resume returned neither a wait nor done", p.id))
@@ -241,24 +251,18 @@ func (e *Engine) turn(p *Proc) {
 		default:
 			t, ok := w.NextWork(p)
 			if !ok {
-				if len(p.pendingWakes) == 0 {
+				// A wakeup that arrived while p was not blocked stands in
+				// for blocking, if it still lies ahead.
+				if t, ok = p.takeWake(); !ok {
 					p.state = stateBlocked
-					return
+					return nil
 				}
-				// A wakeup arrived while p was not blocked; consume the
-				// earliest instead of blocking. Shift in place rather than
-				// re-slicing so the backing array's capacity is never
-				// abandoned.
-				t = p.pendingWakes[0]
-				copy(p.pendingWakes, p.pendingWakes[1:])
-				p.pendingWakes = p.pendingWakes[:len(p.pendingWakes)-1]
 			}
 			p.AdvanceTo(t)
 		}
 		if !e.holds(p) {
 			p.state = stateReady
-			e.ready.push(p)
-			return
+			return e.ready.handOff(p)
 		}
 	}
 }
@@ -281,7 +285,11 @@ func (e *Engine) holds(p *Proc) bool {
 	}
 	e.drainEvents(p.clock)
 	q := e.ready.peek()
-	return q == nil || p.before(q)
+	if q == nil {
+		return true
+	}
+	self := p.entry()
+	return self.before(q)
 }
 
 func (e *Engine) deadlockError() error {

@@ -48,11 +48,10 @@ const (
 // cross-proc data structures need no locking, but a Proc handle must not
 // be captured by another body); WakeAt is the one exception.
 type Proc struct {
-	id        int
-	eng       *Engine
-	clock     Time
-	state     procState
-	heapIndex int
+	id    int
+	eng   *Engine
+	clock Time
+	state procState
 	// body is what the scheduler steps; nil once it is done.
 	body Resumable
 	// yield suspends a blocking body on a wait until the scheduler has
@@ -65,10 +64,13 @@ type Proc struct {
 	// state per processor up front.
 	rng *rand.Rand
 
-	// pendingWakes records WakeAt calls that arrived while the processor
-	// was not blocked (running, ready, or not yet started). A wait that
-	// would block consumes them instead, so no wakeup is ever lost. Kept
-	// sorted ascending; typically empty or a single element.
+	// pendingWakes records the instants, later than the clock when they
+	// were recorded, of WakeAt calls that arrived while the processor was
+	// not blocked (running, ready, or not yet started). A wait that would
+	// block moves the clock to the earliest one still ahead instead
+	// (takeWake), so no wakeup is ever lost. Sorted ascending, no
+	// duplicates; typically empty or a single element, because a wake is
+	// rarely for an instant the processor has yet to reach.
 	pendingWakes []Time
 
 	// wait, when non-nil, is the wait the processor is in: the scheduler
@@ -88,10 +90,9 @@ type Proc struct {
 
 func newProc(e *Engine, id int) *Proc {
 	return &Proc{
-		id:        id,
-		eng:       e,
-		state:     statePending,
-		heapIndex: -1,
+		id:    id,
+		eng:   e,
+		state: statePending,
 	}
 }
 
@@ -171,15 +172,6 @@ func (p *Proc) AdvanceTo(t Time) {
 	}
 }
 
-// before reports whether p is scheduled ahead of q: the strict total order
-// (clock, id) of the ready heap.
-func (p *Proc) before(q *Proc) bool {
-	if p.clock != q.clock {
-		return p.clock < q.clock
-	}
-	return p.id < q.id
-}
-
 // PollableWait is what a processor waits on: a condition plus the work a
 // real processor would do while spin-polling for it. Every step is
 // expressed against engine and endpoint state rather than the body's
@@ -242,11 +234,13 @@ func waitReason(w PollableWait) string {
 }
 
 // WakeAt makes a blocked processor runnable at time t (or at its own clock,
-// whichever is later). If the processor is not currently blocked, the
-// wakeup is recorded and a wait that would block spins forward to t
-// instead, so wakeups are never lost. WakeAt is the only Proc method that
-// may be called from outside p's own execution context (from events or
-// other bodies).
+// whichever is later). If the processor is not currently blocked and t is
+// in its future, the wakeup is recorded and a wait that would block spins
+// forward to t instead, so wakeups are never lost. A t the processor has
+// already reached needs no record: whatever the wake announces is visible
+// to the wait's next Ready/PollOne/NextWork at the clock it already has.
+// WakeAt is the only Proc method that may be called from outside p's own
+// execution context (from events or other bodies).
 //
 //repro:hotpath
 func (p *Proc) WakeAt(t Time) {
@@ -264,12 +258,15 @@ func (p *Proc) WakeAt(t Time) {
 	case stateDone:
 		// Nothing to do.
 	default:
+		if t <= p.clock {
+			return
+		}
 		// Insert into the sorted pending-wake list.
 		i := len(p.pendingWakes)
 		for i > 0 && p.pendingWakes[i-1] > t {
 			i--
 		}
-		if i < len(p.pendingWakes) && p.pendingWakes[i] == t {
+		if i > 0 && p.pendingWakes[i-1] == t {
 			return // dedup
 		}
 		//lint:allow hotpathalloc pending-wake list growth; typically empty or one element, capacity is kept
@@ -277,6 +274,32 @@ func (p *Proc) WakeAt(t Time) {
 		copy(p.pendingWakes[i+1:], p.pendingWakes[i:])
 		p.pendingWakes[i] = t
 	}
+}
+
+// takeWake removes and returns the earliest recorded wake that is still
+// ahead of the clock, discarding the ones the clock has passed since they
+// were recorded; ok is false when none is left. A future wake must be
+// honoured even when nothing is left to wait for at it: another
+// processor, running ahead, may already have drained the event that sent
+// it (a window-credit return, say), and the jump to t is then the only
+// trace of the wait the real processor would have sat through.
+//
+//repro:hotpath
+func (p *Proc) takeWake() (t Time, ok bool) {
+	w := p.pendingWakes
+	i := 0
+	for i < len(w) && w[i] <= p.clock {
+		i++
+	}
+	if i == len(w) {
+		p.pendingWakes = w[:0]
+		return 0, false
+	}
+	t = w[i]
+	// Shift in place rather than re-slicing so the backing array's
+	// capacity is never abandoned.
+	p.pendingWakes = w[:copy(w, w[i+1:])]
+	return t, true
 }
 
 // SleepUntil suspends the processor until virtual time t. Spurious wakeups

@@ -446,6 +446,66 @@ func TestPendingWakeConsumedByPark(t *testing.T) {
 	}
 }
 
+// wakeCountWait is a sleep with no alarm of its own that counts how often
+// the scheduler asks whether it is over.
+type wakeCountWait struct {
+	sleepWait
+	asked int
+}
+
+func (w *wakeCountWait) Ready(p *Proc) bool { w.asked++; return w.sleepWait.Ready(p) }
+
+// TestStaleWakesCostNothing: a wake for an instant its processor has
+// already reached is never queued, so neither the list nor the wait that
+// reads it grows with the number of deliveries — only the wakes still
+// ahead are kept (once each) and taken in order.
+func TestStaleWakesCostNothing(t *testing.T) {
+	const n = 10_000
+	future := []Time{n + 10, n + 20, n + 30}
+	var (
+		recorded int
+		wakes    []Time
+		wait     = wakeCountWait{sleepWait: sleepWait{until: future[len(future)-1]}}
+	)
+	e := New(Config{Procs: 2})
+	err := e.Run(func(p *Proc) {
+		if p.ID() == 0 {
+			p.Advance(1)
+			p.Checkpoint() // the target runs ahead to n+1 and is ready there
+			target := e.Proc(1)
+			for i := 1; i <= n; i++ {
+				at := Time(i)
+				e.ScheduleAt(at, func() { target.WakeAt(at) })
+			}
+			for _, at := range append(future, future...) {
+				e.ScheduleAt(at, func() { target.WakeAt(at) })
+			}
+			e.ScheduleAt(wait.until, func() { recorded = len(target.pendingWakes) })
+			p.Advance(2 * n)
+			p.Checkpoint() // every event fires, then the target has the CPU
+			return
+		}
+		p.Advance(n + 1)
+		p.Checkpoint()
+		p.SetClockHook(func(_ ClockKind, _, to Time) { wakes = append(wakes, to) })
+		p.Await(&wait)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recorded != len(future) {
+		t.Errorf("%d wakes recorded after %d stale and %d future (each sent twice), want %d", recorded, n, len(future), len(future))
+	}
+	// Await asks once, the scheduler once on taking the wait up and once
+	// after each jump.
+	if max := 2 + len(future); wait.asked > max {
+		t.Errorf("Ready evaluated %d times for %d wakes ahead of the clock, want at most %d", wait.asked, len(future), max)
+	}
+	if fmt.Sprint(wakes) != fmt.Sprint(future) {
+		t.Errorf("clock moved to %v, want %v", wakes, future)
+	}
+}
+
 // Property: for any batch of event times, the engine executes them in
 // non-decreasing time order with FIFO tie-breaks.
 func TestEventOrderProperty(t *testing.T) {
@@ -517,27 +577,6 @@ func TestCausalOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestProcHeapStress(t *testing.T) {
-	// Exercise push/pop/remove invariants directly.
-	var h procHeap
-	e := New(Config{Procs: 1})
-	ps := make([]*Proc, 64)
-	for i := range ps {
-		ps[i] = newProc(e, i)
-		ps[i].clock = Time((i * 37) % 64)
-		h.push(ps[i])
-	}
-	var prev Time = -1
-	var prevID = -1
-	for h.len() > 0 {
-		p := h.pop()
-		if p.clock < prev || (p.clock == prev && p.id < prevID) {
-			t.Fatalf("heap order violated: %d@%d after %d@%d", p.id, p.clock, prevID, prev)
-		}
-		prev, prevID = p.clock, p.id
 	}
 }
 
@@ -650,7 +689,9 @@ func TestAbortLeaksNothing(t *testing.T) {
 			if !c.want(err) {
 				t.Errorf("Run returned %v", err)
 			}
-			if after := runtime.NumGoroutine(); after != before {
+			// More, not different: the previous subtest's own goroutine may
+			// still be on its way out when before is read.
+			if after := runtime.NumGoroutine(); after > before {
 				t.Errorf("%d goroutines before the run, %d after", before, after)
 			}
 		})
