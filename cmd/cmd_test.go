@@ -7,9 +7,11 @@ package cmd_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -133,6 +135,66 @@ func TestReproWritesProfiles(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReproInterruptKeepsProfile interrupts repro while its plan is
+// executing: no further run starts, the runs that finished are
+// summarized, the exit is non-zero, and it goes through run's deferred
+// calls — the CPU profile is a complete gzip stream, not the empty file
+// a killed process leaves.
+func TestReproInterruptKeepsProfile(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.out")
+	// The full fig5b plan, one lane: seconds of work left at any point.
+	cmd := exec.Command(filepath.Join(binDir, "repro"), "-exp", "fig5b", "-procs", "8",
+		"-scale", "0.001953125", "-jobs", "1", "-cpuprofile", cpu)
+	cmd.Dir = dir
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	// The first progress line says the plan is executing.
+	var seen []byte
+	for buf := make([]byte, 4096); !bytes.Contains(seen, []byte("[1/")); {
+		n, err := stderr.Read(buf)
+		if err != nil {
+			t.Fatalf("repro ended before its first run: %v\n%s", err, seen)
+		}
+		seen = append(seen, buf[:n]...)
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := io.ReadAll(stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen = append(seen, rest...)
+	var ee *exec.ExitError
+	if err := cmd.Wait(); !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Errorf("repro after SIGINT: %v, want exit status 1\n%s", err, seen)
+	}
+	for _, want := range []string{"repro: executed ", "repro: interrupted, "} {
+		if !bytes.Contains(seen, []byte(want)) {
+			t.Errorf("stderr lacks %q:\n%s", want, seen)
+		}
+	}
+	f, err := os.Open(cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("cpu profile: %v", err)
+	}
+	if prof, err := io.ReadAll(zr); err != nil || len(prof) == 0 {
+		t.Errorf("cpu profile: %d bytes, %v; want a complete profile", len(prof), err)
 	}
 }
 

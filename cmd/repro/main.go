@@ -16,9 +16,12 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -119,19 +122,31 @@ func run() int {
 	}
 
 	// Phase 2: execute the plan on the worker pool, narrating progress.
+	// An interrupt starts no further run: the runs that did finish are
+	// summarized and the exit goes through the deferred profile writers.
 	store := repro.NewRunStore()
 	if plan.Size() > 0 {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer stop()
+		// A simulation in progress runs to its end, which can be minutes
+		// away: after the first interrupt the next one kills the process.
+		context.AfterFunc(ctx, stop)
 		tracker := newTracker(*quiet)
 		runner := repro.NewRunner(opts, tracker.observe)
 		start := time.Now()
-		err := runner.RunInto(store, plan)
+		err := runner.RunIntoContext(ctx, store, plan)
 		tracker.finish()
+		if !*quiet {
+			_, hits := store.Stats()
+			tracker.summarize(os.Stderr, plan, time.Since(start), effectiveJobs(*jobs), hits)
+		}
+		if ctx.Err() != nil {
+			fmt.Fprintf(os.Stderr, "repro: interrupted, %d runs not started\n", tracker.canceled)
+			return 1
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 			return 1
-		}
-		if !*quiet {
-			tracker.summarize(os.Stderr, plan, time.Since(start), effectiveJobs(*jobs))
 		}
 	}
 
@@ -203,7 +218,9 @@ type tracker struct {
 	walls  []time.Duration
 	names  []string
 	cached int
-	wrote  bool
+	// canceled counts the runs an interrupt kept from starting.
+	canceled int
+	wrote    bool
 }
 
 func newTracker(quiet bool) *tracker { return &tracker{quiet: quiet} }
@@ -211,9 +228,12 @@ func newTracker(quiet bool) *tracker { return &tracker{quiet: quiet} }
 func (t *tracker) observe(p repro.RunProgress) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if p.Cached {
+	switch {
+	case errors.Is(p.Err, context.Canceled):
+		t.canceled++ // interrupted before it started
+	case p.Cached:
 		t.cached++
-	} else {
+	default:
 		t.walls = append(t.walls, p.Wall)
 		t.names = append(t.names, p.Spec.String())
 	}
@@ -233,8 +253,10 @@ func (t *tracker) finish() {
 	}
 }
 
-// summarize prints executed-vs-reused counts and per-run wall statistics.
-func (t *tracker) summarize(w *os.File, plan *repro.RunPlan, wall time.Duration, jobs int) {
+// summarize prints simulated-vs-reused counts and per-run wall
+// statistics. hits is the store's count of runs it already held; the
+// rest of the cached runs are sweep points that were their own baseline.
+func (t *tracker) summarize(w *os.File, plan *repro.RunPlan, wall time.Duration, jobs, hits int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.walls) == 0 {
@@ -252,8 +274,10 @@ func (t *tracker) summarize(w *os.File, plan *repro.RunPlan, wall time.Duration,
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	median := sorted[len(sorted)/2]
 	dedup := plan.Adds() - plan.Size()
-	fmt.Fprintf(w, "repro: executed %d runs in %v (jobs=%d); %d declarations deduplicated, %d store hits\n",
-		len(t.walls), wall.Round(time.Millisecond), jobs, dedup, t.cached)
+	fmt.Fprintf(w, "repro: executed %d runs in %v (jobs=%d); %d points were their baseline, %d store hits, %d declarations deduplicated\n",
+		len(t.walls), wall.Round(time.Millisecond), jobs, t.cached-hits, hits, dedup)
+	// No more lanes can be busy than there are runs to put on them.
+	jobs = min(jobs, len(t.walls))
 	fmt.Fprintf(w, "repro: per-run wall clock: mean %v, median %v, max %v (%s); pool busy %.0f%%\n",
 		(total / time.Duration(len(t.walls))).Round(time.Millisecond),
 		median.Round(time.Millisecond),

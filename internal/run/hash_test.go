@@ -109,3 +109,81 @@ func TestSpecHashCoversEveryField(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSpecHash holds Hash to the Store's notion of "the same run": two
+// specs that differ in one field hash equally exactly when they
+// normalize to the same map key (CPUSpeedup 1 and 0, a swept spec's
+// Verify, a baseline's Value, -0 and 0), and a swept spec never takes
+// its baseline's address — not even at Δ = 0, where the run pool answers
+// it from the baseline: the daemon's cache keeps them apart.
+func FuzzSpecHash(f *testing.F) {
+	// field picks the one field b differs from a in; str, num and flag
+	// are its other value. testdata/fuzz/FuzzSpecHash holds the cases
+	// with a name: -0 in each float, CPUSpeedup 1, a swept Verify, ….
+	f.Add("em3d-read", 8, 0.00048828125, int64(7), -1, 0.0, true, 2.0, true,
+		3, 0.5, 1000.0, 0.0, 0.0, false, "tree", "chain", "recdouble", true,
+		uint8(5), "", 99.0, false)
+	f.Fuzz(func(t *testing.T, app string, procs int, scale float64, seed int64, knob int, value float64, verify bool, cpu float64, profile bool,
+		delayProc int, delayAtFrac, delayUs, dropProb, dupProb float64, reliable bool, barrier, broadcast, allReduce string, depgraph bool,
+		field uint8, str string, num float64, flag bool) {
+		a := Spec{App: app, Procs: procs, Scale: scale, Seed: seed, Knob: core.Knob(knob), Value: value,
+			Verify: verify, CPUSpeedup: cpu, Profile: profile,
+			Fault: FaultSpec{DelayProc: delayProc, DelayAtFrac: delayAtFrac, DelayUs: delayUs,
+				DropProb: dropProb, DupProb: dupProb, Reliable: reliable},
+			Coll:     splitc.Collectives{Barrier: barrier, Broadcast: broadcast, AllReduce: allReduce},
+			Depgraph: depgraph}
+		b := a
+		switch field % 19 {
+		case 0:
+			b.App = str
+		case 1:
+			b.Procs = int(num)
+		case 2:
+			b.Scale = num
+		case 3:
+			b.Seed = int64(num)
+		case 4:
+			b.Knob = core.Knob(int(num))
+		case 5:
+			b.Value = num
+		case 6:
+			b.Verify = flag
+		case 7:
+			b.CPUSpeedup = num
+		case 8:
+			b.Profile = flag
+		case 9:
+			b.Fault.DelayProc = int(num)
+		case 10:
+			b.Fault.DelayAtFrac = num
+		case 11:
+			b.Fault.DelayUs = num
+		case 12:
+			b.Fault.DropProb = num
+		case 13:
+			b.Fault.DupProb = num
+		case 14:
+			b.Fault.Reliable = flag
+		case 15:
+			b.Coll.Barrier = str
+		case 16:
+			b.Coll.Broadcast = str
+		case 17:
+			b.Coll.AllReduce = str
+		case 18:
+			b.Depgraph = flag
+		}
+		if a.norm() != a.norm() || b.norm() != b.norm() {
+			t.Skip("a NaN field: the spec is not a map key")
+		}
+		if same, hashed := a.norm() == b.norm(), a.Hash() == b.Hash(); same != hashed {
+			t.Errorf("same map key: %v, same hash: %v\n%+v\n%+v", same, hashed, a.norm(), b.norm())
+		}
+		if a.Hash() != a.norm().Hash() {
+			t.Errorf("%+v hashes apart from its normal form", a)
+		}
+		if !a.IsBaseline() && a.Hash() == a.BaselineSpec(verify).Hash() {
+			t.Errorf("%+v has its baseline's hash", a)
+		}
+	})
+}

@@ -73,10 +73,17 @@ func Baseline(app string, procs int, scale float64, seed int64, verify bool) Spe
 func (s Spec) IsBaseline() bool { return s.Knob == core.KnobNone && !s.Fault.active() }
 
 // norm canonicalizes the spec so that equal runs compare equal as map
-// keys.
+// keys and hash equally.
 func (s Spec) norm() Spec {
 	if s.CPUSpeedup == 1 {
 		s.CPUSpeedup = 0
+	}
+	// -0 == 0 as a map key, so it must not print (and hash) as "-0".
+	for _, f := range []*float64{&s.Scale, &s.Value, &s.CPUSpeedup,
+		&s.Fault.DelayAtFrac, &s.Fault.DelayUs, &s.Fault.DropProb, &s.Fault.DupProb} {
+		if *f == 0 {
+			*f = 0
+		}
 	}
 	if s.IsBaseline() {
 		s.Value = 0

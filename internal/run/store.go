@@ -13,6 +13,9 @@ type Outcome struct {
 	Spec Spec
 	// Res is the full application result: always populated for baseline
 	// runs, and for swept runs that completed (zero when livelocked).
+	// Read-only: a swept run answered from its baseline (see
+	// Runner.RunInto) shares the baseline's Stats, Extra, Profile, Graph
+	// and Curves rather than copying them.
 	Res apps.Result
 	// Point is the design-point measurement (slowdown, livelock flag);
 	// for baseline runs it is the trivial Value=0, Slowdown=1 point.
@@ -130,8 +133,9 @@ func (st *Store) Point(s Spec) (core.Point, error) {
 	return out.Point, nil
 }
 
-// Stats reports how many runs the store executed and how many requests
-// were served from an already-claimed entry (cache hits).
+// Stats reports how many runs the store's plans completed themselves
+// (simulated, or answered from a baseline) and how many requests were
+// served from an already-claimed entry (cache hits).
 func (st *Store) Stats() (executed, hits int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

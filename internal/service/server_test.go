@@ -383,7 +383,7 @@ func TestServiceSweepSSE(t *testing.T) {
 
 	sweepReq := SweepRequest{
 		App: "radix", Procs: 4, Scale: 1.0 / 4096, Seed: 1,
-		Knob: "o", Values: []float64{5, 25},
+		Knob: "o", Values: []float64{0, 25},
 	}
 	plain, err := c.Sweep(ctx, sweepReq)
 	if err != nil {
@@ -392,10 +392,16 @@ func TestServiceSweepSSE(t *testing.T) {
 	if len(plain.Points) != 2 {
 		t.Fatalf("points = %d, want 2", len(plain.Points))
 	}
+	// Δo = 0 included: the daemon simulates it under its own address (a
+	// disk-hit baseline carries no result to answer it from), unlike
+	// run.Runner's pool.
 	for i, p := range plain.Points {
-		if p.Source != SourceComputed {
-			t.Fatalf("cold point %d source = %q, want a simulation", i, p.Source)
+		if p.Source != SourceComputed || p.Hash == plain.BaseHash {
+			t.Fatalf("cold point %d source = %q, hash %s (baseline %s); want a simulation of its own", i, p.Source, p.Hash, plain.BaseHash)
 		}
+	}
+	if plain.Points[0].Slowdown != 1 {
+		t.Fatalf("Δo = 0 slowdown = %v, want 1", plain.Points[0].Slowdown)
 	}
 
 	body, err := json.Marshal(sweepReq)
