@@ -10,11 +10,10 @@
 // this command as its served child).
 //
 // Endpoints ("reprod help" prints the same list): POST /v1/run,
-// /v1/sweep, /v1/tolerance, /v1/experiment, GET /v1/stats, /healthz;
-// /v1/sweep and /v1/experiment take ?stream=1 for SSE progress. Every
-// run and sweep point served is a simulation or a verified cache hit of
-// one; the analytic curves of /v1/tolerance are a shape model
-// (EXPERIMENTS.md "Analytic tolerance") and never stand in for a point.
+// /v1/sweep, /v1/experiment, GET /v1/stats, /healthz; /v1/sweep and
+// /v1/experiment take ?stream=1 for SSE progress. Every run and sweep
+// point served is a plain simulation or a verified cache hit of one;
+// the analytic engine is offline-only (cmd/repro -exp tolerance).
 // Example:
 //
 //	curl -s localhost:8080/v1/run -d '{"app":"radix","procs":32,"scale":0.00390625,"seed":1}'
@@ -64,7 +63,6 @@ func usage() {
 endpoints (JSON bodies; ?stream=1 on sweep and experiment streams SSE progress):
   POST /v1/run         one spec, simulated or a verified cache hit of a simulation
   POST /v1/sweep       app x knob x values, every point resolved like /v1/run
-  POST /v1/tolerance   analytic curves of one instrumented run (a shape model)
   POST /v1/experiment  one rendered paper artifact, byte-identical to cmd/repro
   GET  /v1/stats       cache, queue, latency and stage counters
   GET  /healthz`)

@@ -3,6 +3,7 @@ package am
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +206,7 @@ func TestReliabilityFIFOUnderDrops(t *testing.T) {
 // TestDeliveryErrorAfterRetryCap: a wire that eats everything must abort
 // the run with a typed *DeliveryError once the retry budget is spent.
 func TestDeliveryErrorAfterRetryCap(t *testing.T) {
+	before := runtime.NumGoroutine()
 	params := logp.NOW()
 	inj := &testInjector{drop: func(WireMsg, int64) bool { return true }}
 	handled := false
@@ -232,6 +234,12 @@ func TestDeliveryErrorAfterRetryCap(t *testing.T) {
 	}
 	if handled {
 		t.Error("handler ran despite every transmission dropping")
+	}
+	// The abort leaves no processor behind. More, not different: an
+	// earlier test's goroutine may still be on its way out when before
+	// is read (sim.TestAbortLeaksNothing).
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the run, %d after", before, after)
 	}
 }
 

@@ -36,7 +36,7 @@ func TestServiceScopeDecision(t *testing.T) {
 // simulation loop — one event hook per message phase, on the clock's
 // critical path — and internal/tolerance is pure int64 arithmetic over
 // that DAG, run on a pool worker at the end of every instrumented run
-// (repro -exp tolerance, /v1/tolerance, "depgraph": true). Both must be
+// (repro -exp tolerance, appstat -depgraph). Both must be
 // single-goroutine, wall-clock-free, and free of package-level mutable
 // state so instrumented runs stay deterministic and the -jobs pool can
 // analyze overlapping specs concurrently. (hotpathalloc needs no scope

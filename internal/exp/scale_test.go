@@ -1,8 +1,13 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/apps/scalekern"
+	"repro/internal/apps/suite"
 )
 
 // TestScaleQuick exercises the weak-scaling experiment end to end on
@@ -37,6 +42,29 @@ func TestScaleQuick(t *testing.T) {
 				t.Errorf("row %d verdict = %q, want holds or differs", i, v)
 			}
 		}
+	}
+}
+
+// TestSeedZeroIsSeedOne is why run.Spec normalizes seed 0 to 1: every
+// application ResolveApp knows runs seed 0 as the same simulation as
+// seed 1, so the two must share one cache address.
+func TestSeedZeroIsSeedOne(t *testing.T) {
+	for _, name := range append(suite.Names(), scalekern.Names()...) {
+		t.Run(name, func(t *testing.T) {
+			a, err := ResolveApp(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res [2]apps.Result
+			for seed := range res {
+				if res[seed], err = a.Run(apps.Config{Procs: 4, Scale: 0.0001, Seed: int64(seed)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if res[0].Elapsed != res[1].Elapsed || !reflect.DeepEqual(res[0].Stats, res[1].Stats) {
+				t.Errorf("seed 0 ran %v, seed 1 ran %v", res[0].Elapsed, res[1].Elapsed)
+			}
+		})
 	}
 }
 

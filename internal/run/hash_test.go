@@ -112,14 +112,14 @@ func TestSpecHashCoversEveryField(t *testing.T) {
 
 // FuzzSpecHash holds Hash to the Store's notion of "the same run": two
 // specs that differ in one field hash equally exactly when they
-// normalize to the same map key (CPUSpeedup 1 and 0, a swept spec's
-// Verify, a baseline's Value, -0 and 0), and a swept spec never takes
+// normalize to the same map key (CPUSpeedup 1 and 0, seed 0 and 1, a
+// swept spec's Verify, a baseline's Value, -0 and 0), and a swept spec never takes
 // its baseline's address — not even at Δ = 0, where the run pool answers
 // it from the baseline: the daemon's cache keeps them apart.
 func FuzzSpecHash(f *testing.F) {
 	// field picks the one field b differs from a in; str, num and flag
 	// are its other value. testdata/fuzz/FuzzSpecHash holds the cases
-	// with a name: -0 in each float, CPUSpeedup 1, a swept Verify, ….
+	// with a name: -0 in each float, CPUSpeedup 1, seed 0, a swept Verify, ….
 	f.Add("em3d-read", 8, 0.00048828125, int64(7), -1, 0.0, true, 2.0, true,
 		3, 0.5, 1000.0, 0.0, 0.0, false, "tree", "chain", "recdouble", true,
 		uint8(5), "", 99.0, false)

@@ -17,9 +17,9 @@ func testSpec(v float64) Spec {
 }
 
 func TestSpecNormalization(t *testing.T) {
-	// CPUSpeedup 1 and 0 are the same run; swept specs never verify;
-	// baselines carry no knob value.
-	a := Spec{App: "radix", Procs: 4, Scale: 0.5, Seed: 1, Knob: core.KnobO, Value: 10, Verify: true, CPUSpeedup: 1}
+	// CPUSpeedup 1 and 0 are the same run, and so are seeds 0 and 1 (the
+	// apps' default); swept specs never verify; baselines carry no knob value.
+	a := Spec{App: "radix", Procs: 4, Scale: 0.5, Seed: 0, Knob: core.KnobO, Value: 10, Verify: true, CPUSpeedup: 1}
 	b := Spec{App: "radix", Procs: 4, Scale: 0.5, Seed: 1, Knob: core.KnobO, Value: 10}
 	if a.norm() != b.norm() {
 		t.Errorf("%+v and %+v should normalize equal", a.norm(), b.norm())

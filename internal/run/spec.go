@@ -26,7 +26,7 @@ type Spec struct {
 	Procs int
 	// Scale is the input scale relative to the paper's data sets.
 	Scale float64
-	// Seed fixes all pseudo-randomness.
+	// Seed fixes all pseudo-randomness; 0 normalizes to the apps' default.
 	Seed int64
 	// Knob is the varied LogGP parameter; core.KnobNone marks a baseline
 	// run on the unmodified machine.
@@ -77,6 +77,10 @@ func (s Spec) IsBaseline() bool { return s.Knob == core.KnobNone && !s.Fault.act
 func (s Spec) norm() Spec {
 	if s.CPUSpeedup == 1 {
 		s.CPUSpeedup = 0
+	}
+	// The apps run seed 0 as their default seed: the same run.
+	if s.Seed == 0 {
+		s.Seed = apps.Config{}.Norm().Seed
 	}
 	// -0 == 0 as a map key, so it must not print (and hash) as "-0".
 	for _, f := range []*float64{&s.Scale, &s.Value, &s.CPUSpeedup,

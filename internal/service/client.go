@@ -137,16 +137,6 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepResponse, e
 	return &out, nil
 }
 
-// Tolerance fetches an application's analytic sensitivity curves from
-// one instrumented baseline run.
-func (c *Client) Tolerance(ctx context.Context, req ToleranceRequest) (*ToleranceResponse, error) {
-	var out ToleranceResponse
-	if err := c.post(ctx, "/v1/tolerance", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Experiment renders one paper artifact.
 func (c *Client) Experiment(ctx context.Context, req ExperimentRequest) (*ExperimentResponse, error) {
 	var out ExperimentResponse

@@ -191,13 +191,14 @@ type planResult struct {
 }
 
 // executePlan resolves every run of a plan through the cache and the
-// shared pool: baselines first (they are every sweep's denominator),
-// then sweeps, each phase fanned out concurrently. onEvent, when
-// non-nil, observes every resolution, one call at a time.
+// shared pool in one fan-out: a baseline starts at once, and a swept
+// spec as soon as its own baseline in the plan is resolved (its
+// denominator when it has to be computed), not when every baseline is.
+// onEvent, when non-nil, observes every resolution, one call at a time.
 //
-// The returned error is transport-level (backpressure or cancellation)
-// and aborts the remaining phases; run-level failures land in
-// planResult.firstRunErr.
+// The returned error is transport-level (backpressure or cancellation);
+// a baseline that ends with one starts none of its dependents. Run-level
+// failures land in planResult.firstRunErr.
 func (s *Server) executePlan(ctx context.Context, client string, p *run.Plan, onEvent func(PlanEvent)) (*planResult, error) {
 	specs := p.Specs()
 	pr := &planResult{
@@ -205,20 +206,77 @@ func (s *Server) executePlan(ctx context.Context, client string, p *run.Plan, on
 		sources: make(map[string]string, len(specs)),
 	}
 	pr.counts.Total = len(specs)
-	var baselines, sweeps []run.Spec
+	prog := &planProgress{total: len(specs), fn: onEvent}
+	// resolved[b] closes when baseline b has left the fan-out; its outcome
+	// is in pr.store unless it ended with a transport error.
+	resolved := map[run.Spec]chan struct{}{}
 	for _, sp := range specs {
 		if sp.IsBaseline() {
-			baselines = append(baselines, sp)
-		} else {
-			sweeps = append(sweeps, sp)
+			resolved[sp] = make(chan struct{})
 		}
 	}
-	prog := &planProgress{total: len(specs), fn: onEvent}
-	if err := s.resolveWave(ctx, client, p, pr, baselines, prog); err != nil {
-		return pr, err
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+	)
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
 	}
-	if err := s.resolveWave(ctx, client, p, pr, sweeps, prog); err != nil {
-		return pr, err
+	for _, sp := range specs {
+		wg.Add(1)
+		go func(sp run.Spec) {
+			defer wg.Done()
+			hash := sp.Hash()
+			var base baseFunc
+			if done, ok := resolved[sp]; ok {
+				defer close(done)
+			} else if b, ok := p.BaselineOf(sp); !ok {
+				out := run.Outcome{Spec: sp, Err: fmt.Errorf("run: %v has no declared baseline", sp)}
+				pr.store.Put(out)
+				prog.report(sp, hash, SourceComputed, 0, out.Err)
+				return
+			} else {
+				select {
+				case <-resolved[b]:
+				case <-ctx.Done():
+					fail(ctx.Err())
+					return
+				}
+				bout, ok := pr.store.Get(b)
+				if !ok {
+					return // the baseline's transport error is the plan's
+				}
+				base = func() (run.Outcome, error) { return bout, nil }
+			}
+			start := time.Now()
+			out, src, err := s.resolve(ctx, client, sp, hash, true, base)
+			if err != nil {
+				fail(err)
+				return
+			}
+			pr.store.Put(out)
+			mu.Lock()
+			pr.sources[hash] = src
+			switch src {
+			case SourceDisk:
+				pr.counts.DiskHits++
+			case SourceComputed:
+				pr.counts.Computed++
+			case SourceCoalesced:
+				pr.counts.Coalesced++
+			}
+			mu.Unlock()
+			prog.report(sp, hash, src, time.Since(start), out.Err)
+		}(sp)
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return pr, firstErr
 	}
 	// Surface run-level failures in plan order, like Runner.RunInto.
 	for _, sp := range specs {
@@ -254,68 +312,4 @@ func (pp *planProgress) report(spec run.Spec, hash, src string, wall time.Durati
 		ev.Err = err.Error()
 	}
 	pp.fn(ev)
-}
-
-// resolveWave fans one phase's specs out concurrently, collecting
-// outcomes into the plan result. It returns the first transport-level
-// error; run-level errors stay in the outcomes.
-func (s *Server) resolveWave(ctx context.Context, client string, p *run.Plan, pr *planResult, specs []run.Spec, prog *planProgress) error {
-	if len(specs) == 0 {
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, sp := range specs {
-		wg.Add(1)
-		go func(sp run.Spec) {
-			defer wg.Done()
-			hash := sp.Hash()
-			var base baseFunc
-			if !sp.IsBaseline() {
-				b, ok := p.BaselineOf(sp)
-				if !ok {
-					out := run.Outcome{Spec: sp, Err: fmt.Errorf("run: %v has no declared baseline", sp)}
-					pr.store.Put(out)
-					prog.report(sp, hash, SourceComputed, 0, out.Err)
-					return
-				}
-				bout, ok := pr.store.Get(b)
-				if !ok {
-					out := run.Outcome{Spec: sp, Err: fmt.Errorf("run: baseline %v missing from store", b)}
-					pr.store.Put(out)
-					prog.report(sp, hash, SourceComputed, 0, out.Err)
-					return
-				}
-				base = func() (run.Outcome, error) { return bout, nil }
-			}
-			start := time.Now()
-			out, src, err := s.resolve(ctx, client, sp, hash, true, base)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			pr.store.Put(out)
-			mu.Lock()
-			pr.sources[hash] = src
-			switch src {
-			case SourceDisk:
-				pr.counts.DiskHits++
-			case SourceComputed:
-				pr.counts.Computed++
-			case SourceCoalesced:
-				pr.counts.Coalesced++
-			}
-			mu.Unlock()
-			prog.report(sp, hash, src, time.Since(start), out.Err)
-		}(sp)
-	}
-	wg.Wait()
-	return firstErr
 }

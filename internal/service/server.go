@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/run"
-	"repro/internal/tolerance"
 )
 
 // routes builds the daemon's HTTP surface.
@@ -23,7 +23,6 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
 	mux.HandleFunc("POST /v1/run", s.instrument("run", s.handleRun))
 	mux.HandleFunc("POST /v1/sweep", s.instrument("sweep", s.handleSweep))
-	mux.HandleFunc("POST /v1/tolerance", s.instrument("tolerance", s.handleTolerance))
 	mux.HandleFunc("POST /v1/experiment", s.instrument("experiment", s.handleExperiment))
 	return mux
 }
@@ -101,6 +100,30 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
+// admit is the one check every run a request would start passes before
+// anything is looked up or queued (DESIGN.md §13): its app resolves, it
+// has a processor, its scale is finite and positive, and it is a plain
+// simulation. An instrumented run feeds the analytic engine, whose
+// analysis has no bound on its cost, so it is only ever run offline.
+// what names the request in the error.
+func (s *Server) admit(what string, specs ...run.Spec) error {
+	for _, sp := range specs {
+		if _, err := s.runner.App(sp.App); err != nil {
+			return err
+		}
+		if sp.Procs < 1 {
+			return fmt.Errorf("service: %s: %s needs procs >= 1, got %d", what, sp.App, sp.Procs)
+		}
+		if !(sp.Scale > 0) || math.IsInf(sp.Scale, 1) {
+			return fmt.Errorf("service: %s: %s needs a finite scale > 0, got %g", what, sp.App, sp.Scale)
+		}
+		if sp.Depgraph {
+			return fmt.Errorf("service: %s runs the analytic engine, which is offline-only (cmd/repro -exp tolerance)", what)
+		}
+	}
+	return nil
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -122,7 +145,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := req.SpecJSON.Spec()
 	if err == nil {
-		_, err = s.runner.App(spec.App)
+		err = s.admit("run", spec)
 	}
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
@@ -189,10 +212,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("service: sweep needs a knob (o, g, L, bw)"))
 		return
 	}
-	if _, err := s.runner.App(req.App); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
 	p := run.NewPlan()
 	specs := make([]run.Spec, len(req.Values))
 	var baseSpec run.Spec
@@ -209,6 +228,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if i == 0 {
 			baseSpec = specs[i].BaselineSpec(req.Verify)
 		}
+	}
+	if err := s.admit("sweep", p.Specs()...); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
+		return
 	}
 
 	build := func(pr *planResult) (*SweepResponse, error) {
@@ -245,74 +268,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.servePlan(w, r, p, func(pr *planResult) (any, error) { return build(pr) })
 }
 
-// handleTolerance resolves one instrumented baseline (content-addressed
-// by its depgraph-keyed hash like any run) and reports its analytic
-// makespan curves and per-axis tolerance figures. The curves freeze the
-// baseline's schedule, so they are a shape model to read next to the
-// measured error table of EXPERIMENTS.md, not sweep points: /v1/sweep
-// always simulates. A run outside the model's validity region still
-// answers 200, with the curves absent and depgraph_error explaining
-// why.
-func (s *Server) handleTolerance(w http.ResponseWriter, r *http.Request) {
-	var req ToleranceRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	factor := req.Factor
-	if factor == 0 {
-		factor = tolerance.DefaultFactor
-	}
-	if factor < 1 {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("service: tolerance factor %g < 1", factor))
-		return
-	}
-	spec, err := SpecJSON{
-		App: req.App, Procs: req.Procs, Scale: req.Scale, Seed: req.Seed,
-		Verify: req.Verify, CPUSpeedup: req.CPUSpeedup, Coll: req.Coll, Depgraph: true,
-	}.Spec()
-	if err == nil {
-		_, err = s.runner.App(spec.App)
-	}
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	start := time.Now()
-	hash := spec.Hash()
-	out, src, err := s.resolve(r.Context(), clientID(r), spec, hash, true, nil)
-	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	if out.Err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, out.Err)
-		return
-	}
-	resp := ToleranceResponse{
-		Spec:      SpecToJSON(out.Spec),
-		Hash:      hash,
-		Source:    src,
-		Cached:    src != SourceComputed,
-		WallUs:    time.Since(start).Microseconds(),
-		ElapsedNs: int64(out.Res.Elapsed),
-		Factor:    factor,
-	}
-	if cs := out.Res.Curves; cs != nil {
-		resp.Curves = cs
-		for _, axis := range []string{"o", "g", "L"} {
-			c, _ := cs.ByAxis(axis)
-			tol, bounded := c.Tolerance(factor)
-			resp.Tolerances = append(resp.Tolerances, AxisToleranceJSON{
-				Axis: axis, MaxDeltaUs: tol.Micros(), Bounded: bounded,
-			})
-		}
-	} else {
-		resp.DepgraphError = out.Res.DepgraphErr
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // handleExperiment plans, resolves, and renders one paper artifact.
 // The rendered text is byte-identical to cmd/repro's offline output for
 // the same options, whether the runs computed or came from the cache.
@@ -324,6 +279,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := req.Options.options()
 	p, err := exp.PlanFor([]string{req.ID}, opts)
+	if err == nil {
+		err = s.admit(fmt.Sprintf("experiment %q", req.ID), p.Specs()...)
+	}
 	if err != nil {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return

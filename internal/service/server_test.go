@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/run"
 )
@@ -473,75 +476,128 @@ func TestServiceSweepSSE(t *testing.T) {
 	}
 }
 
-// TestServiceToleranceEndpoint exercises /v1/tolerance: one cold
-// instrumented run yields the full analytic curves and per-axis
-// tolerance figures, and a second request serves them from the
-// persistent store without simulating anything.
-func TestServiceToleranceEndpoint(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 2})
-	ctx := context.Background()
+// gatedApp is a fake application that announces each run as app/base or
+// app/point and, for an app with a gate, holds its baseline until the
+// gate closes. Only Name and Run are called on the run path.
+type gatedApp struct {
+	apps.App
+	name    string
+	started chan<- string
+	gate    chan struct{}
+}
 
-	req := ToleranceRequest{App: "radix", Procs: 4, Scale: 1.0 / 4096, Seed: 1}
-	cold, err := c.Tolerance(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Source != SourceComputed || cold.Cached {
-		t.Fatalf("cold source = %q cached=%v, want computed", cold.Source, cold.Cached)
-	}
-	if cold.DepgraphError != "" {
-		t.Fatalf("depgraph error: %s", cold.DepgraphError)
-	}
-	if cold.Curves == nil {
-		t.Fatal("no curves in response")
-	}
-	if got := int64(cold.Curves.Elapsed); got != cold.ElapsedNs {
-		t.Fatalf("curves elapsed %d != run elapsed %d", got, cold.ElapsedNs)
-	}
-	for _, axis := range []string{"o", "g", "L"} {
-		cv, ok := cold.Curves.ByAxis(axis)
-		if !ok || len(cv.Segs) == 0 {
-			t.Fatalf("axis %s curve missing", axis)
-		}
-		if int64(cv.Base()) != cold.ElapsedNs {
-			t.Fatalf("axis %s base %v != elapsed %d", axis, cv.Base(), cold.ElapsedNs)
+func (a gatedApp) Name() string { return a.name }
+
+func (a gatedApp) Run(cfg apps.Config) (apps.Result, error) {
+	if cfg.TimeLimit != 0 { // only swept runs carry a livelock bound
+		a.started <- a.name + "/point"
+	} else {
+		a.started <- a.name + "/base"
+		if a.gate != nil {
+			<-a.gate
 		}
 	}
-	if len(cold.Tolerances) != 3 {
-		t.Fatalf("tolerances = %+v, want 3 axes", cold.Tolerances)
-	}
-	if !cold.Spec.Depgraph {
-		t.Fatal("response spec lost the depgraph bit")
-	}
+	return apps.Result{App: a.name, Procs: cfg.Procs, Elapsed: 1000}, nil
+}
 
-	warm, err := c.Tolerance(ctx, req)
-	if err != nil {
+// newGatedServer serves the gated apps; gates maps an app to its gate.
+func newGatedServer(t *testing.T, gates map[string]chan struct{}) (*Server, <-chan string) {
+	// Room for every run a test plan starts, so a worker never blocks
+	// announcing a run the test no longer reads.
+	started := make(chan string, 16)
+	resolve := func(name string) (apps.App, error) {
+		return gatedApp{name: name, started: started, gate: gates[name]}, nil
+	}
+	s, _ := newTestServer(t, Config{Workers: 2, Runner: &run.Runner{Resolve: resolve}})
+	// Open any gate a failed test left shut before the server drains.
+	t.Cleanup(func() {
+		for _, gate := range gates {
+			select {
+			case <-gate:
+			default:
+				close(gate)
+			}
+		}
+	})
+	return s, started
+}
+
+// gatedPlan sweeps Δo = 5 and 9 for each app.
+func gatedPlan(names ...string) *run.Plan {
+	p := run.NewPlan()
+	for _, app := range names {
+		for _, v := range []float64{5, 9} {
+			p.AddSweep(run.Spec{App: app, Procs: 2, Scale: 1, Seed: 1, Knob: core.KnobO, Value: v}, false)
+		}
+	}
+	return p
+}
+
+// nextRun is the next run to start; a plan that stalls fails the test.
+func nextRun(t *testing.T, started <-chan string) string {
+	t.Helper()
+	select {
+	case r := <-started:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatal("no run started")
+		return ""
+	}
+}
+
+// TestPlanSweepWaitsForItsOwnBaseline: with b's baseline held, a's swept
+// points start anyway; b's start only after b's baseline returns.
+func TestPlanSweepWaitsForItsOwnBaseline(t *testing.T) {
+	gate := make(chan struct{})
+	s, started := newGatedServer(t, map[string]chan struct{}{"b": gate})
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.executePlan(context.Background(), "test", gatedPlan("a", "b"), nil)
+		done <- err
+	}()
+	seen := map[string]int{}
+	for seen["a/point"] < 2 || seen["b/base"] < 1 {
+		r := nextRun(t, started)
+		if r == "b/point" {
+			t.Fatal("b's point started while b's baseline was held")
+		}
+		seen[r]++
+	}
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if r := nextRun(t, started); r != "b/point" {
+			t.Fatalf("%s started after b's baseline returned, want b/point", r)
+		}
+	}
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if warm.Source != SourceDisk || !warm.Cached {
-		t.Fatalf("warm source = %q, want disk", warm.Source)
+}
+
+// TestPlanCancelWhileBaselineHeld: a request canceled while its only
+// baseline is held returns the cancellation and submits none of the
+// swept runs that waited on it.
+func TestPlanCancelWhileBaselineHeld(t *testing.T) {
+	s, started := newGatedServer(t, map[string]chan struct{}{"b": make(chan struct{})})
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-started // b/base is executing
+		cancel()
+	}()
+	if _, err := s.executePlan(ctx, "test", gatedPlan("b"), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("executePlan = %v, want context.Canceled", err)
 	}
-	if warm.Hash != cold.Hash || warm.ElapsedNs != cold.ElapsedNs {
-		t.Fatalf("warm answer differs: %+v vs %+v", warm, cold)
-	}
-	wj, _ := json.Marshal(warm.Curves)
-	cj, _ := json.Marshal(cold.Curves)
-	if !bytes.Equal(wj, cj) {
-		t.Fatal("warm curves not identical to cold")
-	}
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cache.Computed != 1 {
-		t.Fatalf("computed = %d after a cold and a warm request, want 1: the warm one simulates nothing", st.Cache.Computed)
+	if n := s.sched.Stats().Submitted; n != 1 {
+		t.Errorf("submitted %d runs, want 1: the held baseline alone", n)
 	}
 }
 
 // TestServiceBadRequests pins the admission boundary: a request the
-// client got wrong — malformed, oversized, or naming an app no resolver
-// knows — answers 4xx with a JSON error before anything is queued, so
-// the daemon's own error counter stays at zero.
+// client got wrong — malformed, oversized, naming an app no resolver
+// knows, a machine with no processor or no input, or a run only the
+// offline analytic engine makes — answers 4xx with a JSON error before
+// anything is queued, so the daemon's own error counter stays at zero;
+// a route that is gone is a plain 404.
 func TestServiceBadRequests(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
@@ -562,7 +618,13 @@ func TestServiceBadRequests(t *testing.T) {
 		{"unknown app: measured sweep", "/v1/sweep", `{` + unknownApp + `,"knob":"o","values":[1,2]}`, 400, "have ["},
 		{"analytic field is gone", "/v1/sweep", `{"app":"radix","procs":4,"scale":0.001,"knob":"o","values":[1,2],"analytic":true}`, 400, "analytic"},
 		{"blk kernel is gone", "/v1/run", `{"app":"scale-pray-blk","procs":4,"scale":0.001,"seed":1}`, 400, "have ["},
-		{"unknown app: tolerance", "/v1/tolerance", `{` + unknownApp + `}`, 400, "have ["},
+		{"negative procs: sweep", "/v1/sweep", `{"app":"radix","procs":-1,"scale":0.001,"knob":"o","values":[1]}`, 400, "procs"},
+		{"negative procs: experiment", "/v1/experiment", `{"id":"fig5b","options":{"procs":-2,"scale":0.001,"quick":true,"apps":["radix"]}}`, 400, "procs"},
+		{"negative scale: sweep", "/v1/sweep", `{"app":"radix","procs":4,"scale":-1,"knob":"o","values":[1]}`, 400, "scale"},
+		{"sweep without procs", "/v1/sweep", `{"app":"radix","scale":0.001,"knob":"o","values":[1]}`, 400, "procs"},
+		{"depgraph field is gone", "/v1/run", `{"app":"radix","procs":4,"scale":0.001,"depgraph":true}`, 400, "depgraph"},
+		{"instrumented experiment", "/v1/experiment", `{"id":"tolerance","options":{"procs":4,"scale":0.001,"quick":true,"apps":["radix"]}}`, 400, "offline"},
+		{"tolerance route is gone", "/v1/tolerance", `{` + unknownApp + `}`, 404, ""},
 		{"oversized body", "/v1/run", `{"app":"` + strings.Repeat("x", maxBodyBytes) + `"}`, 413, "too large"},
 	} {
 		resp, err := c.httpClient().Post(c.BaseURL+tc.path, "application/json", strings.NewReader(tc.body))
@@ -575,7 +637,7 @@ func TestServiceBadRequests(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status = %d (%s), want %d", tc.name, resp.StatusCode, e.Error, tc.want)
 		}
-		if derr != nil || !strings.Contains(e.Error, tc.errHas) {
+		if tc.errHas != "" && (derr != nil || !strings.Contains(e.Error, tc.errHas)) {
 			t.Errorf("%s: error body = %q (decode: %v), want JSON naming %q", tc.name, e.Error, derr, tc.errHas)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/run"
 	"repro/internal/splitc"
-	"repro/internal/tolerance"
 )
 
 // Wire forms of the run-plan engine's types: lowercase, knob-by-name
@@ -17,7 +16,9 @@ import (
 // self-describing (DiskStore verifies a loaded entry's spec re-hashes
 // to its address).
 
-// SpecJSON is run.Spec on the wire.
+// SpecJSON is run.Spec on the wire. It has no Depgraph bit: instrumented
+// runs are offline-only (Server.admit), and an entry stored for one would
+// re-hash apart from its address and read as corrupt, never as a hit.
 type SpecJSON struct {
 	App        string     `json:"app"`
 	Procs      int        `json:"procs"`
@@ -28,7 +29,6 @@ type SpecJSON struct {
 	Verify     bool       `json:"verify,omitempty"`
 	CPUSpeedup float64    `json:"cpu_speedup,omitempty"`
 	Profile    bool       `json:"profile,omitempty"`
-	Depgraph   bool       `json:"depgraph,omitempty"`
 	Fault      *FaultJSON `json:"fault,omitempty"`
 	Coll       *CollJSON  `json:"coll,omitempty"`
 }
@@ -50,16 +50,11 @@ type CollJSON struct {
 	AllReduce string `json:"all_reduce,omitempty"`
 }
 
-// Spec converts the wire form to the canonical spec.
+// Spec converts the wire form to the canonical spec. What the daemon
+// will run is Server.admit's to decide.
 func (w SpecJSON) Spec() (run.Spec, error) {
 	if w.App == "" {
 		return run.Spec{}, fmt.Errorf("service: spec missing app")
-	}
-	if w.Procs <= 0 {
-		return run.Spec{}, fmt.Errorf("service: spec %q needs procs > 0", w.App)
-	}
-	if w.Scale <= 0 {
-		return run.Spec{}, fmt.Errorf("service: spec %q needs scale > 0", w.App)
 	}
 	k, err := run.ParseKnob(w.Knob)
 	if err != nil {
@@ -68,7 +63,7 @@ func (w SpecJSON) Spec() (run.Spec, error) {
 	s := run.Spec{
 		App: w.App, Procs: w.Procs, Scale: w.Scale, Seed: w.Seed,
 		Knob: k, Value: w.Value, Verify: w.Verify,
-		CPUSpeedup: w.CPUSpeedup, Profile: w.Profile, Depgraph: w.Depgraph,
+		CPUSpeedup: w.CPUSpeedup, Profile: w.Profile,
 	}
 	if f := w.Fault; f != nil {
 		s.Fault = run.FaultSpec{
@@ -102,7 +97,7 @@ func SpecToJSON(s run.Spec) SpecJSON {
 	w := SpecJSON{
 		App: s.App, Procs: s.Procs, Scale: s.Scale, Seed: s.Seed,
 		Knob: KnobName(s.Knob), Value: s.Value, Verify: s.Verify,
-		CPUSpeedup: s.CPUSpeedup, Profile: s.Profile, Depgraph: s.Depgraph,
+		CPUSpeedup: s.CPUSpeedup, Profile: s.Profile,
 	}
 	if s.Fault != (run.FaultSpec{}) {
 		w.Fault = &FaultJSON{
@@ -185,50 +180,6 @@ type SweepResponse struct {
 	BaseHash string       `json:"baseline_hash"`
 	Points   []SweepPoint `json:"points"`
 	Cache    CacheCounts  `json:"cache"`
-}
-
-// ToleranceRequest asks for an application's analytic sensitivity
-// curves: one instrumented baseline run (content-addressed in the
-// persistent store like any result, with the depgraph bit in its key)
-// yields the full T(Δo), T(ΔL), T(Δg) makespan curves and per-axis
-// tolerance figures. The curves hold the baseline's schedule fixed, so
-// they model a sweep's shape and do not stand in for its points.
-type ToleranceRequest struct {
-	App        string    `json:"app"`
-	Procs      int       `json:"procs"`
-	Scale      float64   `json:"scale"`
-	Seed       int64     `json:"seed"`
-	Verify     bool      `json:"verify,omitempty"`
-	CPUSpeedup float64   `json:"cpu_speedup,omitempty"`
-	Coll       *CollJSON `json:"coll,omitempty"`
-	// Factor is the slowdown threshold behind the tolerance figures
-	// (0 means tolerance.DefaultFactor). Must be ≥ 1.
-	Factor float64 `json:"factor,omitempty"`
-}
-
-// AxisToleranceJSON is one axis's tolerance figure: the largest delta
-// whose predicted slowdown stays within the requested factor. Bounded
-// is false when every delta in the analysis domain fits.
-type AxisToleranceJSON struct {
-	Axis       string  `json:"axis"`
-	MaxDeltaUs float64 `json:"max_delta_us"`
-	Bounded    bool    `json:"bounded"`
-}
-
-// ToleranceResponse reports the analytic curves of one instrumented
-// run. When the run did something outside the model's validity region
-// the curves are absent and DepgraphError says why.
-type ToleranceResponse struct {
-	Spec          SpecJSON            `json:"spec"`
-	Hash          string              `json:"hash"`
-	Source        string              `json:"source"`
-	Cached        bool                `json:"cached"`
-	WallUs        int64               `json:"wall_us"`
-	ElapsedNs     int64               `json:"elapsed_ns"`
-	Factor        float64             `json:"factor"`
-	Curves        *tolerance.Curves   `json:"curves,omitempty"`
-	Tolerances    []AxisToleranceJSON `json:"tolerances,omitempty"`
-	DepgraphError string              `json:"depgraph_error,omitempty"`
 }
 
 // ExperimentRequest asks for one rendered paper artifact.
