@@ -88,20 +88,14 @@ type Point struct {
 // observed slowdown is ~60x, so 300x is generous headroom.
 const LivelockFactor = 300
 
-// RunAt measures a single design point. baseline provides the slowdown
-// denominator and livelock bound.
+// Measure runs a single design point and returns its measurement plus
+// the full application Result of the swept run (zero when livelocked),
+// for experiments that need more than the makespan — per-phase shares,
+// communication stats. baseline provides the slowdown denominator and
+// livelock bound.
 //
 // Sweeps over many design points are declared as a run.Plan and executed
-// on the internal/run worker pool; RunAt is the leaf that pool calls.
-func RunAt(a apps.App, cfg apps.Config, k Knob, v float64, baseline sim.Time) (Point, error) {
-	pt, _, err := Measure(a, cfg, k, v, baseline)
-	return pt, err
-}
-
-// Measure is RunAt plus the full application Result of the swept run
-// (zero when livelocked), for experiments that need more than the
-// makespan — per-phase shares, communication stats — at a non-baseline
-// design point.
+// on the internal/run worker pool; Measure is the leaf that pool calls.
 func Measure(a apps.App, cfg apps.Config, k Knob, v float64, baseline sim.Time) (Point, apps.Result, error) {
 	cfg = cfg.Norm()
 	cfg.Params = k.Apply(cfg.Params, v)

@@ -79,10 +79,10 @@ func TestMeasureReturnsResult(t *testing.T) {
 	}
 }
 
-func TestRunAtLivelockDetection(t *testing.T) {
+func TestMeasureLivelockDetection(t *testing.T) {
 	// A baseline of ~1ns with a 300x factor bounds any real run, so the
 	// time limit must trip and be reported as livelock, not error.
-	pt, err := RunAt(radix.New(), apps.Config{Procs: 4, Scale: 0.0003, Seed: 1},
+	pt, _, err := Measure(radix.New(), apps.Config{Procs: 4, Scale: 0.0003, Seed: 1},
 		KnobO, 0, sim.Time(1))
 	if err != nil {
 		t.Fatal(err)

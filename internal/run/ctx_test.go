@@ -84,41 +84,14 @@ func TestRunIntoContextCancel(t *testing.T) {
 func TestRunContextUncanceled(t *testing.T) {
 	app := &slowApp{}
 	r := &Runner{Jobs: 2, Resolve: func(string) (apps.App, error) { return app, nil }}
-	st, err := r.RunContext(context.Background(), ctxTestPlan(3))
-	if err != nil {
-		t.Fatalf("RunContext: %v", err)
+	st := NewStore()
+	if err := r.RunIntoContext(context.Background(), st, ctxTestPlan(3)); err != nil {
+		t.Fatalf("RunIntoContext: %v", err)
 	}
 	for _, want := range []float64{1, 2, 3} {
 		s := Spec{App: "slow", Procs: 2, Scale: 1, Seed: 1, Knob: core.KnobO, Value: want}
 		if _, err := st.Point(s); err != nil {
 			t.Fatalf("point %g: %v", want, err)
 		}
-	}
-}
-
-// TestStorePut proves externally-resolved outcomes slot into a store
-// exactly like executed ones, and that first publication wins.
-func TestStorePut(t *testing.T) {
-	st := NewStore()
-	s := Spec{App: "slow", Procs: 2, Scale: 1, Seed: 1, Knob: core.KnobO, Value: 5, Verify: true}
-	out := Outcome{Spec: s, Point: core.Point{Value: 5, Slowdown: 1.25, Elapsed: 1250}}
-	if !st.Put(out) {
-		t.Fatalf("first Put returned false")
-	}
-	if st.Put(Outcome{Spec: s, Point: core.Point{Slowdown: 99}}) {
-		t.Fatalf("second Put of the same spec returned true")
-	}
-	got, err := st.Point(s)
-	if err != nil {
-		t.Fatalf("Point: %v", err)
-	}
-	if got.Slowdown != 1.25 {
-		t.Fatalf("Point.Slowdown = %g, want the first Put's 1.25", got.Slowdown)
-	}
-	// Put normalizes: the swept spec's Verify flag is not part of the key.
-	norm := s
-	norm.Verify = false
-	if _, ok := st.Get(norm); !ok {
-		t.Fatalf("normalized spec missing after Put of unnormalized spec")
 	}
 }

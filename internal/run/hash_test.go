@@ -112,7 +112,7 @@ func TestSpecHashCoversEveryField(t *testing.T) {
 
 // FuzzSpecHash holds Hash to the Store's notion of "the same run": two
 // specs that differ in one field hash equally exactly when they
-// normalize to the same map key (CPUSpeedup 1 and 0, seed 0 and 1, a
+// normalize to the same map key (CPUSpeedup 1, -1 and 0, seed 0 and 1, a
 // swept spec's Verify, a baseline's Value, -0 and 0), and a swept spec never takes
 // its baseline's address — not even at Δ = 0, where the run pool answers
 // it from the baseline: the daemon's cache keeps them apart.

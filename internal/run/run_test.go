@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/apps"
-	"repro/internal/apps/radix"
 	"repro/internal/core"
 	"repro/internal/splitc"
 )
@@ -18,11 +16,21 @@ func testSpec(v float64) Spec {
 
 func TestSpecNormalization(t *testing.T) {
 	// CPUSpeedup 1 and 0 are the same run, and so are seeds 0 and 1 (the
-	// apps' default); swept specs never verify; baselines carry no knob value.
-	a := Spec{App: "radix", Procs: 4, Scale: 0.5, Seed: 0, Knob: core.KnobO, Value: 10, Verify: true, CPUSpeedup: 1}
-	b := Spec{App: "radix", Procs: 4, Scale: 0.5, Seed: 1, Knob: core.KnobO, Value: 10}
-	if a.norm() != b.norm() {
-		t.Errorf("%+v and %+v should normalize equal", a.norm(), b.norm())
+	// apps' default); swept specs never verify; baselines carry no knob
+	// value. A negative CPU factor is never applied: the machine's own speed.
+	for _, c := range []struct{ a, b Spec }{
+		{
+			Spec{App: "radix", Procs: 4, Scale: 0.5, Seed: 0, Knob: core.KnobO, Value: 10, Verify: true, CPUSpeedup: 1},
+			Spec{App: "radix", Procs: 4, Scale: 0.5, Seed: 1, Knob: core.KnobO, Value: 10},
+		},
+		{
+			Spec{App: "radix", Procs: 4, Scale: 0.5, Seed: 1, Knob: core.KnobO, Value: 10, CPUSpeedup: -1},
+			Spec{App: "radix", Procs: 4, Scale: 0.5, Seed: 1, Knob: core.KnobO, Value: 10},
+		},
+	} {
+		if c.a.norm() != c.b.norm() {
+			t.Errorf("%+v and %+v should normalize equal", c.a.norm(), c.b.norm())
+		}
 	}
 	base := Spec{App: "radix", Procs: 4, Scale: 0.5, Seed: 1, Knob: core.KnobNone, Value: 99}.norm()
 	if base.Value != 0 || !base.IsBaseline() {
@@ -160,20 +168,32 @@ func TestStoreUnplannedSpec(t *testing.T) {
 }
 
 func TestSweepMonotoneOverhead(t *testing.T) {
-	// The parallel successor of the old serial core.Sweep keeps its
-	// contract: baseline denominator, monotone slowdowns, jobs-invariant.
-	cfg := apps.Config{Procs: 4, Scale: 0.0003, Seed: 1}
-	base, pts, err := Sweep(radix.New(), cfg, core.KnobO, []float64{0, 10, 50}, 4)
-	if err != nil {
-		t.Fatal(err)
+	// A sweep declared as a plan keeps the contract of the old serial
+	// core.Sweep: baseline denominator, monotone slowdowns, jobs-invariant.
+	sweep := func(jobs int) []core.Point {
+		t.Helper()
+		p := NewPlan()
+		var specs []Spec
+		for _, v := range []float64{0, 10, 50} {
+			specs = append(specs, p.AddSweep(testSpec(v), false))
+		}
+		st, err := (&Runner{Jobs: jobs}).Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base, err := st.Result(specs[0].BaselineSpec(false)); err != nil || base.Elapsed == 0 {
+			t.Fatalf("baseline %+v, %v", base, err)
+		}
+		pts := make([]core.Point, len(specs))
+		for i, s := range specs {
+			if pts[i], err = st.Point(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pts
 	}
-	if base.Elapsed == 0 {
-		t.Fatal("zero baseline")
-	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].Slowdown < 0.99 || pts[0].Slowdown > 1.01 {
+	pts := sweep(4)
+	if pts[0].Slowdown != 1 {
 		t.Errorf("Δo=0 slowdown = %v, want 1", pts[0].Slowdown)
 	}
 	for i := 1; i < len(pts); i++ {
@@ -182,10 +202,7 @@ func TestSweepMonotoneOverhead(t *testing.T) {
 		}
 	}
 	// And the same sweep serially must agree exactly.
-	_, serial, err := Sweep(radix.New(), cfg, core.KnobO, []float64{0, 10, 50}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := sweep(1)
 	for i := range pts {
 		if pts[i] != serial[i] {
 			t.Errorf("point %d differs across job counts: %+v vs %+v", i, pts[i], serial[i])

@@ -38,7 +38,8 @@ type Spec struct {
 	// swept runs always normalize to false (core.Measure semantics).
 	Verify bool
 	// CPUSpeedup scales local computation (§5.5's processor-investment
-	// runs); 0 and 1 both mean the machine's own speed and normalize to 0.
+	// runs); 0, 1 and any negative factor all mean the machine's own speed
+	// and normalize to 0.
 	CPUSpeedup float64
 	// Profile attaches the stall-attribution profiler and fills
 	// Result.Profile. Profiled runs key separately from unprofiled ones:
@@ -75,7 +76,9 @@ func (s Spec) IsBaseline() bool { return s.Knob == core.KnobNone && !s.Fault.act
 // norm canonicalizes the spec so that equal runs compare equal as map
 // keys and hash equally.
 func (s Spec) norm() Spec {
-	if s.CPUSpeedup == 1 {
+	// The apps apply a CPU factor only when it is > 0: 1 and any
+	// negative factor run the machine's own speed, as 0 does.
+	if s.CPUSpeedup == 1 || s.CPUSpeedup < 0 {
 		s.CPUSpeedup = 0
 	}
 	// The apps run seed 0 as their default seed: the same run.

@@ -75,25 +75,6 @@ func (st *Store) wait(e *entry) Outcome {
 	return e.out
 }
 
-// Put inserts an already-completed outcome, for callers that resolved
-// the run outside the Runner's pool (the service daemon's persistent
-// cache). The spec key is taken from out.Spec, normalized. It reports
-// false — and changes nothing — when the spec is already present or in
-// flight: first publication wins, matching singleflight semantics.
-func (st *Store) Put(out Outcome) bool {
-	out.Spec = out.Spec.norm()
-	st.mu.Lock()
-	if _, ok := st.entries[out.Spec]; ok {
-		st.mu.Unlock()
-		return false
-	}
-	e := &entry{done: make(chan struct{})}
-	st.entries[out.Spec] = e
-	st.mu.Unlock()
-	st.complete(e, out)
-	return true
-}
-
 // Get returns the completed outcome for a spec, blocking if the run is
 // still in flight. The second result is false when the spec was never
 // planned.

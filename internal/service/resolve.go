@@ -185,131 +185,63 @@ type planResult struct {
 	store   *run.Store
 	sources map[string]string // spec hash → resolution source
 	counts  CacheCounts
-	// firstRunErr is the first run-level failure in plan order (the
-	// plan still resolves fully, matching Runner semantics).
-	firstRunErr error
 }
 
 // executePlan resolves every run of a plan through the cache and the
-// shared pool in one fan-out: a baseline starts at once, and a swept
-// spec as soon as its own baseline in the plan is resolved (its
-// denominator when it has to be computed), not when every baseline is.
+// shared pool on run.Execute's dependency-ordered lanes, one lane per
+// spec (the Scheduler bounds what actually executes): a baseline starts
+// at once, and a swept spec as soon as its own baseline is resolved —
+// its denominator when it has to be computed. A swept spec whose
+// baseline failed or was refused fails with that error and is never
+// queued. Every Δ = 0 point resolves under its own address: a disk-hit
+// baseline carries only its head, nothing to answer the point from.
 // onEvent, when non-nil, observes every resolution, one call at a time.
 //
-// The returned error is transport-level (backpressure or cancellation);
-// a baseline that ends with one starts none of its dependents. Run-level
-// failures land in planResult.firstRunErr.
+// The returned error is the request's cancellation, or else the first
+// failure in plan order: a run's error, or a refusal such as
+// ErrQueueFull.
 func (s *Server) executePlan(ctx context.Context, client string, p *run.Plan, onEvent func(PlanEvent)) (*planResult, error) {
-	specs := p.Specs()
-	pr := &planResult{
-		store:   run.NewStore(),
-		sources: make(map[string]string, len(specs)),
-	}
-	pr.counts.Total = len(specs)
-	prog := &planProgress{total: len(specs), fn: onEvent}
-	// resolved[b] closes when baseline b has left the fan-out; its outcome
-	// is in pr.store unless it ended with a transport error.
-	resolved := map[run.Spec]chan struct{}{}
-	for _, sp := range specs {
-		if sp.IsBaseline() {
-			resolved[sp] = make(chan struct{})
+	pr := &planResult{store: run.NewStore(), sources: make(map[string]string, p.Size())}
+	pr.counts.Total = p.Size()
+	var mu sync.Mutex // guards sources and counts
+	exec := func(ctx context.Context, sp run.Spec, base *run.Outcome) (run.Outcome, bool) {
+		var bf baseFunc
+		if base != nil {
+			if base.Err != nil {
+				return run.Outcome{Spec: sp, Err: base.Err}, false
+			}
+			bf = func() (run.Outcome, error) { return *base, nil }
 		}
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
+		hash := sp.Hash()
+		out, src, err := s.resolve(ctx, client, sp, hash, true, bf)
+		if err != nil {
+			return run.Outcome{Spec: sp, Err: err}, false
+		}
 		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+		pr.sources[hash] = src
+		switch src {
+		case SourceDisk:
+			pr.counts.DiskHits++
+		case SourceComputed:
+			pr.counts.Computed++
+		case SourceCoalesced:
+			pr.counts.Coalesced++
 		}
 		mu.Unlock()
+		return out, false
 	}
-	for _, sp := range specs {
-		wg.Add(1)
-		go func(sp run.Spec) {
-			defer wg.Done()
-			hash := sp.Hash()
-			var base baseFunc
-			if done, ok := resolved[sp]; ok {
-				defer close(done)
-			} else if b, ok := p.BaselineOf(sp); !ok {
-				out := run.Outcome{Spec: sp, Err: fmt.Errorf("run: %v has no declared baseline", sp)}
-				pr.store.Put(out)
-				prog.report(sp, hash, SourceComputed, 0, out.Err)
-				return
-			} else {
-				select {
-				case <-resolved[b]:
-				case <-ctx.Done():
-					fail(ctx.Err())
-					return
-				}
-				bout, ok := pr.store.Get(b)
-				if !ok {
-					return // the baseline's transport error is the plan's
-				}
-				base = func() (run.Outcome, error) { return bout, nil }
-			}
-			start := time.Now()
-			out, src, err := s.resolve(ctx, client, sp, hash, true, base)
-			if err != nil {
-				fail(err)
-				return
-			}
-			pr.store.Put(out)
+	var onProgress func(run.Progress)
+	if onEvent != nil {
+		onProgress = func(pg run.Progress) {
+			ev := PlanEvent{Done: pg.Done, Total: pg.Total, Spec: pg.Spec.String(), Hash: pg.Spec.Hash(), WallUs: pg.Wall.Microseconds()}
 			mu.Lock()
-			pr.sources[hash] = src
-			switch src {
-			case SourceDisk:
-				pr.counts.DiskHits++
-			case SourceComputed:
-				pr.counts.Computed++
-			case SourceCoalesced:
-				pr.counts.Coalesced++
-			}
+			ev.Source = pr.sources[ev.Hash]
 			mu.Unlock()
-			prog.report(sp, hash, src, time.Since(start), out.Err)
-		}(sp)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return pr, firstErr
-	}
-	// Surface run-level failures in plan order, like Runner.RunInto.
-	for _, sp := range specs {
-		if out, ok := pr.store.Get(sp); ok && out.Err != nil {
-			pr.firstRunErr = fmt.Errorf("%v: %w", sp, out.Err)
-			break
+			if pg.Err != nil {
+				ev.Err = pg.Err.Error()
+			}
+			onEvent(ev)
 		}
 	}
-	return pr, nil
-}
-
-// planProgress serializes PlanEvent callbacks and the done counter.
-type planProgress struct {
-	mu    sync.Mutex
-	done  int
-	total int
-	fn    func(PlanEvent)
-}
-
-func (pp *planProgress) report(spec run.Spec, hash, src string, wall time.Duration, err error) {
-	pp.mu.Lock()
-	defer pp.mu.Unlock()
-	pp.done++
-	if pp.fn == nil {
-		return
-	}
-	ev := PlanEvent{
-		Done: pp.done, Total: pp.total,
-		Spec: spec.String(), Hash: hash, Source: src,
-		WallUs: wall.Microseconds(),
-	}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	pp.fn(ev)
+	return pr, run.Execute(ctx, pr.store, p, p.Size(), onProgress, exec)
 }

@@ -13,7 +13,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/logp"
 	"repro/internal/run"
+	"repro/internal/sim"
 )
 
 // routes builds the daemon's HTTP surface.
@@ -102,11 +104,15 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 
 // admit is the one check every run a request would start passes before
 // anything is looked up or queued (DESIGN.md §13): its app resolves, it
-// has a processor, its scale is finite and positive, and it is a plain
-// simulation. An instrumented run feeds the analytic engine, whose
-// analysis has no bound on its cost, so it is only ever run offline.
-// what names the request in the error.
+// has a processor, its scale is finite and positive, its knob setting
+// describes a machine, and it is a plain simulation. An instrumented run
+// feeds the analytic engine, whose analysis has no bound on its cost, so
+// it is only ever run offline. what names the request in the error.
 func (s *Server) admit(what string, specs ...run.Spec) error {
+	machine := s.runner.Params
+	if machine == (logp.Params{}) {
+		machine = logp.NOW() // as the Runner reads it
+	}
 	for _, sp := range specs {
 		if _, err := s.runner.App(sp.App); err != nil {
 			return err
@@ -116,6 +122,14 @@ func (s *Server) admit(what string, specs ...run.Spec) error {
 		}
 		if !(sp.Scale > 0) || math.IsInf(sp.Scale, 1) {
 			return fmt.Errorf("service: %s: %s needs a finite scale > 0, got %g", what, sp.App, sp.Scale)
+		}
+		// A delta in µs must fit the simulator's int64 nanosecond clock
+		// (the same bound serves a bandwidth in MB/s).
+		if sp.Knob != core.KnobNone && !(math.Abs(sp.Value)*float64(sim.Microsecond) < math.MaxInt64) {
+			return fmt.Errorf("service: %s: %v=%g is out of range", what, sp.Knob, sp.Value)
+		}
+		if err := sp.Knob.Apply(machine, sp.Value).Validate(); err != nil {
+			return fmt.Errorf("service: %s: %v=%g describes no machine: %w", what, sp.Knob, sp.Value, err)
 		}
 		if sp.Depgraph {
 			return fmt.Errorf("service: %s runs the analytic engine, which is offline-only (cmd/repro -exp tolerance)", what)
@@ -308,19 +322,15 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // built by finish, either plain JSON or as an SSE progress stream
 // terminated by a result (or error) event.
 func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, p *run.Plan, finish func(*planResult) (any, error)) {
-	client := clientID(r)
-	ctx := r.Context()
-	if !wantStream(r) {
-		pr, err := s.executePlan(ctx, client, p, nil)
+	respond := func(onEvent func(PlanEvent)) (any, error) {
+		pr, err := s.executePlan(r.Context(), clientID(r), p, onEvent)
 		if err != nil {
-			s.writeError(w, r, http.StatusInternalServerError, err)
-			return
+			return nil, err
 		}
-		if pr.firstRunErr != nil {
-			s.writeError(w, r, http.StatusInternalServerError, pr.firstRunErr)
-			return
-		}
-		resp, err := finish(pr)
+		return finish(pr)
+	}
+	if !wantStream(r) {
+		resp, err := respond(nil)
 		if err != nil {
 			s.writeError(w, r, http.StatusInternalServerError, err)
 			return
@@ -334,17 +344,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, p *run.Plan, 
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	pr, err := s.executePlan(ctx, client, p, func(ev PlanEvent) {
-		_ = emit("progress", ev)
-	})
-	if err == nil && pr.firstRunErr != nil {
-		err = pr.firstRunErr
-	}
-	if err != nil {
-		_ = emit("error", ErrorResponse{Error: err.Error()})
-		return
-	}
-	resp, err := finish(pr)
+	resp, err := respond(func(ev PlanEvent) { _ = emit("progress", ev) })
 	if err != nil {
 		_ = emit("error", ErrorResponse{Error: err.Error()})
 		return

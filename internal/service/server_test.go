@@ -592,9 +592,45 @@ func TestPlanCancelWhileBaselineHeld(t *testing.T) {
 	}
 }
 
+// TestPlanRefusedBaselineStartsNoPoint: a sweep whose baseline meets a
+// full queue answers 429 with a Retry-After hint, and none of its points
+// is submitted after it.
+func TestPlanRefusedBaselineStartsNoPoint(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, MaxQueue: 1})
+	running := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	if err := s.sched.Submit("gate", func() { close(running); <-release }); err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	if err := s.sched.Submit("filler", func() {}); err != nil {
+		t.Fatal(err)
+	}
+	before := s.sched.Stats().Submitted
+
+	body := `{"app":"radix","procs":4,"scale":0.000244140625,"seed":1,"knob":"o","values":[0,5,25]}`
+	resp, err := c.httpClient().Post(c.BaseURL+"/v1/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 429 || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("status %d, Retry-After %q; want 429 with a hint", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	st := s.Stats()
+	if st.Cache.Rejected != 1 {
+		t.Errorf("rejected = %d, want 1: the baseline alone", st.Cache.Rejected)
+	}
+	if n := st.Sched.Submitted; n != before {
+		t.Errorf("the sweep submitted %d runs after its baseline was refused", n-before)
+	}
+}
+
 // TestServiceBadRequests pins the admission boundary: a request the
 // client got wrong — malformed, oversized, naming an app no resolver
-// knows, a machine with no processor or no input, or a run only the
+// knows, a machine with no processor or no input, a knob setting that
+// describes no machine, or a run only the
 // offline analytic engine makes — answers 4xx with a JSON error before
 // anything is queued, so the daemon's own error counter stays at zero;
 // a route that is gone is a plain 404.
@@ -623,6 +659,9 @@ func TestServiceBadRequests(t *testing.T) {
 		{"negative scale: sweep", "/v1/sweep", `{"app":"radix","procs":4,"scale":-1,"knob":"o","values":[1]}`, 400, "scale"},
 		{"sweep without procs", "/v1/sweep", `{"app":"radix","scale":0.001,"knob":"o","values":[1]}`, 400, "procs"},
 		{"depgraph field is gone", "/v1/run", `{"app":"radix","procs":4,"scale":0.001,"depgraph":true}`, 400, "depgraph"},
+		{"negative overhead", "/v1/run", `{"app":"radix","procs":4,"scale":0.001,"knob":"o","value":-5}`, 400, "negative delta"},
+		{"overhead past the clock", "/v1/run", `{"app":"radix","procs":4,"scale":0.001,"knob":"o","value":1e300}`, 400, "out of range"},
+		{"negative bandwidth", "/v1/sweep", `{"app":"radix","procs":4,"scale":0.001,"knob":"bw","values":[-3]}`, 400, "negative bandwidth"},
 		{"instrumented experiment", "/v1/experiment", `{"id":"tolerance","options":{"procs":4,"scale":0.001,"quick":true,"apps":["radix"]}}`, 400, "offline"},
 		{"tolerance route is gone", "/v1/tolerance", `{` + unknownApp + `}`, 404, ""},
 		{"oversized body", "/v1/run", `{"app":"` + strings.Repeat("x", maxBodyBytes) + `"}`, 413, "too large"},

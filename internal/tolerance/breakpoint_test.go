@@ -136,7 +136,7 @@ func TestBreakpointExactness(t *testing.T) {
 				}
 
 				v := float64(x) / 1e3 // exact: x < 2^53
-				pt, err := core.RunAt(a, plain, ax.knob, v, res.Elapsed)
+				pt, _, err := core.Measure(a, plain, ax.knob, v, res.Elapsed)
 				if err != nil {
 					t.Fatalf("%s Δ%s=%gµs: %v", name, ax.name, v, err)
 				}
