@@ -41,7 +41,9 @@
 package am
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/logp"
 	"repro/internal/sim"
@@ -351,11 +353,23 @@ func (ep *Endpoint) P() int { return len(ep.m.eps) }
 // Now returns the owning processor's virtual clock.
 func (ep *Endpoint) Now() sim.Time { return ep.proc.Clock() }
 
+// ErrComputeOverflow fails a run whose CPU factor scales a compute charge
+// past what the virtual clock can hold.
+var ErrComputeOverflow = errors.New("am: scaled compute charge overflows the virtual clock")
+
 // Compute charges d of local computation, scaled by the machine's CPU
-// factor.
+// factor. A scaled charge that does not fit the processor's clock fails
+// the run with ErrComputeOverflow.
 func (ep *Endpoint) Compute(d sim.Time) {
 	if f := ep.m.cpuFactor; f != 1 {
-		d = sim.Time(float64(d)/f + 0.5)
+		scaled := float64(d)/f + 0.5
+		// 2^63 is the first float64 past the int64 range; !(x < y) also
+		// catches NaN.
+		if !(scaled < 1<<63) || sim.Time(scaled) > math.MaxInt64-ep.proc.Clock() {
+			ep.m.eng.Fail(fmt.Errorf("%w: %v at CPU factor %g on proc %d at %v",
+				ErrComputeOverflow, d, f, ep.ID(), ep.proc.Clock()))
+		}
+		d = sim.Time(scaled)
 	}
 	from := ep.proc.Clock()
 	ep.proc.Advance(d)

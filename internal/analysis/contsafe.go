@@ -10,7 +10,8 @@ import (
 
 // ContSafe proves the continuation runtime's structural invariants in
 // the packages that host resumable state machines (am/cont.go,
-// splitc/cont.go, and the scalekern kernels). A continuation function —
+// splitc/cont.go, the scalekern kernels, and the paper apps written as
+// Tasks: EM3D and Barnes). A continuation function —
 // any function whose results include a PollableWait — is re-entered by
 // the engine after every park, so three things must hold:
 //
@@ -39,6 +40,8 @@ func contsafeScopes() []string {
 		"internal/am",
 		"internal/splitc",
 		"internal/apps/scalekern",
+		"internal/apps/em3d",
+		"internal/apps/barnes",
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/apps"
+	"repro/internal/sim"
 	"repro/internal/splitc"
 )
 
@@ -53,149 +54,61 @@ func (a App) InputDesc(cfg apps.Config) string {
 		n, t.depth, t.totalCells, a.steps())
 }
 
+// shared is the cross-processor state of one run: the tree geometry, the
+// initial bodies, and the cell record blocks each owner publishes before
+// the first barrier.
+type shared struct {
+	tr         *tree
+	n, steps   int
+	cacheLines int
+	all        []body
+	recArr     []splitc.GPtr // per-owner cell record blocks
+}
+
+// recPtr is the global address of cell uid's record.
+func (sh *shared) recPtr(uid int) splitc.GPtr {
+	return sh.recArr[sh.tr.ownerOf[uid]].Add(int(sh.tr.slotOf[uid]) * recWords)
+}
+
 // Run executes the benchmark.
 func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	cfg = cfg.Norm()
 	n := bodyCount(cfg)
 	P := cfg.Procs
-	steps := a.steps()
-	t := newTree(n, P)
+	tr := newTree(n, P)
 	w, err := apps.NewWorld(cfg)
 	if err != nil {
 		return apps.Result{}, err
 	}
 	cacheLines := a.CacheLines
 	if cacheLines == 0 {
-		cacheLines = maxInt(t.totalCells/2, 64)
+		cacheLines = maxInt(tr.totalCells/2, 64)
+	}
+	sh := &shared{
+		tr:         tr,
+		n:          n,
+		steps:      a.steps(),
+		cacheLines: cacheLines,
+		all:        initBodies(n, cfg.Seed),
+		recArr:     make([]splitc.GPtr, P),
 	}
 
-	recArr := make([]splitc.GPtr, P) // per-owner cell record blocks
-	all := initBodies(n, cfg.Seed)
-	finalBodies := make([][]body, P)
-	var failedLocks uint64
-
-	body_ := func(p *splitc.Proc) {
-		me := p.ID()
-		lo, hi := apps.BlockRange(me, n, P)
-		mine := append([]body(nil), all[lo:hi]...)
-
-		nRecs := maxInt(t.ownCount[me], 1)
-		recArr[me] = p.Alloc(nRecs * recWords)
-		myRecs := p.Local(recArr[me], nRecs*recWords)
-		p.Barrier()
-
-		recPtr := func(uid int) splitc.GPtr {
-			return recArr[t.ownerOf[uid]].Add(int(t.slotOf[uid]) * recWords)
-		}
-
-		cacheTag := make([]int32, cacheLines)
-		var cacheVal []cellRecord
-
-		for step := 0; step < steps; step++ {
-			// Phase 0: owners clear their cell records.
-			for i := range myRecs {
-				myRecs[i] = 0
-			}
-			p.ComputeUs(clearCostUs * float64(t.ownCount[me]))
-			p.Barrier()
-
-			// Phase 1: tree construction. Aggregate locally, then fold
-			// each touched cell into the shared record under its lock.
-			agg := t.aggregate(mine)
-			p.ComputeUs(aggCostUs * float64(len(mine)*(t.depth+1)))
-			uids := make([]int, 0, len(agg))
-			for uid := range agg {
-				uids = append(uids, uid)
-			}
-			sort.Ints(uids)
-			for _, uid := range uids {
-				c := agg[uid]
-				g := recPtr(uid)
-				// Every update — including the owner's own — holds the
-				// cell lock: a lock-free owner update could land inside a
-				// remote holder's read-modify-write window and be lost.
-				p.Lock(g)
-				if int(t.ownerOf[uid]) == me {
-					base := int(t.slotOf[uid]) * recWords
-					myRecs[base+1] += uint64(c.mass)
-					myRecs[base+2] += uint64(c.sx)
-					myRecs[base+3] += uint64(c.sy)
-					myRecs[base+4] += uint64(c.sz)
-				} else {
-					words := p.BulkGet(g.Add(1), 4)
-					words[0] += uint64(c.mass)
-					words[1] += uint64(c.sx)
-					words[2] += uint64(c.sy)
-					words[3] += uint64(c.sz)
-					p.BulkPut(g.Add(1), words)
-				}
-				p.ComputeUs(updateCostUs)
-				p.Unlock(g)
-			}
-			p.Barrier()
-
-			// Phase 2: force computation through the software cache.
-			for i := range cacheTag {
-				cacheTag[i] = -1
-			}
-			cacheVal = make([]cellRecord, cacheLines)
-			fetch := func(uid int) cellRecord {
-				if int(t.ownerOf[uid]) == me {
-					base := int(t.slotOf[uid]) * recWords
-					return cellRecord{
-						mass: int64(myRecs[base+1]),
-						sx:   int64(myRecs[base+2]),
-						sy:   int64(myRecs[base+3]),
-						sz:   int64(myRecs[base+4]),
-					}
-				}
-				p.ComputeUs(probeCostUs)
-				slot := uid % cacheLines
-				if cacheTag[slot] == int32(uid) {
-					return cacheVal[slot]
-				}
-				wordsIn := p.BulkGet(recPtr(uid).Add(1), 4)
-				c := cellRecord{
-					mass: int64(wordsIn[0]),
-					sx:   int64(wordsIn[1]),
-					sy:   int64(wordsIn[2]),
-					sz:   int64(wordsIn[3]),
-				}
-				cacheTag[slot] = int32(uid)
-				cacheVal[slot] = c
-				return c
-			}
-			for i := range mine {
-				b := &mine[i]
-				fx, fy, fz := t.traverse(b.x, b.y, b.z, fetch, func() { p.ComputeUs(visitCostUs) })
-				b.advance(fx, fy, fz)
-				p.ComputeUs(advanceCost)
-				if i%64 == 63 {
-					p.Poll()
-				}
-			}
-			p.Barrier()
-		}
-
-		finalBodies[me] = mine
-		locks := p.AllReduceSum(uint64(p.FailedLockAttempts()))
-		if me == 0 {
-			failedLocks = locks
-		}
-	}
-
-	if err := w.Run(body_); err != nil {
+	tasks := make([]*task, P)
+	if err := w.RunTasks(func(id int) splitc.Task {
+		tasks[id] = &task{sh: sh}
+		return tasks[id]
+	}); err != nil {
 		return apps.Result{}, err
 	}
 
 	if cfg.Verify {
-		ref := append([]body(nil), all...)
-		for s := 0; s < steps; s++ {
-			t.serialStep(ref)
+		ref := append([]body(nil), sh.all...)
+		for s := 0; s < sh.steps; s++ {
+			tr.serialStep(ref)
 		}
-		for q := 0; q < P; q++ {
+		for q, k := range tasks {
 			lo, _ := apps.BlockRange(q, n, P)
-			for i, b := range finalBodies[q] {
+			for i, b := range k.mine {
 				if b != ref[lo+i] {
 					return apps.Result{}, fmt.Errorf("barnes: body %d diverges from serial reference: %+v vs %+v",
 						lo+i, b, ref[lo+i])
@@ -204,8 +117,252 @@ func (a App) Run(cfg apps.Config) (apps.Result, error) {
 		}
 	}
 	res := apps.Finish(a, cfg, w, cfg.Verify)
-	res.Extra["failedLocks"] = float64(failedLocks)
+	res.Extra["failedLocks"] = float64(tasks[0].failedLocks)
 	return res, nil
+}
+
+// task is one processor's time-steps as a state machine: pc names the
+// phase the processor is in (or about to enter). A step clears the owned
+// cell records (2, 3), folds the local aggregate into the shared tree
+// under cell locks (4–8), and runs the force pass (9, 10); the failed
+// lock attempts are summed at the end (11).
+type task struct {
+	sh *shared
+	t  *splitc.TProc // the processor, for the walk's cell fetches
+
+	pc, step int
+	mine     []body
+	myRecs   []uint64
+
+	// Tree construction: agg is the step's local aggregate, uids its
+	// cells in order, u the cell being folded in and words its record.
+	agg   aggregated
+	uids  []int
+	u     int
+	words []uint64
+
+	// Force pass: body is the next body to advance and w its walk, live
+	// while walking; polling is set between a 64th body's advance and its
+	// poll; charged is set once the cell the walk is fetching has paid
+	// its visit and probe, so a parked fetch does not pay twice.
+	body     int
+	w        walk
+	walking  bool
+	polling  bool
+	charged  bool
+	cacheTag []int32
+	cacheVal []cellRecord
+
+	failedLocks uint64 // the run's total, on processor 0
+}
+
+func (k *task) Step(t *splitc.TProc) (sim.PollableWait, bool) {
+	sh, tr, me := k.sh, k.sh.tr, t.ID()
+	k.t = t
+	for {
+		switch k.pc {
+		case 0:
+			lo, hi := apps.BlockRange(me, sh.n, t.P())
+			k.mine = append([]body(nil), sh.all[lo:hi]...)
+			nRecs := maxInt(tr.ownCount[me], 1)
+			sh.recArr[me] = t.Alloc(nRecs * recWords)
+			k.myRecs = t.Local(sh.recArr[me], nRecs*recWords)
+			k.cacheTag = make([]int32, sh.cacheLines)
+			k.cacheVal = make([]cellRecord, sh.cacheLines)
+			k.pc = 1
+		case 1:
+			if wt := t.BarrierT(); wt != nil {
+				return wt, false
+			}
+			k.pc = 2
+		case 2:
+			if k.step == sh.steps {
+				k.pc = 11
+				continue
+			}
+			// Phase 0: owners clear their cell records.
+			for i := range k.myRecs {
+				k.myRecs[i] = 0
+			}
+			t.ComputeUs(clearCostUs * float64(tr.ownCount[me]))
+			k.pc = 3
+		case 3:
+			if wt := t.BarrierT(); wt != nil {
+				return wt, false
+			}
+			// Phase 1: tree construction. Aggregate locally, then fold
+			// each touched cell into the shared record under its lock.
+			k.agg = tr.aggregate(k.mine)
+			t.ComputeUs(aggCostUs * float64(len(k.mine)*(tr.depth+1)))
+			k.uids = k.uids[:0]
+			for uid := range k.agg {
+				k.uids = append(k.uids, uid)
+			}
+			sort.Ints(k.uids)
+			k.u = 0
+			k.pc = 4
+		case 4:
+			if k.u == len(k.uids) {
+				k.pc = 8
+				continue
+			}
+			// Every update — including the owner's own — holds the cell
+			// lock: a lock-free owner update could land inside a remote
+			// holder's read-modify-write window and be lost.
+			uid := k.uids[k.u]
+			if wt := t.LockT(sh.recPtr(uid)); wt != nil {
+				return wt, false
+			}
+			if int(tr.ownerOf[uid]) != me {
+				k.pc = 5
+				continue
+			}
+			c := k.agg[uid]
+			base := int(tr.slotOf[uid]) * recWords
+			k.myRecs[base+1] += uint64(c.mass)
+			k.myRecs[base+2] += uint64(c.sx)
+			k.myRecs[base+3] += uint64(c.sy)
+			k.myRecs[base+4] += uint64(c.sz)
+			t.ComputeUs(updateCostUs)
+			k.pc = 7
+		case 5:
+			uid := k.uids[k.u]
+			words, wt := t.BulkGetT(sh.recPtr(uid).Add(1), 4)
+			if wt != nil {
+				return wt, false
+			}
+			c := k.agg[uid]
+			words[0] += uint64(c.mass)
+			words[1] += uint64(c.sx)
+			words[2] += uint64(c.sy)
+			words[3] += uint64(c.sz)
+			k.words = words
+			k.pc = 6
+		case 6:
+			if wt := t.BulkPutT(sh.recPtr(k.uids[k.u]).Add(1), k.words); wt != nil {
+				return wt, false
+			}
+			t.ComputeUs(updateCostUs)
+			k.pc = 7
+		case 7:
+			if wt := t.UnlockT(sh.recPtr(k.uids[k.u])); wt != nil {
+				return wt, false
+			}
+			k.u++
+			k.pc = 4
+		case 8:
+			if wt := t.BarrierT(); wt != nil {
+				return wt, false
+			}
+			// Phase 2: force computation through the software cache.
+			for i := range k.cacheTag {
+				k.cacheTag[i] = -1
+			}
+			k.pc = 9
+		case 9:
+			if wt := k.force(t); wt != nil {
+				return wt, false
+			}
+			k.pc = 10
+		case 10:
+			if wt := t.BarrierT(); wt != nil {
+				return wt, false
+			}
+			k.step++
+			k.pc = 2
+		case 11:
+			locks, wt := t.AllReduceSumT(uint64(t.FailedLockAttempts()))
+			if wt != nil {
+				return wt, false
+			}
+			if me == 0 {
+				k.failedLocks = locks
+			}
+			return nil, true
+		}
+	}
+}
+
+// force advances every owned body one step: a tree walk for its force,
+// the integration, and a poll after every 64th body. A nil return means
+// the pass is done.
+func (k *task) force(t *splitc.TProc) sim.PollableWait {
+	for ; k.body < len(k.mine); k.body++ {
+		if !k.polling {
+			b := &k.mine[k.body]
+			if !k.walking {
+				k.w.start(k.sh.tr, b.x, b.y, b.z)
+				k.walking = true
+			}
+			if wt := k.w.run(k); wt != nil {
+				return wt
+			}
+			k.walking = false
+			b.advance(k.w.fx, k.w.fy, k.w.fz)
+			t.ComputeUs(advanceCost)
+			if k.body%64 != 63 {
+				continue
+			}
+			k.polling = true
+		}
+		if wt := t.PollT(); wt != nil {
+			return wt
+		}
+		k.polling = false
+	}
+	k.body = 0
+	return nil
+}
+
+// cell is the force pass's cellSource: every cell the walk visits costs
+// a visit, a remote one a software-cache probe too, and a cache miss
+// fetches the record from its owner.
+func (k *task) cell(uid int) (cellRecord, sim.PollableWait) {
+	t := k.t
+	remote := int(k.sh.tr.ownerOf[uid]) != t.ID()
+	if !k.charged {
+		t.ComputeUs(visitCostUs)
+		if remote {
+			t.ComputeUs(probeCostUs)
+		}
+		k.charged = true
+	}
+	c, wt := k.fetch(uid, remote)
+	if wt == nil {
+		k.charged = false
+	}
+	return c, wt
+}
+
+// fetch returns cell uid's record from the processor's own records, the
+// software cache, or (a miss) the owner's memory with BulkGetT.
+func (k *task) fetch(uid int, remote bool) (cellRecord, sim.PollableWait) {
+	if !remote {
+		base := int(k.sh.tr.slotOf[uid]) * recWords
+		return cellRecord{
+			mass: int64(k.myRecs[base+1]),
+			sx:   int64(k.myRecs[base+2]),
+			sy:   int64(k.myRecs[base+3]),
+			sz:   int64(k.myRecs[base+4]),
+		}, nil
+	}
+	slot := uid % k.sh.cacheLines
+	if k.cacheTag[slot] == int32(uid) {
+		return k.cacheVal[slot], nil
+	}
+	words, wt := k.t.BulkGetT(k.sh.recPtr(uid).Add(1), 4)
+	if wt != nil {
+		return cellRecord{}, wt
+	}
+	c := cellRecord{
+		mass: int64(words[0]),
+		sx:   int64(words[1]),
+		sy:   int64(words[2]),
+		sz:   int64(words[3]),
+	}
+	k.cacheTag[slot] = int32(uid)
+	k.cacheVal[slot] = c
+	return c, nil
 }
 
 func maxInt(a, b int) int {
@@ -215,4 +372,8 @@ func maxInt(a, b int) int {
 	return b
 }
 
-var _ apps.App = App{}
+var (
+	_ apps.App    = App{}
+	_ splitc.Task = (*task)(nil)
+	_ cellSource  = (*task)(nil)
+)

@@ -15,7 +15,11 @@
 // bit-for-bit verifiable against the serial reference.
 package barnes
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/sim"
+)
 
 const (
 	coordBits = 20             // fixed-point position grid per axis
@@ -125,42 +129,98 @@ func (c cellRecord) accumulate(x, y, z int64, subtractSelf bool,
 	*fz += f * dz
 }
 
-// traverse walks the Barnes-Hut tree for the body at (x,y,z), fetching
-// cell records through fetch (which abstracts the software cache / local
-// table) and returning the force. visit is charged per fetched cell.
-func (t *tree) traverse(x, y, z int64, fetch func(uid int) cellRecord, visit func()) (float64, float64, float64) {
-	var fx, fy, fz float64
-	var walk func(l, idx int)
-	walk = func(l, idx int) {
-		uid := t.uidOf(l, idx)
-		visit()
-		c := fetch(uid)
-		if c.mass == 0 {
-			return
-		}
-		contains := cellIndex(x, y, z, l) == idx
-		if l == t.depth {
-			c.accumulate(x, y, z, contains, &fx, &fy, &fz)
-			return
-		}
-		if !contains {
-			// Opening criterion against the center of mass.
-			m := float64(c.mass)
-			comX, comY, comZ := float64(c.sx)/m, float64(c.sy)/m, float64(c.sz)/m
-			dx, dy, dz := comX-float64(x), comY-float64(y), comZ-float64(z)
-			d2 := dx*dx + dy*dy + dz*dz + softening*softening
-			s := cellSize(l)
-			if s*s < theta*theta*d2 {
-				c.accumulate(x, y, z, false, &fx, &fy, &fz)
-				return
+// cellSource supplies the cell records a walk visits. A non-nil wait
+// means the record is not there yet: the walk parks on it and asks for
+// the same cell again once it is over.
+type cellSource interface {
+	cell(uid int) (cellRecord, sim.PollableWait)
+}
+
+// cellTable is a full table of cell records, indexed by uid: the serial
+// reference's cellSource, which never waits.
+type cellTable []cellRecord
+
+func (c cellTable) cell(uid int) (cellRecord, sim.PollableWait) { return c[uid], nil }
+
+// walk is the Barnes-Hut traversal for one body, resumable at every cell
+// fetch. Cells are visited depth first — a cell, then its eight children
+// in Morton order — and the cells opened but not finished are an explicit
+// stack (at most depth of them), so a fetch that must wait parks the walk
+// without a call stack to keep.
+type walk struct {
+	t          *tree
+	x, y, z    int64
+	fx, fy, fz float64 // the force so far; the body's force once run returns nil
+	l, idx     int     // the cell to fetch next, while pending
+	pending    bool
+	open       []openCell
+}
+
+// openCell is a cell whose children a walk is visiting; k is the next
+// child.
+type openCell struct{ l, idx, k int }
+
+// start begins the walk of tree t for the body at (x, y, z).
+func (w *walk) start(t *tree, x, y, z int64) {
+	w.t = t
+	w.x, w.y, w.z = x, y, z
+	w.fx, w.fy, w.fz = 0, 0, 0
+	w.l, w.idx, w.pending = 0, 0, true
+	w.open = w.open[:0]
+}
+
+// run visits cells until the walk is done (nil) or src must wait (the
+// wait; call run again with the same src once it is over).
+func (w *walk) run(src cellSource) sim.PollableWait {
+	for {
+		if w.pending {
+			c, wt := src.cell(w.t.uidOf(w.l, w.idx))
+			if wt != nil {
+				return wt
 			}
+			w.pending = false
+			w.visit(c)
 		}
-		for k := 0; k < 8; k++ {
-			walk(l+1, idx<<3|k)
+		n := len(w.open)
+		if n == 0 {
+			return nil
+		}
+		o := &w.open[n-1]
+		if o.k == 8 {
+			w.open = w.open[:n-1]
+			continue
+		}
+		w.l, w.idx, w.pending = o.l+1, o.idx<<3|o.k, true
+		o.k++
+	}
+}
+
+// visit applies the fetched record of the current cell: an empty cell
+// adds nothing, a leaf or a cell far enough away adds its pull, and any
+// other cell is opened.
+func (w *walk) visit(c cellRecord) {
+	if c.mass == 0 {
+		return
+	}
+	x, y, z := w.x, w.y, w.z
+	contains := cellIndex(x, y, z, w.l) == w.idx
+	if w.l == w.t.depth {
+		c.accumulate(x, y, z, contains, &w.fx, &w.fy, &w.fz)
+		return
+	}
+	if !contains {
+		// Opening criterion against the center of mass.
+		m := float64(c.mass)
+		comX, comY, comZ := float64(c.sx)/m, float64(c.sy)/m, float64(c.sz)/m
+		dx, dy, dz := comX-float64(x), comY-float64(y), comZ-float64(z)
+		d2 := dx*dx + dy*dy + dz*dz + softening*softening
+		s := cellSize(w.l)
+		if s*s < theta*theta*d2 {
+			c.accumulate(x, y, z, false, &w.fx, &w.fy, &w.fz)
+			return
 		}
 	}
-	walk(0, 0)
-	return fx, fy, fz
+	w.open = append(w.open, openCell{l: w.l, idx: w.idx})
 }
 
 // advance integrates one body one step and quantizes it back onto the grid
@@ -211,9 +271,9 @@ func (t *tree) aggregate(bodies []body) aggregated {
 }
 
 // serialStep runs one reference time-step over all bodies: build the full
-// cell table, then traverse and advance each body.
+// cell table, then walk and advance each body.
 func (t *tree) serialStep(all []body) {
-	cells := make([]cellRecord, t.totalCells)
+	cells := make(cellTable, t.totalCells)
 	for i := range all {
 		b := &all[i]
 		for l := 0; l <= t.depth; l++ {
@@ -224,10 +284,13 @@ func (t *tree) serialStep(all []body) {
 			cells[uid].sz += b.z
 		}
 	}
+	var src cellSource = cells
+	var w walk
 	for i := range all {
 		b := &all[i]
-		fx, fy, fz := t.traverse(b.x, b.y, b.z, func(uid int) cellRecord { return cells[uid] }, func() {})
-		b.advance(fx, fy, fz)
+		w.start(t, b.x, b.y, b.z)
+		w.run(src) // a cellTable never waits
+		b.advance(w.fx, w.fy, w.fz)
 	}
 }
 

@@ -65,9 +65,6 @@ type graph struct {
 
 	nEBnd []int // E-boundary slots per proc
 	nHBnd []int
-
-	// memoized serial reference (verification).
-	refE, refH [][]uint64
 }
 
 type pushEntry struct {
@@ -172,6 +169,28 @@ func initValue(side, proc, idx int) uint64 {
 	return uint64(side+1)*1_000_003 ^ uint64(proc)*7919 ^ uint64(idx)*104729
 }
 
+// boundarySources reconstructs the remote dependencies from the push
+// lists: for reader p, e[p][s] is the (source proc in dst, source index
+// in local) whose H value feeds E-boundary slot s — the pushH entry with
+// dst = p, slot = s — and h[p] the same for the H side.
+func (g *graph) boundarySources(P int) (e, h [][]pushEntry) {
+	e = make([][]pushEntry, P)
+	h = make([][]pushEntry, P)
+	for p := 0; p < P; p++ {
+		e[p] = make([]pushEntry, g.nEBnd[p])
+		h[p] = make([]pushEntry, g.nHBnd[p])
+	}
+	for src := 0; src < P; src++ {
+		for _, x := range g.pushH[src] {
+			e[x.dst][x.slot] = pushEntry{local: x.local, dst: int32(src)}
+		}
+		for _, x := range g.pushE[src] {
+			h[x.dst][x.slot] = pushEntry{local: x.local, dst: int32(src)}
+		}
+	}
+	return e, h
+}
+
 // serialReference runs the same computation on one Go thread, returning
 // the final E and H values per proc. Used by Verify.
 func (g *graph) serialReference(P int) (eRef, hRef [][]uint64) {
@@ -185,22 +204,7 @@ func (g *graph) serialReference(P int) (eRef, hRef [][]uint64) {
 			hRef[p][i] = initValue(1, p, i)
 		}
 	}
-	// Reconstruct remote dependencies from the push lists: remote slot s
-	// on proc p corresponds to pushH entries with dst=p, slot=s.
-	eBndSrc := make([][]pushEntry, P) // slot -> source (proc, idx)
-	hBndSrc := make([][]pushEntry, P)
-	for p := 0; p < P; p++ {
-		eBndSrc[p] = make([]pushEntry, g.nEBnd[p])
-		hBndSrc[p] = make([]pushEntry, g.nHBnd[p])
-	}
-	for src := 0; src < P; src++ {
-		for _, e := range g.pushH[src] {
-			eBndSrc[e.dst][e.slot] = pushEntry{local: e.local, dst: int32(src)}
-		}
-		for _, e := range g.pushE[src] {
-			hBndSrc[e.dst][e.slot] = pushEntry{local: e.local, dst: int32(src)}
-		}
-	}
+	eBndSrc, hBndSrc := g.boundarySources(P)
 	for step := 0; step < g.steps; step++ {
 		newE := make([][]uint64, P)
 		for p := 0; p < P; p++ {

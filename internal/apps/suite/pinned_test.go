@@ -1,0 +1,140 @@
+package suite
+
+import (
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/am"
+	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/sim"
+)
+
+// TestAppTimelinesPinned holds every paper app's virtual makespan,
+// message count and event count at tinyCfg scale to the values recorded
+// at commit fb402e7, where all ten were still blocking bodies, with
+// Verify checking each answer against its serial reference. A changed
+// compute charge, a reordered primitive or a lost message moves a row.
+// The apps written as Tasks must also make no coroutine switch.
+func TestAppTimelinesPinned(t *testing.T) {
+	type in struct {
+		app   string
+		procs int
+	}
+	type out struct {
+		elapsedNs, sent, events int64
+	}
+	// The paper apps written as splitc.Task state machines; the rest are
+	// blocking bodies on the coroutine shell.
+	isTask := map[string]bool{"em3d-write": true, "em3d-read": true, "barnes": true}
+	for _, tc := range []struct {
+		in  in
+		out out
+	}{
+		{in{"radix", 1}, out{1914880, 0, 0}},
+		{in{"radix", 5}, out{15766679, 11496, 22984}},
+		{in{"radix", 32}, out{6328419, 18190, 36318}},
+		{in{"em3d-write", 1}, out{30720000, 0, 0}},
+		{in{"em3d-write", 5}, out{168137800, 69845, 139690}},
+		{in{"em3d-write", 32}, out{164206200, 464280, 928560}},
+		{in{"em3d-read", 1}, out{30720000, 0, 0}},
+		{in{"em3d-read", 5}, out{380797000, 133645, 136690}},
+		{in{"em3d-read", 32}, out{440254800, 864080, 896560}},
+		{in{"sample", 1}, out{5504900, 0, 0}},
+		{in{"sample", 5}, out{15983080, 10567, 21126}},
+		{in{"sample", 32}, out{39968350, 22279, 44496}},
+		{in{"barnes", 1}, out{190491600, 0, 0}},
+		{in{"barnes", 5}, out{246152496, 56378, 58046}},
+		{in{"barnes", 32}, out{165248326, 238306, 246652}},
+		{in{"pray", 1}, out{7093750, 0, 0}},
+		{in{"pray", 5}, out{8860854, 1485, 1538}},
+		{in{"pray", 32}, out{6214066, 4010, 4552}},
+		{in{"connect", 1}, out{7067500, 0, 0}},
+		{in{"connect", 5}, out{1750750, 108, 168}},
+		{in{"connect", 32}, out{860850, 1056, 1696}},
+		{in{"murphi", 1}, out{330305600, 0, 0}},
+		{in{"murphi", 5}, out{136987341, 1715, 3430}},
+		{in{"murphi", 32}, out{35995195, 15070, 30140}},
+		{in{"nowsort", 1}, out{542464922, 0, 11}},
+		{in{"nowsort", 5}, out{142662952, 352, 719}},
+		{in{"nowsort", 32}, out{24229498, 1818, 3732}},
+		{in{"radb", 1}, out{2490880, 0, 0}},
+		{in{"radb", 5}, out{2079204, 254, 500}},
+		{in{"radb", 32}, out{4990843, 4076, 8090}},
+	} {
+		a, err := ByName(tc.in.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run(tinyCfg(tc.in.procs))
+		if err != nil {
+			t.Errorf("%v: %v", tc.in, err)
+			continue
+		}
+		got := out{int64(res.Elapsed), res.Stats.TotalSent(), res.Sched.EventsRun}
+		if got != tc.out {
+			t.Errorf("%v: (elapsed ns, sent, events) = %v, want %v", tc.in, got, tc.out)
+		}
+		if !res.Verified {
+			t.Errorf("%v: not verified", tc.in)
+		}
+		if isTask[tc.in.app] && res.Sched.Switches != 0 {
+			t.Errorf("%v: a Task made %d coroutine switches", tc.in, res.Sched.Switches)
+		}
+	}
+}
+
+// TestComputeOverflowIsTypedError runs every app with a CPU factor so
+// small that its first compute charge overflows the virtual clock: the
+// run fails with am.ErrComputeOverflow, not with a panic and a stack dump.
+func TestComputeOverflowIsTypedError(t *testing.T) {
+	for _, a := range All() {
+		_, err := a.Run(apps.Config{Procs: 4, Scale: 1e-4, Seed: 1, CPUSpeedup: 1e-300})
+		if !errors.Is(err, am.ErrComputeOverflow) {
+			t.Errorf("%s: err = %v, want am.ErrComputeOverflow", a.Name(), err)
+			continue
+		}
+		if strings.Contains(err.Error(), "goroutine ") {
+			t.Errorf("%s: error carries a stack dump: %v", a.Name(), err)
+		}
+	}
+}
+
+// TestTaskLivelockIsLivelockedPoint pins the exit Barnes' high-Δo cells
+// depend on, for every app written as a Task: a run past its time limit
+// fails with sim.ErrTimeLimit, core.Measure reports the point as
+// livelocked, and the aborted runs leave no goroutine behind.
+func TestTaskLivelockIsLivelockedPoint(t *testing.T) {
+	for _, name := range []string{"em3d-write", "em3d-read", "barnes"} {
+		a, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tinyCfg(5)
+		cfg.Verify = false
+		base, err := a.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		limited := cfg
+		limited.TimeLimit = base.Elapsed / 2
+		if _, err := a.Run(limited); !errors.Is(err, sim.ErrTimeLimit) {
+			t.Errorf("%s: limit at half the makespan: err = %v, want sim.ErrTimeLimit", name, err)
+		}
+		// Measure bounds the run at LivelockFactor × the baseline it is
+		// given, so this baseline puts the bound at half the makespan.
+		pt, _, err := core.Measure(a, cfg, core.KnobO, 0, base.Elapsed/(2*core.LivelockFactor))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pt.Livelocked {
+			t.Errorf("%s: point not livelocked: %+v", name, pt)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after the aborted runs, %d before", name, after, before)
+		}
+	}
+}
