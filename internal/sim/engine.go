@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"strings"
+)
 
 // Config controls engine construction.
 type Config struct {
@@ -56,11 +60,12 @@ func New(cfg Config) *Engine {
 		panic(fmt.Sprintf("sim: Config.Procs must be >= 1, got %d", cfg.Procs))
 	}
 	e := &Engine{timeLimit: cfg.TimeLimit, seed: cfg.Seed}
-	e.ready.ps = make([]readyEntry, 0, cfg.Procs) // its high-water mark
 	e.procs = make([]*Proc, cfg.Procs)
 	for i := range e.procs {
 		e.procs[i] = newProc(e, i)
 	}
+	e.ready.init(e.procs)
+	e.events.init()
 	return e
 }
 
@@ -134,8 +139,9 @@ func runThunk(arg any, _ Time) { arg.(func())() }
 
 // ScheduleCall registers fn(arg, t) to run at virtual time t, under the
 // same (t, FIFO) ordering and the same restrictions as ScheduleAt.
-// Event records live by value in the engine's heap, so once the heap has
-// grown to the workload's high-water mark the call allocates nothing:
+// Event records live by value in the event queue's pool, which reuses
+// popped nodes, so once the pool has grown to the workload's high-water
+// mark the call allocates nothing:
 // this is the hot path the Active Message layer schedules deliveries and
 // credit returns through.
 //
@@ -222,9 +228,10 @@ func (e *Engine) next() *Proc {
 // (Proc.Await).
 //
 // turn returns who runs next when it already knows: a p that stopped
-// being the minimum changes places with the ready heap's root in one
-// sift, and the old root is what next() would have popped — holds has
-// just run every event due by p's clock, which is not before the root's.
+// being the minimum changes places with the ready heap's root
+// (procHeap.handOff), and the old root is what next() would have popped —
+// holds has just run every event due by p's clock, which is not before
+// the root's.
 // It returns nil when p finished or blocked, and next() must look.
 //
 //repro:hotpath
@@ -292,14 +299,27 @@ func (e *Engine) holds(p *Proc) bool {
 	return self.before(q)
 }
 
+// deadlockShown is how many blocked processors a deadlock error lists; the
+// rest are counted, so the message stays small at any P.
+const deadlockShown = 8
+
 func (e *Engine) deadlockError() error {
-	msg := "sim: deadlock — all processors parked and no events pending\n"
+	var b strings.Builder
+	b.WriteString("sim: deadlock — all processors parked and no events pending\n")
+	blocked := 0
 	for _, p := range e.procs {
-		if p.state == stateBlocked {
-			msg += fmt.Sprintf("  proc %d blocked at %v: %s\n", p.id, p.clock, waitReason(p.wait))
+		if p.state != stateBlocked {
+			continue
 		}
+		if blocked < deadlockShown {
+			fmt.Fprintf(&b, "  proc %d blocked at %v: %s\n", p.id, p.clock, waitReason(p.wait))
+		}
+		blocked++
 	}
-	return fmt.Errorf("%s", msg)
+	if more := blocked - deadlockShown; more > 0 {
+		fmt.Fprintf(&b, "  … and %d more blocked\n", more)
+	}
+	return errors.New(b.String())
 }
 
 // drainEvents runs every event due at or before limit. Events that wake

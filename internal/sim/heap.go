@@ -1,19 +1,36 @@
 package sim
 
-// The scheduler's two priority queues are 4-ary min-heaps of records held
-// by value. Both orders are strict total orders — (at, seq) for events,
-// (clock, id) for processors — so the pop sequence is independent of heap
-// shape and everything below is a constant-factor choice that cannot
-// reach a timeline: four children to a node halve the sift depth of a
-// binary heap, a comparison reads only the heap's own array, and a sift
-// moves a hole — the record being placed stays in hand while the records
-// in its way shift one level, one store per level where a swap makes two.
+// The scheduler's two priority queues merge ascending runs. A record that
+// does not sort before the most recently pushed record still queued (the
+// tail, whose key each queue keeps) is linked after it in O(1); any other
+// push starts a new run. A
+// 4-ary min-heap orders the runs by their heads, each slot holding its
+// head's key by value so that peek is one load. Taking the root either
+// re-sifts that slot with its run's next record or, when the run has
+// ended, is an ordinary heap pop.
+//
+// This pays because bulk-synchronous processors run in lockstep: at
+// P = 10k the ~12k pending events fall on ~80 distinct instants and the
+// ~7.7k ready processors on ~16 clocks, so 94 % of pushes extend a run,
+// and a re-sifted head, which sorts right after the one it replaces,
+// usually stops within a level where a heap of records would sift to the
+// bottom. Both orders are strict total orders — (at, seq) for events,
+// (clock, id) for processors — so the pop sequence is independent of how
+// records are grouped into runs and how the heap is shaped: none of it
+// can reach a timeline. Sifts move a hole — the slot being placed stays
+// in hand while the slots in its way shift one level.
+//
+// Memory follows the pending high-water mark, and the steady state
+// allocates nothing: event records live in a pool whose free list reuses
+// popped nodes, and the ready queue links processors by id through one
+// array of length P (a processor is queued at most once).
 
-// event is one pending scheduler event. Events are stored by value in
-// the heap's slice, so scheduling allocates nothing once the slice has
-// grown to the workload's high-water mark; the closure-free EventFn+arg
+// none marks the end of a run, an empty free list and an absent tail.
+const none = -1
+
+// event is one pending scheduler event. Its closure-free EventFn+arg
 // representation (see Engine.ScheduleCall) keeps the caller side
-// allocation-free too.
+// allocation-free.
 type event struct {
 	at  Time
 	seq int64
@@ -21,10 +38,25 @@ type event struct {
 	arg any
 }
 
+// eventNode is an event in the pool: linked to the next record of its
+// run while queued, to the next free node once popped.
+type eventNode struct {
+	event
+	next int32
+}
+
+// eventRun is an event's key and node: a heap slot holds its run head's,
+// and the queue keeps the tail's.
+type eventRun struct {
+	at   Time
+	seq  int64
+	node int32
+}
+
 // before is the event queue's order: time, then FIFO.
 //
 //repro:hotpath
-func (a *event) before(b *event) bool {
+func (a *eventRun) before(b *eventRun) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -32,54 +64,89 @@ func (a *event) before(b *event) bool {
 }
 
 type eventHeap struct {
-	ev []event
+	runs []eventRun
+	pool []eventNode
+	free int32    // first free node, or none
+	last eventRun // the tail; last.node is none when there is no tail
+	n    int      // queued events
 }
 
-func (h *eventHeap) len() int { return len(h.ev) }
+func (h *eventHeap) init() { h.free, h.last.node = none, none }
+
+func (h *eventHeap) len() int { return h.n }
 
 //repro:hotpath
 func (h *eventHeap) push(x event) {
-	//lint:allow hotpathalloc amortized heap growth; the slice reaches its high-water mark during warmup
-	h.ev = append(h.ev, x)
-	ev := h.ev
-	i := len(ev) - 1
+	n := h.free
+	if n != none {
+		h.free = h.pool[n].next
+	} else {
+		//lint:allow hotpathalloc amortized pool growth; the pool reaches its high-water mark during warmup
+		h.pool = append(h.pool, eventNode{})
+		n = int32(len(h.pool) - 1)
+	}
+	h.pool[n] = eventNode{event: x, next: none}
+	h.n++
+	s := eventRun{at: x.at, seq: x.seq, node: n}
+	if t := h.last; t.node != none && !s.before(&t) {
+		h.pool[t.node].next = n
+		h.last = s
+		return
+	}
+	h.last = s
+	//lint:allow hotpathalloc amortized heap growth; bounded by the pool
+	h.runs = append(h.runs, eventRun{})
+	runs := h.runs
+	i := len(runs) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !x.before(&ev[parent]) {
+		if !s.before(&runs[parent]) {
 			break
 		}
-		ev[i] = ev[parent]
+		runs[i] = runs[parent]
 		i = parent
 	}
-	ev[i] = x
+	runs[i] = s
 }
 
-func (h *eventHeap) peek() *event {
-	if len(h.ev) == 0 {
+// peek returns the next event's key; its at is the event's time.
+func (h *eventHeap) peek() *eventRun {
+	if len(h.runs) == 0 {
 		return nil
 	}
-	return &h.ev[0]
+	return &h.runs[0]
 }
 
 //repro:hotpath
 func (h *eventHeap) pop() event {
-	top := h.ev[0]
-	last := len(h.ev) - 1
-	x := h.ev[last]
-	h.ev[last] = event{} // release the fn/arg references
-	h.ev = h.ev[:last]
-	if last > 0 {
-		h.siftDown(x)
+	n := h.runs[0].node
+	node := &h.pool[n]
+	x, next := node.event, node.next
+	*node = eventNode{next: h.free} // release the fn/arg references
+	h.free = n
+	h.n--
+	if n == h.last.node {
+		h.last.node = none
 	}
-	return top
+	if next != none {
+		h.siftDown(eventRun{at: h.pool[next].at, seq: h.pool[next].seq, node: next})
+		return x
+	}
+	end := len(h.runs) - 1
+	s := h.runs[end]
+	h.runs = h.runs[:end]
+	if end > 0 {
+		h.siftDown(s)
+	}
+	return x
 }
 
-// siftDown places x, starting from a hole at the root.
+// siftDown places s, starting from a hole at the root.
 //
 //repro:hotpath
-func (h *eventHeap) siftDown(x event) {
-	ev := h.ev
-	n := len(ev)
+func (h *eventHeap) siftDown(s eventRun) {
+	runs := h.runs
+	n := len(runs)
 	i := 0
 	for {
 		first := 4*i + 1
@@ -88,34 +155,34 @@ func (h *eventHeap) siftDown(x event) {
 		}
 		small := first
 		for c, end := first+1, min(first+4, n); c < end; c++ {
-			if ev[c].before(&ev[small]) {
+			if runs[c].before(&runs[small]) {
 				small = c
 			}
 		}
-		if !ev[small].before(&x) {
+		if !runs[small].before(&s) {
 			break
 		}
-		ev[i] = ev[small]
+		runs[i] = runs[small]
 		i = small
 	}
-	ev[i] = x
+	runs[i] = s
 }
 
-// readyEntry is one runnable processor in the ready queue, with its
-// (clock, id) key copied in so that ordering the queue never touches a
-// Proc. The copy cannot go stale: only a processor's own turn moves its
+// readyEntry is a runnable processor's (clock, id) key: a ready-heap slot
+// holds its run head's, and the queue keeps the tail's. It is read from
+// the Proc when the processor is pushed or becomes its run's head, and
+// cannot have gone stale by then: only a processor's own turn moves its
 // clock, and a processor in the queue is not having one (Proc.WakeAt on a
 // processor that is not blocked only records the wake).
 type readyEntry struct {
 	clock Time
 	id    int
-	p     *Proc
 }
 
-// entry is p as the ready queue holds it, keyed at its current clock.
+// entry is p's key at its current clock.
 //
 //repro:hotpath
-func (p *Proc) entry() readyEntry { return readyEntry{clock: p.clock, id: p.id, p: p} }
+func (p *Proc) entry() readyEntry { return readyEntry{clock: p.clock, id: p.id} }
 
 // before is the ready queue's order: clock, then processor identity, so
 // the schedule is stable.
@@ -128,71 +195,96 @@ func (a *readyEntry) before(b *readyEntry) bool {
 	return a.id < b.id
 }
 
-// procHeap is the ready queue: a 4-ary min-heap of readyEntry. Entries
-// leave only from the root, so nothing records where in the heap a
-// processor sits.
+// procHeap is the ready queue. Processors leave only from the root, so
+// nothing records where in the heap a run sits.
 type procHeap struct {
-	ps []readyEntry
+	runs  []readyEntry
+	next  []int32 // next[id]: the processor after id in its run, or none
+	procs []*Proc
+	last  readyEntry // the tail's key; last.id is none when there is no tail
+	n     int        // queued processors
 }
 
-func (h *procHeap) len() int { return len(h.ps) }
+// init sizes the queue for procs, at its high-water mark.
+func (h *procHeap) init(procs []*Proc) {
+	h.runs = make([]readyEntry, 0, len(procs))
+	h.next = make([]int32, len(procs))
+	h.procs = procs
+	h.last.id = none
+}
+
+func (h *procHeap) len() int { return h.n }
 
 //repro:hotpath
 func (h *procHeap) push(p *Proc) {
 	x := p.entry()
-	//lint:allow hotpathalloc amortized heap growth; bounded by the processor count
-	h.ps = append(h.ps, x)
-	ps := h.ps
-	i := len(ps) - 1
+	h.n++
+	h.next[x.id] = none
+	if t := h.last; t.id != none && !x.before(&t) {
+		h.next[t.id] = int32(x.id)
+		h.last = x
+		return
+	}
+	h.last = x
+	//lint:allow hotpathalloc preallocated at the processor count, which bounds the runs
+	h.runs = append(h.runs, x)
+	runs := h.runs
+	i := len(runs) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !x.before(&ps[parent]) {
+		if !x.before(&runs[parent]) {
 			break
 		}
-		ps[i] = ps[parent]
+		runs[i] = runs[parent]
 		i = parent
 	}
-	ps[i] = x
+	runs[i] = x
 }
 
 func (h *procHeap) peek() *readyEntry {
-	if len(h.ps) == 0 {
+	if len(h.runs) == 0 {
 		return nil
 	}
-	return &h.ps[0]
+	return &h.runs[0]
 }
 
 //repro:hotpath
 func (h *procHeap) pop() *Proc {
-	top := h.ps[0].p
-	last := len(h.ps) - 1
-	x := h.ps[last]
-	h.ps = h.ps[:last]
-	if last > 0 {
+	id := h.runs[0].id
+	h.n--
+	if id == h.last.id {
+		h.last.id = none
+	}
+	if next := h.next[id]; next != none {
+		h.siftDown(h.procs[next].entry())
+		return h.procs[id]
+	}
+	end := len(h.runs) - 1
+	x := h.runs[end]
+	h.runs = h.runs[:end]
+	if end > 0 {
 		h.siftDown(x)
 	}
-	return top
+	return h.procs[id]
 }
 
-// handOff is push(p) followed by pop() in one sift, for a p that does not
-// sort before the root (the queue is therefore not empty): the root
-// leaves, and p is placed from the hole it left. The two-step spelling
-// returns the same processor — the root stays the minimum after p joins —
-// and leaves the same set behind, which is all that pop order depends on.
+// handOff is the scheduler's exchange: p, which lost the CPU and does not
+// sort before the root (the queue is therefore not empty), joins the
+// queue and the root leaves. A p that starts a run sifts up at most to
+// just below the root, and one that extends a run costs no sift at all.
 //
 //repro:hotpath
 func (h *procHeap) handOff(p *Proc) *Proc {
-	top := h.ps[0].p
-	h.siftDown(p.entry())
-	return top
+	h.push(p)
+	return h.pop()
 }
 
 // siftDown places x, starting from a hole at the root.
 //
 //repro:hotpath
 func (h *procHeap) siftDown(x readyEntry) {
-	ps := h.ps
-	n := len(ps)
+	runs := h.runs
+	n := len(runs)
 	i := 0
 	for {
 		first := 4*i + 1
@@ -201,15 +293,15 @@ func (h *procHeap) siftDown(x readyEntry) {
 		}
 		small := first
 		for c, end := first+1, min(first+4, n); c < end; c++ {
-			if ps[c].before(&ps[small]) {
+			if runs[c].before(&runs[small]) {
 				small = c
 			}
 		}
-		if !ps[small].before(&x) {
+		if !runs[small].before(&x) {
 			break
 		}
-		ps[i] = ps[small]
+		runs[i] = runs[small]
 		i = small
 	}
-	ps[i] = x
+	runs[i] = x
 }

@@ -15,7 +15,9 @@ import (
 // The top two bits of a byte choose the operation, the low six its
 // argument. Keys are drawn from eight instants so that id and seq ties
 // are the common case, and 64 processors fill the 4-ary heap four levels
-// deep.
+// deep. A push may also trail the newest push by 0–2 instants, which
+// is how a queue's ascending runs grow longer than one record — and how
+// a push lands just behind a run's tail, or after a tail already popped.
 func queuesMatchSort(t testing.TB, prog []byte) {
 	const procs = 64
 	e := New(Config{Procs: procs})
@@ -25,10 +27,15 @@ func queuesMatchSort(t testing.TB, prog []byte) {
 		refReady  []*Proc // in the ready queue, sorted by (clock, id)
 		refEvents []event // in the event queue, sorted by (at, seq)
 		seq       int64
+		// the instants of the newest push to each queue, popped or not
+		newestReady, newestEvent Time
 	)
+	ready.init(e.procs)
+	events.init()
 	out := append([]*Proc(nil), e.procs...) // not in the ready queue
 
 	enter := func(p *Proc) {
+		newestReady = p.clock
 		i := sort.Search(len(refReady), func(i int) bool {
 			q := refReady[i]
 			return q.clock > p.clock || q.clock == p.clock && q.id > p.id
@@ -54,6 +61,7 @@ func queuesMatchSort(t testing.TB, prog []byte) {
 		return p
 	}
 	schedule := func(at Time) {
+		newestEvent = at
 		seq++
 		ev := event{at: at, seq: seq}
 		events.push(ev)
@@ -75,7 +83,7 @@ func queuesMatchSort(t testing.TB, prog []byte) {
 		if ready.len() != len(refReady) || events.len() != len(refEvents) {
 			t.Fatalf("lengths: ready %d, events %d; want %d, %d", ready.len(), events.len(), len(refReady), len(refEvents))
 		}
-		if q := ready.peek(); q != nil && (q.p != refReady[0] || q.clock != q.p.clock || q.id != q.p.id) {
+		if q := ready.peek(); q != nil && (q.id != refReady[0].id || q.clock != refReady[0].clock) {
 			t.Fatalf("ready root is %d@%d, sorted order says %d@%d", q.id, q.clock, refReady[0].id, refReady[0].clock)
 		}
 		if ev := events.peek(); ev != nil && (ev.at != refEvents[0].at || ev.seq != refEvents[0].seq) {
@@ -87,8 +95,11 @@ func queuesMatchSort(t testing.TB, prog []byte) {
 		op, arg := b>>6, int(b&63)
 		at := Time(arg / 8)
 		switch op {
-		case 0, 1: // push; 1 ties with the current root's instant
-			if op == 1 && ready.len() > 0 {
+		case 0, 1: // push; 1 ties with the current root's instant (arg < 32) or trails the newest push
+			trail := op == 1 && arg >= 32
+			if trail {
+				at = newestReady + Time(arg%3)
+			} else if op == 1 && ready.len() > 0 {
 				at = ready.peek().clock
 			}
 			if len(out) > 0 {
@@ -97,7 +108,9 @@ func queuesMatchSort(t testing.TB, prog []byte) {
 				ready.push(p)
 				enter(p)
 			}
-			if op == 1 && events.len() > 0 {
+			if trail {
+				at = newestEvent + Time(arg%3)
+			} else if op == 1 && events.len() > 0 {
 				at = events.peek().at
 			}
 			schedule(at)
@@ -159,7 +172,39 @@ func TestQueuesMatchSort(t *testing.T) {
 // program reaches rarely: the empty program, a queue of one entry popped
 // and popped again, hand-offs to a queue of one (a later instant, the
 // same instant on either side of the id tie), every entry at one instant,
-// and a fill to the last processor.
+// a fill to the last processor, and the shapes of runs: a run's tail
+// popped before a later key is pushed (a new run, never a link to the
+// freed node), two runs interleaved at one instant (ids 1, 5, 9 and 3,
+// 7), an event run across several instants, and strictly descending
+// pushes, every one a run of its own.
 func FuzzQueuesMatchSort(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) { queuesMatchSort(t, prog) })
+}
+
+// TestEventPoolBoundedByPending is a million push/pop pairs with at most
+// 64 events pending: the pool of event nodes must stay at the pending
+// high-water mark — a freed node is reused, never left behind — and a
+// popped node must drop its fn and arg, or the queue would keep what they
+// reference alive.
+func TestEventPoolBoundedByPending(t *testing.T) {
+	const maxPending = 64
+	var h eventHeap
+	h.init()
+	rng := rand.New(rand.NewSource(1))
+	fn := func(any, Time) {}
+	var seq int64
+	for seq < 1_000_000 || h.len() > 0 {
+		if seq == 1_000_000 || h.len() == maxPending || h.len() > 0 && rng.Intn(2) == 0 {
+			h.pop()
+			if n := &h.pool[h.free]; n.fn != nil || n.arg != nil {
+				t.Fatalf("a pop after push %d left fn/arg in its freed node", seq)
+			}
+			continue
+		}
+		seq++
+		h.push(event{at: Time(rng.Intn(16)), seq: seq, fn: fn, arg: &seq})
+	}
+	if len(h.pool) > maxPending {
+		t.Fatalf("event pool grew to %d nodes with at most %d events pending", len(h.pool), maxPending)
+	}
 }

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // stepFn adapts a closure to Resumable for tests.
@@ -109,6 +111,41 @@ func TestRunResumablesDeadlock(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "test: counter wait") {
 		t.Fatalf("deadlock diagnostics missing wait reason: %v", err)
+	}
+}
+
+// TestDeadlockErrorBounded parks P = 100k bodies on a wait nothing ends:
+// the error names the deadlock and proc 0's wait, lists a bounded prefix
+// of the blocked processors and counts the rest, and comes back fast.
+// Built by concatenating a line per blocked processor it was quadratic
+// in P — seconds at P = 10k, and megabytes of message.
+func TestDeadlockErrorBounded(t *testing.T) {
+	const procs = 100_000
+	e := New(Config{Procs: procs, Seed: 1})
+	bodies := make([]Resumable, procs)
+	for i := range bodies {
+		bodies[i] = stepFn(func(*Proc) (PollableWait, bool) { return forever, false })
+	}
+	//lint:allow simwallclock the test bounds the host time of the report; no simulated time reads it
+	start := time.Now()
+	err := e.RunResumables(bodies)
+	//lint:allow simwallclock as above
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("err = %v, want deadlock", err)
+	}
+	msg := err.Error()
+	if want := fmt.Sprintf("proc 0 blocked at %v: %s", Time(0), forever.WaitReason()); !strings.Contains(msg, want) {
+		t.Fatalf("deadlock error lacks %q:\n%s", want, msg)
+	}
+	if want := fmt.Sprintf("and %d more blocked", procs-deadlockShown); !strings.Contains(msg, want) {
+		t.Fatalf("deadlock error lacks %q:\n%s", want, msg)
+	}
+	if len(msg) >= 4096 {
+		t.Fatalf("deadlock error is %d bytes at P = %d", len(msg), procs)
+	}
+	if elapsed >= time.Second {
+		t.Fatalf("a deadlocked run at P = %d took %v to report", procs, elapsed)
 	}
 }
 
