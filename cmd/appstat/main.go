@@ -31,7 +31,6 @@ func main() {
 		bwCap  = flag.Float64("bw", 0, "bulk bandwidth cap (MB/s)")
 		tline  = flag.Bool("timeline", false, "render a per-processor activity timeline (traces every message)")
 		doProf = flag.Bool("profile", false, "attach the stall-attribution profiler and print the time breakdown")
-		doDot  = flag.Bool("depgraph", false, "dump the parametric communication DAG as Graphviz DOT on stdout (use small -scale)")
 	)
 	flag.Parse()
 
@@ -54,29 +53,10 @@ func main() {
 	params.BulkBandwidthMBs = *bwCap
 	cfg := repro.AppConfig{Procs: *procs, Scale: *scale, Params: params, Seed: *seed, Verify: *verify}
 	cfg.Profile = *doProf
-	cfg.Depgraph = *doDot
 	var rec *repro.TraceRecorder
 	if *tline {
 		rec = &repro.TraceRecorder{Limit: 2_000_000}
 		cfg.Hooks = rec
-	}
-
-	if *doDot {
-		// DOT only, so the output pipes straight into graphviz.
-		res, err := a.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "appstat: %v\n", err)
-			os.Exit(1)
-		}
-		if res.DepgraphErr != "" {
-			fmt.Fprintf(os.Stderr, "appstat: depgraph: %s\n", res.DepgraphErr)
-			os.Exit(1)
-		}
-		if err := res.Graph.DOT(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "appstat: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	fmt.Printf("%s — %s\n", a.PaperName(), a.Description())

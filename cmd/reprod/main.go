@@ -12,8 +12,8 @@
 // Endpoints ("reprod help" prints the same list): POST /v1/run,
 // /v1/sweep, /v1/experiment, GET /v1/stats, /healthz; /v1/sweep and
 // /v1/experiment take ?stream=1 for SSE progress. Every run and sweep
-// point served is a plain simulation or a verified cache hit of one;
-// the analytic engine is offline-only (cmd/repro -exp tolerance).
+// point served is a plain simulation or a verified cache hit of one,
+// and every experiment, tolerance included, is rendered from such runs.
 // Example:
 //
 //	curl -s localhost:8080/v1/run -d '{"app":"radix","procs":32,"scale":0.00390625,"seed":1}'

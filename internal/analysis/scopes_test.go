@@ -35,8 +35,8 @@ func TestServiceScopeDecision(t *testing.T) {
 // boundary (DESIGN.md §14): internal/depgraph builds its DAG inside the
 // simulation loop — one event hook per message phase, on the clock's
 // critical path — and internal/tolerance is pure int64 arithmetic over
-// that DAG, run on a pool worker at the end of every instrumented run
-// (repro -exp tolerance, appstat -depgraph). Both must be
+// that DAG, run at the end of every instrumented run (apps.Config's
+// Depgraph, which benchmark/ and the depgraph tests set). Both must be
 // single-goroutine, wall-clock-free, and free of package-level mutable
 // state so instrumented runs stay deterministic and the -jobs pool can
 // analyze overlapping specs concurrently. (hotpathalloc needs no scope

@@ -48,7 +48,7 @@ type Config struct {
 	Hooks am.Hooks
 	// FaultPlan, when non-nil and non-empty, is compiled with Seed into a
 	// deterministic fault.Injector and attached to the machine. A lossy
-	// plan (drops or duplications) requires Reliability.Enabled; NewWorld
+	// plan (drops or duplications) requires Reliability.Enabled; Validate
 	// rejects the combination otherwise, because a lossless-wire protocol
 	// cannot survive a lossy wire.
 	FaultPlan *fault.Plan
@@ -147,8 +147,32 @@ type App interface {
 	Run(cfg Config) (Result, error)
 }
 
+// Validate reports a configuration NewWorld refuses, without building
+// anything: a collective name no registry holds, a fault plan whose
+// rules are out of range, or a lossy plan on a wire with no reliability
+// layer. run.Spec.Check calls it, so the daemon refuses such a run
+// before queueing it.
+func (c Config) Validate() error {
+	if err := c.Collectives.Validate(); err != nil {
+		return err
+	}
+	if c.FaultPlan == nil {
+		return nil
+	}
+	if err := c.FaultPlan.Validate(); err != nil {
+		return err
+	}
+	if c.FaultPlan.Lossy() && !c.Reliability.Enabled {
+		return fmt.Errorf("apps: fault plan drops or duplicates messages; set Config.Reliability.Enabled")
+	}
+	return nil
+}
+
 // NewWorld builds the simulation world for a config.
 func NewWorld(cfg Config) (*splitc.World, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	w, err := splitc.NewWorldCfg(splitc.Config{
 		Procs:       cfg.Procs,
 		Params:      cfg.Params,
@@ -169,9 +193,6 @@ func NewWorld(cfg Config) (*splitc.World, error) {
 		inj, err := fault.New(*cfg.FaultPlan, cfg.Seed)
 		if err != nil {
 			return nil, err
-		}
-		if inj.Lossy() && !cfg.Reliability.Enabled {
-			return nil, fmt.Errorf("apps: fault plan drops or duplicates messages; set Config.Reliability.Enabled")
 		}
 		w.Machine().SetFaults(inj)
 	}

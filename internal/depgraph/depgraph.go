@@ -34,9 +34,6 @@
 package depgraph
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"unsafe"
 
 	"repro/internal/sim"
@@ -236,65 +233,4 @@ func (g *Graph) growNodes() {
 // growEdges reserves the next edge chunk.
 func (g *Graph) growEdges() {
 	g.edgeChunks = append(g.edgeChunks, make([]edge, chunkSize))
-}
-
-// DOT writes the graph in Graphviz format with deterministic output:
-// nodes ascending by index, each node's in-edges sorted by predecessor
-// index. Meant for eyeballing small runs (cmd/appstat -depgraph).
-func (g *Graph) DOT(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "digraph depgraph {"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "  rankdir=LR;"); err != nil {
-		return err
-	}
-	type line struct {
-		pred int32
-		c    sim.Time
-		axis Axis
-	}
-	var in []line
-	for i := int32(0); i < g.nn; i++ {
-		kind, proc, val := g.Node(i)
-		label := fmt.Sprintf("%s @%.1fµs", kind, float64(val)/1e3)
-		if proc >= 0 {
-			label = fmt.Sprintf("p%d %s", proc, label)
-		}
-		if _, err := fmt.Fprintf(w, "  n%d [label=%q];\n", i, label); err != nil {
-			return err
-		}
-		in = in[:0]
-		g.InEdges(i, func(pred int32, c sim.Time, axis Axis) {
-			in = append(in, line{pred, c, axis})
-		})
-		sort.Slice(in, func(a, b int) bool { return in[a].pred < in[b].pred })
-		for _, e := range in {
-			label := fmt.Sprintf("+%.1fµs", float64(e.c)/1e3)
-			if e.axis != AxisNone {
-				label += "+Δ" + e.axis.String()
-			}
-			src := fmt.Sprintf("n%d", e.pred)
-			if e.pred < 0 {
-				src = "origin"
-			}
-			if _, err := fmt.Fprintf(w, "  %s -> n%d [label=%q];\n", src, i, label); err != nil {
-				return err
-			}
-		}
-	}
-	has := false
-	for i := int32(0); i < g.nn && !has; i++ {
-		g.InEdges(i, func(pred int32, _ sim.Time, _ Axis) {
-			if pred < 0 {
-				has = true
-			}
-		})
-	}
-	if has {
-		if _, err := fmt.Fprintln(w, `  origin [label="t=0"];`); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
 }

@@ -226,7 +226,7 @@ func Registry() []Experiment {
 		{"faults", "Extension: fault injection — delay propagation and lossy-wire recovery", faultsPlan, faultsRender},
 		{"collectives", "Extension: collective algorithm selection — LogGP crossovers and tuning", collectivesPlan, collectivesRender},
 		{"scale", "Weak scaling on the resumable runtime (P to 1M)", scalePlan, scaleRender},
-		{"tolerance", "Analytic sensitivity curves from one instrumented run", tolerancePlan, toleranceRender},
+		{"tolerance", "Tolerance to added o, g and L, read off the measured sweeps", tolerancePlan, toleranceRender},
 	}
 }
 

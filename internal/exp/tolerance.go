@@ -2,58 +2,107 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/run"
-	"repro/internal/sim"
-	"repro/internal/tolerance"
 )
 
-// toleranceFactor is the slowdown threshold behind the per-app tolerance
-// figures: the largest delta an app absorbs before its predicted run
-// time exceeds this multiple of the baseline.
-const toleranceFactor = tolerance.DefaultFactor
+// toleranceFactor is the slowdown threshold behind the tolerance table:
+// an app absorbs a delta while its measured run time stays within this
+// multiple of the baseline.
+const toleranceFactor = 1.1
 
-// toleranceAxes pairs each analytic curve axis with the machine knob and
-// sweep grid it cross-validates against.
-var toleranceAxes = []struct {
-	axis   string
+// toleranceKnobs are the knobs the table reads, each with the grid of
+// its measured sweep (Figs 5b, 6 and 7).
+var toleranceKnobs = []struct {
 	knob   core.Knob
 	points []float64
 }{
-	{"o", core.KnobO, overheadPoints},
-	{"g", core.KnobG, gapPoints},
-	{"L", core.KnobL, latencyPoints},
+	{core.KnobO, overheadPoints},
+	{core.KnobG, gapPoints},
+	{core.KnobL, latencyPoints},
 }
 
-// tolerancePlan declares one instrumented baseline per app (the single
-// run the analytic curves come from) plus the measured o/g/L sweeps the
-// predictions are validated against. The measured sweeps are exactly
-// the fig5b/fig6/fig7 specs, so a merged plan shares those runs.
+// tolerancePlan declares the Δo, Δg and ΔL sweeps at the options'
+// cluster size. They are exactly the fig5b/fig6/fig7 specs, so a merged
+// plan adds no run.
 func tolerancePlan(o Options) (*run.Plan, error) {
 	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
 	p := run.NewPlan()
-	for _, a := range sel {
-		inst := o.baselineSpec(a, o.Procs)
-		inst.Depgraph = true
-		p.AddSweep(inst, o.Verify)
-		for _, ax := range toleranceAxes {
-			for _, v := range o.sweepPoints(ax.points) {
-				p.AddSweep(o.sweepSpec(a, o.Procs, ax.knob, v), o.Verify)
-			}
+	for _, k := range toleranceKnobs {
+		kp, err := slowdownPlan(o, o.Procs, k.knob, k.points)
+		if err != nil {
+			return nil, err
 		}
+		p.Merge(kp)
 	}
 	return p, nil
 }
 
-// toleranceRender cross-validates the analytic curves against the
-// measured sweeps and renders the per-app error and tolerance table,
-// most-sensitive app (smallest overhead tolerance) first.
+// tolBracket is one knob's tolerance read off a measured sweep: the
+// last grid point with slowdown ≤ toleranceFactor before the first one
+// above it, that first point, and the linear interpolation between them.
+type tolBracket struct {
+	lo, hi float64 // the bracket's grid points
+	tol    float64 // interpolated crossing; ±Inf when the grid brackets none
+	// relapse marks a point at or below the threshold past hi: slowdown
+	// is not monotone there, and the bracket is the first crossing.
+	relapse bool
+}
+
+// readTolerance brackets the first crossing of toleranceFactor in a
+// sweep's points (pts[i] measured at grid[i]). A livelocked point counts
+// as above the threshold; it has no slowdown to interpolate toward, so
+// a bracket it closes reads its lower end. No crossing is +Inf (beyond
+// the grid); a first point already above is -Inf (before it).
+func readTolerance(grid []float64, pts []core.Point) tolBracket {
+	above := func(p core.Point) bool { return p.Livelocked || p.Slowdown > toleranceFactor }
+	for i, p := range pts {
+		if !above(p) {
+			continue
+		}
+		b := tolBracket{lo: grid[i], hi: grid[i], tol: math.Inf(-1)}
+		for _, q := range pts[i+1:] {
+			b.relapse = b.relapse || !above(q)
+		}
+		if i == 0 {
+			return b
+		}
+		b.lo, b.tol = grid[i-1], grid[i-1]
+		if !p.Livelocked {
+			prev := pts[i-1].Slowdown
+			b.tol += (toleranceFactor - prev) / (p.Slowdown - prev) * (b.hi - b.lo)
+		}
+		return b
+	}
+	last := grid[len(grid)-1]
+	return tolBracket{lo: last, hi: last, tol: math.Inf(1)}
+}
+
+// cell renders the bracket: "0.22 (0–1)", ">100" past the grid, "<0"
+// before it, and a trailing "*" on a relapse.
+func (b tolBracket) cell() string {
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var s string
+	switch {
+	case math.IsInf(b.tol, 1):
+		s = ">" + g(b.hi)
+	case math.IsInf(b.tol, -1):
+		s = "<" + g(b.hi)
+	default:
+		s = fmt.Sprintf("%s (%s–%s)", f2(b.tol), g(b.lo), g(b.hi))
+	}
+	if b.relapse {
+		s += "*"
+	}
+	return s
+}
+
+// toleranceRender reads each app's tolerance to Δo, Δg and ΔL off the
+// measured sweeps, most overhead-sensitive app (smallest Δo) first.
 func toleranceRender(o Options, st *run.Store) (*Table, error) {
 	o = o.Norm()
 	sel, err := selectedApps(o)
@@ -62,72 +111,32 @@ func toleranceRender(o Options, st *run.Store) (*Table, error) {
 	}
 	type row struct {
 		cells []string
-		rank  sim.Time
+		rank  float64
 		name  string
 	}
 	rows := make([]row, 0, len(sel))
-	within := 0
-	validated := 0
+	relapses := false
 	for _, a := range sel {
-		inst := o.baselineSpec(a, o.Procs)
-		inst.Depgraph = true
-		res, err := st.Result(inst)
+		res, err := st.Result(o.baselineSpec(a, o.Procs))
 		if err != nil {
 			return nil, err
 		}
-		r := row{name: a.Name(), rank: tolerance.MaxDelta + 1}
-		r.cells = []string{a.PaperName(), secs(res.Elapsed.Seconds())}
-		if res.Curves == nil {
-			for range toleranceAxes {
-				r.cells = append(r.cells, "—")
-			}
-			r.cells = append(r.cells, "—", "—", "—")
-			rows = append(rows, row{cells: r.cells, rank: r.rank, name: r.name})
-			continue
-		}
-		validated++
-		ok5 := true
-		var tols []string
-		for _, ax := range toleranceAxes {
-			c, _ := res.Curves.ByAxis(ax.axis)
-			maxErr, n := 0.0, 0
-			for _, v := range o.sweepPoints(ax.points) {
-				pt, err := st.Point(o.sweepSpec(a, o.Procs, ax.knob, v))
-				if err != nil {
+		r := row{name: a.Name(), cells: []string{a.PaperName(), secs(res.Elapsed.Seconds())}}
+		for i, k := range toleranceKnobs {
+			grid := o.sweepPoints(k.points)
+			pts := make([]core.Point, len(grid))
+			for j, v := range grid {
+				if pts[j], err = st.Point(o.sweepSpec(a, o.Procs, k.knob, v)); err != nil {
 					return nil, err
 				}
-				if pt.Livelocked {
-					continue
-				}
-				pred := c.Eval(sim.FromMicros(v))
-				e := 100 * abs(pred.Seconds()-pt.Elapsed.Seconds()) / pt.Elapsed.Seconds()
-				if e > maxErr {
-					maxErr = e
-				}
-				n++
 			}
-			if n == 0 {
-				r.cells = append(r.cells, "N/A")
-			} else {
-				r.cells = append(r.cells, f1(maxErr)+"%")
-				if maxErr > 5 {
-					ok5 = false
-				}
+			b := readTolerance(grid, pts)
+			if i == 0 {
+				r.rank = b.tol
 			}
-			tol, bounded := c.Tolerance(toleranceFactor)
-			if !bounded {
-				tols = append(tols, fmt.Sprintf(">%s", f1(tolerance.MaxDelta.Micros())))
-			} else {
-				tols = append(tols, f1(tol.Micros()))
-			}
-			if ax.axis == "o" && bounded {
-				r.rank = tol
-			}
+			relapses = relapses || b.relapse
+			r.cells = append(r.cells, b.cell())
 		}
-		if ok5 {
-			within++
-		}
-		r.cells = append(r.cells, tols...)
 		rows = append(rows, r)
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
@@ -136,22 +145,17 @@ func toleranceRender(o Options, st *run.Store) (*Table, error) {
 		}
 		return rows[i].name < rows[j].name
 	})
-	t := &Table{ID: "tolerance", Title: "Analytic sensitivity curves from one instrumented run"}
-	t.Columns = []string{"app", "base(s)", "err(Δo)", "err(Δg)", "err(ΔL)", "tol Δo(µs)", "tol Δg(µs)", "tol ΔL(µs)"}
+	t := &Table{ID: "tolerance", Title: "Tolerance to added o, g and L, read off the measured sweeps"}
+	t.Columns = []string{"app", "base(s)", "tol Δo(µs)", "tol Δg(µs)", "tol ΔL(µs)"}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, r.cells)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("err: max |analytic − measured|/measured over the swept points of that knob; %d nodes, scale %.4g", o.Procs, o.Scale),
-		fmt.Sprintf("tol: largest delta with predicted slowdown ≤ %.1f× (analysis domain %s µs); apps ranked most overhead-sensitive first", toleranceFactor, f1(tolerance.MaxDelta.Micros())),
-		fmt.Sprintf("%d/%d apps within 5%% on every measured point; curves from %d instrumented baseline runs", within, len(sel), validated),
-		"N/A: every measured point exceeded the livelock limit; —: run outside the model's validity region (see DESIGN.md §14)")
-	return t, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
+		fmt.Sprintf("tol: largest added delta with measured slowdown ≤ %.1f×, interpolated linearly inside its bracket; %d nodes, scale %.4g", toleranceFactor, o.Procs, o.Scale),
+		"(a–b): the last grid point ≤ the threshold and the first above it (Figs 5b, 6, 7); exact if slowdown is monotone, which bounds the interpolation",
+		">x: no grid point up to x exceeded the threshold; a livelocked point counts as exceeding it; apps ranked most overhead-sensitive first")
+	if relapses {
+		t.Notes = append(t.Notes, "*: a grid point past the bracket reads ≤ the threshold again; slowdown is not monotone there, and the bracket is the first crossing")
 	}
-	return v
+	return t, nil
 }

@@ -18,12 +18,15 @@ type FaultSpec struct {
 	// DelayProc, DelayAtFrac, and DelayUs describe a one-off processor
 	// delay — the Afzal-style propagation probe: DelayUs microseconds
 	// injected into processor DelayProc at DelayAtFrac of the baseline
-	// makespan. Active when DelayUs > 0.
+	// makespan. Active when DelayUs is nonzero; Spec.Check refuses a
+	// negative delay, a processor the run does not have and a fraction
+	// outside [0, 1].
 	DelayProc   int
 	DelayAtFrac float64
 	DelayUs     float64
 	// DropProb drops each wire transmission independently with this
-	// probability; DupProb duplicates likewise. Either requires Reliable.
+	// probability; DupProb duplicates likewise. Either requires Reliable
+	// and a probability in [0, 1] (Spec.Check).
 	DropProb float64
 	DupProb  float64
 	// Reliable enables the AM reliability layer. It is measurable on its
@@ -43,16 +46,16 @@ func (f FaultSpec) Wire(cfg apps.Config, baseline sim.Time) apps.Config {
 		return cfg
 	}
 	var plan fault.Plan
-	if f.DelayUs > 0 {
+	if f.DelayUs != 0 {
 		at := sim.Time(float64(baseline)*f.DelayAtFrac + 0.5)
 		plan.ProcDelays = append(plan.ProcDelays, fault.ProcDelay{
 			Proc: f.DelayProc, At: at, Extra: sim.FromMicros(f.DelayUs),
 		})
 	}
-	if f.DropProb > 0 {
+	if f.DropProb != 0 {
 		plan.Drops = append(plan.Drops, fault.DropRule{Match: fault.Any(), Prob: f.DropProb})
 	}
-	if f.DupProb > 0 {
+	if f.DupProb != 0 {
 		plan.Dups = append(plan.Dups, fault.DupRule{Match: fault.Any(), Prob: f.DupProb})
 	}
 	if !plan.Empty() {
@@ -62,6 +65,21 @@ func (f FaultSpec) Wire(cfg apps.Config, baseline sim.Time) apps.Config {
 		cfg.Reliability = am.Reliability{Enabled: true}
 	}
 	return cfg
+}
+
+// check holds the scenario to the run's machine: the delayed processor
+// exists and the delay falls inside the baseline's makespan.
+func (f FaultSpec) check(procs int) error {
+	if !f.active() {
+		return nil
+	}
+	if f.DelayProc < 0 || f.DelayProc >= procs {
+		return fmt.Errorf("run: fault delay_proc %d is not one of the run's %d processors", f.DelayProc, procs)
+	}
+	if !(f.DelayAtFrac >= 0 && f.DelayAtFrac <= 1) {
+		return fmt.Errorf("run: fault delay_at_frac %g is outside [0, 1]", f.DelayAtFrac)
+	}
+	return nil
 }
 
 // String renders the scenario for progress lines.

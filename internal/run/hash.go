@@ -15,7 +15,7 @@ import (
 // the meaning of an existing one: old on-disk cache entries then stop
 // matching instead of silently aliasing different runs. The golden
 // vectors in hash_test.go pin the encoding release-to-release.
-const hashVersion = "repro/run.Spec/v2"
+const hashVersion = "repro/run.Spec/v3"
 
 // Hash is the canonical, process-stable content address of the run the
 // spec describes. Equal specs (after normalization) hash equally in
@@ -34,7 +34,9 @@ func (s Spec) Hash() string {
 // canonical renders the normalized spec as a versioned, line-oriented
 // encoding with exact (shortest round-trip) float formatting. Every
 // field is rendered unconditionally: omitting zero values would let a
-// future default change alias two historically distinct encodings.
+// future default change alias two historically distinct encodings. The
+// free-form strings (the app and the collective names) are quoted, so
+// an embedded newline cannot forge the next field's line.
 func (s Spec) canonical() string {
 	s = s.norm()
 	var b strings.Builder
@@ -46,7 +48,12 @@ func (s Spec) canonical() string {
 		b.WriteString(v)
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	wr("app", s.App)
+	var q [64]byte
+	quoted := func(k, v string) {
+		wr(k, "")
+		b.Write(strconv.AppendQuote(q[:0], v))
+	}
+	quoted("app", s.App)
 	wr("procs", strconv.Itoa(s.Procs))
 	wr("scale", f(s.Scale))
 	wr("seed", strconv.FormatInt(s.Seed, 10))
@@ -61,10 +68,9 @@ func (s Spec) canonical() string {
 	wr("fault.dropprob", f(s.Fault.DropProb))
 	wr("fault.dupprob", f(s.Fault.DupProb))
 	wr("fault.reliable", strconv.FormatBool(s.Fault.Reliable))
-	wr("coll.barrier", s.Coll.Barrier)
-	wr("coll.broadcast", s.Coll.Broadcast)
-	wr("coll.allreduce", s.Coll.AllReduce)
-	wr("depgraph", strconv.FormatBool(s.Depgraph))
+	quoted("coll.barrier", s.Coll.Barrier)
+	quoted("coll.broadcast", s.Coll.Broadcast)
+	quoted("coll.allreduce", s.Coll.AllReduce)
 	return b.String()
 }
 

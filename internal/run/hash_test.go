@@ -19,25 +19,25 @@ var goldenHashes = []struct {
 }{
 	{
 		Baseline("radix", 32, 1.0/256, 1, false),
-		"b62bf3ec62e1e623297518a38090da9ea4b78e6d7fab5cd2745554e315fec472",
+		"3b526b96b9d8967e06f0e2a4eb204e6ef471a9a1669d69ffa3a817e0efc5cd00",
 	},
 	{
 		Spec{App: "radix", Procs: 32, Scale: 1.0 / 256, Seed: 1, Knob: core.KnobO, Value: 25},
-		"3df665ae36c0b57941bf3700fbee46b096647da8475f057301e8b1e5453726c9",
+		"5a11c92b810e82a28f604783b8108477971a3636cd3f6d5073fa372f24450be6",
 	},
 	{
 		Spec{App: "em3d-read", Procs: 8, Scale: 0.00048828125, Seed: 7, Knob: core.KnobG, Value: 24.2, Profile: true},
-		"23cf259dff0b0eb509afce75e537ee4587f0d5d6a3e25437ef260f246c5c1eaf",
+		"16cdabd6c5cfd09bcf6a3380730e6e9168aa7d14b159053eb3c1f80e319c2e81",
 	},
 	{
 		Spec{App: "nowsort", Procs: 16, Scale: 1.0 / 256, Seed: 1, Knob: core.KnobNone,
 			Fault: FaultSpec{DelayProc: 3, DelayAtFrac: 0.5, DelayUs: 1000}},
-		"b3ec4fbe6b2a5ae68124a73bb0c8c387179bfa3f798d05354baea8dd0f26604f",
+		"38bfbf056b9fabcb25843ec90d43563f392c7cb5c0d5afe175970266da8bb698",
 	},
 	{
 		Spec{App: "sample", Procs: 64, Scale: 1.0 / 256, Seed: 2, Knob: core.KnobL, Value: 100,
 			Coll: splitc.Collectives{Barrier: "flat", Broadcast: "chain", AllReduce: "recdouble"}},
-		"8d3e575f039f28e0b855dc99b5236c940482e8dee8a87fd2da3a603a8c275907",
+		"95aa560ba9f34a511ae32d81cc8b61aff0f6323949a639e8632d726453b74317",
 	},
 }
 
@@ -77,8 +77,6 @@ func TestSpecHashDistinguishesFields(t *testing.T) {
 			Fault: FaultSpec{DropProb: 0.001, Reliable: true}},
 		{App: "radix", Procs: 32, Scale: 1.0 / 256, Seed: 1, Knob: core.KnobO, Value: 25,
 			Coll: splitc.Collectives{Barrier: "tree"}},
-		{App: "radix", Procs: 32, Scale: 1.0 / 256, Seed: 1, Knob: core.KnobO, Value: 25,
-			Depgraph: true},
 	}
 	seen := map[string]Spec{base.Hash(): base}
 	for _, v := range variants {
@@ -87,6 +85,24 @@ func TestSpecHashDistinguishesFields(t *testing.T) {
 			t.Errorf("hash collision between %v and %v", prev, v)
 		}
 		seen[h] = v
+	}
+}
+
+// TestSpecHashQuotesStrings holds the encoding injective over its
+// free-form strings: a collective name carrying a newline and the next
+// field's key must not forge that field's line.
+func TestSpecHashQuotesStrings(t *testing.T) {
+	base := Spec{App: "radix", Procs: 32, Scale: 1.0 / 256, Seed: 1}
+	a, b := base, base
+	a.Coll = splitc.Collectives{Barrier: "tree\ncoll.broadcast=chain"}
+	b.Coll = splitc.Collectives{Barrier: "tree", Broadcast: "chain\ncoll.broadcast="}
+	if a.Hash() == b.Hash() {
+		t.Errorf("%q and %q hash equally:\n%s", a.Coll, b.Coll, a.canonical())
+	}
+	c := base
+	c.App = "radix\nprocs=32"
+	if c.Hash() == base.Hash() {
+		t.Errorf("app %q hashes as %q", c.App, base.App)
 	}
 }
 
@@ -99,7 +115,7 @@ func TestSpecHashCoversEveryField(t *testing.T) {
 		typ  reflect.Type
 		want int
 	}{
-		{reflect.TypeOf(Spec{}), 12},
+		{reflect.TypeOf(Spec{}), 11},
 		{reflect.TypeOf(FaultSpec{}), 6},
 		{reflect.TypeOf(splitc.Collectives{}), 3},
 	} {
@@ -121,19 +137,18 @@ func FuzzSpecHash(f *testing.F) {
 	// are its other value. testdata/fuzz/FuzzSpecHash holds the cases
 	// with a name: -0 in each float, CPUSpeedup 1, seed 0, a swept Verify, ….
 	f.Add("em3d-read", 8, 0.00048828125, int64(7), -1, 0.0, true, 2.0, true,
-		3, 0.5, 1000.0, 0.0, 0.0, false, "tree", "chain", "recdouble", true,
+		3, 0.5, 1000.0, 0.0, 0.0, false, "tree", "chain", "recdouble",
 		uint8(5), "", 99.0, false)
 	f.Fuzz(func(t *testing.T, app string, procs int, scale float64, seed int64, knob int, value float64, verify bool, cpu float64, profile bool,
-		delayProc int, delayAtFrac, delayUs, dropProb, dupProb float64, reliable bool, barrier, broadcast, allReduce string, depgraph bool,
+		delayProc int, delayAtFrac, delayUs, dropProb, dupProb float64, reliable bool, barrier, broadcast, allReduce string,
 		field uint8, str string, num float64, flag bool) {
 		a := Spec{App: app, Procs: procs, Scale: scale, Seed: seed, Knob: core.Knob(knob), Value: value,
 			Verify: verify, CPUSpeedup: cpu, Profile: profile,
 			Fault: FaultSpec{DelayProc: delayProc, DelayAtFrac: delayAtFrac, DelayUs: delayUs,
 				DropProb: dropProb, DupProb: dupProb, Reliable: reliable},
-			Coll:     splitc.Collectives{Barrier: barrier, Broadcast: broadcast, AllReduce: allReduce},
-			Depgraph: depgraph}
+			Coll: splitc.Collectives{Barrier: barrier, Broadcast: broadcast, AllReduce: allReduce}}
 		b := a
-		switch field % 19 {
+		switch field % 18 {
 		case 0:
 			b.App = str
 		case 1:
@@ -170,8 +185,6 @@ func FuzzSpecHash(f *testing.F) {
 			b.Coll.Broadcast = str
 		case 17:
 			b.Coll.AllReduce = str
-		case 18:
-			b.Depgraph = flag
 		}
 		if a.norm() != a.norm() || b.norm() != b.norm() {
 			t.Skip("a NaN field: the spec is not a map key")

@@ -169,6 +169,10 @@ func (r *Runner) ExecSweep(s Spec, base Outcome) Outcome {
 		out.Err = fmt.Errorf("baseline %v: %w", base.Spec, base.Err)
 		return out
 	}
+	if err := s.Check(); err != nil {
+		out.Err = err
+		return out
+	}
 	a, err := r.App(s.App)
 	if err != nil {
 		out.Err = err

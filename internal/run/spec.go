@@ -55,13 +55,6 @@ type Spec struct {
 	// cache — separately: the selection changes the schedule, so it
 	// changes the result.
 	Coll splitc.Collectives
-	// Depgraph attaches the communication-DAG builder and fills
-	// Result.Curves with the analytic makespan curves. Extraction is
-	// observation-only (identical virtual times), but instrumented runs
-	// key separately, exactly like Profile: the distinction keeps Result
-	// reuse explicit. Incompatible with a faulted wire (Config rejects
-	// the combination).
-	Depgraph bool
 }
 
 // Baseline builds the canonical baseline Spec for an application
@@ -100,6 +93,20 @@ func (s Spec) norm() Spec {
 	return s
 }
 
+// Check reports why the spec describes no run, before anything is built
+// or queued: a fault scenario that does not fit the machine, or a
+// configuration apps.NewWorld refuses (an unregistered collective name,
+// a lossy wire without the reliability layer). The Runner checks every
+// swept spec with it and the daemon every spec it admits, so what one
+// accepts the other can run.
+func (s Spec) Check() error {
+	if err := s.Fault.check(s.Procs); err != nil {
+		return err
+	}
+	// The scenario's shape does not depend on the baseline's makespan.
+	return s.Fault.Wire(s.Config(logp.Params{}), 0).Validate()
+}
+
 // BaselineSpec is the baseline this spec's slowdown and livelock bound
 // are measured against: the same (app, procs, scale, seed) with no knob
 // applied and no CPU speedup. verify carries the plan-level choice for
@@ -108,7 +115,6 @@ func (s Spec) BaselineSpec(verify bool) Spec {
 	b := Baseline(s.App, s.Procs, s.Scale, s.Seed, verify)
 	b.Profile = s.Profile
 	b.Coll = s.Coll
-	b.Depgraph = s.Depgraph
 	return b
 }
 
@@ -124,7 +130,6 @@ func (s Spec) Config(params logp.Params) apps.Config {
 		CPUSpeedup:  s.CPUSpeedup,
 		Profile:     s.Profile,
 		Collectives: s.Coll,
-		Depgraph:    s.Depgraph,
 	}
 }
 
@@ -136,9 +141,6 @@ func (s Spec) String() string {
 	}
 	if s.Profile {
 		suffix += " +prof"
-	}
-	if s.Depgraph {
-		suffix += " +graph"
 	}
 	if !s.Coll.IsZero() {
 		suffix += " " + s.Coll.String()

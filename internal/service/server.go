@@ -105,9 +105,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // admit is the one check every run a request would start passes before
 // anything is looked up or queued (DESIGN.md §13): its app resolves, it
 // has a processor, its scale is finite and positive, its knob setting
-// describes a machine, and it is a plain simulation. An instrumented run
-// feeds the analytic engine, whose analysis has no bound on its cost, so
-// it is only ever run offline. what names the request in the error.
+// describes a machine, and run.Spec.Check accepts it (collective names,
+// fault scenario), so no worker is handed a run that cannot start. what
+// names the request in the error.
 func (s *Server) admit(what string, specs ...run.Spec) error {
 	machine := s.runner.Params
 	if machine == (logp.Params{}) {
@@ -131,8 +131,8 @@ func (s *Server) admit(what string, specs ...run.Spec) error {
 		if err := sp.Knob.Apply(machine, sp.Value).Validate(); err != nil {
 			return fmt.Errorf("service: %s: %v=%g describes no machine: %w", what, sp.Knob, sp.Value, err)
 		}
-		if sp.Depgraph {
-			return fmt.Errorf("service: %s runs the analytic engine, which is offline-only (cmd/repro -exp tolerance)", what)
+		if err := sp.Check(); err != nil {
+			return fmt.Errorf("service: %s: %v: %w", what, sp, err)
 		}
 	}
 	return nil

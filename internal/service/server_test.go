@@ -629,11 +629,10 @@ func TestPlanRefusedBaselineStartsNoPoint(t *testing.T) {
 
 // TestServiceBadRequests pins the admission boundary: a request the
 // client got wrong — malformed, oversized, naming an app no resolver
-// knows, a machine with no processor or no input, a knob setting that
-// describes no machine, or a run only the
-// offline analytic engine makes — answers 4xx with a JSON error before
-// anything is queued, so the daemon's own error counter stays at zero;
-// a route that is gone is a plain 404.
+// knows, a machine with no processor or no input, or a knob setting that
+// describes no machine — answers 4xx with a JSON error before anything
+// is queued, so the daemon's own error counter stays at zero; a route
+// that is gone is a plain 404.
 func TestServiceBadRequests(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
@@ -662,7 +661,6 @@ func TestServiceBadRequests(t *testing.T) {
 		{"negative overhead", "/v1/run", `{"app":"radix","procs":4,"scale":0.001,"knob":"o","value":-5}`, 400, "negative delta"},
 		{"overhead past the clock", "/v1/run", `{"app":"radix","procs":4,"scale":0.001,"knob":"o","value":1e300}`, 400, "out of range"},
 		{"negative bandwidth", "/v1/sweep", `{"app":"radix","procs":4,"scale":0.001,"knob":"bw","values":[-3]}`, 400, "negative bandwidth"},
-		{"instrumented experiment", "/v1/experiment", `{"id":"tolerance","options":{"procs":4,"scale":0.001,"quick":true,"apps":["radix"]}}`, 400, "offline"},
 		{"tolerance route is gone", "/v1/tolerance", `{` + unknownApp + `}`, 404, ""},
 		{"oversized body", "/v1/run", `{"app":"` + strings.Repeat("x", maxBodyBytes) + `"}`, 413, "too large"},
 	} {
@@ -688,6 +686,72 @@ func TestServiceBadRequests(t *testing.T) {
 	if st.Cache.RunErrors != 0 || st.Cache.Computed != 0 {
 		t.Errorf("bad requests reached the pool: run_errors = %d, computed = %d, want 0 and 0",
 			st.Cache.RunErrors, st.Cache.Computed)
+	}
+}
+
+// TestServiceRefusesWhatCannotRun holds admission to run.Spec.Check:
+// a spec the run itself would refuse, or would silently run as another
+// run, is a 400 naming the field, and no worker is handed it.
+func TestServiceRefusesWhatCannotRun(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	before := s.sched.Stats().Submitted
+
+	const spec = `"app":"radix","procs":4,"scale":0.0001,"seed":1`
+	for _, tc := range []struct {
+		name, body, errHas string
+	}{
+		{"unknown collective", `{` + spec + `,"coll":{"barrier":"nope"}}`, "barrier"},
+		{"lossy wire without reliable", `{` + spec + `,"fault":{"drop_prob":0.5}}`, "Reliability"},
+		{"drop probability above 1", `{` + spec + `,"fault":{"drop_prob":2,"reliable":true}}`, "Prob"},
+		{"negative drop probability", `{` + spec + `,"fault":{"drop_prob":-0.5,"reliable":true}}`, "Prob"},
+		{"negative delay", `{` + spec + `,"fault":{"delay_us":-5}}`, "Extra"},
+		{"delay on a missing processor", `{` + spec + `,"fault":{"delay_proc":99}}`, "delay_proc"},
+		{"delay fraction below 0", `{` + spec + `,"fault":{"delay_at_frac":-3}}`, "delay_at_frac"},
+	} {
+		resp, err := c.httpClient().Post(c.BaseURL+"/v1/run", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var e ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != 400 || derr != nil || !strings.Contains(e.Error, tc.errHas) {
+			t.Errorf("%s: status %d, error %q (decode: %v), want 400 naming %q", tc.name, resp.StatusCode, e.Error, derr, tc.errHas)
+		}
+	}
+
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache.RunErrors != 0 || st.Sched.Submitted != before {
+		t.Errorf("refused specs reached the pool: run_errors = %d, submitted %d → %d",
+			st.Cache.RunErrors, before, st.Sched.Submitted)
+	}
+}
+
+// TestServiceToleranceByteIdentity serves the tolerance table: every
+// spec in its plan is a plain run, so the daemon renders it byte for
+// byte as the offline harness does.
+func TestServiceToleranceByteIdentity(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2})
+	opts := quickFig5bOptions()
+	opts.Apps = []string{"radix", "nowsort"}
+	tol, err := exp.ByID("tolerance")
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := tol.Run(opts.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := c.Experiment(context.Background(), ExperimentRequest{ID: "tolerance", Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Text != offline.Text() {
+		t.Errorf("served tolerance table differs from offline render:\n--- offline\n%s--- served\n%s", offline.Text(), served.Text)
 	}
 }
 

@@ -16,9 +16,7 @@ import (
 // self-describing (DiskStore verifies a loaded entry's spec re-hashes
 // to its address).
 
-// SpecJSON is run.Spec on the wire. It has no Depgraph bit: instrumented
-// runs are offline-only (Server.admit), and an entry stored for one would
-// re-hash apart from its address and read as corrupt, never as a hit.
+// SpecJSON is run.Spec on the wire.
 type SpecJSON struct {
 	App        string     `json:"app"`
 	Procs      int        `json:"procs"`

@@ -223,6 +223,37 @@ func resolveCollectives(c Collectives, p int, params logp.Params) (collSel, erro
 			c.AllReduce = pick.AllReduce
 		}
 	}
+	s, err := c.lookup()
+	if err != nil {
+		return collSel{}, err
+	}
+	var ts tagSpace
+	s.arBase = ts.grab(s.ar.tags(p))
+	s.bcastBase = ts.grab(s.bcast.tags(p))
+	s.scanBase = ts.grab(logRounds(p))
+	s.gatherBase = ts.grab(1)
+	s.a2aBase = ts.grab(1)
+	s.numTags = ts.next
+	s.barSlots = s.barrier.slots(p)
+	return s, nil
+}
+
+// Validate reports a name no registry holds ("" and CollAuto always
+// resolve). It needs no world, so a caller can refuse a selection before
+// queueing a run that would build one.
+func (c Collectives) Validate() error {
+	for _, f := range []*string{&c.Barrier, &c.Broadcast, &c.AllReduce} {
+		if *f == CollAuto {
+			*f = ""
+		}
+	}
+	_, err := c.withDefaults().lookup()
+	return err
+}
+
+// lookup finds the registered algorithm for each of c's names; c has no
+// "" or CollAuto field left.
+func (c Collectives) lookup() (collSel, error) {
 	s := collSel{names: c}
 	found := false
 	for _, a := range barrierRegistry() {
@@ -254,14 +285,6 @@ func resolveCollectives(c Collectives, p int, params logp.Params) (collSel, erro
 	if !found {
 		return collSel{}, fmt.Errorf("splitc: unknown all-reduce algorithm %q (have %v)", c.AllReduce, AllReduceAlgorithms())
 	}
-	var ts tagSpace
-	s.arBase = ts.grab(s.ar.tags(p))
-	s.bcastBase = ts.grab(s.bcast.tags(p))
-	s.scanBase = ts.grab(logRounds(p))
-	s.gatherBase = ts.grab(1)
-	s.a2aBase = ts.grab(1)
-	s.numTags = ts.next
-	s.barSlots = s.barrier.slots(p)
 	return s, nil
 }
 

@@ -17,10 +17,10 @@
 // against re-measured runs byte for byte (where the schedule itself
 // replays — see DESIGN.md §14 for the validity boundary).
 //
-// From the curves fall out the paper's headline numbers without any
-// further simulation: whole sweep-curve predictions (fig5b/fig6/fig7
-// shapes from one run) and per-app tolerance figures — the largest delta
-// an app absorbs before slowdown exceeds a threshold.
+// The curves predict whole sweep shapes (fig5b/fig6/fig7) from one run.
+// The repository's tolerance table no longer reads them: it is measured
+// (internal/exp, DESIGN.md §14), and this package is a library that the
+// depgraph tests and benchmark/ probe.
 package tolerance
 
 import (
@@ -36,10 +36,6 @@ import (
 // paper's largest sweep point). Eval extrapolates beyond it with the
 // final slope, a lower bound once further breakpoints could exist.
 const MaxDelta sim.Time = 10_000_000
-
-// DefaultFactor is the conventional tolerance threshold: the largest
-// delta an app absorbs before predicted slowdown exceeds 10%.
-const DefaultFactor = 1.1
 
 // Seg is one linear piece: on [X, nextX) the makespan is
 // T + Slope·(x − X).
@@ -81,46 +77,6 @@ func (c *Curve) Eval(x sim.Time) sim.Time {
 	}
 	s := c.Segs[lo]
 	return s.T + sim.Time(s.Slope)*(x-s.X)
-}
-
-// Tolerance returns the largest delta whose predicted slowdown stays
-// within factor (e.g. 1.1 = 10% slowdown) of the base makespan. bounded
-// is false when every delta in [0, MaxDelta] fits — the app is
-// insensitive to this axis at that threshold.
-func (c *Curve) Tolerance(factor float64) (maxDelta sim.Time, bounded bool) {
-	base := c.Base()
-	if base <= 0 || len(c.Segs) == 0 {
-		return 0, false
-	}
-	budget := sim.Time(factor * float64(base))
-	last := c.Segs[len(c.Segs)-1]
-	if last.T+sim.Time(last.Slope)*(MaxDelta-last.X) <= budget {
-		return MaxDelta, false
-	}
-	// Walk the pieces: the curve is nondecreasing, so the answer is in
-	// the first segment that crosses the budget.
-	for i, s := range c.Segs {
-		end := MaxDelta
-		if i+1 < len(c.Segs) {
-			end = c.Segs[i+1].X - 1
-		}
-		endT := s.T + sim.Time(s.Slope)*(end-s.X)
-		if endT <= budget {
-			continue
-		}
-		if s.T > budget {
-			// Crossed before this piece began.
-			if s.X == 0 {
-				return 0, true
-			}
-			return s.X - 1, true
-		}
-		if s.Slope == 0 {
-			continue
-		}
-		return s.X + (budget-s.T)/sim.Time(s.Slope), true
-	}
-	return MaxDelta, false
 }
 
 // Curves bundles the three axes extracted from one run.
