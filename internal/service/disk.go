@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -17,13 +18,23 @@ import (
 )
 
 // diskVersion is the on-disk entry format version. Entries with a
-// different version are treated as misses (recompute and overwrite),
+// different version are stale (ErrStale): recomputed and overwritten,
 // never misread.
-const diskVersion = 1
+const diskVersion = 2
 
-// DiskStore is the persistent content-addressed result cache: one JSON
-// file per executed run, addressed by the run's canonical Spec hash and
+// DiskStore is the persistent content-addressed result cache: one file
+// per executed run, addressed by the run's canonical Spec hash and
 // sharded by the hash's first byte (objects/ab/abcdef….json).
+//
+// An entry is a length-prefixed frame of three parts:
+//
+//	{"version":2,"hash":…,"sum":…,"head_len":H,"result_len":R}\n
+//	<head: H bytes of JSON — spec, point, elapsed, verified>
+//	<result: R bytes of JSON — the apps.Result, as writeJSON encodes it>
+//
+// The header line says where the parts end, so a read decodes the
+// ~180-byte head and never scans the result; sum is the sha256 of head
+// and result together.
 //
 // Durability discipline:
 //
@@ -32,14 +43,15 @@ const diskVersion = 1
 //     crash mid-write leaves either the old entry or none — never a
 //     torn one (concurrent writers of the same hash write identical
 //     content, so last-rename-wins is harmless);
-//   - reads are verified: the payload checksum must match, the stored
-//     spec must re-hash to the entry's address, and the address must
-//     match the filename; any mismatch (truncation, bit rot, a hand-
-//     edited file) surfaces as ErrCorrupt and the caller recomputes.
-//     There is one read path and it always runs every check; what a
-//     caller chooses is only whether the verified result is then
-//     decoded (Load) or left as bytes (a minimal answer reads the
-//     entry's head alone);
+//   - reads are verified: the version must be this one, the address
+//     must match the filename, the lengths must add up to the file and
+//     the checksum must match the bytes, and the stored spec must
+//     re-hash to the address; any mismatch (truncation, bit rot, a
+//     hand-edited file, an older format) surfaces as ErrCorrupt and the
+//     caller recomputes. There is one read path and it always runs
+//     every check; what a caller chooses is only what it does with the
+//     verified result bytes: decode them (Load, a plan), forward them
+//     (a full /v1/run answer) or leave them (a minimal answer);
 //   - entries are loaded lazily — the store never scans the directory.
 type DiskStore struct {
 	root string
@@ -49,6 +61,11 @@ type DiskStore struct {
 // Callers treat it as a miss (and typically overwrite the entry with a
 // freshly computed result).
 var ErrCorrupt = errors.New("service: corrupt cache entry")
+
+// ErrStale marks an entry written in another format version. It wraps
+// ErrCorrupt — an entry this store cannot read is recomputed either
+// way — and is told apart only to count an upgrade as one.
+var ErrStale = fmt.Errorf("%w: stale format version", ErrCorrupt)
 
 // NewDiskStore opens (creating if needed) a store rooted at dir.
 func NewDiskStore(dir string) (*DiskStore, error) {
@@ -69,52 +86,41 @@ func (d *DiskStore) entryPath(hash string) string {
 	return filepath.Join(d.root, "objects", hash[:2], hash+".json")
 }
 
-// diskEntry is the on-disk envelope. Payload is kept raw so the
-// checksum covers the exact stored bytes.
-type diskEntry struct {
-	Version int             `json:"version"`
-	Hash    string          `json:"hash"`
-	Sum     string          `json:"sum"` // sha256 hex of Payload
-	Payload json.RawMessage `json:"payload"`
+// frameHeader is an entry's first line.
+type frameHeader struct {
+	Version   int    `json:"version"`
+	Hash      string `json:"hash"`
+	Sum       string `json:"sum"` // sha256 hex of head and result
+	HeadLen   int    `json:"head_len"`
+	ResultLen int    `json:"result_len"`
 }
 
-// payloadJSON is the cached outcome: the self-describing spec plus the
-// full result. Failed runs are never persisted, so there is no error
-// field — a cached entry is always a completed, successful run.
-type payloadJSON struct {
-	Spec   SpecJSON    `json:"spec"`
-	Point  core.Point  `json:"point"`
-	Result apps.Result `json:"result"`
-}
-
-// payloadHead is payloadJSON as a minimal answer reads it: the same
-// keys, with only the two result fields such an answer carries. The
-// decoder steps over the rest of the result without building it.
-type payloadHead struct {
-	Spec   SpecJSON   `json:"spec"`
-	Point  core.Point `json:"point"`
-	Result struct {
-		Elapsed  sim.Time
-		Verified bool
-	} `json:"result"`
+// frameHead is an entry's head: everything a minimal answer and a
+// sweep's denominator read, and the spec the address is checked
+// against. Failed runs are never persisted, so there is no error field
+// — a cached entry is always a completed, successful run.
+type frameHead struct {
+	Spec     SpecJSON   `json:"spec"`
+	Point    core.Point `json:"point"`
+	Elapsed  sim.Time   `json:"elapsed"`
+	Verified bool       `json:"verified"`
 }
 
 // entry is one verified read of an object file: the head decoded, the
-// payload — which the checksum covered whole, result included — kept as
-// bytes until outcome decodes the result from it.
+// result — which the checksum covered — kept as the bytes Store wrote.
 type entry struct {
 	spec     run.Spec
 	point    core.Point
 	elapsed  sim.Time
 	verified bool
-	payload  json.RawMessage
+	result   []byte
 }
 
 // read fetches and verifies the entry stored under a spec hash; it is
 // the store's only read path. found reports whether an entry existed at
-// all; a found entry that fails any check — version, address, payload
-// checksum, or the stored spec re-hashing to the address — returns
-// ErrCorrupt (wrapped with detail) and should be recomputed.
+// all; a found entry that fails any check — version (ErrStale), address,
+// lengths, checksum, or the stored spec re-hashing to the address —
+// returns ErrCorrupt (wrapped with detail) and should be recomputed.
 func (d *DiskStore) read(hash string) (entry, bool, error) {
 	raw, rerr := os.ReadFile(d.entryPath(hash))
 	if rerr != nil {
@@ -123,25 +129,34 @@ func (d *DiskStore) read(hash string) (entry, bool, error) {
 		}
 		return entry{}, true, fmt.Errorf("%w: %v", ErrCorrupt, rerr)
 	}
-	var e diskEntry
-	if jerr := json.Unmarshal(raw, &e); jerr != nil {
-		return entry{}, true, fmt.Errorf("%w: %s: %v", ErrCorrupt, hash, jerr)
+	// With no newline the whole file is the header: a version-1 entry
+	// is one JSON object on one line, and decoding it tells its version.
+	line, body, framed := bytes.Cut(raw, []byte{'\n'})
+	var h frameHeader
+	if jerr := json.Unmarshal(line, &h); jerr != nil {
+		return entry{}, true, fmt.Errorf("%w: %s: header: %v", ErrCorrupt, hash, jerr)
 	}
-	if e.Version != diskVersion {
-		return entry{}, true, fmt.Errorf("%w: %s: version %d, want %d", ErrCorrupt, hash, e.Version, diskVersion)
+	if h.Version != diskVersion {
+		return entry{}, true, fmt.Errorf("%w: %s: version %d, want %d", ErrStale, hash, h.Version, diskVersion)
 	}
-	if e.Hash != hash {
-		return entry{}, true, fmt.Errorf("%w: entry %s claims hash %s", ErrCorrupt, hash, e.Hash)
+	if !framed {
+		return entry{}, true, fmt.Errorf("%w: %s: header has no newline", ErrCorrupt, hash)
 	}
-	sum := sha256.Sum256(e.Payload)
-	if hex.EncodeToString(sum[:]) != e.Sum {
-		return entry{}, true, fmt.Errorf("%w: %s: payload checksum mismatch", ErrCorrupt, hash)
+	if h.Hash != hash {
+		return entry{}, true, fmt.Errorf("%w: entry %s claims hash %s", ErrCorrupt, hash, h.Hash)
 	}
-	var h payloadHead
-	if jerr := json.Unmarshal(e.Payload, &h); jerr != nil {
-		return entry{}, true, fmt.Errorf("%w: %s: payload: %v", ErrCorrupt, hash, jerr)
+	if h.HeadLen < 0 || h.HeadLen > len(body) || h.ResultLen != len(body)-h.HeadLen {
+		return entry{}, true, fmt.Errorf("%w: %s: lengths %d+%d, file has %d", ErrCorrupt, hash, h.HeadLen, h.ResultLen, len(body))
 	}
-	spec, serr := h.Spec.Spec()
+	sum := sha256.Sum256(body)
+	if hex.EncodeToString(sum[:]) != h.Sum {
+		return entry{}, true, fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, hash)
+	}
+	var head frameHead
+	if jerr := json.Unmarshal(body[:h.HeadLen], &head); jerr != nil {
+		return entry{}, true, fmt.Errorf("%w: %s: head: %v", ErrCorrupt, hash, jerr)
+	}
+	spec, serr := head.Spec.Spec()
 	if serr != nil {
 		return entry{}, true, fmt.Errorf("%w: %s: stored spec: %v", ErrCorrupt, hash, serr)
 	}
@@ -149,9 +164,9 @@ func (d *DiskStore) read(hash string) (entry, bool, error) {
 		return entry{}, true, fmt.Errorf("%w: %s: stored spec re-hashes to %s", ErrCorrupt, hash, got)
 	}
 	return entry{
-		spec: spec, point: h.Point,
-		elapsed: h.Result.Elapsed, verified: h.Result.Verified,
-		payload: e.Payload,
+		spec: spec, point: head.Point,
+		elapsed: head.Elapsed, verified: head.Verified,
+		result: body[h.HeadLen:],
 	}, true, nil
 }
 
@@ -169,11 +184,11 @@ func (e entry) head() run.Outcome {
 // failure here means they were written as something other than an
 // apps.Result; that is ErrCorrupt like any other unreadable entry.
 func (e entry) outcome() (run.Outcome, error) {
-	var p payloadJSON
-	if err := json.Unmarshal(e.payload, &p); err != nil {
+	var res apps.Result
+	if err := json.Unmarshal(e.result, &res); err != nil {
 		return run.Outcome{}, fmt.Errorf("%w: %v: result: %v", ErrCorrupt, e.spec, err)
 	}
-	return run.Outcome{Spec: e.spec, Res: p.Result, Point: e.point}, nil
+	return run.Outcome{Spec: e.spec, Res: res, Point: e.point}, nil
 }
 
 // Load fetches the full outcome for a spec: a verified read, then the
@@ -187,6 +202,19 @@ func (d *DiskStore) Load(s run.Spec) (out run.Outcome, found bool, err error) {
 	return out, true, err
 }
 
+// encodeJSON encodes v as writeJSON does, without the trailing newline:
+// no HTML escaping, so a stored result is byte for byte what a computed
+// /v1/run answer carries, and a hit can forward it.
+func encodeJSON(v any) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return b.Bytes()[:b.Len()-1], nil
+}
+
 // Store persists a completed outcome atomically. Outcomes carrying an
 // error are refused: failures are conditions of the moment (a bad app
 // name, a canceled context), not content.
@@ -195,24 +223,35 @@ func (d *DiskStore) Store(out run.Outcome) error {
 		return fmt.Errorf("service: refusing to cache failed run %v: %v", out.Spec, out.Err)
 	}
 	hash := out.Spec.Hash()
-	payload, err := json.Marshal(payloadJSON{
-		Spec:   SpecToJSON(out.Spec),
-		Point:  out.Point,
-		Result: out.Res,
+	head, err := encodeJSON(frameHead{
+		Spec:     SpecToJSON(out.Spec),
+		Point:    out.Point,
+		Elapsed:  out.Res.Elapsed,
+		Verified: out.Res.Verified,
 	})
 	if err != nil {
 		return fmt.Errorf("service: encode %v: %w", out.Spec, err)
 	}
-	sum := sha256.Sum256(payload)
-	raw, err := json.Marshal(diskEntry{
-		Version: diskVersion,
-		Hash:    hash,
-		Sum:     hex.EncodeToString(sum[:]),
-		Payload: payload,
+	result, err := encodeJSON(out.Res)
+	if err != nil {
+		return fmt.Errorf("service: encode %v: %w", out.Spec, err)
+	}
+	sum := sha256.New()
+	sum.Write(head)
+	sum.Write(result)
+	header, err := json.Marshal(frameHeader{
+		Version:   diskVersion,
+		Hash:      hash,
+		Sum:       hex.EncodeToString(sum.Sum(nil)),
+		HeadLen:   len(head),
+		ResultLen: len(result),
 	})
 	if err != nil {
 		return fmt.Errorf("service: encode entry %v: %w", out.Spec, err)
 	}
+	raw := append(header, '\n')
+	raw = append(raw, head...)
+	raw = append(raw, result...)
 	dst := d.entryPath(hash)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("service: cache shard: %w", err)

@@ -6,11 +6,15 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/logp"
 	"repro/internal/run"
@@ -28,10 +32,18 @@ func testOutcome(t *testing.T) run.Outcome {
 	return out
 }
 
-// outcomeBytes is the canonical comparison form of an outcome.
+// outcomeJSON is the canonical comparison form of an outcome.
+func outcomeJSON(out run.Outcome) ([]byte, error) {
+	return json.Marshal(struct {
+		Spec   SpecJSON
+		Point  core.Point
+		Result apps.Result
+	}{SpecToJSON(out.Spec), out.Point, out.Res})
+}
+
 func outcomeBytes(t *testing.T, out run.Outcome) []byte {
 	t.Helper()
-	raw, err := json.Marshal(payloadJSON{Spec: SpecToJSON(out.Spec), Point: out.Point, Result: out.Res})
+	raw, err := outcomeJSON(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,26 +91,55 @@ func TestDiskStoreRefusesFailedRun(t *testing.T) {
 	}
 }
 
-// reseal rewrites an entry's payload and recomputes the envelope's
-// checksum over it: a writer's mistake or a careful edit, which only the
-// checks behind the checksum can catch.
-func reseal(t testing.TB, raw []byte, old, new string) []byte {
+// frame is an object file split into its three parts.
+type frame struct {
+	h            frameHeader
+	head, result []byte
+}
+
+func splitFrame(t testing.TB, raw []byte) frame {
 	t.Helper()
-	var e diskEntry
-	if err := json.Unmarshal(raw, &e); err != nil {
+	line, body, ok := bytes.Cut(raw, []byte{'\n'})
+	if !ok {
+		t.Fatal("entry has no header line")
+	}
+	var f frame
+	if err := json.Unmarshal(line, &f.h); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(e.Payload, []byte(old)) {
-		t.Fatalf("payload has no %s to rewrite", old)
-	}
-	e.Payload = bytes.Replace(e.Payload, []byte(old), []byte(new), 1)
-	sum := sha256.Sum256(e.Payload)
-	e.Sum = hex.EncodeToString(sum[:])
-	out, err := json.Marshal(e)
+	f.head, f.result = body[:f.h.HeadLen], body[f.h.HeadLen:]
+	return f
+}
+
+// bytes joins the parts under the header as it stands.
+func (f frame) bytes(t testing.TB) []byte {
+	t.Helper()
+	line, err := json.Marshal(f.h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return append(append(append(line, '\n'), f.head...), f.result...)
+}
+
+// reseal rewrites the first occurrence of old in an entry's head, or
+// else in its result, and recomputes the header's lengths and checksum:
+// a writer's mistake or a careful edit, which only the checks behind the
+// checksum can catch.
+func reseal(t testing.TB, raw []byte, old, new string) []byte {
+	t.Helper()
+	f := splitFrame(t, raw)
+	switch {
+	case bytes.Contains(f.head, []byte(old)):
+		f.head = bytes.Replace(f.head, []byte(old), []byte(new), 1)
+	case bytes.Contains(f.result, []byte(old)):
+		f.result = bytes.Replace(f.result, []byte(old), []byte(new), 1)
+	default:
+		t.Fatalf("entry has no %s to rewrite", old)
+	}
+	sum := sha256.Sum256(append(append([]byte(nil), f.head...), f.result...))
+	f.h.Sum = hex.EncodeToString(sum[:])
+	f.h.HeadLen, f.h.ResultLen = len(f.head), len(f.result)
+	return f.bytes(t)
 }
 
 // corruption is one way an object file can be wrong.
@@ -107,34 +148,29 @@ type corruption struct {
 	raw  []byte
 }
 
-// corruptions damages a pristine entry of a seed-1 spec once per
-// verification layer, and more than once where the layers differ in what
+// corruptions damages a pristine entry of testOutcome's spec once per
+// check of the read, and more than once where the checks differ in what
 // they would let through.
 func corruptions(t testing.TB, pristine []byte) []corruption {
 	t.Helper()
-	var e diskEntry
-	if err := json.Unmarshal(pristine, &e); err != nil {
-		t.Fatal(err)
+	f := splitFrame(t, pristine)
+	header := func(edit func(*frameHeader)) []byte {
+		c := f
+		edit(&c.h)
+		return c.bytes(t)
 	}
-	envelope := func(edit func(*diskEntry)) []byte {
-		c := e
-		edit(&c)
-		b, err := json.Marshal(c)
-		if err != nil {
-			t.Fatal(err)
+	bodyAt := len(pristine) - len(f.head) - len(f.result)
+	flip := func(at int) []byte {
+		b := append([]byte(nil), pristine...)
+		if b[at] == 'x' {
+			b[at] = 'y'
+		} else {
+			b[at] = 'x'
 		}
 		return b
 	}
-	bitFlip := append([]byte(nil), pristine...)
-	// A byte inside the payload checksum's coverage.
-	idx := len(bitFlip) - len(e.Payload)/2
-	if bitFlip[idx] == 'x' {
-		bitFlip[idx] = 'y'
-	} else {
-		bitFlip[idx] = 'x'
-	}
 	// A digit of the barrier count: deep in the result, which a
-	// head-only read steps over, and still valid JSON of the right
+	// head-only read never looks at, and still valid JSON of the right
 	// shape — nothing but the checksum can tell.
 	digitFlip := append([]byte(nil), pristine...)
 	at := bytes.Index(digitFlip, []byte(`"barriers":`))
@@ -147,24 +183,42 @@ func corruptions(t testing.TB, pristine []byte) []corruption {
 	} else {
 		digitFlip[at]++
 	}
+	v1, err := os.ReadFile(entryV1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []corruption{
 		{"truncated", pristine[:len(pristine)/2]},
 		{"not-json", []byte("not json at all")},
-		{"bit-flip", bitFlip},
+		{"bit-flip", flip(bodyAt + len(f.head) + len(f.result)/2)},
+		{"head-byte-flip", flip(bodyAt + len(f.head)/2)},
 		{"digit-flip-in-result", digitFlip},
-		{"version-bump", envelope(func(c *diskEntry) { c.Version = diskVersion + 1 })},
-		{"wrong-address", envelope(func(c *diskEntry) { c.Hash = "0000" + c.Hash[4:] })},
-		// Version, address and checksum all hold; only re-hashing the
-		// stored spec shows the entry answers a different question.
+		{"version-bump", header(func(h *frameHeader) { h.Version = diskVersion + 1 })},
+		{"v1-envelope", v1},
+		{"wrong-address", header(func(h *frameHeader) { h.Hash = "0000" + h.Hash[4:] })},
+		{"header-without-newline", bytes.Replace(pristine, []byte{'\n'}, []byte{' '}, 1)},
+		{"header-only", pristine[:bodyAt-1]},
+		{"lengths-overrun", header(func(h *frameHeader) { h.ResultLen++ })},
+		{"lengths-short", header(func(h *frameHeader) { h.HeadLen-- })},
+		// The lengths still add up to the file and the checksum still
+		// covers it; only the head decoding shows the split is wrong.
+		{"split-shifted", header(func(h *frameHeader) { h.HeadLen++; h.ResultLen-- })},
+		{"trailing-bytes", append(append([]byte(nil), pristine...), '\n')},
+		// Version, address, lengths and checksum all hold; only
+		// re-hashing the stored spec shows the entry answers a different
+		// question.
 		{"spec-tampered-resummed", reseal(t, pristine, `"seed":1`, `"seed":2`)},
 	}
 }
 
-// TestDiskStoreCorruption covers every verification layer on both read
-// entry points: truncation, damage under the payload checksum (shallow
-// and deep inside the result), a version bump, a wrong stored hash and a
+// TestDiskStoreCorruption covers every check of the read on both read
+// entry points: truncation, a header that is not one line, lengths that
+// do not fit the file, damage under the checksum (in the head, and
+// shallow and deep inside the result), a wrong stored hash and a
 // re-sealed foreign spec all surface as ErrCorrupt (found, recompute),
-// never as a wrong answer — whether or not the caller decodes the result.
+// never as a wrong answer — whether or not the caller decodes the
+// result. An entry of another format version is ErrStale, which is
+// ErrCorrupt too.
 func TestDiskStoreCorruption(t *testing.T) {
 	d, err := NewDiskStore(t.TempDir())
 	if err != nil {
@@ -201,6 +255,10 @@ func TestDiskStoreCorruption(t *testing.T) {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Errorf("%s: err = %v, want ErrCorrupt", r.name, err)
 				}
+				stale := c.name == "version-bump" || c.name == "v1-envelope"
+				if errors.Is(err, ErrStale) != stale {
+					t.Errorf("%s: err = %v, want ErrStale: %v", r.name, err, stale)
+				}
 			}
 		})
 	}
@@ -216,7 +274,7 @@ func TestDiskStoreCorruption(t *testing.T) {
 	}
 }
 
-// TestDiskStoreUndecodableResult seals a payload whose result is not an
+// TestDiskStoreUndecodableResult seals a result that is not an
 // apps.Result under a valid checksum. The head is what the writer wrote
 // and reads fine; asking for the result is ErrCorrupt, not a decode
 // error of its own.
@@ -249,17 +307,21 @@ func TestDiskStoreUndecodableResult(t *testing.T) {
 	}
 }
 
-// entryV1 is an object file exactly as the commit before the head-only
-// read wrote it (format version 1): testOutcome's run, stored by that
-// commit's DiskStore.Store.
+// entryV1 is an object file of format version 1 (one JSON envelope):
+// testOutcome's run, stored by the last DiskStore.Store that wrote it.
+// It must never be misread, only recomputed.
 const entryV1 = "testdata/entry-v1.json"
+
+// entryV2 is testOutcome's run as the first version-2 DiskStore.Store
+// framed it.
+const entryV2 = "testdata/entry-v2.json"
 
 // TestDiskStoreReadsEarlierEntries pins that changing how entries are
 // read did not change which entries are readable: bytes written before
 // are served, head and result, and storing what was loaded reproduces
 // them.
 func TestDiskStoreReadsEarlierEntries(t *testing.T) {
-	raw, err := os.ReadFile(entryV1)
+	raw, err := os.ReadFile(entryV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +360,56 @@ func TestDiskStoreReadsEarlierEntries(t *testing.T) {
 	}
 }
 
+var updateSeeds = flag.Bool("update", false, "rewrite FuzzDiskStoreLoad's seed corpus from testdata/entry-v2.json")
+
+// fuzzSeeds is FuzzDiskStoreLoad's seed corpus: entryV2, truncations of
+// it in each part, a result that does not decode under a valid
+// checksum, and every row of corruptions.
+func fuzzSeeds(t testing.TB) []corruption {
+	t.Helper()
+	pristine, err := os.ReadFile(entryV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := splitFrame(t, pristine)
+	bodyAt := len(pristine) - len(f.head) - len(f.result)
+	seeds := []corruption{
+		{"empty", []byte{}},
+		{"pristine", pristine},
+		{"truncated-in-envelope", pristine[:bodyAt/2]}, // inside the header line
+		{"truncated-in-head", pristine[:bodyAt+len(f.head)/2]},
+		{"truncated-last-byte", pristine[:len(pristine)-1]},
+		{"undecodable-result-resummed", reseal(t, pristine, `"Procs":4`, `"Procs":"four"`)},
+	}
+	return append(seeds, corruptions(t, pristine)...)
+}
+
+// TestFuzzDiskStoreLoadSeeds keeps the committed seed corpus in the
+// current entry format: every file under testdata/fuzz/FuzzDiskStoreLoad
+// named after a seed holds that seed. After a format change, rewrite
+// entry-v2.json's successor and run this test with -update.
+func TestFuzzDiskStoreLoadSeeds(t *testing.T) {
+	const dir = "testdata/fuzz/FuzzDiskStoreLoad"
+	for _, c := range fuzzSeeds(t) {
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", c.raw)
+		path := filepath.Join(dir, c.name)
+		if *updateSeeds {
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("%s is not the current seed (err %v); rerun with -update", path, err)
+		}
+	}
+}
+
 // FuzzDiskStoreLoad puts arbitrary bytes where an entry lives. Either
 // read entry point may refuse them as ErrCorrupt or serve an answer to
 // the question the address names; neither may panic, answer for another
 // spec, or be laxer than the other about the head. The seed corpus
-// under testdata/fuzz is entryV1, truncations of it, and every row of
-// corruptions.
+// under testdata/fuzz is fuzzSeeds (TestFuzzDiskStoreLoadSeeds).
 func FuzzDiskStoreLoad(f *testing.F) {
 	d, err := NewDiskStore(f.TempDir())
 	if err != nil {
@@ -410,7 +516,7 @@ func TestDiskStoreConcurrent(t *testing.T) {
 				if !found {
 					continue
 				}
-				raw, merr := json.Marshal(payloadJSON{Spec: SpecToJSON(got.Spec), Point: got.Point, Result: got.Res})
+				raw, merr := outcomeJSON(got)
 				if merr != nil {
 					errs <- merr
 					return

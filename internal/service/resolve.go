@@ -30,25 +30,33 @@ type baseFunc func() (run.Outcome, error)
 // shared pool under the client's fair-share queue. hash is spec.Hash(),
 // computed once by the caller; base is nil for baselines.
 //
-// Without full, a disk hit's Res carries only Elapsed and Verified — all
-// a minimal answer and a sweep's denominator read — and the stored
-// result is never decoded. With full it is decoded here; stored bytes
-// that pass every check of the read and still do not decode are a
-// corrupt entry like any other: counted, recomputed and overwritten.
+// A disk hit's Res carries only Elapsed and Verified — all a minimal
+// answer and a sweep's denominator read — and the verified entry comes
+// back beside it, its result still the bytes Store wrote; hit is nil
+// for anything that was not read from disk.
 //
 // The returned error is transport-level (queue full, context canceled);
 // run-level failures travel inside the outcome's Err. On cancellation
 // the underlying run keeps going for any other waiters and still warms
 // the cache — cancellation abandons the wait, not the work.
-func (s *Server) resolve(ctx context.Context, client string, spec run.Spec, hash string, full bool, base baseFunc) (run.Outcome, string, error) {
+func (s *Server) resolve(ctx context.Context, client string, spec run.Spec, hash string, base baseFunc) (out run.Outcome, hit *entry, src string, err error) {
+	f, coalesced := s.fly(client, spec, hash, base, true)
+	return s.await(ctx, f, coalesced)
+}
+
+// resolveFull is resolve with a disk hit's result decoded, as a plan
+// renders it. Stored bytes that pass every check of the read and still
+// do not decode are a corrupt entry like any other: counted, recomputed
+// and overwritten.
+func (s *Server) resolveFull(ctx context.Context, client string, spec run.Spec, hash string, base baseFunc) (run.Outcome, string, error) {
 	for probe := true; ; probe = false {
 		f, coalesced := s.fly(client, spec, hash, base, probe)
-		out, src, err := s.await(ctx, f, coalesced)
-		if err != nil || f.hit == nil || !full {
+		out, hit, src, err := s.await(ctx, f, coalesced)
+		if err != nil || hit == nil {
 			return out, src, err
 		}
 		start := time.Now()
-		out, err = f.hit.outcome()
+		out, err = hit.outcome()
 		s.stages.observe("decode", time.Since(start))
 		if err == nil {
 			return out, src, nil
@@ -86,9 +94,13 @@ func (s *Server) fly(client string, spec run.Spec, hash string, base baseFunc, p
 			return f, false
 		}
 		if err != nil {
-			// A found-but-corrupt entry: recompute and overwrite.
+			// A found-but-unreadable entry: recompute and overwrite.
 			s.mu.Lock()
-			s.counts.corrupt++
+			if errors.Is(err, ErrStale) {
+				s.counts.stale++
+			} else {
+				s.counts.corrupt++
+			}
 			s.mu.Unlock()
 		}
 	}
@@ -161,11 +173,11 @@ func (s *Server) finish(hash string, f *flight, out run.Outcome, hit *entry, src
 }
 
 // await blocks on a flight until it completes or the context dies.
-func (s *Server) await(ctx context.Context, f *flight, coalesced bool) (run.Outcome, string, error) {
+func (s *Server) await(ctx context.Context, f *flight, coalesced bool) (run.Outcome, *entry, string, error) {
 	select {
 	case <-f.done:
 	case <-ctx.Done():
-		return run.Outcome{}, "", ctx.Err()
+		return run.Outcome{}, nil, "", ctx.Err()
 	}
 	src := f.src
 	if coalesced {
@@ -175,9 +187,9 @@ func (s *Server) await(ctx context.Context, f *flight, coalesced bool) (run.Outc
 		src = SourceCoalesced
 	}
 	if f.out.Err != nil && errors.Is(f.out.Err, ErrQueueFull) {
-		return run.Outcome{}, "", f.out.Err
+		return run.Outcome{}, nil, "", f.out.Err
 	}
-	return f.out, src, nil
+	return f.out, f.hit, src, nil
 }
 
 // planResult is everything executePlan learned about a plan.
@@ -213,7 +225,7 @@ func (s *Server) executePlan(ctx context.Context, client string, p *run.Plan, on
 			bf = func() (run.Outcome, error) { return *base, nil }
 		}
 		hash := sp.Hash()
-		out, src, err := s.resolve(ctx, client, sp, hash, true, bf)
+		out, src, err := s.resolveFull(ctx, client, sp, hash, bf)
 		if err != nil {
 			return run.Outcome{Spec: sp, Err: err}, false
 		}

@@ -149,8 +149,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleRun resolves a single spec. The spec itself is probed first; a
 // sweep spec's baseline is resolved (cached like any run) only when the
 // point has to be computed, so a stored point is one load and does not
-// depend on its baseline's entry. A minimal answer is made of the
-// entry's head alone and never decodes the stored result.
+// depend on its baseline's entry. No answer decodes a stored result: a
+// minimal one is made of the entry's head alone, and a full one forwards
+// the verified result bytes (writeForwarded).
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -175,11 +176,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			// Not under the request's context: other requests may be
 			// waiting on this point by the time the client gives up.
 			b := spec.BaselineSpec(false)
-			bout, _, err := s.resolve(context.WithoutCancel(ctx), client, b, b.Hash(), false, nil)
+			bout, _, _, err := s.resolve(context.WithoutCancel(ctx), client, b, b.Hash(), nil)
 			return bout, err
 		}
 	}
-	out, src, err := s.resolve(ctx, client, spec, hash, !req.Minimal, base)
+	out, hit, src, err := s.resolve(ctx, client, spec, hash, base)
 	if err != nil {
 		s.writeError(w, r, http.StatusInternalServerError, err)
 		return
@@ -198,11 +199,38 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		ElapsedNs: int64(out.Res.Elapsed),
 		Verified:  out.Res.Verified,
 	}
-	if !req.Minimal {
+	switch {
+	case req.Minimal:
+	case hit != nil:
+		s.writeForwarded(w, r, resp, hit.result)
+		return
+	default:
 		res := out.Res
 		resp.Result = &res
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// writeForwarded answers a full disk hit: resp, whose nil Result is
+// omitted, with the entry's verified result bytes spliced in as its
+// last member. Store encoded them as writeJSON encodes a result, so the
+// body is byte for byte the one the computed answer had, and nothing is
+// decoded or encoded but resp's own few fields.
+func (s *Server) writeForwarded(w http.ResponseWriter, r *http.Request, resp RunResponse, result []byte) {
+	head, err := encodeJSON(resp)
+	if err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, err)
+		return
+	}
+	const member = `,"result":`
+	body := make([]byte, 0, len(head)+len(member)+len(result)+2)
+	body = append(body, head[:len(head)-1]...) // up to resp's closing brace
+	body = append(body, member...)
+	body = append(body, result...)
+	body = append(body, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // handleSweep resolves an app × knob × values matrix, optionally

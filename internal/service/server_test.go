@@ -7,9 +7,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,8 +20,10 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/apps/suite"
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/logp"
 	"repro/internal/run"
 )
 
@@ -161,7 +166,9 @@ func TestServiceRunEndpoint(t *testing.T) {
 // is one load whatever became of its baseline, a point that has to be
 // computed looks its baseline up exactly once, a hit that carries the
 // result carries the one that was computed, and a stored result that
-// does not decode is recomputed, not served and not a 500.
+// does not decode is recomputed by the plan that reads it, not served
+// and not a 500. (A full /v1/run hit forwards the sealed result without
+// decoding it; TestServiceForwardsWhatItComputed pins those bytes.)
 func TestServiceRunReadsWhatItServes(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
@@ -177,12 +184,47 @@ func TestServiceRunReadsWhatItServes(t *testing.T) {
 	basePath := s.disk.entryPath(baseSpec.Hash())
 
 	var computed *RunResponse // pointB's answer from the run itself
+	checkRun := func(name string, spec SpecJSON, minimal bool, source string) {
+		r, err := c.Run(ctx, RunRequest{SpecJSON: spec, Minimal: minimal})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.Source != source || r.Cached != (source != SourceComputed) {
+			t.Errorf("%s: source = %q cached=%v, want %q", name, r.Source, r.Cached, source)
+		}
+		if r.ElapsedNs <= 0 || r.Point.Slowdown <= 0 {
+			t.Errorf("%s: answer incomplete: %+v", name, r)
+		}
+		if (r.Result == nil) != minimal {
+			t.Errorf("%s: minimal=%v but result present=%v", name, minimal, r.Result != nil)
+		}
+		if spec == pointB {
+			if computed == nil {
+				computed = r
+			} else if !reflect.DeepEqual(r.Result, computed.Result) || r.Point != computed.Point || r.ElapsedNs != computed.ElapsedNs {
+				t.Errorf("%s: a hit's result differs from the computed one:\n hit      %+v\n computed %+v", name, r.Result, computed.Result)
+			}
+		}
+	}
+	checkPlan := func(name string, spec SpecJSON) {
+		sw, err := c.Sweep(ctx, SweepRequest{
+			App: spec.App, Procs: spec.Procs, Scale: spec.Scale, Seed: spec.Seed,
+			Knob: pointA.Knob, Values: []float64{pointA.Value},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sw.BaseHash != baseSpec.Hash() || sw.Baseline.ElapsedNs <= 0 {
+			t.Errorf("%s: baseline answer %+v (hash %s)", name, sw.Baseline, sw.BaseHash)
+		}
+	}
 	var before CacheTotals
 	for _, step := range []struct {
 		name    string
 		prepare func()
 		spec    SpecJSON
 		minimal bool
+		plan    bool // ask for spec as the baseline of a /v1/sweep of pointA
 		source  string
 		// What the request moves in /v1/stats.
 		hits, computed, corrupt int64
@@ -204,9 +246,10 @@ func TestServiceRunReadsWhatItServes(t *testing.T) {
 			},
 			spec: baseline, minimal: true, source: SourceDisk, hits: 1,
 		},
-		// The probe finds a verified entry (a hit) before the result in
-		// it turns out not to be one.
-		{name: "undecodable result, result asked: recomputed", spec: baseline, source: SourceComputed, hits: 1, computed: 1, corrupt: 1},
+		// A plan decodes every result it reads. The probe finds a
+		// verified entry (a hit) before the result in it turns out not to
+		// be one; pointA, the sweep's one point, is a hit.
+		{name: "undecodable result, a plan reads it: recomputed", spec: baseline, plan: true, hits: 2, computed: 1, corrupt: 1},
 		{name: "recomputed entry overwrote the bad one", spec: baseline, source: SourceDisk, hits: 1},
 		{
 			name: "warm point, baseline gone: still one load",
@@ -221,25 +264,10 @@ func TestServiceRunReadsWhatItServes(t *testing.T) {
 		if step.prepare != nil {
 			step.prepare()
 		}
-		r, err := c.Run(ctx, RunRequest{SpecJSON: step.spec, Minimal: step.minimal})
-		if err != nil {
-			t.Fatalf("%s: %v", step.name, err)
-		}
-		if r.Source != step.source || r.Cached != (step.source != SourceComputed) {
-			t.Errorf("%s: source = %q cached=%v, want %q", step.name, r.Source, r.Cached, step.source)
-		}
-		if r.ElapsedNs <= 0 || r.Point.Slowdown <= 0 {
-			t.Errorf("%s: answer incomplete: %+v", step.name, r)
-		}
-		if (r.Result == nil) != step.minimal {
-			t.Errorf("%s: minimal=%v but result present=%v", step.name, step.minimal, r.Result != nil)
-		}
-		if step.spec == pointB {
-			if computed == nil {
-				computed = r
-			} else if !reflect.DeepEqual(r.Result, computed.Result) || r.Point != computed.Point || r.ElapsedNs != computed.ElapsedNs {
-				t.Errorf("%s: a hit's result differs from the computed one:\n hit      %+v\n computed %+v", step.name, r.Result, computed.Result)
-			}
+		if step.plan {
+			checkPlan(step.name, step.spec)
+		} else {
+			checkRun(step.name, step.spec, step.minimal, step.source)
 		}
 		after := s.Stats().Cache
 		if d := [3]int64{after.DiskHits - before.DiskHits, after.Computed - before.Computed, after.Corrupt - before.Corrupt}; d != [3]int64{step.hits, step.computed, step.corrupt} {
@@ -288,7 +316,7 @@ func TestServiceCoalesce(t *testing.T) {
 	}
 	results := make(chan res, 2)
 	resolveOne := func(client string) {
-		_, src, err := s.resolve(ctx, client, spec, hash, true, nil)
+		_, src, err := s.resolveFull(ctx, client, spec, hash, nil)
 		results <- res{src, err}
 	}
 	go resolveOne("a")
@@ -847,5 +875,161 @@ func TestServiceConcurrentMixedLoad(t *testing.T) {
 	}
 	if n != 24 {
 		t.Fatalf("got %d responses, want 24", n)
+	}
+}
+
+// TestServiceForwardsWhatItComputed pins the forwarded full answer: for
+// every paper app, a profiled run and a faulted run, a full /v1/run hit's
+// body is the miss's byte for byte apart from wall_us, source and cached,
+// and the result Client decodes from a hit is the in-process run's.
+func TestServiceForwardsWhatItComputed(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	runner := &run.Runner{Params: logp.NOW(), Resolve: exp.ResolveApp}
+
+	var specs []SpecJSON
+	for _, app := range suite.Names() {
+		specs = append(specs, SpecJSON{App: app, Procs: 4, Scale: 1.0 / 4096, Seed: 1})
+	}
+	specs = append(specs,
+		SpecJSON{App: "radix", Procs: 4, Scale: 1.0 / 4096, Seed: 1, Profile: true},
+		SpecJSON{App: "radix", Procs: 4, Scale: 1.0 / 4096, Seed: 1, Fault: &FaultJSON{DropProb: 0.05, Reliable: true}},
+	)
+	// The three members that say how an answer was made, not what it is.
+	how := regexp.MustCompile(`"source":"[a-z]+","cached":(true|false),"wall_us":[0-9]+`)
+	post := func(body []byte) []byte {
+		resp, err := c.httpClient().Post(c.BaseURL+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("status %d (err %v): %s", resp.StatusCode, err, raw)
+		}
+		return raw
+	}
+	for _, sj := range specs {
+		body, err := json.Marshal(RunRequest{SpecJSON: sj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		miss, hit := post(body), post(body)
+		if !bytes.Contains(miss, []byte(`"source":"computed"`)) || !bytes.Contains(hit, []byte(`"source":"disk"`)) {
+			t.Fatalf("%s: want a computed answer, then a disk hit:\n%.200s\n%.200s", sj.App, miss, hit)
+		}
+		if m, h := how.ReplaceAll(miss, nil), how.ReplaceAll(hit, nil); !bytes.Equal(m, h) {
+			t.Errorf("%+v: the hit's body is not the miss's:\n miss %s\n hit  %s", sj, m, h)
+		}
+
+		r, err := c.Run(ctx, RunRequest{SpecJSON: sj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := sj.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runner.ExecBaseline(spec.BaselineSpec(false))
+		if !spec.IsBaseline() { // the fault spec
+			want = runner.ExecSweep(spec, want)
+		}
+		if want.Err != nil {
+			t.Fatal(want.Err)
+		}
+		if r.Source != SourceDisk || r.Result == nil || !sameResult(*r.Result, want.Res) {
+			t.Errorf("%+v: %s answer decodes to\n %+v\nwant the in-process run's\n %+v", sj, r.Source, r.Result, want.Res)
+		}
+	}
+}
+
+// sameResult is reflect.DeepEqual over two results, except that Stats
+// compare by processor count and exported fields: a Stats' in-run
+// bookkeeping (each processor's previous send) is not part of a result
+// and does not travel (internal/am/statsjson.go).
+func sameResult(a, b apps.Result) bool {
+	as, bs := a.Stats, b.Stats
+	a.Stats, b.Stats = nil, nil
+	if !reflect.DeepEqual(a, b) || (as == nil) != (bs == nil) {
+		return false
+	}
+	if as == nil {
+		return true
+	}
+	av, bv := reflect.ValueOf(as).Elem(), reflect.ValueOf(bs).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Type().Field(i).IsExported() && !reflect.DeepEqual(av.Field(i).Interface(), bv.Field(i).Interface()) {
+			return false
+		}
+	}
+	return as.P() == bs.P()
+}
+
+// TestServiceRecomputesStaleAndCorruptEntries: an entry of the previous
+// format is never misread — it is recomputed once, counted as
+// stale_recomputed, and overwritten, so the next request is a disk hit —
+// while a damaged entry of this format counts as corrupt_recovered.
+func TestServiceRecomputesStaleAndCorruptEntries(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	spec := run.Baseline("radix", 4, 1.0/4096, 1, true) // entryV1's run
+	path := s.disk.entryPath(spec.Hash())
+	v1, err := os.ReadFile(entryV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var before CacheTotals
+	for _, step := range []struct {
+		name    string
+		prepare func()
+		source  string
+		// What the request moves in /v1/stats.
+		hits, computed, corrupt, stale int64
+	}{
+		{name: "v1 entry: recomputed", source: SourceComputed, computed: 1, stale: 1},
+		{name: "overwritten in v2: a hit", source: SourceDisk, hits: 1},
+		{
+			name: "damaged v2 entry: recomputed",
+			prepare: func() {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[len(raw)-2] ^= 1 // inside the result
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			source: SourceComputed, computed: 1, corrupt: 1,
+		},
+		{name: "overwritten again: a hit", source: SourceDisk, hits: 1},
+	} {
+		if step.prepare != nil {
+			step.prepare()
+		}
+		r, err := c.Run(ctx, RunRequest{SpecJSON: SpecToJSON(spec)})
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if r.Source != step.source || r.Result == nil || !r.Result.Verified {
+			t.Errorf("%s: source %q, result %+v; want %q and a verified result", step.name, r.Source, r.Result, step.source)
+		}
+		after := s.Stats().Cache
+		d := [4]int64{after.DiskHits - before.DiskHits, after.Computed - before.Computed, after.Corrupt - before.Corrupt, after.Stale - before.Stale}
+		if d != [4]int64{step.hits, step.computed, step.corrupt, step.stale} {
+			t.Errorf("%s: moved disk_hits, computed, corrupt_recovered, stale_recomputed by %v, want [%d %d %d %d]",
+				step.name, d, step.hits, step.computed, step.corrupt, step.stale)
+		}
+		before = after
+	}
+	if raw, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(raw, []byte(`{"version":2,`)) {
+		t.Errorf("entry not rewritten in the current format (err %v): %.40s", err, raw)
 	}
 }

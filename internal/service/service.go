@@ -8,11 +8,11 @@
 //     (Spec.Hash(), a stability-pinned sha256 of the normalized spec);
 //   - completed results live in a persistent content-addressed store on
 //     disk (DiskStore): written atomically (temp file + rename),
-//     loaded lazily, and verified on every read (payload checksum and
+//     loaded lazily, and verified on every read (lengths, checksum and
 //     spec-hash match), so a crashed writer or a corrupted entry
 //     degrades to a recompute, never to a wrong answer; a hit decodes
-//     only what its answer carries — the entry's head always, the
-//     result in it when asked;
+//     only the entry's small head, and a full /v1/run answer forwards
+//     the verified result bytes as they were stored;
 //   - misses execute on one shared bounded worker pool (Scheduler)
 //     with fair round-robin scheduling across clients, admission
 //     control (a bounded queue), and backpressure: when the queue is
@@ -98,6 +98,7 @@ type cacheCounters struct {
 	computed    int64 // executed on the worker pool
 	coalesced   int64 // joined an identical in-flight run
 	corrupt     int64 // unreadable/corrupt disk entries recovered by recompute
+	stale       int64 // entries of another format version recomputed
 	writeErrors int64 // failed persistent writes (result still served)
 	rejected    int64 // resolutions refused with queue-full backpressure
 	runErrors   int64 // runs that completed with an application error

@@ -124,8 +124,8 @@ type StatsResponse struct {
 	Sched    SchedStats                `json:"scheduler"`
 	Latency  map[string]LatencySummary `json:"latency_us"`
 	// Stages times the steps of a resolution: load (read an entry,
-	// verify it, decode its head), decode (a stored result, when an
-	// answer carries it), and for a miss queue_wait, execute, persist.
+	// verify it, decode its head), decode (a stored result, when a plan
+	// reads it), and for a miss queue_wait, execute, persist.
 	Stages   map[string]LatencySummary `json:"stages_us"`
 	CacheDir string                    `json:"cache_dir"`
 }
@@ -136,6 +136,7 @@ type CacheTotals struct {
 	Computed    int64 `json:"computed"`
 	Coalesced   int64 `json:"coalesced"`
 	Corrupt     int64 `json:"corrupt_recovered"`
+	Stale       int64 `json:"stale_recomputed"`
 	WriteErrors int64 `json:"write_errors"`
 	Rejected    int64 `json:"rejected"`
 	RunErrors   int64 `json:"run_errors"`
@@ -164,6 +165,7 @@ func (s *Server) Stats() StatsResponse {
 			Computed:    c.computed,
 			Coalesced:   c.coalesced,
 			Corrupt:     c.corrupt,
+			Stale:       c.stale,
 			WriteErrors: c.writeErrors,
 			Rejected:    c.rejected,
 			RunErrors:   c.runErrors,

@@ -135,7 +135,9 @@ type RunRequest struct {
 	Minimal bool `json:"minimal,omitempty"`
 }
 
-// RunResponse reports one resolved spec.
+// RunResponse reports one resolved spec. Result stays the last field: a
+// full disk hit appends the stored result bytes after the rest
+// (Server.writeForwarded).
 type RunResponse struct {
 	Spec      SpecJSON     `json:"spec"`
 	Hash      string       `json:"hash"`
@@ -143,9 +145,9 @@ type RunResponse struct {
 	Cached    bool         `json:"cached"`
 	WallUs    int64        `json:"wall_us"`
 	Point     PointJSON    `json:"point"`
-	Result    *apps.Result `json:"result,omitempty"`
 	ElapsedNs int64        `json:"elapsed_ns"`
 	Verified  bool         `json:"verified,omitempty"`
+	Result    *apps.Result `json:"result,omitempty"`
 }
 
 // SweepRequest asks for one app × knob × values matrix (the paper's
