@@ -59,6 +59,10 @@ func main() {
 		cfg.Hooks = rec
 	}
 
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "appstat: %v\n", err)
+		os.Exit(1)
+	}
 	fmt.Printf("%s — %s\n", a.PaperName(), a.Description())
 	fmt.Printf("input  : %s\n", a.InputDesc(cfg))
 	fmt.Printf("machine: %v\n", params)

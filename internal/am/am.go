@@ -790,7 +790,7 @@ func (ep *Endpoint) WaitUntilFor(kind WaitKind, cond func() bool, reason string)
 		panic("am: WaitUntil called from a message handler")
 	}
 	ep.MarkWaitBegin(kind)
-	ep.proc.Await(ep.pw.set(waitModeCond, cond, nil, 0, 0, 0, reason))
+	ep.proc.Await(ep.CondWait(cond, reason))
 	ep.pw.cond = nil // do not keep the caller's closure alive past the wait
 	ep.MarkWaitEnd(kind)
 }

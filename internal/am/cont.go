@@ -11,13 +11,15 @@ import (
 //
 // A state-machine processor body (sim.Resumable) cannot call the blocking
 // endpoint operations — Request, Store, Poll, WaitUntilFor — because they
-// wait by suspending the caller's stack, and a state machine has none. The methods in this file are the three things each blocking
-// operation actually does:
+// wait by suspending the caller's stack, and a state machine has none.
+// The methods in this file are the three things each blocking operation
+// actually does:
 //
 //  1. poll   — PollOneDue services one arrival present at the NIC (GAM
 //     polls on every request), with the caller yielding between steps;
-//  2. wait   — WindowWait / CounterWait / QuiesceWait hand the scheduler a
-//     closure-free wait record to drive;
+//  2. wait   — WindowWait / CounterWait / QuiesceWait / CondWait hand the
+//     scheduler a wait record to drive (closure-free but for CondWait's
+//     predicate);
 //  3. commit — SendRequest / SendStore perform the charge, the window
 //     book-keeping, and the launch, with no possibility of blocking.
 //
@@ -76,6 +78,15 @@ func (ep *Endpoint) WindowWait(dst int) sim.PollableWait {
 //repro:hotpath
 func (ep *Endpoint) CounterWait(ctr *int64, target int64, reason string) sim.PollableWait {
 	return ep.pw.set(waitModeCounter, nil, ctr, target, 0, 0, reason)
+}
+
+// CondWait returns the endpoint's reusable wait for cond() to hold — the
+// continuation form of WaitUntilFor, which is built on it. The caller
+// brackets the park with MarkWaitBegin/MarkWaitEnd under its wait kind.
+// cond is tested only by the scheduler and must be a pure predicate.
+// Build it once, not per wait: each closure built is an allocation.
+func (ep *Endpoint) CondWait(cond func() bool, reason string) sim.PollableWait {
+	return ep.pw.set(waitModeCond, cond, nil, 0, 0, 0, reason)
 }
 
 // QuiesceWait returns the endpoint's reusable wait for all outstanding

@@ -11,7 +11,7 @@ import (
 // ContSafe proves the continuation runtime's structural invariants in
 // the packages that host resumable state machines (am/cont.go,
 // splitc/cont.go, the scalekern kernels, and the paper apps written as
-// Tasks: EM3D and Barnes). A continuation function —
+// Tasks: Radix, EM3D, Sample and Barnes). A continuation function —
 // any function whose results include a PollableWait — is re-entered by
 // the engine after every park, so three things must hold:
 //
@@ -40,7 +40,9 @@ func contsafeScopes() []string {
 		"internal/am",
 		"internal/splitc",
 		"internal/apps/scalekern",
+		"internal/apps/radix",
 		"internal/apps/em3d",
+		"internal/apps/sample",
 		"internal/apps/barnes",
 	}
 }

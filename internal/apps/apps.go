@@ -6,6 +6,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/am"
@@ -70,6 +71,13 @@ type Config struct {
 
 // DefaultScale is the harness-wide default input scale.
 const DefaultScale = 1.0 / 64
+
+// MaxScale is the largest input scale Config.Validate accepts. At 64×
+// the paper's data sets the largest heap any app builds on one processor
+// — Radix's and Radb's 16M × 64 ≈ 1.02 G keys at P = 1 — holds under half
+// of the 2^31 word offsets a GPtr addresses; above it an input would no
+// longer fit.
+const MaxScale = 64
 
 // Norm fills in defaults.
 func (c Config) Norm() Config {
@@ -148,11 +156,14 @@ type App interface {
 }
 
 // Validate reports a configuration NewWorld refuses, without building
-// anything: a collective name no registry holds, a fault plan whose
-// rules are out of range, or a lossy plan on a wire with no reliability
-// layer. run.Spec.Check calls it, so the daemon refuses such a run
-// before queueing it.
+// anything: a scale above MaxScale, a collective name no registry holds,
+// a fault plan whose rules are out of range, or a lossy plan on a wire
+// with no reliability layer. run.Spec.Check calls it, so the daemon
+// refuses such a run before queueing it.
 func (c Config) Validate() error {
+	if !(c.Scale <= MaxScale) {
+		return fmt.Errorf("apps: scale %g is above the ceiling %d, past which an input no longer fits a GPtr's int32 offsets", c.Scale, MaxScale)
+	}
 	if err := c.Collectives.Validate(); err != nil {
 		return err
 	}
@@ -264,8 +275,15 @@ func depgraphAttached(w *splitc.World) *depgraph.Builder {
 }
 
 // ScaleInt scales a paper-sized integer quantity, keeping at least min.
+// No scale Config.Validate accepts can overflow the product; one that
+// does panics rather than come back as some other size.
 func ScaleInt(paper int, scale float64, min int) int {
-	v := int(float64(paper)*scale + 0.5)
+	f := float64(paper)*scale + 0.5
+	// !(|f| < MaxInt) also catches NaN.
+	if !(math.Abs(f) < math.MaxInt) {
+		panic(fmt.Sprintf("apps: %d × scale %g overflows int; Config.Validate refuses scales above %d", paper, scale, MaxScale))
+	}
+	v := int(f)
 	if v < min {
 		v = min
 	}

@@ -73,13 +73,13 @@ func (sh *shared) recPtr(uid int) splitc.GPtr {
 // Run executes the benchmark.
 func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	cfg = cfg.Norm()
-	n := bodyCount(cfg)
-	P := cfg.Procs
-	tr := newTree(n, P)
 	w, err := apps.NewWorld(cfg)
 	if err != nil {
 		return apps.Result{}, err
 	}
+	n := bodyCount(cfg)
+	P := cfg.Procs
+	tr := newTree(n, P)
 	cacheLines := a.CacheLines
 	if cacheLines == 0 {
 		cacheLines = maxInt(tr.totalCells/2, 64)

@@ -137,12 +137,12 @@ func (m *mesh) serialComponents() []int32 {
 // Run executes the benchmark.
 func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	cfg = cfg.Norm()
-	m := buildMesh(cfg)
-	P := cfg.Procs
 	w, err := apps.NewWorld(cfg)
 	if err != nil {
 		return apps.Result{}, err
 	}
+	m := buildMesh(cfg)
+	P := cfg.Procs
 
 	parentArr := make([]splitc.GPtr, P)
 	parentLoc := make([][]uint64, P) // captured local views for verification

@@ -74,13 +74,13 @@ type shared struct {
 // Run executes the benchmark.
 func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	cfg = cfg.Norm()
-	g := buildGraph(cfg)
-	g.steps = a.steps(g)
-	P := cfg.Procs
 	w, err := apps.NewWorld(cfg)
 	if err != nil {
 		return apps.Result{}, err
 	}
+	g := buildGraph(cfg)
+	g.steps = a.steps(g)
+	P := cfg.Procs
 
 	sh := &shared{
 		g:         g,

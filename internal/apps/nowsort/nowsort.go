@@ -66,12 +66,12 @@ func destOf(key uint64, p int) int {
 // Run executes the benchmark.
 func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	cfg = cfg.Norm()
-	n := recordCount(cfg)
-	P := cfg.Procs
 	w, err := apps.NewWorld(cfg)
 	if err != nil {
 		return apps.Result{}, err
 	}
+	n := recordCount(cfg)
+	P := cfg.Procs
 
 	recvKeys := make([][]uint64, P)
 	// Handlers run on the RECEIVING processor; per-processor spool state is

@@ -228,16 +228,16 @@ func serialRender(sc *scene, side int) []float64 {
 // Run executes the benchmark.
 func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	cfg = cfg.Norm()
+	w, err := apps.NewWorld(cfg)
+	if err != nil {
+		return apps.Result{}, err
+	}
 	sc := buildScene(cfg)
 	objects, side := sizes(cfg)
 	P := cfg.Procs
 	cacheLines := a.CacheLines
 	if cacheLines == 0 {
 		cacheLines = maxInt(objects/2, 16)
-	}
-	w, err := apps.NewWorld(cfg)
-	if err != nil {
-		return apps.Result{}, err
 	}
 
 	objArr := make([]splitc.GPtr, P) // per-owner object records

@@ -64,12 +64,12 @@ func (a App) InputDesc(cfg apps.Config) string {
 // Run executes the benchmark.
 func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	cfg = cfg.Norm()
-	n, radix := sizes(cfg)
-	P := cfg.Procs
 	w, err := apps.NewWorld(cfg)
 	if err != nil {
 		return apps.Result{}, err
 	}
+	n, radix := sizes(cfg)
+	P := cfg.Procs
 	digitBits := uint(math.Ilogb(float64(radix)))
 
 	destArr := make([]splitc.GPtr, P)  // final key blocks

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/am"
 	"repro/internal/apps"
+	"repro/internal/sim"
 	"repro/internal/splitc"
 )
 
@@ -63,138 +64,260 @@ func genKey(rng interface{ Intn(int) int }) uint32 {
 	return base + uint32(rng.Intn(1<<22))
 }
 
+// shared is the cross-processor state of one run: the input size, proc
+// 0's sample landing area, the per-processor receive buffers and
+// boundary words, and the one key-delivery handler every send names.
+type shared struct {
+	n, nSamples int
+	verify      bool
+
+	samples  splitc.GPtr   // proc 0's sample array
+	recvBufs [][]uint32    // keys received per proc
+	firstKey []splitc.GPtr // boundary check (verification)
+	deliver  am.Handler    // appends a key to the receiver's buffer
+}
+
 // Run executes the benchmark.
 func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	cfg = cfg.Norm()
-	n := keyCount(cfg)
-	P := cfg.Procs
 	w, err := apps.NewWorld(cfg)
 	if err != nil {
 		return apps.Result{}, err
 	}
-
-	sampleArr := make([]splitc.GPtr, P) // proc 0's sample landing area
-	recvBufs := make([][]uint32, P)     // keys received per proc
-	firstKey := make([]splitc.GPtr, P)  // boundary check (verification)
-	verifyFailed := false
-
-	body := func(p *splitc.Proc) {
-		me := p.ID()
-		lo, hi := apps.BlockRange(me, n, P)
-		mine := hi - lo
-		rng := p.Rand()
-		keys := make([]uint32, mine)
-		var localSum uint64
-		for i := range keys {
-			keys[i] = genKey(rng)
-			localSum += uint64(keys[i])
-		}
-		recvBufs[me] = make([]uint32, 0, mine*2)
-		firstKey[me] = p.Alloc(1)
-		nSamples := oversampling * (P - 1)
-		if nSamples < 1 {
-			nSamples = 1
-		}
-		if me == 0 {
-			sampleArr[0] = p.Alloc(nSamples * P)
-		}
-		p.Barrier()
-
-		// Phase 1: sampling. Every processor writes its samples into
-		// processor 0's sample array (short writes), then processor 0
-		// sorts them and broadcasts p−1 splitters.
-		for s := 0; s < nSamples; s++ {
-			k := keys[rng.Intn(len(keys))]
-			p.WriteWord(sampleArr[0].Add(me*nSamples+s), uint64(k))
-			p.ComputeUs(sampleCostUs)
-		}
-		p.Barrier()
-
-		splitters := make([]uint32, P-1)
-		if me == 0 {
-			all := p.Local(sampleArr[0], nSamples*P)
-			samples := make([]uint32, len(all))
-			for i, v := range all {
-				samples[i] = uint32(v)
-			}
-			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			p.ComputeUs(sampleCostUs * float64(len(samples)) * 2) // sort cost
-			for i := range splitters {
-				splitters[i] = samples[(i+1)*len(samples)/P]
-			}
-		}
-		for i := range splitters {
-			splitters[i] = uint32(p.Broadcast(0, uint64(splitters[i])))
-		}
-
-		// Phase 2: distribution. One short active message per key; the
-		// receiver's handler appends to its receive buffer — an
-		// unbalanced all-to-all when the splitters misjudge the density.
-		for i, k := range keys {
-			dst := sort.Search(len(splitters), func(j int) bool { return splitters[j] > k })
-			p.ComputeUs(partitionCostUs)
-			if dst == me {
-				recvBufs[me] = append(recvBufs[me], k)
-				continue
-			}
-			p.EP().Request(dst, am.ClassWrite, func(ep *am.Endpoint, tok *am.Token, a am.Args) {
-				recvBufs[ep.ID()] = append(recvBufs[ep.ID()], uint32(a[0]))
-			}, am.Args{uint64(k)})
-			if i%2048 == 2047 {
-				p.Poll()
-			}
-		}
-		p.Barrier() // store-sync in the barrier implies delivery
-
-		// Phase 3: local radix sort of received keys.
-		got := recvBufs[me]
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		p.ComputeUs(localSortCostUs * float64(len(got)))
-		p.Barrier()
-
-		if cfg.Verify {
-			for i := 1; i < len(got); i++ {
-				if got[i-1] > got[i] {
-					verifyFailed = true
-				}
-			}
-			if len(got) > 0 {
-				p.WriteWord(firstKey[me], uint64(got[0])+1)
-			}
-			p.Barrier()
-			// Boundary order: my last key ≤ the next non-empty proc's first.
-			if len(got) > 0 {
-				for q := me + 1; q < P; q++ {
-					nb := p.ReadWord(firstKey[q])
-					if nb == 0 {
-						continue // empty processor
-					}
-					if uint64(got[len(got)-1]) > nb-1 {
-						verifyFailed = true
-					}
-					break
-				}
-			}
-			var sum uint64
-			for _, k := range got {
-				sum += uint64(k)
-			}
-			if p.AllReduceSum(sum) != p.AllReduceSum(localSum) {
-				verifyFailed = true
-			}
-			if p.AllReduceSum(uint64(len(got))) != uint64(n) {
-				verifyFailed = true
-			}
-		}
+	P := cfg.Procs
+	sh := &shared{
+		n:        keyCount(cfg),
+		nSamples: max(oversampling*(P-1), 1),
+		verify:   cfg.Verify,
+		recvBufs: make([][]uint32, P),
+		firstKey: make([]splitc.GPtr, P),
 	}
-
-	if err := w.Run(body); err != nil {
+	sh.deliver = func(ep *am.Endpoint, tok *am.Token, a am.Args) {
+		sh.recvBufs[ep.ID()] = append(sh.recvBufs[ep.ID()], uint32(a[0]))
+	}
+	tasks := make([]*task, P)
+	if err := w.RunTasks(func(id int) splitc.Task {
+		tasks[id] = &task{sh: sh}
+		return tasks[id]
+	}); err != nil {
 		return apps.Result{}, err
 	}
-	if cfg.Verify && verifyFailed {
-		return apps.Result{}, fmt.Errorf("sample: verification failed")
+	if cfg.Verify {
+		for _, k := range tasks {
+			if k.failed {
+				return apps.Result{}, fmt.Errorf("sample: verification failed")
+			}
+		}
 	}
 	return apps.Finish(a, cfg, w, cfg.Verify), nil
 }
 
-var _ apps.App = App{}
+// task is one processor's sort as a state machine. pc names the step the
+// processor is in; i and q are the item and processor cursors a wait can
+// interrupt. sub tracks the current item of a sampling or distribution
+// loop: 0 before its once-only work (a sample's draw, a key's partition
+// charge), 1 with its send pending, 2 with its poll pending, so a parked
+// primitive re-called with the same arguments does not repeat that work.
+type task struct {
+	sh *shared
+
+	pc, sub int
+	i, q    int
+	dst     int    // the current key's destination
+	key     uint32 // the current sample
+
+	keys      []uint32
+	splitters []uint32
+	got       []uint32 // the keys received, sorted
+	localSum  uint64
+	sums      [3]uint64 // the verification's global sums
+
+	failed bool
+}
+
+func (k *task) Step(t *splitc.TProc) (sim.PollableWait, bool) {
+	sh, me, P := k.sh, t.ID(), t.P()
+	for {
+		switch k.pc {
+		case 0:
+			lo, hi := apps.BlockRange(me, sh.n, P)
+			mine := hi - lo
+			rng := t.Rand()
+			k.keys = make([]uint32, mine)
+			for i := range k.keys {
+				k.keys[i] = genKey(rng)
+				k.localSum += uint64(k.keys[i])
+			}
+			sh.recvBufs[me] = make([]uint32, 0, mine*2)
+			sh.firstKey[me] = t.Alloc(1)
+			if me == 0 {
+				sh.samples = t.Alloc(sh.nSamples * P)
+			}
+			k.pc = 1
+		case 1:
+			if wt := t.BarrierT(); wt != nil {
+				return wt, false
+			}
+			k.pc = 2
+		case 2:
+			// Phase 1: sampling. Every processor writes its samples into
+			// processor 0's sample array (short writes), then processor
+			// 0 sorts them and broadcasts p−1 splitters.
+			for ; k.i < sh.nSamples; k.i++ {
+				if k.sub == 0 {
+					k.key = k.keys[t.Rand().Intn(len(k.keys))]
+					k.sub = 1
+				}
+				if wt := t.WriteWordT(sh.samples.Add(me*sh.nSamples+k.i), uint64(k.key)); wt != nil {
+					return wt, false
+				}
+				k.sub = 0
+				t.ComputeUs(sampleCostUs)
+			}
+			k.i = 0
+			k.pc = 3
+		case 3:
+			if wt := t.BarrierT(); wt != nil {
+				return wt, false
+			}
+			k.splitters = make([]uint32, P-1)
+			if me == 0 {
+				all := t.Local(sh.samples, sh.nSamples*P)
+				samples := make([]uint32, len(all))
+				for i, v := range all {
+					samples[i] = uint32(v)
+				}
+				sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+				t.ComputeUs(sampleCostUs * float64(len(samples)) * 2) // sort cost
+				for i := range k.splitters {
+					k.splitters[i] = samples[(i+1)*len(samples)/P]
+				}
+			}
+			k.pc = 4
+		case 4:
+			for ; k.i < len(k.splitters); k.i++ {
+				v, wt := t.BroadcastT(0, uint64(k.splitters[k.i]))
+				if wt != nil {
+					return wt, false
+				}
+				k.splitters[k.i] = uint32(v)
+			}
+			k.i = 0
+			k.pc = 5
+		case 5:
+			if wt := k.distribute(t); wt != nil {
+				return wt, false
+			}
+			k.pc = 6
+		case 6:
+			if wt := t.BarrierT(); wt != nil { // store-sync implies delivery
+				return wt, false
+			}
+			// Phase 3: local radix sort of received keys.
+			k.got = sh.recvBufs[me]
+			sort.Slice(k.got, func(i, j int) bool { return k.got[i] < k.got[j] })
+			t.ComputeUs(localSortCostUs * float64(len(k.got)))
+			k.pc = 7
+		case 7:
+			if wt := t.BarrierT(); wt != nil {
+				return wt, false
+			}
+			if !sh.verify {
+				return nil, true
+			}
+			for i := 1; i < len(k.got); i++ {
+				if k.got[i-1] > k.got[i] {
+					k.failed = true
+				}
+			}
+			if len(k.got) > 0 {
+				// Local: never waits.
+				if wt := t.WriteWordT(sh.firstKey[me], uint64(k.got[0])+1); wt != nil {
+					return wt, false
+				}
+			}
+			k.pc = 8
+		case 8:
+			if wt := t.BarrierT(); wt != nil {
+				return wt, false
+			}
+			k.q = me + 1
+			k.pc = 9
+		case 9:
+			// Boundary order: my last key ≤ the next non-empty proc's
+			// first.
+			for ; len(k.got) > 0 && k.q < P; k.q++ {
+				nb, wt := t.ReadWordT(sh.firstKey[k.q])
+				if wt != nil {
+					return wt, false
+				}
+				if nb == 0 {
+					continue // empty processor
+				}
+				if uint64(k.got[len(k.got)-1]) > nb-1 {
+					k.failed = true
+				}
+				break
+			}
+			var sum uint64
+			for _, key := range k.got {
+				sum += uint64(key)
+			}
+			k.sums = [3]uint64{sum, k.localSum, uint64(len(k.got))}
+			k.pc = 10
+		case 10:
+			// Each of got sum, want sum and got count, summed across
+			// processors in turn.
+			for ; k.i < len(k.sums); k.i++ {
+				v, wt := t.AllReduceSumT(k.sums[k.i])
+				if wt != nil {
+					return wt, false
+				}
+				k.sums[k.i] = v
+			}
+			if k.sums[0] != k.sums[1] || k.sums[2] != uint64(sh.n) {
+				k.failed = true
+			}
+			return nil, true
+		}
+	}
+}
+
+// distribute is Phase 2: one short active message per key to the
+// processor owning its splitter interval, whose handler appends it to
+// its receive buffer — an unbalanced all-to-all when the splitters
+// misjudge the density. A nil return means every key is sent.
+func (k *task) distribute(t *splitc.TProc) sim.PollableWait {
+	sh, me := k.sh, t.ID()
+	for ; k.i < len(k.keys); k.i++ {
+		key := k.keys[k.i]
+		if k.sub == 0 {
+			k.dst = sort.Search(len(k.splitters), func(j int) bool { return k.splitters[j] > key })
+			t.ComputeUs(partitionCostUs)
+			if k.dst == me {
+				sh.recvBufs[me] = append(sh.recvBufs[me], key)
+				continue
+			}
+			k.sub = 1
+		}
+		if k.sub == 1 {
+			if wt := t.RequestT(k.dst, am.ClassWrite, sh.deliver, am.Args{uint64(key)}); wt != nil {
+				return wt
+			}
+			k.sub = 2
+		}
+		if k.i%2048 == 2047 {
+			if wt := t.PollT(); wt != nil {
+				return wt
+			}
+		}
+		k.sub = 0
+	}
+	k.i = 0
+	return nil
+}
+
+var (
+	_ apps.App    = App{}
+	_ splitc.Task = (*task)(nil)
+)

@@ -2,6 +2,7 @@ package suite
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func TestAppTimelinesPinned(t *testing.T) {
 	}
 	// The paper apps written as splitc.Task state machines; the rest are
 	// blocking bodies on the coroutine shell.
-	isTask := map[string]bool{"em3d-write": true, "em3d-read": true, "barnes": true}
+	isTask := map[string]bool{"radix": true, "em3d-write": true, "em3d-read": true, "sample": true, "barnes": true}
 	for _, tc := range []struct {
 		in  in
 		out out
@@ -102,12 +103,36 @@ func TestComputeOverflowIsTypedError(t *testing.T) {
 	}
 }
 
+// TestScaleCeilingIsAnError runs every app with a scale no input fits:
+// Config.Validate refuses it before the app sizes anything, so the run
+// is an error naming the scale, not a silently minimal input (what
+// ScaleInt used to turn an overflowed product into) and not a panic.
+func TestScaleCeilingIsAnError(t *testing.T) {
+	for _, scale := range []float64{2 * apps.MaxScale, 1e300, math.NaN()} {
+		for _, a := range All() {
+			_, err := a.Run(apps.Config{Procs: 4, Scale: scale, Seed: 1})
+			if err == nil || !strings.Contains(err.Error(), "scale") {
+				t.Errorf("%s at scale %g: err = %v, want a refusal naming the scale", a.Name(), scale, err)
+			}
+		}
+	}
+	if err := (apps.Config{Scale: apps.MaxScale}).Validate(); err != nil {
+		t.Errorf("scale at the ceiling refused: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ScaleInt(16M, 1e300) returned instead of panicking")
+		}
+	}()
+	apps.ScaleInt(16_000_000, 1e300, 64)
+}
+
 // TestTaskLivelockIsLivelockedPoint pins the exit Barnes' high-Δo cells
 // depend on, for every app written as a Task: a run past its time limit
 // fails with sim.ErrTimeLimit, core.Measure reports the point as
 // livelocked, and the aborted runs leave no goroutine behind.
 func TestTaskLivelockIsLivelockedPoint(t *testing.T) {
-	for _, name := range []string{"em3d-write", "em3d-read", "barnes"} {
+	for _, name := range []string{"radix", "em3d-write", "em3d-read", "sample", "barnes"} {
 		a, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -135,6 +160,42 @@ func TestTaskLivelockIsLivelockedPoint(t *testing.T) {
 		}
 		if after := runtime.NumGoroutine(); after > before {
 			t.Errorf("%s: %d goroutines after the aborted runs, %d before", name, after, before)
+		}
+	}
+}
+
+// TestRadixPhasesPinned holds Radix's phase shares — the attribution
+// §5.1's serialization argument and the ext-phases table rest on — at
+// tinyCfg scale to the values the blocking body reported at commit
+// af81a61. A phase label entered at another point of the program, or a
+// phase left open past the terminal barrier, moves a row.
+func TestRadixPhasesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		procs                    int
+		rank, histogram, distrib float64
+	}{
+		{5, 0.008951869017371522, 0.11668005950195437, 0.860159522560204},
+		{32, 0.0035132999963749132, 0.3705053464840411, 0.5542780945026596},
+	} {
+		a, err := ByName("radix")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run(tinyCfg(tc.procs))
+		if err != nil {
+			t.Fatalf("P=%d: %v", tc.procs, err)
+		}
+		for _, ph := range []struct {
+			name string
+			want float64
+		}{
+			{"phase:local-rank", tc.rank},
+			{"phase:histogram", tc.histogram},
+			{"phase:distribution", tc.distrib},
+		} {
+			if got := res.Extra[ph.name]; got != ph.want {
+				t.Errorf("P=%d: %s = %v, want %v", tc.procs, ph.name, got, ph.want)
+			}
 		}
 	}
 }

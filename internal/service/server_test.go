@@ -736,6 +736,7 @@ func TestServiceRefusesWhatCannotRun(t *testing.T) {
 		{"negative delay", `{` + spec + `,"fault":{"delay_us":-5}}`, "Extra"},
 		{"delay on a missing processor", `{` + spec + `,"fault":{"delay_proc":99}}`, "delay_proc"},
 		{"delay fraction below 0", `{` + spec + `,"fault":{"delay_at_frac":-3}}`, "delay_at_frac"},
+		{"scale past the ceiling", `{"app":"radix","procs":4,"scale":1e300,"seed":1}`, "scale"},
 	} {
 		resp, err := c.httpClient().Post(c.BaseURL+"/v1/run", "application/json", strings.NewReader(tc.body))
 		if err != nil {

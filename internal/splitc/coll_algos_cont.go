@@ -73,7 +73,7 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 				continue
 			}
 			parent := me &^ (1 << uint(highestBit(me)))
-			if wt := t.requestT(parent, am.ClassSync, w.hBarrier, am.Args{slotArrive}); wt != nil {
+			if wt := t.RequestT(parent, am.ClassSync, w.hBarrier, am.Args{slotArrive}); wt != nil {
 				return wt
 			}
 			bs := w.barrierOf(me)
@@ -88,7 +88,7 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 			for 1<<t.op.r < P {
 				r := t.op.r
 				if me < 1<<r && me+1<<r < P {
-					if wt := t.requestT(me+1<<r, am.ClassSync, w.hBarrier, am.Args{slotRelease}); wt != nil {
+					if wt := t.RequestT(me+1<<r, am.ClassSync, w.hBarrier, am.Args{slotRelease}); wt != nil {
 						return wt
 					}
 				}
@@ -142,7 +142,7 @@ func (t *TProc) barrierFlatT() sim.PollableWait {
 			t.op.pc = 3
 		case 3:
 			for t.op.r < P {
-				if wt := t.requestT(t.op.r, am.ClassSync, w.hBarrier, am.Args{slotRelease}); wt != nil {
+				if wt := t.RequestT(t.op.r, am.ClassSync, w.hBarrier, am.Args{slotRelease}); wt != nil {
 					return wt
 				}
 				t.op.r++
@@ -152,7 +152,7 @@ func (t *TProc) barrierFlatT() sim.PollableWait {
 			t.op.pc = 0
 			return nil
 		case 4:
-			if wt := t.requestT(0, am.ClassSync, w.hBarrier, am.Args{slotArrive}); wt != nil {
+			if wt := t.RequestT(0, am.ClassSync, w.hBarrier, am.Args{slotArrive}); wt != nil {
 				return wt
 			}
 			bs := w.barrierOf(me)

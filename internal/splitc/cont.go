@@ -92,6 +92,9 @@ type TProc struct {
 
 	storeByteCount int64
 	failedLocks    int64
+
+	phaseName  string   // active phase label ("" = unlabeled; see phase.go)
+	phaseStart sim.Time // clock at the last EnterPhase
 }
 
 // opState is the per-processor primitive state cell. One primitive is in
@@ -151,7 +154,7 @@ func (w *World) RunTasks(mk func(id int) Task) error {
 }
 
 // Resume implements sim.Resumable: drive the task, then the implied
-// terminal barrier.
+// terminal barrier, then close the open phase as Run does.
 func (t *TProc) Resume(p *sim.Proc) (sim.PollableWait, bool) {
 	t.sp = p
 	if !t.done {
@@ -167,6 +170,7 @@ func (t *TProc) Resume(p *sim.Proc) (sim.PollableWait, bool) {
 	if wt := t.BarrierT(); wt != nil {
 		return wt, false
 	}
+	t.closePhase()
 	return nil, true
 }
 
@@ -397,8 +401,11 @@ func (t *TProc) sendReadyT(dst int) sim.PollableWait {
 	return nil
 }
 
-// requestT sends one short request under the window.
-func (t *TProc) requestT(dst int, class am.Class, h am.Handler, a am.Args) sim.PollableWait {
+// RequestT sends one short request under the window: the continuation
+// form of am.Endpoint.Request, for an application's own handler (Sample
+// sort's key delivery). A parked call is re-called with the same
+// arguments and sends once.
+func (t *TProc) RequestT(dst int, class am.Class, h am.Handler, a am.Args) sim.PollableWait {
 	if wt := t.sendReadyT(dst); wt != nil {
 		return wt
 	}
@@ -416,7 +423,7 @@ func (t *TProc) storeT(dst int, class am.Class, h am.BulkHandler, a am.Args, dat
 }
 
 // roundTripT issues a request and waits for its short reply; the reply
-// value lands in op.acc via hReply. op.sub: 0/4/1 inside requestT, 2
+// value lands in op.acc via hReply. op.sub: 0/4/1 inside RequestT, 2
 // parked on the reply.
 func (t *TProc) roundTripT(dst int, class am.Class, h am.Handler, a am.Args, kind am.WaitKind, reason string) (uint64, sim.PollableWait) {
 	if t.op.sub == 2 {
@@ -425,7 +432,7 @@ func (t *TProc) roundTripT(dst int, class am.Class, h am.Handler, a am.Args, kin
 		return t.op.acc, nil
 	}
 	t.op.flag = 0
-	if wt := t.requestT(dst, class, h, a); wt != nil {
+	if wt := t.RequestT(dst, class, h, a); wt != nil {
 		return 0, wt
 	}
 	// The reply is at least a round trip away; the wait can never be
@@ -437,13 +444,13 @@ func (t *TProc) roundTripT(dst int, class am.Class, h am.Handler, a am.Args, kin
 
 // sendCollT ships one operand word to dst under tag.
 func (t *TProc) sendCollT(dst, tag int, val uint64) sim.PollableWait {
-	return t.requestT(dst, am.ClassSync, t.w.hColl, am.Args{uint64(tag), val})
+	return t.RequestT(dst, am.ClassSync, t.w.hColl, am.Args{uint64(tag), val})
 }
 
 // sendCollAccT ships one operand word for arrival-time combination
 // under op (the flat all-reduce's gather leg).
 func (t *TProc) sendCollAccT(dst, tag int, val uint64, op ReduceOp) sim.PollableWait {
-	return t.requestT(dst, am.ClassSync, t.w.hCollAcc, am.Args{uint64(tag), val, uint64(op)})
+	return t.RequestT(dst, am.ClassSync, t.w.hCollAcc, am.Args{uint64(tag), val, uint64(op)})
 }
 
 // recvCollT consumes the next operand under tag, waiting if it has not
@@ -502,7 +509,7 @@ func (t *TProc) WriteWordT(g GPtr, v uint64) sim.PollableWait {
 		*t.w.word(g) = v
 		return nil
 	}
-	if wt := t.requestT(int(g.Proc), am.ClassWrite, t.w.hWrite, am.Args{g.Pack(), v}); wt != nil {
+	if wt := t.RequestT(int(g.Proc), am.ClassWrite, t.w.hWrite, am.Args{g.Pack(), v}); wt != nil {
 		return wt
 	}
 	t.storeByteCount += 8
@@ -662,7 +669,7 @@ func (t *TProc) barrierDissemT() sim.PollableWait {
 				return nil
 			}
 			dst := (me + 1<<t.op.r) % P
-			if wt := t.requestT(dst, am.ClassSync, w.hBarrier, am.Args{uint64(t.op.r)}); wt != nil {
+			if wt := t.RequestT(dst, am.ClassSync, w.hBarrier, am.Args{uint64(t.op.r)}); wt != nil {
 				return wt
 			}
 			t.ep.MarkWaitBegin(am.WaitBarrier)
@@ -932,7 +939,7 @@ func (t *TProc) BulkGetT(g GPtr, n int) ([]uint64, sim.PollableWait) {
 					count = n - off
 				}
 				src := g.Add(off)
-				if wt := t.requestT(int(g.Proc), am.ClassRead, t.w.hBulkGetReq, am.Args{src.Pack(), uint64(count), uint64(off)}); wt != nil {
+				if wt := t.RequestT(int(g.Proc), am.ClassRead, t.w.hBulkGetReq, am.Args{src.Pack(), uint64(count), uint64(off)}); wt != nil {
 					return nil, wt
 				}
 				t.op.r = off + frag

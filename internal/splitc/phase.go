@@ -15,21 +15,23 @@ type phaseAccount struct {
 // EnterPhase switches the processor's active phase label; time accrues to
 // the label until the next EnterPhase (or the end of the run). Labels are
 // global across processors: per-phase totals sum every processor's time
-// in that phase.
-func (p *Proc) EnterPhase(name string) {
-	now := p.sp.Clock()
-	if p.phaseName != "" {
-		p.w.addPhaseTime(p.phaseName, now-p.phaseStart)
+// in that phase. A Task calls it between primitives; a blocking body
+// reaches it through Proc.
+func (t *TProc) EnterPhase(name string) {
+	now := t.sp.Clock()
+	if t.phaseName != "" {
+		t.w.addPhaseTime(t.phaseName, now-t.phaseStart)
 	}
-	p.phaseName = name
-	p.phaseStart = now
+	t.phaseName = name
+	t.phaseStart = now
 }
 
-// closePhase flushes the open phase at body completion.
-func (p *Proc) closePhase() {
-	if p.phaseName != "" {
-		p.w.addPhaseTime(p.phaseName, p.sp.Clock()-p.phaseStart)
-		p.phaseName = ""
+// closePhase flushes the open phase once the terminal barrier is over
+// (Run and TProc.Resume).
+func (t *TProc) closePhase() {
+	if t.phaseName != "" {
+		t.w.addPhaseTime(t.phaseName, t.sp.Clock()-t.phaseStart)
+		t.phaseName = ""
 	}
 }
 

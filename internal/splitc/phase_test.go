@@ -2,6 +2,7 @@ package splitc
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -66,5 +67,86 @@ func TestPhaseFractionEmptyWorld(t *testing.T) {
 	}
 	if w.PhaseFraction("x") != 0 || len(w.PhaseNames()) != 0 {
 		t.Error("expected no phase data")
+	}
+}
+
+// TestPhaseAccountingTaskMatchesBlocking runs one phased program twice —
+// as a blocking body under Run and as a Task under RunTasks — and
+// requires the same labels in the same order with the same per-label
+// time. Each phase waits (a barrier, a remote write under the window),
+// and the open phase at the end is closed after the terminal barrier by
+// both drivers.
+func TestPhaseAccountingTaskMatchesBlocking(t *testing.T) {
+	const P = 5
+	wb := newTestWorld(t, P)
+	err := wb.Run(func(p *Proc) {
+		me := p.ID()
+		p.Alloc(1)
+		p.EnterPhase("setup")
+		p.ComputeUs(float64(10 * (me + 1)))
+		p.Barrier()
+		p.EnterPhase("exchange")
+		for i := 0; i < 40; i++ {
+			p.WriteWord(GPtr{Proc: int32((me + 1) % P)}, uint64(i))
+		}
+		p.Barrier()
+		p.EnterPhase("tail")
+		p.ComputeUs(float64(7 * (P - me)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wt := newTestWorld(t, P)
+	err = wt.RunTasks(func(int) Task {
+		pc, i := 0, 0
+		return TaskFunc(func(tp *TProc) (sim.PollableWait, bool) {
+			me := tp.ID()
+			for {
+				switch pc {
+				case 0:
+					tp.Alloc(1)
+					tp.EnterPhase("setup")
+					tp.ComputeUs(float64(10 * (me + 1)))
+					pc = 1
+				case 1:
+					if w := tp.BarrierT(); w != nil {
+						return w, false
+					}
+					tp.EnterPhase("exchange")
+					pc = 2
+				case 2:
+					for ; i < 40; i++ {
+						if w := tp.WriteWordT(GPtr{Proc: int32((me + 1) % P)}, uint64(i)); w != nil {
+							return w, false
+						}
+					}
+					pc = 3
+				case 3:
+					if w := tp.BarrierT(); w != nil {
+						return w, false
+					}
+					tp.EnterPhase("tail")
+					tp.ComputeUs(float64(7 * (P - me)))
+					return nil, true
+				}
+			}
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	names := wb.PhaseNames()
+	if got := wt.PhaseNames(); !slices.Equal(got, names) || len(names) != 3 {
+		t.Fatalf("phase names: Task %v, blocking %v", got, names)
+	}
+	for _, n := range names {
+		if b, k := wb.PhaseTime(n), wt.PhaseTime(n); b != k || b == 0 {
+			t.Errorf("phase %q: Task %v, blocking %v", n, k, b)
+		}
+	}
+	if wb.Elapsed() != wt.Elapsed() {
+		t.Errorf("makespan: Task %v, blocking %v", wt.Elapsed(), wb.Elapsed())
 	}
 }

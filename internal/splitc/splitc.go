@@ -258,9 +258,6 @@ func (w *World) Run(body func(p *Proc)) error {
 // engine schedules the waits of both through one loop.
 type Proc struct {
 	TProc
-
-	phaseName  string   // active phase label ("" = unlabeled)
-	phaseStart sim.Time // clock at the last EnterPhase
 }
 
 // Poll services any arrived messages (handlers run, o_recv is charged).
