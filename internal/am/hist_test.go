@@ -1,6 +1,7 @@
 package am
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -151,6 +152,27 @@ func TestCPUFactorScalesComputeOnly(t *testing.T) {
 	}
 	if m := MustMachine(sim.New(sim.Config{Procs: 1}), logp.NOW()); m.CPUFactor() != 1 {
 		t.Errorf("default CPU factor = %v", m.CPUFactor())
+	}
+}
+
+// TestComputeOverflowAcrossCharges: at a factor of 2^-20 (apps'
+// MinCPUSpeedup, so no single charge an app makes overflows) a 2^42 ns
+// charge scales to 2^62 and fits, and a second one would pass the int64
+// clock: the run fails with the typed ErrComputeOverflow, not a wrapped
+// negative time.
+func TestComputeOverflowAcrossCharges(t *testing.T) {
+	eng := sim.New(sim.Config{Procs: 1})
+	m := MustMachine(eng, logp.NOW())
+	m.SetCPUFactor(1.0 / (1 << 20))
+	charges := 0
+	err := eng.Run(func(p *sim.Proc) {
+		for range 2 {
+			m.Endpoint(0).Compute(1 << 42)
+			charges++
+		}
+	})
+	if !errors.Is(err, ErrComputeOverflow) || charges != 1 {
+		t.Errorf("err = %v after %d charges, want ErrComputeOverflow on the second", err, charges)
 	}
 }
 

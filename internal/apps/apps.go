@@ -79,6 +79,17 @@ const DefaultScale = 1.0 / 64
 // longer fit.
 const MaxScale = 64
 
+// MinCPUSpeedup is the smallest positive CPU factor Config.Validate
+// accepts: below it one compute charge can pass the int64 ns clock. The
+// largest single Endpoint.Compute charge of the ten apps and three
+// kernels is Connect's, and it grows linearly with each processor's
+// input: 71.1 ms at P = 4 and scale 1/64, 562 ms at P = 2 and scale 1/16
+// (8× the input, 7.9× the charge), so about 1.2e12 ns at MaxScale and
+// P = 1. Divided by 2^-20 that is 1.3e18 ns, under 2^63 ≈ 9.2e18. A run
+// whose charges add up past the clock still fails with
+// am.ErrComputeOverflow.
+const MinCPUSpeedup = 1.0 / (1 << 20)
+
 // Norm fills in defaults.
 func (c Config) Norm() Config {
 	if c.Procs == 0 {
@@ -155,17 +166,34 @@ type App interface {
 	Run(cfg Config) (Result, error)
 }
 
-// Validate reports a configuration NewWorld refuses, without building
-// anything: a scale above MaxScale, a collective name no registry holds,
-// a fault plan whose rules are out of range, or a lossy plan on a wire
-// with no reliability layer. run.Spec.Check calls it, so the daemon
-// refuses such a run before queueing it.
+// Validate reports a configuration Run refuses (zero fields as Norm
+// fills them), without building anything: no processor, a scale outside
+// (0, MaxScale], a machine logp refuses, a CPU factor not finite or in
+// (0, MinCPUSpeedup), an unknown collective, or a fault plan out of
+// range, lossy without reliability or under Depgraph. NewWorld and
+// run.Runner.Check call it.
 func (c Config) Validate() error {
-	if !(c.Scale <= MaxScale) {
-		return fmt.Errorf("apps: scale %g is above the ceiling %d, past which an input no longer fits a GPtr's int32 offsets", c.Scale, MaxScale)
+	c = c.Norm()
+	if c.Procs < 1 {
+		return fmt.Errorf("apps: procs must be >= 1, got %d", c.Procs)
+	}
+	if !(c.Scale > 0 && c.Scale <= MaxScale) {
+		return fmt.Errorf("apps: scale %g is outside (0, %d]: past the ceiling an input no longer fits a GPtr's int32 offsets", c.Scale, MaxScale)
+	}
+	if err := c.Params.Validate(); err != nil {
+		return err
+	}
+	if f := c.CPUSpeedup; !(f <= 0 || f >= MinCPUSpeedup) || math.IsInf(f, 0) {
+		return fmt.Errorf("apps: CPU speedup %g is not a finite factor >= %g (or <= 0 for the machine's own speed)", f, MinCPUSpeedup)
 	}
 	if err := c.Collectives.Validate(); err != nil {
 		return err
+	}
+	if c.Depgraph && c.FaultPlan != nil && !c.FaultPlan.Empty() {
+		return fmt.Errorf("apps: Depgraph cannot model a faulted wire; drop Config.FaultPlan")
+	}
+	if c.Depgraph && c.Reliability.Enabled {
+		return fmt.Errorf("apps: Depgraph cannot model retransmissions; drop Config.Reliability")
 	}
 	if c.FaultPlan == nil {
 		return nil
@@ -215,12 +243,6 @@ func NewWorld(cfg Config) (*splitc.World, error) {
 		hs = append(hs, prof.New(cfg.Procs))
 	}
 	if cfg.Depgraph {
-		if cfg.FaultPlan != nil && !cfg.FaultPlan.Empty() {
-			return nil, fmt.Errorf("apps: Depgraph cannot model a faulted wire; drop Config.FaultPlan")
-		}
-		if cfg.Reliability.Enabled {
-			return nil, fmt.Errorf("apps: Depgraph cannot model retransmissions; drop Config.Reliability")
-		}
 		hs = append(hs, depgraph.New(cfg.Procs, cfg.Params))
 	}
 	if len(hs) > 0 {

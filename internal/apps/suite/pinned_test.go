@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/am"
 	"repro/internal/apps"
+	"repro/internal/apps/scalekern"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -88,17 +88,48 @@ func TestAppTimelinesPinned(t *testing.T) {
 }
 
 // TestComputeOverflowIsTypedError runs every app with a CPU factor so
-// small that its first compute charge overflows the virtual clock: the
-// run fails with am.ErrComputeOverflow, not with a panic and a stack dump.
+// small that its first compute charge would overflow the virtual clock:
+// Config.Validate refuses it (below apps.MinCPUSpeedup) before anything
+// is built, so the run is an error naming the factor, not a panic and a
+// stack dump. Overflow that builds up across charges is am's
+// ErrComputeOverflow (am.TestComputeOverflowAcrossCharges).
 func TestComputeOverflowIsTypedError(t *testing.T) {
 	for _, a := range All() {
 		_, err := a.Run(apps.Config{Procs: 4, Scale: 1e-4, Seed: 1, CPUSpeedup: 1e-300})
-		if !errors.Is(err, am.ErrComputeOverflow) {
-			t.Errorf("%s: err = %v, want am.ErrComputeOverflow", a.Name(), err)
+		if err == nil || !strings.Contains(err.Error(), "CPU speedup") {
+			t.Errorf("%s: err = %v, want a refusal naming the CPU speedup", a.Name(), err)
 			continue
 		}
 		if strings.Contains(err.Error(), "goroutine ") {
 			t.Errorf("%s: error carries a stack dump: %v", a.Name(), err)
+		}
+	}
+}
+
+// TestBadConfigIsAnError runs every paper app and every kernel on no
+// processors and on a negative input: Config.Validate refuses both before
+// anything is sized, so each run returns an error naming the field
+// instead of panicking in the engine or running a minimal input.
+func TestBadConfigIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    apps.Config
+		errHas string
+	}{
+		{"procs -1", apps.Config{Procs: -1, Scale: 1e-4, Seed: 1}, "procs"},
+		{"scale -1", apps.Config{Procs: 4, Scale: -1, Seed: 1}, "scale"},
+	} {
+		for _, a := range append(All(), scalekern.All()...) {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s at %s: panic: %v", a.Name(), tc.name, r)
+					}
+				}()
+				if _, err := a.Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.errHas) {
+					t.Errorf("%s at %s: err = %v, want a refusal naming %s", a.Name(), tc.name, err, tc.errHas)
+				}
+			}()
 		}
 	}
 }

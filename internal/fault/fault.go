@@ -135,7 +135,7 @@ func (p Plan) Lossy() bool { return len(p.Drops) > 0 || len(p.Dups) > 0 }
 // Validate checks rule parameters.
 func (p Plan) Validate() error {
 	for i, r := range p.Drops {
-		if r.Prob < 0 || r.Prob > 1 {
+		if !(r.Prob >= 0 && r.Prob <= 1) {
 			return fmt.Errorf("fault: Drops[%d].Prob %v outside [0,1]", i, r.Prob)
 		}
 		if r.Nth < 0 {
@@ -143,7 +143,7 @@ func (p Plan) Validate() error {
 		}
 	}
 	for i, r := range p.Dups {
-		if r.Prob < 0 || r.Prob > 1 {
+		if !(r.Prob >= 0 && r.Prob <= 1) {
 			return fmt.Errorf("fault: Dups[%d].Prob %v outside [0,1]", i, r.Prob)
 		}
 		if r.Nth < 0 {
@@ -175,7 +175,7 @@ func (p Plan) Validate() error {
 		if r.Proc < 0 {
 			return fmt.Errorf("fault: Slowdowns[%d].Proc %d negative", i, r.Proc)
 		}
-		if r.Factor < 1 {
+		if !(r.Factor >= 1) {
 			return fmt.Errorf("fault: Slowdowns[%d].Factor %v below 1", i, r.Factor)
 		}
 		if r.To < r.From {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/am"
@@ -46,6 +47,9 @@ func TestValidate(t *testing.T) {
 		{ProcDelays: []ProcDelay{{Proc: 0, Extra: -1}}},
 		{Slowdowns: []SlowdownWindow{{Proc: 0, Factor: 0.5}}},
 		{Slowdowns: []SlowdownWindow{{Proc: 0, From: 10, To: 5, Factor: 2}}},
+		{Drops: []DropRule{{Match: Any(), Prob: math.NaN()}}},
+		{Dups: []DupRule{{Match: Any(), Prob: math.NaN()}}},
+		{Slowdowns: []SlowdownWindow{{Proc: 0, Factor: math.NaN()}}},
 	}
 	for i, p := range bad {
 		if _, err := New(p, 1); err == nil {

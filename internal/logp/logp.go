@@ -119,7 +119,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("logp: negative base parameter: %+v", p)
 	case p.DeltaO < 0 || p.DeltaG < 0 || p.DeltaL < 0:
 		return fmt.Errorf("logp: negative delta: %+v", p)
-	case p.GPerByte < 0 || p.BulkBandwidthMBs < 0:
+	case !(p.GPerByte >= 0 && p.BulkBandwidthMBs >= 0):
 		return fmt.Errorf("logp: negative bandwidth term: %+v", p)
 	case p.Window < 1:
 		return fmt.Errorf("logp: window must be >= 1, got %d", p.Window)

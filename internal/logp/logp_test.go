@@ -99,6 +99,8 @@ func TestValidateRejections(t *testing.T) {
 		func(p *Params) { p.DeltaL = -1 },
 		func(p *Params) { p.GPerByte = -1 },
 		func(p *Params) { p.BulkBandwidthMBs = -1 },
+		func(p *Params) { p.BulkBandwidthMBs = math.NaN() },
+		func(p *Params) { p.GPerByte = math.NaN() },
 		func(p *Params) { p.Window = 0 },
 		func(p *Params) { p.FragmentSize = 0 },
 	}

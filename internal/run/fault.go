@@ -18,15 +18,15 @@ type FaultSpec struct {
 	// DelayProc, DelayAtFrac, and DelayUs describe a one-off processor
 	// delay — the Afzal-style propagation probe: DelayUs microseconds
 	// injected into processor DelayProc at DelayAtFrac of the baseline
-	// makespan. Active when DelayUs is nonzero; Spec.Check refuses a
-	// negative delay, a processor the run does not have and a fraction
-	// outside [0, 1].
+	// makespan. Active when DelayUs is nonzero; Runner.Check refuses a
+	// delay that is negative or past the clock, a processor the run does
+	// not have and a fraction outside [0, 1].
 	DelayProc   int
 	DelayAtFrac float64
 	DelayUs     float64
 	// DropProb drops each wire transmission independently with this
 	// probability; DupProb duplicates likewise. Either requires Reliable
-	// and a probability in [0, 1] (Spec.Check).
+	// and a probability in [0, 1] (Runner.Check).
 	DropProb float64
 	DupProb  float64
 	// Reliable enables the AM reliability layer. It is measurable on its
@@ -68,16 +68,20 @@ func (f FaultSpec) Wire(cfg apps.Config, baseline sim.Time) apps.Config {
 }
 
 // check holds the scenario to the run's machine: the delayed processor
-// exists and the delay falls inside the baseline's makespan.
+// exists, the delay falls inside the baseline's makespan and fits the
+// clock. The plan Wire builds checks the rest (apps.Config.Validate).
 func (f FaultSpec) check(procs int) error {
 	if !f.active() {
 		return nil
 	}
 	if f.DelayProc < 0 || f.DelayProc >= procs {
-		return fmt.Errorf("run: fault delay_proc %d is not one of the run's %d processors", f.DelayProc, procs)
+		return fmt.Errorf("fault delay_proc %d is not one of the run's %d processors", f.DelayProc, procs)
 	}
 	if !(f.DelayAtFrac >= 0 && f.DelayAtFrac <= 1) {
-		return fmt.Errorf("run: fault delay_at_frac %g is outside [0, 1]", f.DelayAtFrac)
+		return fmt.Errorf("fault delay_at_frac %g is outside [0, 1]", f.DelayAtFrac)
+	}
+	if !fitsClock(f.DelayUs) {
+		return fmt.Errorf("fault delay_us %g is out of range", f.DelayUs)
 	}
 	return nil
 }

@@ -145,7 +145,7 @@ func TestOtherRunsSimulate(t *testing.T) {
 // its Δ = 0 point gets the error ExecSweep gives it, not a slowdown of 1.
 func TestFailedBaselineFailsItsZeroPoint(t *testing.T) {
 	boom := errors.New("boom")
-	r := &Runner{Jobs: 2, Resolve: func(string) (apps.App, error) { return nil, boom }}
+	r := &Runner{Jobs: 2, Resolve: func(string) (apps.App, error) { return failingApp{err: boom}, nil }}
 	p := NewPlan()
 	s := p.AddSweep(testSpec(0), false)
 	st, err := r.Run(p)
@@ -159,6 +159,15 @@ func TestFailedBaselineFailsItsZeroPoint(t *testing.T) {
 		t.Errorf("answered {%+v %v}, ExecSweep says %v", got.Point, got.Err, want.Err)
 	}
 }
+
+// failingApp resolves like any app and fails every run with err.
+type failingApp struct {
+	apps.App
+	err error
+}
+
+func (a failingApp) Name() string                         { return "failing" }
+func (a failingApp) Run(apps.Config) (apps.Result, error) { return apps.Result{}, a.err }
 
 // gatedApp is a fake application whose runs log when they start and
 // end, report a chosen event count, and wait for a gate when one is set

@@ -144,16 +144,17 @@ func TestStoreSingleflightAcrossPlans(t *testing.T) {
 	}
 }
 
+// TestRunnerReportsUnknownApp: a plan naming an app the Runner cannot
+// resolve is refused whole, naming the app, and runs nothing.
 func TestRunnerReportsUnknownApp(t *testing.T) {
 	p := NewPlan()
 	p.AddBaseline("no-such-app", 4, 0.0003, 1, false)
 	st, err := (&Runner{}).Run(p)
-	if err == nil {
-		t.Fatal("unknown app did not error")
+	if err == nil || !strings.Contains(err.Error(), "no-such-app") {
+		t.Fatalf("unknown app: err = %v, want a refusal naming it", err)
 	}
-	out, ok := st.Get(Baseline("no-such-app", 4, 0.0003, 1, false))
-	if !ok || out.Err == nil {
-		t.Errorf("store outcome = %+v, %v; want recorded error", out, ok)
+	if executed, _ := st.Stats(); executed != 0 {
+		t.Errorf("a refused plan executed %d runs", executed)
 	}
 }
 

@@ -3,6 +3,7 @@ package run
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/apps/suite"
 	"repro/internal/core"
 	"repro/internal/logp"
+	"repro/internal/sim"
 )
 
 // Progress reports one completed run of a plan to its progress callback
@@ -68,6 +70,40 @@ func (r *Runner) App(name string) (apps.App, error) {
 	return suite.ByName(name)
 }
 
+// Check reports the first spec that describes no run: its app does not
+// resolve, its procs or scale is 0 (the apps' default under a key that
+// says 0), its knob value or fault scenario does not fit, or
+// apps.Config.Validate refuses its knob-applied, fault-wired config.
+// RunIntoContext and the daemon's admission both call it.
+func (r *Runner) Check(specs ...Spec) error {
+	for _, s := range specs {
+		if err := r.check(s); err != nil {
+			return fmt.Errorf("run: %v: %w", s, err)
+		}
+	}
+	return nil
+}
+
+func (r *Runner) check(s Spec) error {
+	if _, err := r.App(s.App); err != nil {
+		return err
+	}
+	if s.Procs == 0 || s.Scale == 0 {
+		return fmt.Errorf("procs and scale must be set (0 would run the apps' default), got procs %d, scale %g", s.Procs, s.Scale)
+	}
+	if s.Knob != core.KnobNone && !fitsClock(s.Value) {
+		return fmt.Errorf("%v=%g is out of range", s.Knob, s.Value)
+	}
+	if err := s.Fault.check(s.Procs); err != nil {
+		return err
+	}
+	// The scenario's shape does not depend on the baseline's makespan.
+	return s.Fault.Wire(s.Config(s.Knob.Apply(r.params(), s.Value)), 0).Validate()
+}
+
+// fitsClock reports whether µs (or MB/s) is finite and fits the int64 ns clock.
+func fitsClock(us float64) bool { return math.Abs(us)*float64(sim.Microsecond) < math.MaxInt64 }
+
 // Run executes a plan into a fresh store and returns it. The returned
 // error is the first failed run in plan order (every run still executes,
 // so partial results remain inspectable through the store).
@@ -95,8 +131,11 @@ func (r *Runner) RunInto(st *Store, p *Plan) error {
 // already executing when ctx is canceled runs to completion (the
 // simulator has no preemption points — a run is one synchronous
 // computation), but no further run starts, and the call returns
-// ctx.Err().
+// ctx.Err(). A plan Check refuses runs nothing: its first refusal returns.
 func (r *Runner) RunIntoContext(ctx context.Context, st *Store, p *Plan) error {
+	if err := r.Check(p.order...); err != nil {
+		return err
+	}
 	return Execute(ctx, st, p, r.jobs(), r.OnProgress, r.exec)
 }
 
@@ -159,18 +198,14 @@ func (r *Runner) ExecBaseline(s Spec) Outcome {
 	return r.runBaseline(s.norm())
 }
 
-// ExecSweep synchronously executes one design point against its
-// already-executed baseline outcome (normally ExecBaseline's result for
-// s.BaselineSpec). Like ExecBaseline it is the pool-free executor seam.
+// ExecSweep synchronously executes one design point Check accepts against
+// its already-executed baseline outcome (normally ExecBaseline's result
+// for s.BaselineSpec). Like ExecBaseline it is the pool-free executor seam.
 func (r *Runner) ExecSweep(s Spec, base Outcome) Outcome {
 	s = s.norm()
 	out := Outcome{Spec: s}
 	if base.Err != nil {
 		out.Err = fmt.Errorf("baseline %v: %w", base.Spec, base.Err)
-		return out
-	}
-	if err := s.Check(); err != nil {
-		out.Err = err
 		return out
 	}
 	a, err := r.App(s.App)

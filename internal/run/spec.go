@@ -93,20 +93,6 @@ func (s Spec) norm() Spec {
 	return s
 }
 
-// Check reports why the spec describes no run, before anything is built
-// or queued: a fault scenario that does not fit the machine, or a
-// configuration apps.NewWorld refuses (an unregistered collective name,
-// a lossy wire without the reliability layer). The Runner checks every
-// swept spec with it and the daemon every spec it admits, so what one
-// accepts the other can run.
-func (s Spec) Check() error {
-	if err := s.Fault.check(s.Procs); err != nil {
-		return err
-	}
-	// The scenario's shape does not depend on the baseline's makespan.
-	return s.Fault.Wire(s.Config(logp.Params{}), 0).Validate()
-}
-
 // BaselineSpec is the baseline this spec's slowdown and livelock bound
 // are measured against: the same (app, procs, scale, seed) with no knob
 // applied and no CPU speedup. verify carries the plan-level choice for

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -13,9 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/logp"
 	"repro/internal/run"
-	"repro/internal/sim"
 )
 
 // routes builds the daemon's HTTP surface.
@@ -102,38 +99,12 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// admit is the one check every run a request would start passes before
-// anything is looked up or queued (DESIGN.md §13): its app resolves, it
-// has a processor, its scale is finite and positive, its knob setting
-// describes a machine, and run.Spec.Check accepts it (collective names,
-// fault scenario), so no worker is handed a run that cannot start. what
-// names the request in the error.
+// admit refuses, with the request named by what, a request whose runs
+// Runner.Check refuses (DESIGN.md §13), before anything is looked up or
+// queued, so no worker is handed a run that cannot start.
 func (s *Server) admit(what string, specs ...run.Spec) error {
-	machine := s.runner.Params
-	if machine == (logp.Params{}) {
-		machine = logp.NOW() // as the Runner reads it
-	}
-	for _, sp := range specs {
-		if _, err := s.runner.App(sp.App); err != nil {
-			return err
-		}
-		if sp.Procs < 1 {
-			return fmt.Errorf("service: %s: %s needs procs >= 1, got %d", what, sp.App, sp.Procs)
-		}
-		if !(sp.Scale > 0) || math.IsInf(sp.Scale, 1) {
-			return fmt.Errorf("service: %s: %s needs a finite scale > 0, got %g", what, sp.App, sp.Scale)
-		}
-		// A delta in µs must fit the simulator's int64 nanosecond clock
-		// (the same bound serves a bandwidth in MB/s).
-		if sp.Knob != core.KnobNone && !(math.Abs(sp.Value)*float64(sim.Microsecond) < math.MaxInt64) {
-			return fmt.Errorf("service: %s: %v=%g is out of range", what, sp.Knob, sp.Value)
-		}
-		if err := sp.Knob.Apply(machine, sp.Value).Validate(); err != nil {
-			return fmt.Errorf("service: %s: %v=%g describes no machine: %w", what, sp.Knob, sp.Value, err)
-		}
-		if err := sp.Check(); err != nil {
-			return fmt.Errorf("service: %s: %v: %w", what, sp, err)
-		}
+	if err := s.runner.Check(specs...); err != nil {
+		return fmt.Errorf("service: %s: %w", what, err)
 	}
 	return nil
 }

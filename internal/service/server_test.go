@@ -717,7 +717,7 @@ func TestServiceBadRequests(t *testing.T) {
 	}
 }
 
-// TestServiceRefusesWhatCannotRun holds admission to run.Spec.Check:
+// TestServiceRefusesWhatCannotRun holds admission to run.Runner.Check:
 // a spec the run itself would refuse, or would silently run as another
 // run, is a 400 naming the field, and no worker is handed it.
 func TestServiceRefusesWhatCannotRun(t *testing.T) {
@@ -737,6 +737,10 @@ func TestServiceRefusesWhatCannotRun(t *testing.T) {
 		{"delay on a missing processor", `{` + spec + `,"fault":{"delay_proc":99}}`, "delay_proc"},
 		{"delay fraction below 0", `{` + spec + `,"fault":{"delay_at_frac":-3}}`, "delay_at_frac"},
 		{"scale past the ceiling", `{"app":"radix","procs":4,"scale":1e300,"seed":1}`, "scale"},
+		{"negative scale", `{"app":"radix","procs":4,"scale":-1,"seed":1}`, "scale"},
+		{"no processors", `{"app":"radix","procs":0,"scale":0.0001,"seed":1}`, "procs"},
+		{"negative overhead", `{` + spec + `,"knob":"o","value":-2}`, "negative delta"},
+		{"cpu speedup past the clock", `{` + spec + `,"cpu_speedup":1e-300}`, "CPU speedup"},
 	} {
 		resp, err := c.httpClient().Post(c.BaseURL+"/v1/run", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -49,7 +49,7 @@ type CollJSON struct {
 }
 
 // Spec converts the wire form to the canonical spec. What the daemon
-// will run is Server.admit's to decide.
+// will run is run.Runner.Check's to decide (Server.admit).
 func (w SpecJSON) Spec() (run.Spec, error) {
 	if w.App == "" {
 		return run.Spec{}, fmt.Errorf("service: spec missing app")
