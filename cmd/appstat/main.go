@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/apps/scalekern"
 )
 
 func main() {
@@ -35,7 +36,8 @@ func main() {
 	flag.Parse()
 
 	if *listA {
-		for _, a := range repro.Suite() {
+		// The paper suite, then the weak-scaling kernels -app also takes.
+		for _, a := range append(repro.Suite(), scalekern.All()...) {
 			fmt.Printf("%-11s %s\n", a.Name(), a.Description())
 		}
 		return

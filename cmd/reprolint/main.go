@@ -4,6 +4,10 @@
 //
 //	go run ./cmd/reprolint ./...
 //
+// Patterns mean what they mean to the go command, which lists the
+// packages and compiles their dependencies (go list -export); a "/..."
+// pattern also covers each module nested below it, such as benchmark/.
+//
 // Exit codes: 0 clean, 1 findings, 2 load or usage errors. Findings
 // print one per line as file:line:col: analyzer: message, followed by
 // a per-analyzer summary. Intentional exceptions are annotated in the
@@ -12,8 +16,6 @@
 //
 // Flags:
 //
-//	-jobs N    spread package loading/checking over N workers (default
-//	           one per CPU; the report is byte-identical at any value)
 //	-json F    additionally write the findings as a JSON array to F
 //	           ("-" for stdout): {file, line, col, analyzer, message}
 //	-gha       additionally emit GitHub Actions ::error workflow
@@ -26,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -43,7 +44,6 @@ type jsonFinding struct {
 }
 
 func main() {
-	jobs := flag.Int("jobs", runtime.NumCPU(), "worker pool size for package loading/checking")
 	jsonOut := flag.String("json", "", "write findings as JSON to this file (\"-\" for stdout)")
 	gha := flag.Bool("gha", false, "emit GitHub Actions ::error annotations for findings")
 	flag.Usage = func() {
@@ -65,7 +65,7 @@ func main() {
 	}
 	analyzers := analysis.All()
 	start := time.Now()
-	rep, err := analysis.RunJobs(cwd, patterns, analyzers, *jobs)
+	rep, err := analysis.Run(cwd, patterns, analyzers)
 	if err != nil {
 		fatal(err)
 	}
@@ -91,8 +91,8 @@ func main() {
 			n, rep.Packages, strings.Join(rep.Counts(analyzers), ", "))
 		os.Exit(1)
 	}
-	fmt.Printf("reprolint: ok — %d analyzers over %d packages, no findings (%.2fs, %d jobs)\n",
-		len(analyzers), rep.Packages, elapsed.Seconds(), *jobs)
+	fmt.Printf("reprolint: ok — %d analyzers over %d packages, no findings (%.2fs)\n",
+		len(analyzers), rep.Packages, elapsed.Seconds())
 }
 
 func writeJSON(path, base string, findings []analysis.Finding) error {

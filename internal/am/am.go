@@ -795,9 +795,5 @@ func (ep *Endpoint) WaitUntilFor(kind WaitKind, cond func() bool, reason string)
 	ep.MarkWaitEnd(kind)
 }
 
-// PendingArrivals reports how many delivered-but-unpolled messages wait in
-// the inbox (diagnostics and tests).
-func (ep *Endpoint) PendingArrivals() int { return len(ep.inbox) - ep.inboxHead }
-
 // Outstanding reports the in-flight request count toward dst (tests).
 func (ep *Endpoint) Outstanding(dst int) int { return ep.outstanding.get(dst) }

@@ -70,6 +70,3 @@ func (m *Machine) SetFaults(inj FaultInjector) {
 		})
 	}
 }
-
-// Faults returns the attached fault injector (nil when detached).
-func (m *Machine) Faults() FaultInjector { return m.faults }

@@ -267,13 +267,3 @@ func (m *Machine) scheduleAck(receiver, sender int, cum int64, at sim.Time) {
 	arrive := at + m.params.EffLatency()
 	m.eng.ScheduleAt(arrive, func() { se.rel.ackUpTo(receiver, cum) })
 }
-
-// Unacked reports the number of in-flight (sent, not yet acked) messages
-// from this endpoint toward dst (tests and diagnostics); always 0 with
-// the reliability layer off.
-func (ep *Endpoint) Unacked(dst int) int {
-	if ep.rel == nil {
-		return 0
-	}
-	return len(ep.rel.tx[dst].unacked)
-}

@@ -2,13 +2,14 @@
 // that mechanically enforce the simulator's determinism and isolation
 // invariants (DESIGN.md "Determinism invariants").
 //
-// The package is a small, dependency-free subset of the
-// golang.org/x/tools/go/analysis framework: an Analyzer inspects one
+// The package is a small subset of the golang.org/x/tools/go/analysis
+// framework that adds no module dependency: an Analyzer inspects one
 // type-checked package at a time through a Pass and reports
-// Diagnostics. The driver (Run) loads packages from source with the
-// standard library's go/build, go/parser, and go/types, applies every
-// analyzer, and filters diagnostics through the //lint:allow escape
-// hatch. cmd/reprolint is the multichecker front end; tests use the
+// Diagnostics. The driver (Run) has the go command list the packages
+// and compile their dependencies (go list -export), parses and
+// type-checks each matched package against that export data, applies
+// every analyzer, and filters diagnostics through the //lint:allow
+// escape hatch. cmd/reprolint is the multichecker front end; tests use the
 // sibling analysistest package with fixtures under testdata/src.
 package analysis
 

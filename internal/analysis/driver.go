@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"sync"
 )
 
 // A Finding is one unsuppressed diagnostic, resolved to a position.
@@ -54,82 +53,26 @@ func (r *Report) Counts(analyzers []*Analyzer) []string {
 // applies every analyzer, returning findings that no //lint:allow
 // directive covers, sorted by position.
 func Run(dir string, patterns []string, analyzers []*Analyzer) (*Report, error) {
-	return RunJobs(dir, patterns, analyzers, 1)
-}
-
-// RunJobs is Run with the loading and checking spread over a bounded
-// worker pool. Each worker owns a private loader over a contiguous chunk
-// of the matched directories — the loader's module-internal import cache
-// is mutable (the external-test override dance purges entries) and not
-// safe to share — so workers re-check module-internal dependencies
-// independently. Standard-library imports resolve through one shared
-// concurrency-safe cache, so the stdlib is parsed and checked once per
-// run rather than once per worker. Findings are position-sorted after
-// the merge; the report is byte-identical at any jobs value.
-func RunJobs(dir string, patterns []string, analyzers []*Analyzer, jobs int) (*Report, error) {
-	root, modPath, err := FindModule(dir)
+	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := expandPatterns(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
-	if jobs > len(dirs) {
-		jobs = len(dirs)
-	}
-	type result struct {
-		findings []Finding
-		packages int
-		err      error
-	}
-	results := make([]result, jobs)
-	shared := newSharedImports()
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		lo, hi := w*len(dirs)/jobs, (w+1)*len(dirs)/jobs
-		wg.Add(1)
-		go func(res *result, chunk []string) {
-			defer wg.Done()
-			ld := newLoader(root, modPath)
-			ld.shared = shared
-			for _, d := range chunk {
-				pkgs, err := ld.checkDir(d)
-				if err != nil {
-					res.err = err
-					return
-				}
-				for _, pkg := range pkgs {
-					fs, err := analyzePackage(pkg, analyzers)
-					if err != nil {
-						res.err = err
-						return
-					}
-					res.findings = append(res.findings, fs...)
-					res.packages++
-				}
-			}
-		}(&results[w], dirs[lo:hi])
-	}
-	wg.Wait()
-	rep := &Report{}
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
+	rep := &Report{Packages: len(pkgs)}
+	for _, pkg := range pkgs {
+		fs, err := RunPackage(pkg, analyzers...)
+		if err != nil {
+			return nil, err
 		}
-		rep.Findings = append(rep.Findings, results[i].findings...)
-		rep.Packages += results[i].packages
+		rep.Findings = append(rep.Findings, fs...)
 	}
 	sortFindings(rep.Findings)
 	return rep, nil
 }
 
-// analyzePackage applies the analyzers to one loaded package and
-// filters the results through its allow directives.
-func analyzePackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
+// RunPackage applies the analyzers to one loaded package and filters
+// the results through its allow directives. analysistest calls it with
+// the one analyzer a fixture exercises.
+func RunPackage(pkg *Package, analyzers ...*Analyzer) ([]Finding, error) {
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -158,12 +101,6 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	// are stale and become findings themselves.
 	findings = append(findings, allows.unused()...)
 	return findings, nil
-}
-
-// RunPackage applies one analyzer to an already-loaded package with
-// allow filtering — the entry point analysistest uses.
-func RunPackage(pkg *Package, a *Analyzer) ([]Finding, error) {
-	return analyzePackage(pkg, []*Analyzer{a})
 }
 
 func sortFindings(fs []Finding) {

@@ -13,6 +13,12 @@ import (
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
+	writeFiles(t, dir, files)
+	return dir
+}
+
+func writeFiles(t *testing.T, dir string, files map[string]string) {
+	t.Helper()
 	for name, src := range files {
 		path := filepath.Join(dir, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -22,7 +28,6 @@ func writeModule(t *testing.T, files map[string]string) string {
 			t.Fatal(err)
 		}
 	}
-	return dir
 }
 
 // TestViolationsAreFindings demonstrates the acceptance criterion
@@ -157,39 +162,76 @@ func (h *heap) pop() int {
 	}
 }
 
-// TestRunJobsMatchesSequential pins the parallel driver's determinism:
-// the merged, sorted report is identical at any worker count.
-func TestRunJobsMatchesSequential(t *testing.T) {
-	files := map[string]string{"go.mod": "module sample\n\ngo 1.22\n"}
-	for _, p := range []string{"a", "b", "c", "d"} {
-		files["internal/sim/"+p+"/"+p+".go"] = `package ` + p + `
+// TestLoadPackageSet pins which packages the go-list loader analyzes:
+// a package with in-package tests loads once, with its _test.go files;
+// an external test package loads as its own "_test" package and sees
+// export_test.go declarations; a module nested under ./... is listed
+// in its own module; testdata is skipped. A package that does not
+// compile then stops the run with an error naming it.
+func TestLoadPackageSet(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module sample\n\ngo 1.22\n",
+		"internal/sim/sim.go": `package sim
 
-import "time"
+func now() int64 { return 0 }
+`,
+		"internal/sim/sim_test.go": `package sim
 
-func Stamp() time.Time { return time.Now() }
-`
-	}
-	dir := writeModule(t, files)
-	seq, err := analysis.Run(dir, []string{"./..."}, analysis.All())
+import "testing"
+
+func TestNow(t *testing.T) { _ = now() }
+`,
+		"internal/sim/export_test.go": `package sim
+
+var Now = now
+`,
+		"internal/sim/ext_test.go": `package sim_test
+
+import (
+	"testing"
+
+	"sample/internal/sim"
+)
+
+func TestExported(t *testing.T) { _ = sim.Now() }
+`,
+		"internal/sim/testdata/go.mod": "module fixture\n\ngo 1.22\n",
+		"internal/sim/testdata/fixture.go": `package fixture
+
+func broken() int { return "not checked" }
+`,
+		"nested/go.mod": "module sample/nested\n\ngo 1.22\n",
+		"nested/nested.go": `package nested
+
+func F() {}
+`,
+	})
+	pkgs, err := analysis.Load(dir, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, jobs := range []int{2, 3, 8} {
-		par, err := analysis.RunJobs(dir, []string{"./..."}, analysis.All(), jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Packages != seq.Packages {
-			t.Errorf("jobs=%d: %d packages, sequential saw %d", jobs, par.Packages, seq.Packages)
-		}
-		if len(par.Findings) != len(seq.Findings) {
-			t.Fatalf("jobs=%d: %d findings, sequential saw %d", jobs, len(par.Findings), len(seq.Findings))
-		}
-		for i := range par.Findings {
-			if par.Findings[i] != seq.Findings[i] {
-				t.Errorf("jobs=%d: finding %d differs: %v vs %v", jobs, i, par.Findings[i], seq.Findings[i])
-			}
-		}
+	var got []string
+	files := map[string]int{}
+	for _, p := range pkgs {
+		got = append(got, p.Path)
+		files[p.Path] = len(p.Files)
+	}
+	want := []string{"sample/internal/sim", "sample/internal/sim_test", "sample/nested"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("analyzed %v, want %v", got, want)
+	}
+	if files["sample/internal/sim"] != 3 || files["sample/internal/sim_test"] != 1 {
+		t.Errorf("file counts %v: want 3 in sim (with its tests), 1 in sim_test", files)
+	}
+
+	writeFiles(t, dir, map[string]string{
+		"internal/exp/bad.go": "package exp\n\nfunc G() int { return \"x\" }\n",
+		// internal/a sorts first and cannot load without exp.
+		"internal/a/a.go": "package a\n\nimport \"sample/internal/exp\"\n\nvar _ = exp.G\n",
+	})
+	_, err = analysis.Run(dir, []string{"./..."}, analysis.All())
+	if err == nil || !strings.HasPrefix(err.Error(), "sample/internal/exp:") || !strings.Contains(err.Error(), "cannot use") {
+		t.Fatalf("want the compile error of sample/internal/exp, got %v", err)
 	}
 }
 

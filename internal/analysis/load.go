@@ -1,17 +1,22 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -28,23 +33,37 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Load type-checks the packages matched by patterns ("./...",
-// "./internal/...", or plain relative directories) against the module
-// containing dir. Test files are included. Packages are returned in
-// deterministic (import path) order.
+// listed is the part of a `go list -json` record the loader reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	ImportMap  map[string]string
+	ForTest    string
+	DepOnly    bool
+	Error      *struct{ Err string }
+}
+
+// Load type-checks the packages matched by patterns (go list patterns
+// such as "./..." or "./internal/sim", relative to dir), test files
+// included. The go command selects the files and compiles every
+// dependency; Load parses the matched packages from source and
+// resolves their imports through the compiler's export data. A
+// "/..." pattern also covers each module nested below it. Packages are
+// returned in deterministic (import path) order.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	root, modPath, err := FindModule(dir)
+	mods, err := nestedModules(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	ld := newLoader(root, modPath)
-	dirs, err := expandPatterns(dir, patterns)
+	fset := token.NewFileSet()
+	pkgs, err := loadModule(fset, dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	var pkgs []*Package
-	for _, d := range dirs {
-		got, err := ld.checkDir(d)
+	for _, m := range mods {
+		got, err := loadModule(fset, m, []string{"./..."})
 		if err != nil {
 			return nil, err
 		}
@@ -57,89 +76,43 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // LoadDir type-checks the single directory dir as a package with the
 // given import path, without requiring a go.mod. It exists for
 // analysistest fixtures under testdata/src, whose directory layout
-// encodes the import path the analyzers scope on.
+// encodes the import path the analyzers scope on; fixtures import only
+// the standard library.
 func LoadDir(dir, importPath string) (*Package, error) {
-	ld := newLoader("", "")
-	got, err := ld.checkDirAs(dir, importPath)
+	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
-	if len(got) == 0 {
-		return nil, fmt.Errorf("no Go package in %s", dir)
-	}
-	return got[0], nil
-}
-
-// FindModule walks up from dir to the enclosing go.mod and returns the
-// module root directory and module path.
-func FindModule(dir string) (root, modPath string, err error) {
-	d, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("%s/go.mod has no module directive", d)
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		d = parent
-	}
-}
-
-// expandPatterns resolves go-style package patterns relative to base
-// into a sorted list of directories containing Go files.
-func expandPatterns(base string, patterns []string) ([]string, error) {
-	abs, err := filepath.Abs(base)
+	fset := token.NewFileSet()
+	files, err := parseFiles(fset, dir, append(bp.GoFiles, bp.TestGoFiles...))
 	if err != nil {
 		return nil, err
 	}
+	return check(fset, importPath, dir, files, importer.ForCompiler(fset, "gc", nil))
+}
+
+// nestedModules returns the directories below each "/..." pattern's
+// root that hold a go.mod of their own, skipping the directories the
+// go command ignores (testdata, and names starting with "." or "_").
+func nestedModules(dir string, patterns []string) ([]string, error) {
 	seen := map[string]bool{}
-	var dirs []string
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
+	var mods []string
 	for _, p := range patterns {
-		p = strings.TrimPrefix(p, "./")
-		if p == "" {
-			p = "."
-		}
-		rec := false
-		if p == "..." {
-			p, rec = ".", true
-		} else if rest, ok := strings.CutSuffix(p, "/..."); ok {
-			p, rec = rest, true
-		}
-		start := filepath.Join(abs, filepath.FromSlash(p))
-		if !rec {
-			add(start)
+		base, ok := strings.CutSuffix(p, "/...")
+		if !ok {
 			continue
 		}
-		err := filepath.WalkDir(start, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
+		start := filepath.Join(dir, base)
+		err := filepath.WalkDir(start, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() || path == start {
 				return err
 			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != start && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 				return filepath.SkipDir
 			}
-			if hasGoFiles(path) {
-				add(path)
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && !seen[path] {
+				seen[path] = true
+				mods = append(mods, path)
 			}
 			return nil
 		})
@@ -147,132 +120,105 @@ func expandPatterns(base string, patterns []string) ([]string, error) {
 			return nil, err
 		}
 	}
-	sort.Strings(dirs)
-	return dirs, nil
+	return mods, nil
 }
 
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			return true
-		}
-	}
-	return false
-}
-
-// loader type-checks packages from source. Imports resolve through a
-// cache of interface-only (IgnoreFuncBodies) packages: the standard
-// library from GOROOT/src via go/build, module-internal imports from
-// the module tree.
-type loader struct {
-	fset    *token.FileSet
-	ctxt    build.Context
-	root    string // module root ("" in LoadDir mode)
-	modPath string
-	imports map[string]*types.Package
-	loading map[string]bool
-	// deps records each cached module-internal package's module-internal
-	// direct imports, for purgeDependents.
-	deps map[string][]string
-	// override temporarily maps an import path to a test-augmented
-	// package while checking its external test package.
-	override map[string]*types.Package
-	// shared, when set, resolves standard-library imports through a
-	// cache shared between concurrent loaders (see sharedImports).
-	// Module-internal imports stay per-loader: the external-test
-	// override dance purges them, which must not be visible to peers.
-	shared *sharedImports
-}
-
-func newLoader(root, modPath string) *loader {
-	ctxt := build.Default
-	ctxt.CgoEnabled = false // pure-Go file sets; the simulator uses no cgo
-	return &loader{
-		fset:     token.NewFileSet(),
-		ctxt:     ctxt,
-		root:     root,
-		modPath:  modPath,
-		imports:  map[string]*types.Package{},
-		loading:  map[string]bool{},
-		deps:     map[string][]string{},
-		override: map[string]*types.Package{},
-	}
-}
-
-func (ld *loader) sizes() types.Sizes {
-	return types.SizesFor("gc", ld.ctxt.GOARCH)
-}
-
-// checkDir loads the package in dir (import path derived from the
-// module) plus its external test package, if any.
-func (ld *loader) checkDir(dir string) ([]*Package, error) {
-	rel, err := filepath.Rel(ld.root, dir)
+// loadModule lists patterns in the module containing dir and checks
+// each matched package. A package with in-package tests loads as its
+// test variant "p [p.test]", whose files include the _test.go files;
+// an external test package "p_test [p.test]" imports that variant
+// through its ImportMap, so export_test.go declarations resolve.
+func loadModule(fset *token.FileSet, dir string, patterns []string) ([]*Package, error) {
+	recs, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	importPath := ld.modPath
-	if rel != "." {
-		importPath = ld.modPath + "/" + filepath.ToSlash(rel)
-	}
-	return ld.checkDirAs(dir, importPath)
-}
-
-func (ld *loader) checkDirAs(dir, importPath string) ([]*Package, error) {
-	bp, err := ld.ctxt.ImportDir(dir, 0)
-	if err != nil {
-		if _, ok := err.(*build.NoGoError); ok {
-			return nil, nil
+	export := map[string]string{}
+	matched := map[string]*listed{}
+	for i := range recs {
+		r := &recs[i]
+		// Records come in dependency order, so the first error is the
+		// package that does not build, not one that imports it.
+		if r.Error != nil {
+			return nil, fmt.Errorf("%s: %s", r.ImportPath, strings.TrimSpace(r.Error.Err))
 		}
-		return nil, err
+		export[r.ImportPath] = r.Export
+		// Dependencies (test variants of dependencies included) and
+		// the generated p.test mains are not analyzed.
+		if r.DepOnly || strings.HasSuffix(r.ImportPath, ".test") {
+			continue
+		}
+		path, _, _ := strings.Cut(r.ImportPath, " ")
+		if prev := matched[path]; prev == nil || r.ForTest != "" {
+			matched[path] = r
+		}
 	}
+	paths := make([]string, 0, len(matched))
+	for path := range matched {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	lookup := func(importMap map[string]string) importer.Lookup {
+		return func(ip string) (io.ReadCloser, error) {
+			if m, ok := importMap[ip]; ok {
+				ip = m
+			}
+			if export[ip] == "" {
+				return nil, fmt.Errorf("no export data for %q", ip)
+			}
+			return os.Open(export[ip])
+		}
+	}
+	// Packages whose imports all resolve to plain packages share one
+	// importer, so each dependency's export data is decoded once.
+	shared := importer.ForCompiler(fset, "gc", lookup(nil))
 	var pkgs []*Package
-
-	files, err := ld.parseFiles(dir, append(append([]string{}, bp.GoFiles...), bp.TestGoFiles...), parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	main, err := ld.checkFiles(importPath, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	pkgs = append(pkgs, main)
-
-	if len(bp.XTestGoFiles) > 0 {
-		xfiles, err := ld.parseFiles(dir, bp.XTestGoFiles, parser.ParseComments)
+	for _, path := range paths {
+		r := matched[path]
+		files, err := parseFiles(fset, r.Dir, r.GoFiles)
 		if err != nil {
 			return nil, err
 		}
-		// The external test package imports the subject package; resolve
-		// that import to the test-augmented package so export_test.go
-		// declarations are visible. Cached packages that themselves import
-		// the subject were checked against the cache's own interface-only
-		// copy — a distinct types.Package whose named types are not
-		// identical to the override's — so purge them on both sides of the
-		// check: deps the test package pulls in re-resolve against the
-		// override, and later packages rebuild a self-consistent cache.
-		// Packages that don't depend on the subject stay cached, keeping
-		// their types identical to the subject package's own references.
-		ld.purgeDependents(importPath)
-		ld.override[importPath] = main.Pkg
-		xt, err := ld.checkFiles(importPath+"_test", dir, xfiles)
-		delete(ld.override, importPath)
-		ld.purgeDependents(importPath)
+		imp := shared
+		if len(r.ImportMap) > 0 {
+			imp = importer.ForCompiler(fset, "gc", lookup(r.ImportMap))
+		}
+		pkg, err := check(fset, path, r.Dir, files, imp)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, xt)
+		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
 
-func (ld *loader) parseFiles(dir string, names []string, mode parser.Mode) ([]*ast.File, error) {
+// goList runs `go list -export -deps -test` over patterns in dir.
+func goList(dir string, patterns []string) ([]listed, error) {
+	args := append([]string{"list", "-e", "-export", "-deps", "-test",
+		"-json=ImportPath,Dir,GoFiles,Export,ImportMap,ForTest,DepOnly,Error"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var recs []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var r listed
+		if err := dec.Decode(&r); err != nil {
+			return nil, fmt.Errorf("go list in %s: %w", dir, err)
+		}
+		recs = append(recs, r)
+	}
+	return recs, nil
+}
+
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, mode|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +227,7 @@ func (ld *loader) parseFiles(dir string, names []string, mode parser.Mode) ([]*a
 	return files, nil
 }
 
-func (ld *loader) checkFiles(path, dir string, files []*ast.File) (*Package, error) {
+func check(fset *token.FileSet, path, dir string, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -290,216 +236,10 @@ func (ld *loader) checkFiles(path, dir string, files []*ast.File) (*Package, err
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: ld, Sizes: ld.sizes()}
-	pkg, err := conf.Check(path, ld.fset, files, info)
+	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", build.Default.GOARCH)}
+	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	return &Package{Path: path, Dir: dir, Fset: ld.fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// purgeDependents drops from the import cache every package that
-// transitively imports target (target's own cached copy stays: while an
-// override is active it is shadowed, and outside one it is consistent).
-// Standard-library entries never import module packages, so they are
-// untouched by construction of the deps record.
-func (ld *loader) purgeDependents(target string) {
-	bad := map[string]bool{target: true}
-	for changed := true; changed; {
-		changed = false
-		for p, dd := range ld.deps {
-			if bad[p] {
-				continue
-			}
-			for _, d := range dd {
-				if bad[d] {
-					bad[p] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	for p := range bad {
-		if p != target {
-			delete(ld.imports, p)
-			delete(ld.deps, p)
-		}
-	}
-}
-
-// Import implements types.Importer.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	return ld.ImportFrom(path, ld.root, 0)
-}
-
-// ImportFrom implements types.ImporterFrom: imports load as
-// interface-only packages (function bodies skipped), which is all
-// analysis of the importing package needs.
-func (ld *loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if p, ok := ld.override[path]; ok {
-		return p, nil
-	}
-	if p, ok := ld.imports[path]; ok {
-		return p, nil
-	}
-	if ld.shared != nil && ld.modPath != "" &&
-		path != ld.modPath && !strings.HasPrefix(path, ld.modPath+"/") {
-		p, err := ld.shared.load(path, &ld.ctxt)
-		if err != nil {
-			return nil, err
-		}
-		// Safe to cache per-loader: purgeDependents only evicts
-		// module-internal entries, so shared packages stay put.
-		ld.imports[path] = p
-		return p, nil
-	}
-	if ld.loading[path] {
-		return nil, fmt.Errorf("import cycle through %q", path)
-	}
-	ld.loading[path] = true
-	defer delete(ld.loading, path)
-
-	dir, err := ld.dirFor(path, srcDir)
-	if err != nil {
-		return nil, err
-	}
-	bp, err := ld.ctxt.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("import %q: %w", path, err)
-	}
-	files, err := ld.parseFiles(dir, bp.GoFiles, 0)
-	if err != nil {
-		return nil, fmt.Errorf("import %q: %w", path, err)
-	}
-	conf := types.Config{
-		Importer:                 ld,
-		Sizes:                    ld.sizes(),
-		IgnoreFuncBodies:         true,
-		DisableUnusedImportCheck: true,
-		// Interface-only checking of dependencies tolerates soft
-		// errors; the packages under analysis are checked strictly.
-		Error: func(error) {},
-	}
-	pkg, _ := conf.Check(path, ld.fset, files, nil)
-	if pkg == nil {
-		return nil, fmt.Errorf("import %q: type-checking failed", path)
-	}
-	ld.imports[path] = pkg
-	if ld.modPath != "" {
-		var mod []string
-		for _, ip := range bp.Imports {
-			if ip == ld.modPath || strings.HasPrefix(ip, ld.modPath+"/") {
-				mod = append(mod, ip)
-			}
-		}
-		ld.deps[path] = mod
-	}
-	return pkg, nil
-}
-
-// sharedImports is a concurrency-safe cache of interface-only
-// standard-library packages, shared by the worker loaders of one
-// parallel run so the stdlib is parsed and checked once, not once per
-// worker. Entries are immutable after their done channel closes; a
-// loser of the per-path race waits for the winner's result. The cache
-// owns a private FileSet (FileSets serialize internally), so shared
-// package positions resolve against it — analyzers only ever position
-// diagnostics in the analyzed package's own files, which live in the
-// worker's FileSet.
-type sharedImports struct {
-	mu      sync.Mutex
-	fset    *token.FileSet
-	entries map[string]*sharedEntry
-}
-
-type sharedEntry struct {
-	done chan struct{}
-	pkg  *types.Package
-	err  error
-}
-
-func newSharedImports() *sharedImports {
-	return &sharedImports{fset: token.NewFileSet(), entries: map[string]*sharedEntry{}}
-}
-
-// load returns the cached package for path, checking it on first
-// request. Concurrent requests for distinct paths proceed in parallel;
-// the import graph is acyclic, so the cross-entry waits cannot deadlock.
-func (s *sharedImports) load(path string, ctxt *build.Context) (*types.Package, error) {
-	s.mu.Lock()
-	e, ok := s.entries[path]
-	if ok {
-		s.mu.Unlock()
-		<-e.done
-		return e.pkg, e.err
-	}
-	e = &sharedEntry{done: make(chan struct{})}
-	s.entries[path] = e
-	s.mu.Unlock()
-	e.pkg, e.err = s.check(path, ctxt)
-	close(e.done)
-	return e.pkg, e.err
-}
-
-// check type-checks one standard-library package interface-only,
-// resolving its imports through the shared cache.
-func (s *sharedImports) check(path string, ctxt *build.Context) (*types.Package, error) {
-	bp, err := ctxt.Import(path, "", 0)
-	if err != nil {
-		return nil, fmt.Errorf("import %q: %w", path, err)
-	}
-	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(s.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("import %q: %w", path, err)
-		}
-		files = append(files, f)
-	}
-	conf := types.Config{
-		Importer:                 &sharedResolver{s: s, ctxt: ctxt},
-		Sizes:                    types.SizesFor("gc", ctxt.GOARCH),
-		IgnoreFuncBodies:         true,
-		DisableUnusedImportCheck: true,
-		Error:                    func(error) {},
-	}
-	pkg, _ := conf.Check(path, s.fset, files, nil)
-	if pkg == nil {
-		return nil, fmt.Errorf("import %q: type-checking failed", path)
-	}
-	return pkg, nil
-}
-
-// sharedResolver adapts sharedImports to types.Importer for the
-// cache's own dependency checks (stdlib imports only stdlib).
-type sharedResolver struct {
-	s    *sharedImports
-	ctxt *build.Context
-}
-
-func (r *sharedResolver) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	return r.s.load(path, r.ctxt)
-}
-
-func (ld *loader) dirFor(path, srcDir string) (string, error) {
-	if ld.modPath != "" {
-		if path == ld.modPath {
-			return ld.root, nil
-		}
-		if rest, ok := strings.CutPrefix(path, ld.modPath+"/"); ok {
-			return filepath.Join(ld.root, filepath.FromSlash(rest)), nil
-		}
-	}
-	bp, err := ld.ctxt.Import(path, srcDir, build.FindOnly)
-	if err != nil {
-		return "", fmt.Errorf("import %q: %w", path, err)
-	}
-	return bp.Dir, nil
+	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis"
 )
 
 // TestGoroutineAllowsConfinedToShell pins that the goroutinefree escape
@@ -17,11 +15,8 @@ import (
 // means host concurrency crept back into code that must run a million
 // processors on one goroutine.
 func TestGoroutineAllowsConfinedToShell(t *testing.T) {
-	root, _, err := analysis.FindModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+	root := moduleRoot(t)
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}

@@ -7,7 +7,6 @@ package apps
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/am"
 	"repro/internal/depgraph"
@@ -331,12 +330,4 @@ func BlockRange(id, n, p int) (int, int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// CheckSorted verifies a slice is non-decreasing (self-check helper).
-func CheckSorted(keys []uint32) error {
-	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		return fmt.Errorf("apps: output not sorted")
-	}
-	return nil
 }

@@ -90,8 +90,7 @@ type TProc struct {
 	cells []collCell
 	spill []spilled
 
-	storeByteCount int64
-	failedLocks    int64
+	failedLocks int64
 
 	phaseName  string   // active phase label ("" = unlabeled; see phase.go)
 	phaseStart sim.Time // clock at the last EnterPhase
@@ -342,13 +341,6 @@ func (t *TProc) CheckBounds(g GPtr, n int) {
 	}
 }
 
-// StoreBytes counts the bytes written via pipelined stores since the
-// last ResetStoreBytes (application-level accounting helper).
-func (t *TProc) StoreBytes() int64 { return t.storeByteCount }
-
-// ResetStoreBytes zeroes the pipelined-store byte counter.
-func (t *TProc) ResetStoreBytes() { t.storeByteCount = 0 }
-
 // FailedLockAttempts reports how many TryLock retries Lock has burned —
 // the paper instruments Barnes with exactly this counter.
 func (t *TProc) FailedLockAttempts() int64 { return t.failedLocks }
@@ -509,11 +501,7 @@ func (t *TProc) WriteWordT(g GPtr, v uint64) sim.PollableWait {
 		*t.w.word(g) = v
 		return nil
 	}
-	if wt := t.RequestT(int(g.Proc), am.ClassWrite, t.w.hWrite, am.Args{g.Pack(), v}); wt != nil {
-		return wt
-	}
-	t.storeByteCount += 8
-	return nil
+	return t.RequestT(int(g.Proc), am.ClassWrite, t.w.hWrite, am.Args{g.Pack(), v})
 }
 
 // ReadWordT is ReadWord: a blocking remote read, one request + reply.
@@ -821,11 +809,6 @@ func (t *TProc) AllReduceSumT(v uint64) (uint64, sim.PollableWait) {
 	return t.AllReduceOpT(v, OpSum)
 }
 
-// AllReduceMaxT takes the maximum of one word across processors.
-func (t *TProc) AllReduceMaxT(v uint64) (uint64, sim.PollableWait) {
-	return t.AllReduceOpT(v, OpMax)
-}
-
 // BroadcastT is Broadcast: distribute root's val to all processors with
 // the world's selected broadcast algorithm.
 func (t *TProc) BroadcastT(root int, val uint64) (uint64, sim.PollableWait) {
@@ -907,7 +890,6 @@ func (t *TProc) BulkPutT(g GPtr, vals []uint64) sim.PollableWait {
 		if wt := t.storeT(int(g.Proc), am.ClassWrite, t.w.hBulkPut, am.Args{target.Pack()}, buf); wt != nil {
 			return wt
 		}
-		t.storeByteCount += int64(len(buf))
 		t.op.r = end
 	}
 	t.op.pc = 0
