@@ -17,7 +17,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -82,10 +81,6 @@ func checkGolden(t *testing.T, bin string, cases []invocation) {
 			code, got := run(t, bin, tc.args...)
 			if code != tc.exit {
 				t.Errorf("%s %v: exit %d, want %d\n%s", bin, tc.args, code, tc.exit, got)
-			}
-			if bin == "reprolint" {
-				// Its -jobs default is the host's CPU count.
-				got = strings.ReplaceAll(got, fmt.Sprintf("(default %d)", runtime.NumCPU()), "(default NumCPU)")
 			}
 			path := filepath.Join("testdata", tc.name+".golden")
 			if *update {
@@ -203,6 +198,7 @@ func TestAppstat(t *testing.T) {
 		{"appstat-h", []string{"-h"}, 0},
 		{"appstat-listapps", []string{"-listapps"}, 0},
 		{"appstat-blk-kernel", []string{"-app", "scale-radix-blk"}, 2},
+		{"appstat-timeline-profile", []string{"-app", "radix", "-procs", "8", "-timeline", "-profile"}, 0},
 	})
 }
 

@@ -25,10 +25,10 @@
 //
 // Instrumentation attaches through the Hooks interface (embed NopHooks,
 // attach with Machine.SetHooks or splitc.World.Attach): every message
-// event, overhead charge, transmit-context reservation, and wait span is
-// reported through it, and hooks that also implement ClockHooks see every
-// raw clock advance — the invariant behind internal/prof's conservation
-// proof.
+// event, overhead charge, transmit-context reservation, wait span,
+// synchronization region and raw clock advance is reported to each
+// attached value in attach order — the clock advances are the invariant
+// behind internal/prof's conservation proof.
 //
 // The wire is lossless by default. A FaultInjector (Machine.SetFaults;
 // implemented by internal/fault) can drop, duplicate, or delay individual
@@ -133,11 +133,9 @@ type Machine struct {
 	params logp.Params
 	eps    []*Endpoint
 	stats  *Stats
-	hooks  Hooks
-	// wire is the cached WireHooks downcast of hooks, resolved once in
-	// SetHooks so the per-message wire events need no type assertion on
-	// the hot path (nil when hooks does not implement WireHooks).
-	wire WireHooks
+	// hooks are the attached observers, called in attach order at every
+	// emit site; empty when none is attached.
+	hooks []Hooks
 
 	// faults, when set, is consulted for every physical wire transmission
 	// and every explicit processor charge (see SetFaults).
@@ -196,28 +194,32 @@ func (m *Machine) Endpoint(i int) *Endpoint { return m.eps[i] }
 // Stats returns the machine-wide instrumentation.
 func (m *Machine) Stats() *Stats { return m.stats }
 
-// SetHooks attaches the machine's instrumentation (nil detaches). When h
-// also implements ClockHooks, every processor's raw clock advances are
-// forwarded to it as well. Attach before the run starts: the profiler's
-// conservation proof needs to see time zero onward.
-func (m *Machine) SetHooks(h Hooks) {
-	m.hooks = h
-	m.wire, _ = h.(WireHooks)
-	ch, _ := h.(ClockHooks)
+// SetHooks replaces the machine's observers with hs, in order, dropping
+// nil entries; no argument detaches them all. Every processor's raw
+// clock advances are forwarded to the observers as well. Attach before
+// the run starts: the profiler's conservation proof needs to see time
+// zero onward.
+func (m *Machine) SetHooks(hs ...Hooks) {
+	var list []Hooks
+	for _, h := range hs {
+		if h != nil {
+			list = append(list, h)
+		}
+	}
+	m.hooks = list
 	for i, ep := range m.eps {
-		if ch == nil {
+		if len(list) == 0 {
 			ep.proc.SetClockHook(nil)
 			continue
 		}
 		id := i
 		ep.proc.SetClockHook(func(kind sim.ClockKind, from, to sim.Time) {
-			ch.ClockAdvanced(id, kind, from, to)
+			for _, h := range list {
+				h.ClockAdvanced(id, kind, from, to)
+			}
 		})
 	}
 }
-
-// Hooks returns the attached instrumentation (nil when detached).
-func (m *Machine) Hooks() Hooks { return m.hooks }
 
 // SetCPUFactor makes every processor's local computation f× faster
 // (Compute charges are divided by f). Communication overheads are NOT
@@ -373,10 +375,12 @@ func (ep *Endpoint) Compute(d sim.Time) {
 	}
 	from := ep.proc.Clock()
 	ep.proc.Advance(d)
-	if h := ep.m.hooks; h != nil && d > 0 {
+	if d > 0 {
 		// Report the base charge only: a fault-injected stretch extends
 		// the clock past from+d and is reported as ClockStretch instead.
-		h.ComputeCharged(ep.ID(), from, from+d)
+		for _, h := range ep.m.hooks {
+			h.ComputeCharged(ep.ID(), from, from+d)
+		}
 	}
 }
 
@@ -512,7 +516,7 @@ func (ep *Endpoint) chargeSend() {
 	from := ep.proc.Clock()
 	o := ep.params().EffOSend()
 	ep.proc.Advance(o)
-	if h := ep.m.hooks; h != nil {
+	for _, h := range ep.m.hooks {
 		h.SendOverhead(ep.ID(), from, from+o)
 	}
 }
@@ -528,7 +532,7 @@ func (ep *Endpoint) injectShort() sim.Time {
 		inject = ep.txFreeAt
 	}
 	ep.txFreeAt = inject + p.EffGap()
-	if h := ep.m.hooks; h != nil {
+	for _, h := range ep.m.hooks {
 		h.TxReserved(ep.ID(), inject, ep.txFreeAt, ep.txFreeAt)
 	}
 	return inject
@@ -547,7 +551,7 @@ func (ep *Endpoint) injectBulk(n int) sim.Time {
 		inject = ep.txFreeAt
 	}
 	ep.txFreeAt = inject + p.EffGap() + p.BulkTime(n)
-	if h := ep.m.hooks; h != nil {
+	for _, h := range ep.m.hooks {
 		h.TxReserved(ep.ID(), inject, inject+p.EffGap(), ep.txFreeAt)
 	}
 	return inject
@@ -572,12 +576,10 @@ func (ep *Endpoint) launch(msg *message) {
 	} else {
 		inject = ep.injectShort()
 	}
-	if ep.m.hooks != nil {
-		ep.m.hooks.MessageSent(msg.src, msg.dst, msg.class, bulk, ep.proc.Clock())
-	}
-	if wh := ep.m.wire; wh != nil {
+	for _, h := range ep.m.hooks {
 		reply := msg.kind == kindReply || msg.kind == kindBulkReply
-		wh.MessageLaunched(msg.src, msg.dst, reply, bulk, inject, inject+wire)
+		h.MessageSent(msg.src, msg.dst, msg.class, bulk, ep.proc.Clock())
+		h.MessageLaunched(msg.src, msg.dst, reply, bulk, inject, inject+wire)
 	}
 	if r := ep.rel; r != nil {
 		r.send(ep, msg, inject, inject+wire)
@@ -641,8 +643,8 @@ func (m *Machine) scheduleArrival(msg *message, at sim.Time) {
 //
 //repro:hotpath
 func (m *Machine) returnCredit(requester, responder int, at sim.Time) {
-	if wh := m.wire; wh != nil {
-		wh.CreditIssued(requester, responder, at)
+	for _, h := range m.hooks {
+		h.CreditIssued(requester, responder, at)
 	}
 	msg := m.getMsg()
 	msg.kind, msg.src, msg.dst = kindCredit, requester, responder
@@ -714,7 +716,7 @@ func (ep *Endpoint) process(msg *message) {
 	from := ep.proc.Clock()
 	o := ep.params().EffORecv()
 	ep.proc.Advance(o)
-	if h := ep.m.hooks; h != nil {
+	for _, h := range ep.m.hooks {
 		h.RecvOverhead(ep.ID(), from, from+o)
 	}
 	tok := &ep.tok
@@ -743,7 +745,7 @@ func (ep *Endpoint) process(msg *message) {
 		panic("am: unknown message kind")
 	}
 	ep.inHandler = false
-	if h := ep.m.hooks; h != nil {
+	for _, h := range ep.m.hooks {
 		bulk := msg.kind == kindBulk || msg.kind == kindBulkReply
 		h.MessageHandled(msg.src, msg.dst, msg.class, bulk, ep.proc.Clock())
 	}

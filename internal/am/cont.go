@@ -153,14 +153,30 @@ func (ep *Endpoint) SendStore(dst int, class Class, h BulkHandler, args Args, da
 // wait, blocking or resumptive, brackets its park with it. No-op when no
 // hooks are attached.
 func (ep *Endpoint) MarkWaitBegin(kind WaitKind) {
-	if h := ep.m.hooks; h != nil {
+	for _, h := range ep.m.hooks {
 		h.WaitBegin(ep.ID(), kind, ep.proc.Clock())
 	}
 }
 
 // MarkWaitEnd closes a wait span opened by MarkWaitBegin.
 func (ep *Endpoint) MarkWaitEnd(kind WaitKind) {
-	if h := ep.m.hooks; h != nil {
+	for _, h := range ep.m.hooks {
 		h.WaitEnd(ep.ID(), kind, ep.proc.Clock())
+	}
+}
+
+// MarkSyncEnter reports to the attached hooks that this processor
+// entered synchronization region r; the layer that implements barriers
+// and locks brackets each one with it. No-op when no hooks are attached.
+func (ep *Endpoint) MarkSyncEnter(r SyncRegion) {
+	for _, h := range ep.m.hooks {
+		h.SyncEnter(ep.ID(), r, ep.proc.Clock())
+	}
+}
+
+// MarkSyncExit closes a region opened by MarkSyncEnter.
+func (ep *Endpoint) MarkSyncExit(r SyncRegion) {
+	for _, h := range ep.m.hooks {
+		h.SyncExit(ep.ID(), r, ep.proc.Clock())
 	}
 }

@@ -46,12 +46,32 @@ func (k WaitKind) String() string {
 	return "wait?"
 }
 
-// Hooks is the machine's instrumentation surface: every communication
-// event and every virtual-time charge the Active Message layer makes is
-// reported through it. Attach with Machine.SetHooks (or, one level up,
-// splitc.World.Attach). All methods run synchronously on the simulating
-// goroutine, must not call back into the endpoint, and must not alter
-// virtual time — hooks observe a run, they never change it.
+// SyncRegion identifies a synchronization-layer region reported through
+// Endpoint.MarkSyncEnter and MarkSyncExit.
+type SyncRegion uint8
+
+const (
+	// RegionBarrier spans a Barrier call (store-sync included).
+	RegionBarrier SyncRegion = iota
+	// RegionLock spans a Lock call's acquisition spin.
+	RegionLock
+)
+
+func (r SyncRegion) String() string {
+	if r == RegionLock {
+		return "lock"
+	}
+	return "barrier"
+}
+
+// Hooks is the machine's one observer interface: every communication
+// event, every virtual-time charge and every raw clock advance the
+// Active Message layer makes is reported through it. Attach with
+// Machine.SetHooks (or, one level up, splitc.World.Attach); the machine
+// calls each attached value in attach order. All methods run
+// synchronously on the simulating goroutine, must not call back into the
+// endpoint, and must not alter virtual time — hooks observe a run, they
+// never change it.
 //
 // Embed NopHooks to implement only the methods you care about.
 type Hooks interface {
@@ -82,30 +102,20 @@ type Hooks interface {
 	WaitBegin(proc int, kind WaitKind, at sim.Time)
 	// WaitEnd fires when the awaited condition held and the wait returned.
 	WaitEnd(proc int, kind WaitKind, at sim.Time)
-}
 
-// ClockHooks is the optional extension for hooks that must see every raw
-// clock advance (idle spins and wake jumps included, not just charges).
-// When the attached Hooks value also implements ClockHooks, SetHooks
-// wires it to every processor's sim clock hook; the observed spans tile
-// each processor's whole timeline, the invariant behind internal/prof's
-// conservation proof.
-type ClockHooks interface {
+	// ClockAdvanced fires for every raw clock advance of processor proc,
+	// idle spins and wake jumps included, not just charges. The observed
+	// spans tile each processor's whole timeline, the invariant behind
+	// internal/prof's conservation proof.
 	ClockAdvanced(proc int, kind sim.ClockKind, from, to sim.Time)
-}
 
-// WireHooks is the optional extension for hooks that must follow message
-// identity through the network stages the base Hooks interface only
-// reports as per-processor charges: injection into the wire, delivery at
-// the destination NIC, and the implicit flow-control credit a request
-// returns to its sender. internal/depgraph uses it to stitch the
-// per-processor event streams into a cross-processor dependency graph.
-// When the attached Hooks value also implements WireHooks, SetHooks
-// caches the downcast once so the per-message calls stay allocation-free.
-type WireHooks interface {
 	// MessageLaunched fires when a message leaves the transmit context:
 	// it occupies the wire on [inject, arrival). reply marks responses
 	// (including bulk reply fragments), which bypass the request window.
+	// With MessageDelivered and CreditIssued it follows message identity
+	// through the network stages the charges above only report per
+	// processor; internal/depgraph stitches the per-processor streams
+	// into a dependency graph with them.
 	MessageLaunched(src, dst int, reply, bulk bool, inject, arrival sim.Time)
 	// MessageDelivered fires when the message lands in the destination
 	// inbox, before any receive overhead is charged.
@@ -114,6 +124,15 @@ type WireHooks interface {
 	// sender-side window slot: the implicit credit leaves the responder at
 	// time at and reaches the requester one wire latency later.
 	CreditIssued(requester, responder int, at sim.Time)
+
+	// SyncEnter fires when processor proc enters a synchronization
+	// region, so time spent there (the compute charged by lock retries
+	// included) can be attributed to barrier or lock wait rather than to
+	// the mechanism underneath. Regions nest: a barrier may complete
+	// stores, a lock spin polls the network.
+	SyncEnter(proc int, r SyncRegion, at sim.Time)
+	// SyncExit closes the innermost region SyncEnter opened.
+	SyncExit(proc int, r SyncRegion, at sim.Time)
 }
 
 // NopHooks is the embeddable no-op base: embed it and override only the
@@ -150,116 +169,20 @@ func (NopHooks) WaitBegin(proc int, kind WaitKind, at sim.Time) {}
 // WaitEnd implements Hooks as a no-op.
 func (NopHooks) WaitEnd(proc int, kind WaitKind, at sim.Time) {}
 
-// MultiHooks fans every event out to each element in order, so a tracer
-// and a profiler can observe the same run through one attach point.
-type MultiHooks []Hooks
+// ClockAdvanced implements Hooks as a no-op.
+func (NopHooks) ClockAdvanced(proc int, kind sim.ClockKind, from, to sim.Time) {}
 
-var (
-	_ Hooks      = MultiHooks(nil)
-	_ ClockHooks = MultiHooks(nil)
-)
+// MessageLaunched implements Hooks as a no-op.
+func (NopHooks) MessageLaunched(src, dst int, reply, bulk bool, inject, arrival sim.Time) {}
 
-// MessageSent implements Hooks.
-func (m MultiHooks) MessageSent(src, dst int, class Class, bulk bool, at sim.Time) {
-	for _, h := range m {
-		h.MessageSent(src, dst, class, bulk, at)
-	}
-}
+// MessageDelivered implements Hooks as a no-op.
+func (NopHooks) MessageDelivered(src, dst int, reply bool, at sim.Time) {}
 
-// MessageHandled implements Hooks.
-func (m MultiHooks) MessageHandled(src, dst int, class Class, bulk bool, at sim.Time) {
-	for _, h := range m {
-		h.MessageHandled(src, dst, class, bulk, at)
-	}
-}
+// CreditIssued implements Hooks as a no-op.
+func (NopHooks) CreditIssued(requester, responder int, at sim.Time) {}
 
-// SendOverhead implements Hooks.
-func (m MultiHooks) SendOverhead(proc int, from, to sim.Time) {
-	for _, h := range m {
-		h.SendOverhead(proc, from, to)
-	}
-}
+// SyncEnter implements Hooks as a no-op.
+func (NopHooks) SyncEnter(proc int, r SyncRegion, at sim.Time) {}
 
-// RecvOverhead implements Hooks.
-func (m MultiHooks) RecvOverhead(proc int, from, to sim.Time) {
-	for _, h := range m {
-		h.RecvOverhead(proc, from, to)
-	}
-}
-
-// ComputeCharged implements Hooks.
-func (m MultiHooks) ComputeCharged(proc int, from, to sim.Time) {
-	for _, h := range m {
-		h.ComputeCharged(proc, from, to)
-	}
-}
-
-// TxReserved implements Hooks.
-func (m MultiHooks) TxReserved(proc int, inject, gapFree, busyFree sim.Time) {
-	for _, h := range m {
-		h.TxReserved(proc, inject, gapFree, busyFree)
-	}
-}
-
-// TxRetransmit implements Hooks.
-func (m MultiHooks) TxRetransmit(proc int, inject, gapFree, busyFree sim.Time) {
-	for _, h := range m {
-		h.TxRetransmit(proc, inject, gapFree, busyFree)
-	}
-}
-
-// WaitBegin implements Hooks.
-func (m MultiHooks) WaitBegin(proc int, kind WaitKind, at sim.Time) {
-	for _, h := range m {
-		h.WaitBegin(proc, kind, at)
-	}
-}
-
-// WaitEnd implements Hooks.
-func (m MultiHooks) WaitEnd(proc int, kind WaitKind, at sim.Time) {
-	for _, h := range m {
-		h.WaitEnd(proc, kind, at)
-	}
-}
-
-// ClockAdvanced implements ClockHooks, forwarding to the elements that
-// opted into raw clock events.
-func (m MultiHooks) ClockAdvanced(proc int, kind sim.ClockKind, from, to sim.Time) {
-	for _, h := range m {
-		if ch, ok := h.(ClockHooks); ok {
-			ch.ClockAdvanced(proc, kind, from, to)
-		}
-	}
-}
-
-var _ WireHooks = MultiHooks(nil)
-
-// MessageLaunched implements WireHooks, forwarding to the elements that
-// opted into wire events.
-func (m MultiHooks) MessageLaunched(src, dst int, reply, bulk bool, inject, arrival sim.Time) {
-	for _, h := range m {
-		if wh, ok := h.(WireHooks); ok {
-			wh.MessageLaunched(src, dst, reply, bulk, inject, arrival)
-		}
-	}
-}
-
-// MessageDelivered implements WireHooks, forwarding to the elements that
-// opted into wire events.
-func (m MultiHooks) MessageDelivered(src, dst int, reply bool, at sim.Time) {
-	for _, h := range m {
-		if wh, ok := h.(WireHooks); ok {
-			wh.MessageDelivered(src, dst, reply, at)
-		}
-	}
-}
-
-// CreditIssued implements WireHooks, forwarding to the elements that
-// opted into wire events.
-func (m MultiHooks) CreditIssued(requester, responder int, at sim.Time) {
-	for _, h := range m {
-		if wh, ok := h.(WireHooks); ok {
-			wh.CreditIssued(requester, responder, at)
-		}
-	}
-}
+// SyncExit implements Hooks as a no-op.
+func (NopHooks) SyncExit(proc int, r SyncRegion, at sim.Time) {}

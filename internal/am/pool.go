@@ -78,8 +78,8 @@ func deliverEvent(arg any, at sim.Time) {
 	if reply {
 		dst.outstanding.dec(msg.src)
 	}
-	if wh := m.wire; wh != nil {
-		wh.MessageDelivered(msg.src, msg.dst, reply, at)
+	for _, h := range m.hooks {
+		h.MessageDelivered(msg.src, msg.dst, reply, at)
 	}
 	msg.arrival = at
 	dst.pushInbox(msg)

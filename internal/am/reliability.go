@@ -188,7 +188,7 @@ func (r *relEndpoint) timeout(ep *Endpoint, e *relEntry, at sim.Time) {
 	}
 	ep.txFreeAt = busyFree
 	ep.m.stats.Retransmits++
-	if h := ep.m.hooks; h != nil {
+	for _, h := range ep.m.hooks {
 		h.TxRetransmit(ep.ID(), inject, gapFree, busyFree)
 	}
 	r.transmit(ep, e, inject, inject+wire, true)

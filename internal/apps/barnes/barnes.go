@@ -82,7 +82,7 @@ func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	tr := newTree(n, P)
 	cacheLines := a.CacheLines
 	if cacheLines == 0 {
-		cacheLines = maxInt(tr.totalCells/2, 64)
+		cacheLines = max(tr.totalCells/2, 64)
 	}
 	sh := &shared{
 		tr:         tr,
@@ -164,7 +164,7 @@ func (k *task) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 		case 0:
 			lo, hi := apps.BlockRange(me, sh.n, t.P())
 			k.mine = append([]body(nil), sh.all[lo:hi]...)
-			nRecs := maxInt(tr.ownCount[me], 1)
+			nRecs := max(tr.ownCount[me], 1)
 			sh.recArr[me] = t.Alloc(nRecs * recWords)
 			k.myRecs = t.Local(sh.recArr[me], nRecs*recWords)
 			k.cacheTag = make([]int32, sh.cacheLines)
@@ -363,13 +363,6 @@ func (k *task) fetch(uid int, remote bool) (cellRecord, sim.PollableWait) {
 	k.cacheTag[slot] = int32(uid)
 	k.cacheVal[slot] = c
 	return c, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 var (

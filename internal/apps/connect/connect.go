@@ -164,8 +164,8 @@ func (a App) Run(cfg apps.Config) (apps.Result, error) {
 		me := p.ID()
 		lo, hi := rowLo[me], rowLo[me+1]
 		nLocal := (hi - lo) * m.cols
-		parentArr[me] = p.Alloc(maxInt(nLocal, 1))
-		local := p.Local(parentArr[me], maxInt(nLocal, 1))
+		parentArr[me] = p.Alloc(max(nLocal, 1))
+		local := p.Local(parentArr[me], max(nLocal, 1))
 		parentLoc[me] = local
 		base := lo * m.cols
 		for i := 0; i < nLocal; i++ {
@@ -308,13 +308,6 @@ func verify(m *mesh, parentLoc [][]uint64, rowLo []int, P int) error {
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 var _ apps.App = App{}

@@ -145,8 +145,8 @@ func (k *task) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 			nPer := g.nPer
 			sh.eArr[me] = t.Alloc(nPer)
 			sh.hArr[me] = t.Alloc(nPer)
-			sh.eBndArr[me] = t.Alloc(maxInt(g.nEBnd[me], 1))
-			sh.hBndArr[me] = t.Alloc(maxInt(g.nHBnd[me], 1))
+			sh.eBndArr[me] = t.Alloc(max(g.nEBnd[me], 1))
+			sh.hBndArr[me] = t.Alloc(max(g.nHBnd[me], 1))
 			k.eVal = t.Local(sh.eArr[me], nPer)
 			k.hVal = t.Local(sh.hArr[me], nPer)
 			for i := 0; i < nPer; i++ {
@@ -158,8 +158,8 @@ func (k *task) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 			if wt := t.BarrierT(); wt != nil {
 				return wt, false
 			}
-			k.eBnd = t.Local(sh.eBndArr[me], maxInt(g.nEBnd[me], 1))
-			k.hBnd = t.Local(sh.hBndArr[me], maxInt(g.nHBnd[me], 1))
+			k.eBnd = t.Local(sh.eBndArr[me], max(g.nEBnd[me], 1))
+			k.hBnd = t.Local(sh.hBndArr[me], max(g.nHBnd[me], 1))
 			k.newVals = make([]uint64, g.nPer)
 			k.pc = 2
 		case 2:
@@ -282,13 +282,6 @@ func (k *task) push(t *splitc.TProc, list pushList, vals []uint64, dstArr []spli
 	}
 	k.entry = 0
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 var (

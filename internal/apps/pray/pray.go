@@ -237,7 +237,7 @@ func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	P := cfg.Procs
 	cacheLines := a.CacheLines
 	if cacheLines == 0 {
-		cacheLines = maxInt(objects/2, 16)
+		cacheLines = max(objects/2, 16)
 	}
 
 	objArr := make([]splitc.GPtr, P) // per-owner object records
@@ -249,8 +249,8 @@ func (a App) Run(cfg apps.Config) (apps.Result, error) {
 		// Objects are owned round-robin: object id -> proc id%P, local
 		// index id/P.
 		ownCount := (objects - me + P - 1) / P
-		objArr[me] = p.Alloc(maxInt(ownCount*objWords, 1))
-		loc := p.Local(objArr[me], maxInt(ownCount*objWords, 1))
+		objArr[me] = p.Alloc(max(ownCount*objWords, 1))
+		loc := p.Local(objArr[me], max(ownCount*objWords, 1))
 		for i := 0; i < ownCount; i++ {
 			o := sc.objs[i*P+me]
 			base := i * objWords
@@ -294,7 +294,7 @@ func (a App) Run(cfg apps.Config) (apps.Result, error) {
 		}
 
 		lo, hi := apps.BlockRange(me, side, P) // scanline block
-		img := make([]float64, maxInt(hi-lo, 0)*side)
+		img := make([]float64, max(hi-lo, 0)*side)
 		images[me] = img
 		for py := lo; py < hi; py++ {
 			for px := 0; px < side; px++ {
@@ -333,13 +333,6 @@ func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	res := apps.Finish(a, cfg, w, cfg.Verify)
 	res.Extra["misses"] = float64(missesTotal)
 	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 var _ apps.App = App{}

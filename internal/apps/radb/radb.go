@@ -98,12 +98,12 @@ func (a App) Run(cfg apps.Config) (apps.Result, error) {
 			inputSum += uint64(keys[i])
 		}
 
-		destArr[me] = p.Alloc(maxInt(mine, 1))
+		destArr[me] = p.Alloc(max(mine, 1))
 		chainArr[me] = p.Alloc(radix)
 		chainFlg[me] = p.Alloc(1)
 		offArr[me] = p.Alloc(radix)
 		offFlg[me] = p.Alloc(1)
-		dest := p.Local(destArr[me], maxInt(mine, 1))
+		dest := p.Local(destArr[me], max(mine, 1))
 		p.Barrier()
 
 		for pass := 0; pass < 2; pass++ {
@@ -267,12 +267,5 @@ func getUint64(b []byte) uint64 {
 }
 
 func splitcMicros(us float64) sim.Time { return sim.FromMicros(us) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 var _ apps.App = App{}

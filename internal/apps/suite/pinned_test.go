@@ -11,14 +11,18 @@ import (
 	"repro/internal/apps/scalekern"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestAppTimelinesPinned holds every paper app's virtual makespan,
 // message count and event count at tinyCfg scale to the values recorded
 // at commit fb402e7, where all ten were still blocking bodies, with
-// Verify checking each answer against its serial reference. A changed
-// compute charge, a reordered primitive or a lost message moves a row.
-// The apps written as Tasks must also make no coroutine switch.
+// Verify checking each answer against its serial reference. The digest
+// column is trace.Digest over every message sent and handled, recorded
+// at commit 0f1aaad; a run with no messages reads the FNV offset basis.
+// A changed compute charge, a reordered primitive or a lost message
+// moves a row, and so do two sends swapped at the same makespan. The
+// apps written as Tasks must also make no coroutine switch.
 func TestAppTimelinesPinned(t *testing.T) {
 	type in struct {
 		app   string
@@ -26,6 +30,7 @@ func TestAppTimelinesPinned(t *testing.T) {
 	}
 	type out struct {
 		elapsedNs, sent, events int64
+		digest                  uint64
 	}
 	// The paper apps written as splitc.Task state machines; the rest are
 	// blocking bodies on the coroutine shell.
@@ -34,49 +39,52 @@ func TestAppTimelinesPinned(t *testing.T) {
 		in  in
 		out out
 	}{
-		{in{"radix", 1}, out{1914880, 0, 0}},
-		{in{"radix", 5}, out{15766679, 11496, 22984}},
-		{in{"radix", 32}, out{6328419, 18190, 36318}},
-		{in{"em3d-write", 1}, out{30720000, 0, 0}},
-		{in{"em3d-write", 5}, out{168137800, 69845, 139690}},
-		{in{"em3d-write", 32}, out{164206200, 464280, 928560}},
-		{in{"em3d-read", 1}, out{30720000, 0, 0}},
-		{in{"em3d-read", 5}, out{380797000, 133645, 136690}},
-		{in{"em3d-read", 32}, out{440254800, 864080, 896560}},
-		{in{"sample", 1}, out{5504900, 0, 0}},
-		{in{"sample", 5}, out{15983080, 10567, 21126}},
-		{in{"sample", 32}, out{39968350, 22279, 44496}},
-		{in{"barnes", 1}, out{190491600, 0, 0}},
-		{in{"barnes", 5}, out{246152496, 56378, 58046}},
-		{in{"barnes", 32}, out{165248326, 238306, 246652}},
-		{in{"pray", 1}, out{7093750, 0, 0}},
-		{in{"pray", 5}, out{8860854, 1485, 1538}},
-		{in{"pray", 32}, out{6214066, 4010, 4552}},
-		{in{"connect", 1}, out{7067500, 0, 0}},
-		{in{"connect", 5}, out{1750750, 108, 168}},
-		{in{"connect", 32}, out{860850, 1056, 1696}},
-		{in{"murphi", 1}, out{330305600, 0, 0}},
-		{in{"murphi", 5}, out{136987341, 1715, 3430}},
-		{in{"murphi", 32}, out{35995195, 15070, 30140}},
-		{in{"nowsort", 1}, out{542464922, 0, 11}},
-		{in{"nowsort", 5}, out{142662952, 352, 719}},
-		{in{"nowsort", 32}, out{24229498, 1818, 3732}},
-		{in{"radb", 1}, out{2490880, 0, 0}},
-		{in{"radb", 5}, out{2079204, 254, 500}},
-		{in{"radb", 32}, out{4990843, 4076, 8090}},
+		{in{"radix", 1}, out{1914880, 0, 0, 0xcbf29ce484222325}},
+		{in{"radix", 5}, out{15766679, 11496, 22984, 0xfeb65dcb3e35e48f}},
+		{in{"radix", 32}, out{6328419, 18190, 36318, 0xc91ede2cc8e8b982}},
+		{in{"em3d-write", 1}, out{30720000, 0, 0, 0xcbf29ce484222325}},
+		{in{"em3d-write", 5}, out{168137800, 69845, 139690, 0x2115d4837b030834}},
+		{in{"em3d-write", 32}, out{164206200, 464280, 928560, 0x73819a08d1c82fd1}},
+		{in{"em3d-read", 1}, out{30720000, 0, 0, 0xcbf29ce484222325}},
+		{in{"em3d-read", 5}, out{380797000, 133645, 136690, 0x569f507bb19f400f}},
+		{in{"em3d-read", 32}, out{440254800, 864080, 896560, 0x83aa0680fa9bdd68}},
+		{in{"sample", 1}, out{5504900, 0, 0, 0xcbf29ce484222325}},
+		{in{"sample", 5}, out{15983080, 10567, 21126, 0x785867e28dd67d6c}},
+		{in{"sample", 32}, out{39968350, 22279, 44496, 0xf495a822e0076b0e}},
+		{in{"barnes", 1}, out{190491600, 0, 0, 0xcbf29ce484222325}},
+		{in{"barnes", 5}, out{246152496, 56378, 58046, 0xe7f4362eec20f744}},
+		{in{"barnes", 32}, out{165248326, 238306, 246652, 0xde3ec168b8fb51e7}},
+		{in{"pray", 1}, out{7093750, 0, 0, 0xcbf29ce484222325}},
+		{in{"pray", 5}, out{8860854, 1485, 1538, 0x9fd926e11e716475}},
+		{in{"pray", 32}, out{6214066, 4010, 4552, 0x3a5fa9d7a6073939}},
+		{in{"connect", 1}, out{7067500, 0, 0, 0xcbf29ce484222325}},
+		{in{"connect", 5}, out{1750750, 108, 168, 0x8003e923fb3dfc6e}},
+		{in{"connect", 32}, out{860850, 1056, 1696, 0x20ae035817b75cf9}},
+		{in{"murphi", 1}, out{330305600, 0, 0, 0xcbf29ce484222325}},
+		{in{"murphi", 5}, out{136987341, 1715, 3430, 0xdb3a882f6bcd013e}},
+		{in{"murphi", 32}, out{35995195, 15070, 30140, 0x889b364eee03b19b}},
+		{in{"nowsort", 1}, out{542464922, 0, 11, 0xcbf29ce484222325}},
+		{in{"nowsort", 5}, out{142662952, 352, 719, 0x7b1fdc6f576f2cfe}},
+		{in{"nowsort", 32}, out{24229498, 1818, 3732, 0x821908da325a70a8}},
+		{in{"radb", 1}, out{2490880, 0, 0, 0xcbf29ce484222325}},
+		{in{"radb", 5}, out{2079204, 254, 500, 0xf2b1afb44707c05c}},
+		{in{"radb", 32}, out{4990843, 4076, 8090, 0x943c257295974194}},
 	} {
 		a, err := ByName(tc.in.app)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := a.Run(tinyCfg(tc.in.procs))
+		cfg := tinyCfg(tc.in.procs)
+		d := &trace.Digest{}
+		cfg.Hooks = d
+		res, err := a.Run(cfg)
 		if err != nil {
 			t.Errorf("%v: %v", tc.in, err)
 			continue
 		}
-		got := out{int64(res.Elapsed), res.Stats.TotalSent(), res.Sched.EventsRun}
+		got := out{int64(res.Elapsed), res.Stats.TotalSent(), res.Sched.EventsRun, d.Sum64()}
 		if got != tc.out {
-			t.Errorf("%v: (elapsed ns, sent, events) = %v, want %v", tc.in, got, tc.out)
+			t.Errorf("%v: (elapsed ns, sent, events, digest) = %v, want %v", tc.in, got, tc.out)
 		}
 		if !res.Verified {
 			t.Errorf("%v: not verified", tc.in)

@@ -76,11 +76,7 @@ type Builder struct {
 	sealed  bool
 }
 
-var (
-	_ am.Hooks      = (*Builder)(nil)
-	_ am.ClockHooks = (*Builder)(nil)
-	_ am.WireHooks  = (*Builder)(nil)
-)
+var _ am.Hooks = (*Builder)(nil)
 
 // New returns a builder for a machine of the given size. params must be
 // the machine's LogGP parameters at the instrumented operating point:

@@ -1,8 +1,8 @@
 // Package depgraph extracts a parametric communication dependency graph
 // from one instrumented simulation run.
 //
-// A Builder attaches to the machine's instrumentation seam (am.Hooks +
-// am.ClockHooks + am.WireHooks) and streams the per-processor event
+// A Builder attaches to the machine's instrumentation seam (am.Hooks,
+// clock and wire events included) and streams the per-processor event
 // sequences into a compact DAG: nodes are completion instants (an o_send
 // charge, a transmit-context reservation, a wire arrival, an o_recv
 // charge, a window-credit return, a quiesce join), and each in-edge

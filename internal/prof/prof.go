@@ -8,18 +8,19 @@
 // reliability layer is active) and proves conservation: the categories
 // sum exactly to the run's makespan on every processor.
 //
-// The accounting combines three event streams:
+// The accounting combines three kinds of am.Hooks event:
 //
-//   - raw clock advances (am.ClockHooks): idle spins and wake jumps are
+//   - raw clock advances (ClockAdvanced): idle spins and wake jumps are
 //     the processor's blocked time; explicit charges are only tallied, so
 //     any unhooked charge path surfaces as Unattributed instead of
 //     silently vanishing;
-//   - am.Hooks charges: o_send, o_recv, and Compute spans name what each
-//     explicit charge was for, and TxReserved records when the NIC
-//     transmit context is gap- or DMA-limited;
+//   - charges: o_send, o_recv, and Compute spans name what each explicit
+//     charge was for, and TxReserved records when the NIC transmit
+//     context is gap- or DMA-limited;
 //   - wait and region context: WaitBegin/WaitEnd tag why the processor
-//     blocks (window, read, store, bulk, barrier, lock), and the splitc
-//     SyncHooks regions reclassify time inside Barrier and Lock.
+//     blocks (window, read, store, bulk, barrier, lock), and the
+//     SyncEnter/SyncExit regions splitc reports reclassify time inside
+//     Barrier and Lock.
 //
 // Blocked time is split against the transmit-context reservations: the
 // part of a wait during which the NIC was still gap-limited on earlier
@@ -249,7 +250,7 @@ type procState struct {
 
 	waiting bool
 	kind    am.WaitKind
-	regions []splitc.SyncRegion
+	regions []am.SyncRegion
 
 	segs       []txSeg
 	lastInject sim.Time
@@ -266,7 +267,7 @@ func (ps *procState) charge(c Category, d sim.Time) {
 // regionCategory maps the innermost active sync region to its account.
 func (ps *procState) regionCategory() (Category, bool) {
 	if n := len(ps.regions); n > 0 {
-		if ps.regions[n-1] == splitc.RegionLock {
+		if ps.regions[n-1] == am.RegionLock {
 			return CatLock, true
 		}
 		return CatBarrier, true
@@ -396,8 +397,8 @@ func (ps *procState) idle(a, b sim.Time) {
 	ps.segs = ps.segs[:n]
 }
 
-// Profiler implements am.Hooks, am.ClockHooks, and splitc.SyncHooks,
-// accumulating a per-processor time breakdown as the run executes.
+// Profiler implements am.Hooks, accumulating a per-processor time
+// breakdown as the run executes.
 // Attach with splitc.World.Attach before Run, then call Snapshot after.
 // A Profiler observes exactly one run and is not reusable.
 type Profiler struct {
@@ -405,18 +406,14 @@ type Profiler struct {
 	procs []procState
 }
 
-var (
-	_ am.Hooks         = (*Profiler)(nil)
-	_ am.ClockHooks    = (*Profiler)(nil)
-	_ splitc.SyncHooks = (*Profiler)(nil)
-)
+var _ am.Hooks = (*Profiler)(nil)
 
 // New returns a profiler for a procs-processor run.
 func New(procs int) *Profiler {
 	return &Profiler{procs: make([]procState, procs)}
 }
 
-// ClockAdvanced implements am.ClockHooks: idle spans are attributed
+// ClockAdvanced implements am.Hooks: idle spans are attributed
 // immediately; explicit charges are only tallied (the charge hooks name
 // them), so a missing hook shows up as Unattributed.
 func (pf *Profiler) ClockAdvanced(proc int, kind sim.ClockKind, from, to sim.Time) {
@@ -491,14 +488,14 @@ func (pf *Profiler) WaitEnd(proc int, kind am.WaitKind, at sim.Time) {
 	ps.waiting = false
 }
 
-// SyncEnter implements splitc.SyncHooks.
-func (pf *Profiler) SyncEnter(proc int, r splitc.SyncRegion, at sim.Time) {
+// SyncEnter implements am.Hooks.
+func (pf *Profiler) SyncEnter(proc int, r am.SyncRegion, at sim.Time) {
 	ps := &pf.procs[proc]
 	ps.regions = append(ps.regions, r)
 }
 
-// SyncExit implements splitc.SyncHooks.
-func (pf *Profiler) SyncExit(proc int, r splitc.SyncRegion, at sim.Time) {
+// SyncExit implements am.Hooks.
+func (pf *Profiler) SyncExit(proc int, r am.SyncRegion, at sim.Time) {
 	ps := &pf.procs[proc]
 	n := len(ps.regions)
 	if n == 0 || ps.regions[n-1] != r {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/am"
 	"repro/internal/sim"
-	"repro/internal/splitc"
 )
 
 // checkExact verifies the unit-level conservation property: every charge
@@ -120,13 +119,13 @@ func TestIdleSpansSplitAcrossWaits(t *testing.T) {
 // and lock-spin compute.
 func TestRegionOverride(t *testing.T) {
 	pf := New(1)
-	pf.SyncEnter(0, splitc.RegionLock, 0)
+	pf.SyncEnter(0, am.RegionLock, 0)
 	pf.WaitBegin(0, am.WaitLock, 0)
 	pf.ClockAdvanced(0, sim.ClockSpin, 0, 10)
 	pf.WaitEnd(0, am.WaitLock, 10)
 	pf.ComputeCharged(0, 10, 12)
 	pf.ClockAdvanced(0, sim.ClockCharge, 10, 12)
-	pf.SyncExit(0, splitc.RegionLock, 12)
+	pf.SyncExit(0, am.RegionLock, 12)
 	pf.ComputeCharged(0, 12, 15)
 	pf.ClockAdvanced(0, sim.ClockCharge, 12, 15)
 	ps := &pf.procs[0]

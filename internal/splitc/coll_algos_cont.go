@@ -42,7 +42,7 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 	for {
 		switch t.op.pc {
 		case 0:
-			t.syncEnter(RegionBarrier)
+			t.ep.MarkSyncEnter(am.RegionBarrier)
 			t.ep.MarkWaitBegin(am.WaitStore)
 			t.op.pc = 1
 			return t.ep.QuiesceWait()
@@ -50,7 +50,7 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 			t.ep.MarkWaitEnd(am.WaitStore)
 			if P == 1 {
 				w.m.Stats().CountBarrier()
-				t.syncExit(RegionBarrier)
+				t.ep.MarkSyncExit(am.RegionBarrier)
 				t.op.pc = 0
 				return nil
 			}
@@ -97,7 +97,7 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 			if me == 0 {
 				w.m.Stats().CountBarrier()
 			}
-			t.syncExit(RegionBarrier)
+			t.ep.MarkSyncExit(am.RegionBarrier)
 			t.op.pc = 0
 			return nil
 		}
@@ -115,7 +115,7 @@ func (t *TProc) barrierFlatT() sim.PollableWait {
 	for {
 		switch t.op.pc {
 		case 0:
-			t.syncEnter(RegionBarrier)
+			t.ep.MarkSyncEnter(am.RegionBarrier)
 			t.ep.MarkWaitBegin(am.WaitStore)
 			t.op.pc = 1
 			return t.ep.QuiesceWait()
@@ -123,7 +123,7 @@ func (t *TProc) barrierFlatT() sim.PollableWait {
 			t.ep.MarkWaitEnd(am.WaitStore)
 			if P == 1 {
 				w.m.Stats().CountBarrier()
-				t.syncExit(RegionBarrier)
+				t.ep.MarkSyncExit(am.RegionBarrier)
 				t.op.pc = 0
 				return nil
 			}
@@ -148,7 +148,7 @@ func (t *TProc) barrierFlatT() sim.PollableWait {
 				t.op.r++
 			}
 			w.m.Stats().CountBarrier()
-			t.syncExit(RegionBarrier)
+			t.ep.MarkSyncExit(am.RegionBarrier)
 			t.op.pc = 0
 			return nil
 		case 4:
@@ -161,7 +161,7 @@ func (t *TProc) barrierFlatT() sim.PollableWait {
 			return t.ep.CounterWait(&bs.recvCount[slotRelease], t.op.tgt, "splitc: flat barrier release")
 		case 5:
 			t.ep.MarkWaitEnd(am.WaitBarrier)
-			t.syncExit(RegionBarrier)
+			t.ep.MarkSyncExit(am.RegionBarrier)
 			t.op.pc = 0
 			return nil
 		}

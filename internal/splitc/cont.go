@@ -347,18 +347,6 @@ func (t *TProc) FailedLockAttempts() int64 { return t.failedLocks }
 
 func (t *TProc) fragWords() int { return t.w.m.Params().FragmentSize / 8 }
 
-func (t *TProc) syncEnter(r SyncRegion) {
-	for _, h := range t.w.sync {
-		h.SyncEnter(t.ID(), r, t.sp.Clock())
-	}
-}
-
-func (t *TProc) syncExit(r SyncRegion) {
-	for _, h := range t.w.sync {
-		h.SyncExit(t.ID(), r, t.sp.Clock())
-	}
-}
-
 // cell returns the collective operand cell for tag, allocating the tag
 // table (sized by the world's tag-space layout) on first collective use.
 func (t *TProc) cell(tag int) *collCell {
@@ -581,7 +569,7 @@ func (t *TProc) LockT(g GPtr) sim.PollableWait {
 	for {
 		switch t.op.pc {
 		case 0:
-			t.syncEnter(RegionLock)
+			t.ep.MarkSyncEnter(am.RegionLock)
 			t.op.pc = 1
 		case 1:
 			got, wt := t.TryLockT(g)
@@ -589,7 +577,7 @@ func (t *TProc) LockT(g GPtr) sim.PollableWait {
 				return wt
 			}
 			if got {
-				t.syncExit(RegionLock)
+				t.ep.MarkSyncExit(am.RegionLock)
 				t.op.pc = 0
 				return nil
 			}
@@ -630,7 +618,7 @@ func (t *TProc) barrierDissemT() sim.PollableWait {
 	for {
 		switch t.op.pc {
 		case 0:
-			t.syncEnter(RegionBarrier)
+			t.ep.MarkSyncEnter(am.RegionBarrier)
 			t.ep.MarkWaitBegin(am.WaitStore)
 			t.op.pc = 1
 			return t.ep.QuiesceWait()
@@ -638,7 +626,7 @@ func (t *TProc) barrierDissemT() sim.PollableWait {
 			t.ep.MarkWaitEnd(am.WaitStore)
 			if P == 1 {
 				w.m.Stats().CountBarrier()
-				t.syncExit(RegionBarrier)
+				t.ep.MarkSyncExit(am.RegionBarrier)
 				t.op.pc = 0
 				return nil
 			}
@@ -652,7 +640,7 @@ func (t *TProc) barrierDissemT() sim.PollableWait {
 				if me == 0 {
 					w.m.Stats().CountBarrier()
 				}
-				t.syncExit(RegionBarrier)
+				t.ep.MarkSyncExit(am.RegionBarrier)
 				t.op.pc = 0
 				return nil
 			}

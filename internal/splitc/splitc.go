@@ -64,40 +64,11 @@ type World struct {
 	hBulkPut    am.BulkHandler
 	hBulkGetRep am.BulkHandler
 
-	// attached holds every hook set attached via Attach, in order; sync
-	// is the subset that also wants barrier/lock region events.
+	// attached holds every hook set attached via Attach, in order: the
+	// machine's consumer list.
 	attached []am.Hooks
-	sync     []SyncHooks
 
 	elapsed sim.Time
-}
-
-// SyncRegion identifies a synchronization-layer region for SyncHooks.
-type SyncRegion uint8
-
-const (
-	// RegionBarrier spans a Barrier call (store-sync included).
-	RegionBarrier SyncRegion = iota
-	// RegionLock spans a Lock call's acquisition spin.
-	RegionLock
-)
-
-func (r SyncRegion) String() string {
-	if r == RegionLock {
-		return "lock"
-	}
-	return "barrier"
-}
-
-// SyncHooks is the optional extension for hooks that want to know when a
-// processor is inside a synchronization region, so time spent there —
-// including the compute charged by lock retries — can be attributed to
-// barrier or lock wait rather than to the mechanism underneath. Enter and
-// Exit run synchronously on the simulating goroutine and nest (a barrier
-// may complete stores, a lock spin polls the network).
-type SyncHooks interface {
-	SyncEnter(proc int, r SyncRegion, at sim.Time)
-	SyncExit(proc int, r SyncRegion, at sim.Time)
 }
 
 type barrierState struct {
@@ -183,29 +154,18 @@ func highestBit(v int) int {
 	return j
 }
 
-// Attach adds instrumentation to the world: each hook set receives every
-// message event and time charge (am.Hooks), raw clock advances when it
-// implements am.ClockHooks, and barrier/lock region events when it
-// implements SyncHooks. Call it before Run, and call it once per hook
-// set (repeated calls accumulate).
+// Attach appends instrumentation to the machine's consumer list: each
+// hook set receives every message event, time charge, raw clock advance
+// and barrier/lock region event (am.Hooks), after the sets attached
+// before it. nil entries are skipped. Call it before Run, and call it
+// once per hook set (repeated calls accumulate).
 func (w *World) Attach(hooks ...am.Hooks) {
 	for _, h := range hooks {
-		if h == nil {
-			continue
-		}
-		w.attached = append(w.attached, h)
-		if sh, ok := h.(SyncHooks); ok {
-			w.sync = append(w.sync, sh)
+		if h != nil {
+			w.attached = append(w.attached, h)
 		}
 	}
-	switch len(w.attached) {
-	case 0:
-		w.m.SetHooks(nil)
-	case 1:
-		w.m.SetHooks(w.attached[0])
-	default:
-		w.m.SetHooks(am.MultiHooks(w.attached))
-	}
+	w.m.SetHooks(w.attached...)
 }
 
 // Attached returns the hook sets attached so far, in attach order.

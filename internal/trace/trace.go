@@ -24,9 +24,11 @@ type Event struct {
 
 // Recorder buffers every message event. It embeds am.NopHooks, so it
 // implements the full am.Hooks interface while only caring about the two
-// message events; attach with splitc.World.Attach(rec) (or
-// apps.Config.Hooks) and read after the run ends. Memory is ~48 bytes
-// per event: trace short runs, or use Sample to thin long ones.
+// message events: clock, wire and sync events reach it as no-op calls.
+// Attach with splitc.World.Attach(rec) (or apps.Config.Hooks) and read
+// after the run ends. Memory is ~48 bytes per event: trace short runs,
+// or use Sample to thin long ones; Digest compares runs without
+// buffering.
 type Recorder struct {
 	am.NopHooks
 

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -156,5 +158,57 @@ func TestHooksDoNotPerturbTiming(t *testing.T) {
 	traced := run(&Recorder{})
 	if plain != traced {
 		t.Errorf("attached hooks changed virtual timing: %v vs %v", plain, traced)
+	}
+}
+
+// TestDigestFoldsRecordedEvents attaches a Digest beside a Recorder and
+// recomputes the hash from the recorded events with the standard
+// library's FNV-1a: the two must agree, so the digest folds exactly the
+// Event tuple, in event order, and nothing else.
+func TestDigestFoldsRecordedEvents(t *testing.T) {
+	rec, d := &Recorder{}, &Digest{}
+	if got := d.Sum64(); got != fnv.New64a().Sum64() {
+		t.Errorf("empty digest = %#x, want the FNV-1a offset basis", got)
+	}
+	w, err := splitc.NewWorld(4, logp.NOW(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Attach(rec, d)
+	var cells [4]splitc.GPtr
+	if err := w.Run(func(p *splitc.Proc) {
+		cells[p.ID()] = p.Alloc(64)
+		p.Barrier()
+		p.WriteWord(cells[(p.ID()+1)%4], 7)
+		p.BulkPut(cells[(p.ID()+2)%4], make([]uint64, 64))
+		p.Barrier()
+		p.ReadWord(cells[(p.ID()+3)%4])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [27]byte
+	for _, e := range rec.Events {
+		binary.LittleEndian.PutUint64(buf[0:], uint64(e.At))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(e.Src))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(e.Dst))
+		buf[24] = byte(e.Class)
+		buf[25], buf[26] = 0, 0
+		if e.Bulk {
+			buf[25] = 1
+		}
+		if e.Handled {
+			buf[26] = 1
+		}
+		h.Write(buf[:])
+	}
+	if d.Events() != int64(len(rec.Events)) {
+		t.Errorf("digest folded %d events, recorder holds %d", d.Events(), len(rec.Events))
+	}
+	if _, bulk, _, _ := rec.Counts(); bulk == 0 {
+		t.Error("the run should include bulk fragments")
+	}
+	if got, want := d.Sum64(), h.Sum64(); got != want {
+		t.Errorf("digest = %#x, FNV-1a over the recorded events = %#x", got, want)
 	}
 }

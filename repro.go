@@ -33,7 +33,9 @@
 //	})
 //
 // instrument a run (tracing, stall attribution — anything implementing
-// Hooks) through the world's single attach point:
+// Hooks, the one observer interface) through the world's attach point,
+// which appends to the machine's consumer list; each event reaches every
+// attached value in attach order:
 //
 //	w, _ := repro.NewWorld(4, repro.NOW(), 1)
 //	rec := &repro.TraceRecorder{Limit: 100_000}
@@ -105,9 +107,10 @@ type (
 	Table = exp.Table
 	// Experiment is one reproducible paper artifact.
 	Experiment = exp.Experiment
-	// Hooks is the instrumentation interface: implementations receive
-	// every message event and time charge. Embed NopHooks and override
-	// what you need; attach via World.Attach or AppConfig.Hooks.
+	// Hooks is the one instrumentation interface: implementations
+	// receive every message event, time charge, raw clock advance and
+	// barrier/lock region. Embed NopHooks and override what you need;
+	// attach via World.Attach or AppConfig.Hooks.
 	Hooks = am.Hooks
 	// NopHooks is the no-op base for Hooks implementations.
 	NopHooks = am.NopHooks
