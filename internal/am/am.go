@@ -606,6 +606,9 @@ func (m *Machine) putOnWire(msg *message, inject, arrival sim.Time, retrans bool
 			Seq:        msg.seq,
 		}, inject)
 		if act.ExtraLatency > 0 {
+			if act.ExtraLatency > math.MaxInt64-arrival {
+				m.wireOverflow(msg, arrival, act.ExtraLatency)
+			}
 			arrival += act.ExtraLatency
 		}
 		if act.Drop {
@@ -618,6 +621,13 @@ func (m *Machine) putOnWire(msg *message, inject, arrival sim.Time, retrans bool
 		}
 	}
 	m.scheduleArrival(msg, arrival)
+}
+
+// wireOverflow fails the run whose fault plan delays msg's arrival past
+// the int64 clock.
+func (m *Machine) wireOverflow(msg *message, arrival, extra sim.Time) {
+	m.eng.Fail(fmt.Errorf("%w: %v more latency for a message %d→%d due at %v",
+		ErrFaultOverflow, extra, msg.src, msg.dst, arrival))
 }
 
 // scheduleArrival registers msg's arrival at its destination NIC. With

@@ -1,6 +1,16 @@
 package am
 
-import "repro/internal/sim"
+import (
+	"errors"
+	"fmt"
+	"math"
+
+	"repro/internal/sim"
+)
+
+// ErrFaultOverflow fails a run whose fault plan stretches a charge or
+// delays an arrival past what the virtual clock can hold.
+var ErrFaultOverflow = errors.New("am: fault-injected delay overflows the virtual clock")
 
 // WireMsg describes one physical wire transmission to the fault injector:
 // retransmissions are consulted again, with Retransmit set, so drop
@@ -53,7 +63,8 @@ type FaultInjector interface {
 
 // SetFaults attaches a fault injector (nil detaches): OnWire intercepts
 // every transmission, and each processor's charge-stretch hook is wired
-// to ChargeExtra. Attach before the run starts.
+// to ChargeExtra. A stretch that would carry a clock past int64 fails
+// the run with ErrFaultOverflow. Attach before the run starts.
 func (m *Machine) SetFaults(inj FaultInjector) {
 	m.faults = inj
 	// A lossy injector can schedule duplicate arrivals of one message
@@ -66,7 +77,12 @@ func (m *Machine) SetFaults(inj FaultInjector) {
 		}
 		id := i
 		ep.proc.SetStretch(func(from, d sim.Time) sim.Time {
-			return inj.ChargeExtra(id, from, d)
+			extra := inj.ChargeExtra(id, from, d)
+			if extra > math.MaxInt64-from-d {
+				m.eng.Fail(fmt.Errorf("%w: %v stretching a %v charge on proc %d at %v",
+					ErrFaultOverflow, extra, d, id, from))
+			}
+			return extra
 		})
 	}
 }

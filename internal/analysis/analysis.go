@@ -99,7 +99,7 @@ func noGlobalScopes() []string {
 		"internal/depgraph",
 		"internal/fault",
 		"internal/prof",
-		"internal/splitc/tune",
+		"internal/splitc",
 		"internal/tolerance",
 	}
 }

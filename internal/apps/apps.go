@@ -56,9 +56,8 @@ type Config struct {
 	// (sequencing, dedup, acks, timeout retransmission).
 	Reliability am.Reliability
 	// Collectives selects the splitc collective algorithms (names from
-	// internal/splitc/tune, or splitc.CollAuto to let the LogGP tuner
-	// pick against Params). The zero value keeps the historical
-	// defaults.
+	// splitc's registry, or splitc.CollAuto to let the LogGP tuner pick
+	// against Params). The zero value keeps the historical defaults.
 	Collectives splitc.Collectives
 	// Depgraph attaches a depgraph.Builder to the run and fills
 	// Result.Graph / Result.Curves with the parametric communication DAG

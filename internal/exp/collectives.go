@@ -10,7 +10,6 @@ import (
 	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/splitc"
-	"repro/internal/splitc/tune"
 )
 
 // The collectives experiment validates the pluggable collective engine
@@ -138,8 +137,8 @@ type collPrimitive struct {
 	name string
 	algs []string
 	sel  func(alg string) splitc.Collectives
-	cost func(alg string, p int, m tune.Model) (sim.Time, error)
-	pick func(s tune.Selection) string
+	cost func(alg string, p int, m splitc.Model) (sim.Time, error)
+	pick func(s splitc.Collectives) string
 	ep   func(p *splitc.Proc, i int)
 }
 
@@ -147,32 +146,32 @@ func collPrimitives() []collPrimitive {
 	return []collPrimitive{
 		{
 			name: "barrier",
-			algs: tune.Barriers(),
+			algs: splitc.BarrierAlgorithms(),
 			sel:  func(alg string) splitc.Collectives { return splitc.Collectives{Barrier: alg} },
-			cost: func(alg string, p int, m tune.Model) (sim.Time, error) { return tune.BarrierCost(alg, p, m) },
-			pick: func(s tune.Selection) string { return s.Barrier },
+			cost: splitc.BarrierCost,
+			pick: func(s splitc.Collectives) string { return s.Barrier },
 			ep:   func(p *splitc.Proc, i int) { p.Barrier() },
 		},
 		{
 			name: "broadcast",
-			algs: tune.Broadcasts(),
+			algs: splitc.BroadcastAlgorithms(),
 			sel:  func(alg string) splitc.Collectives { return splitc.Collectives{Broadcast: alg} },
-			cost: func(alg string, p int, m tune.Model) (sim.Time, error) {
-				return tune.BroadcastCost(alg, p, collPayloadBytes, m)
+			cost: func(alg string, p int, m splitc.Model) (sim.Time, error) {
+				return splitc.BroadcastCost(alg, p, collPayloadBytes, m)
 			},
-			pick: func(s tune.Selection) string { return s.Broadcast },
+			pick: func(s splitc.Collectives) string { return s.Broadcast },
 			// Barrier-separated episodes, with the barrier cost subtracted
 			// back out by the paired barrier-only measurement below.
 			ep: func(p *splitc.Proc, i int) { p.Broadcast(0, uint64(i+1)); p.Barrier() },
 		},
 		{
 			name: "all-reduce",
-			algs: tune.AllReduces(),
+			algs: splitc.AllReduceAlgorithms(),
 			sel:  func(alg string) splitc.Collectives { return splitc.Collectives{AllReduce: alg} },
-			cost: func(alg string, p int, m tune.Model) (sim.Time, error) {
-				return tune.AllReduceCost(alg, p, collPayloadBytes, m)
+			cost: func(alg string, p int, m splitc.Model) (sim.Time, error) {
+				return splitc.AllReduceCost(alg, p, collPayloadBytes, m)
 			},
-			pick: func(s tune.Selection) string { return s.AllReduce },
+			pick: func(s splitc.Collectives) string { return s.AllReduce },
 			ep:   func(p *splitc.Proc, i int) { p.AllReduceOp(uint64(p.ID()+1)*uint64(i+1), splitc.OpSum) },
 		},
 	}
@@ -185,9 +184,9 @@ func (o Options) collCrossovers() ([]collCross, error) {
 	var out []collCross
 	for _, prim := range collPrimitives() {
 		for _, mc := range o.collMachines() {
-			model := tune.ModelOf(mc.params)
+			model := splitc.ModelOf(mc.params)
 			for _, procs := range o.collProcs() {
-				picked := prim.pick(tune.Select(procs, collPayloadBytes, mc.params))
+				picked := prim.pick(splitc.Select(procs, collPayloadBytes, mc.params))
 				group := make([]collCross, 0, len(prim.algs))
 				best := 0
 				for _, alg := range prim.algs {
@@ -340,7 +339,7 @@ func collectivesRender(o Options, st *run.Store) (*Table, error) {
 						[]string{"app", a.PaperName(), machine, fmt.Sprintf("%d", o.Procs), "tuned", "N/A", "N/A", ""})
 					continue
 				}
-				tuned := tune.Select(o.Procs, collPayloadBytes, ck.k.Apply(baseParams(), v))
+				tuned := splitc.Select(o.Procs, collPayloadBytes, ck.k.Apply(baseParams(), v))
 				gain := 100 * (tpt.Elapsed.Seconds()/dpt.Elapsed.Seconds() - 1)
 				t.Rows = append(t.Rows,
 					[]string{
@@ -350,8 +349,7 @@ func collectivesRender(o Options, st *run.Store) (*Table, error) {
 					[]string{
 						"app", a.PaperName(), machine, fmt.Sprintf("%d", o.Procs),
 						"tuned", secs(tpt.Elapsed.Seconds()), f2(tpt.Slowdown),
-						fmt.Sprintf("%+.1f%% %s", gain,
-							splitc.Collectives{Barrier: tuned.Barrier, Broadcast: tuned.Broadcast, AllReduce: tuned.AllReduce}),
+						fmt.Sprintf("%+.1f%% %s", gain, tuned),
 					})
 			}
 		}

@@ -162,7 +162,7 @@ func (e Experiment) Run(o Options) (*Table, error) {
 // Names resolve through the paper suite first, then the weak-scaling
 // kernels (ResolveApp).
 func DefaultRunner(o Options, onProgress func(run.Progress)) *run.Runner {
-	return &run.Runner{Jobs: o.Jobs, Params: baseParams(), Resolve: ResolveApp, OnProgress: onProgress}
+	return &run.Runner{Jobs: o.Jobs, Resolve: ResolveApp, OnProgress: onProgress}
 }
 
 // PlanFor merges the plans of several experiments so shared runs

@@ -25,6 +25,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/am"
@@ -103,7 +104,7 @@ type ProcDelay struct {
 }
 
 // SlowdownWindow scales processor Proc's explicit charges by Factor
-// (≥ 1) while they begin inside [From, To): a charge of d costs
+// (finite, ≥ 1) while they begin inside [From, To): a charge of d costs
 // d·Factor, the surplus attributed to fault delay.
 type SlowdownWindow struct {
 	Proc     int
@@ -175,8 +176,8 @@ func (p Plan) Validate() error {
 		if r.Proc < 0 {
 			return fmt.Errorf("fault: Slowdowns[%d].Proc %d negative", i, r.Proc)
 		}
-		if !(r.Factor >= 1) {
-			return fmt.Errorf("fault: Slowdowns[%d].Factor %v below 1", i, r.Factor)
+		if !(r.Factor >= 1) || math.IsInf(r.Factor, 1) {
+			return fmt.Errorf("fault: Slowdowns[%d].Factor %v is not a finite value ≥ 1", i, r.Factor)
 		}
 		if r.To < r.From {
 			return fmt.Errorf("fault: Slowdowns[%d] window [%v,%v) inverted", i, r.From, r.To)
@@ -268,12 +269,12 @@ func (in *Injector) OnWire(w am.WireMsg, inject sim.Time) am.FaultAction {
 		}
 		in.delaySeen[i]++
 		if r.Nth == 0 || in.delaySeen[i] == r.Nth {
-			act.ExtraLatency += r.Extra
+			act.ExtraLatency = addSat(act.ExtraLatency, r.Extra)
 		}
 	}
 	for _, r := range in.plan.LinkDelays {
 		if r.Match.matches(w) && inject >= r.From && inject < r.To {
-			act.ExtraLatency += r.Extra
+			act.ExtraLatency = addSat(act.ExtraLatency, r.Extra)
 		}
 	}
 	return act
@@ -284,14 +285,29 @@ func (in *Injector) ChargeExtra(proc int, from, d sim.Time) sim.Time {
 	var extra sim.Time
 	for _, r := range in.plan.Slowdowns {
 		if r.Proc == proc && from >= r.From && from < r.To {
-			extra += sim.Time(float64(d)*(r.Factor-1) + 0.5)
+			stretch := sim.Time(math.MaxInt64)
+			// 2^63 is the first float64 past the int64 range.
+			if x := float64(d)*(r.Factor-1) + 0.5; x < 1<<63 {
+				stretch = sim.Time(x)
+			}
+			extra = addSat(extra, stretch)
 		}
 	}
 	for i, r := range in.plan.ProcDelays {
 		if r.Proc == proc && !in.procFired[i] && from+d >= r.At {
 			in.procFired[i] = true
-			extra += r.Extra
+			extra = addSat(extra, r.Extra)
 		}
 	}
 	return extra
+}
+
+// addSat is a+b for non-negative durations, saturating at the largest
+// one rather than wrapping negative; the machine fails a run whose
+// clock a saturated delay would carry past int64 (am.ErrFaultOverflow).
+func addSat(a, b sim.Time) sim.Time {
+	if b > math.MaxInt64-a {
+		return math.MaxInt64
+	}
+	return a + b
 }

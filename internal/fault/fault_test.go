@@ -1,10 +1,12 @@
 package fault
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/am"
+	"repro/internal/logp"
 	"repro/internal/sim"
 )
 
@@ -50,6 +52,7 @@ func TestValidate(t *testing.T) {
 		{Drops: []DropRule{{Match: Any(), Prob: math.NaN()}}},
 		{Dups: []DupRule{{Match: Any(), Prob: math.NaN()}}},
 		{Slowdowns: []SlowdownWindow{{Proc: 0, Factor: math.NaN()}}},
+		{Slowdowns: []SlowdownWindow{{Proc: 0, Factor: math.Inf(1)}}},
 	}
 	for i, p := range bad {
 		if _, err := New(p, 1); err == nil {
@@ -236,4 +239,107 @@ func TestDrawIsolation(t *testing.T) {
 			t.Fatalf("unmatched traffic perturbed rule draws at transmission %d", i)
 		}
 	}
+}
+
+// TestDelaysSaturate: delays too large for the clock saturate at the
+// largest duration instead of wrapping negative, which the machine would
+// silently drop.
+func TestDelaysSaturate(t *testing.T) {
+	slow := MustNew(Plan{Slowdowns: []SlowdownWindow{{Proc: 0, From: 0, To: 1, Factor: 1e13}}}, 1)
+	if got := slow.ChargeExtra(0, 0, sim.Millisecond); got != math.MaxInt64 {
+		t.Errorf("1 ms at ×1e13 = extra %v, want the saturated %v", got, sim.Time(math.MaxInt64))
+	}
+	huge := WireDelayRule{Match: Any(), Extra: math.MaxInt64}
+	wire := MustNew(Plan{WireDelays: []WireDelayRule{huge, huge}}, 1)
+	if got := wire.OnWire(wmsg(0, 1, 0), 0).ExtraLatency; got != math.MaxInt64 {
+		t.Errorf("two MaxInt64 wire delays sum to %v, want the saturated %v", got, sim.Time(math.MaxInt64))
+	}
+}
+
+// TestOverflowingPlanFailsRun: a plan Validate accepts whose delays
+// carry a clock or an arrival past int64 fails the run with the typed
+// am.ErrFaultOverflow.
+func TestOverflowingPlanFailsRun(t *testing.T) {
+	huge := WireDelayRule{Match: Any(), Extra: math.MaxInt64}
+	for name, c := range map[string]struct {
+		plan Plan
+		body func(ep *am.Endpoint)
+	}{
+		"slowdown": {
+			Plan{Slowdowns: []SlowdownWindow{{Proc: 0, From: 0, To: sim.Second, Factor: 1e13}}},
+			func(ep *am.Endpoint) { ep.Compute(sim.Millisecond) },
+		},
+		"wire delay": {
+			Plan{WireDelays: []WireDelayRule{huge, huge}},
+			func(ep *am.Endpoint) {
+				ep.Request(1, am.ClassWrite, func(*am.Endpoint, *am.Token, am.Args) {}, am.Args{})
+			},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng := sim.New(sim.Config{Procs: 2})
+			m := am.MustMachine(eng, logp.NOW())
+			m.SetFaults(MustNew(c.plan, 1))
+			err := eng.Run(func(p *sim.Proc) {
+				if p.ID() == 0 {
+					c.body(m.Endpoint(0))
+				}
+			})
+			if !errors.Is(err, am.ErrFaultOverflow) {
+				t.Errorf("err = %v, want am.ErrFaultOverflow", err)
+			}
+		})
+	}
+}
+
+// FuzzPlan builds plans of every rule kind — two copies of each chosen
+// kind, so delays also sum — from arbitrary values: NaN, ±Inf, negative
+// durations and inverted windows included. New must accept exactly the
+// plans Validate accepts, and an accepted injector must never hand the
+// machine a negative duration.
+func FuzzPlan(f *testing.F) {
+	f.Add(uint8(0x3f), 0.5, int64(3), int64(10), int64(0), int64(100), 2.0, int8(1), int64(50), int64(1000))
+	f.Add(uint8(0x20), 0.0, int64(0), int64(0), int64(0), int64(1), 1e13, int8(0), int64(0), int64(1_000_000))
+	f.Add(uint8(0x1c), 0.0, int64(0), int64(math.MaxInt64), int64(0), int64(math.MaxInt64), 1.0, int8(0), int64(0), int64(1))
+	f.Fuzz(func(t *testing.T, kinds uint8, prob float64, nth, extra, from, to int64, factor float64, proc int8, at, d int64) {
+		var plan Plan
+		for range 2 {
+			if kinds&1 != 0 {
+				plan.Drops = append(plan.Drops, DropRule{Match: Any(), Prob: prob, Nth: nth})
+			}
+			if kinds&2 != 0 {
+				plan.Dups = append(plan.Dups, DupRule{Match: Any(), Prob: prob, Nth: nth})
+			}
+			if kinds&4 != 0 {
+				plan.WireDelays = append(plan.WireDelays, WireDelayRule{Match: Any(), Nth: nth, Extra: sim.Time(extra)})
+			}
+			if kinds&8 != 0 {
+				plan.LinkDelays = append(plan.LinkDelays, LinkDelayWindow{Match: Any(), From: sim.Time(from), To: sim.Time(to), Extra: sim.Time(extra)})
+			}
+			if kinds&16 != 0 {
+				plan.ProcDelays = append(plan.ProcDelays, ProcDelay{Proc: int(proc), At: sim.Time(at), Extra: sim.Time(extra)})
+			}
+			if kinds&32 != 0 {
+				plan.Slowdowns = append(plan.Slowdowns, SlowdownWindow{Proc: int(proc), From: sim.Time(from), To: sim.Time(to), Factor: factor})
+			}
+		}
+		inj, err := New(plan, 1)
+		if verr := plan.Validate(); (err == nil) != (verr == nil) {
+			t.Fatalf("New error %v, Validate error %v", err, verr)
+		}
+		if err != nil {
+			return
+		}
+		// The machine charges a positive duration from a non-negative
+		// clock; the probes walk the plan's windows.
+		start, dur := sim.Time(at&math.MaxInt64), sim.Time(d&math.MaxInt64|1)
+		for _, now := range []sim.Time{0, start, sim.Time(from & math.MaxInt64), sim.Time(to & math.MaxInt64)} {
+			if x := inj.ChargeExtra(int(proc), now, dur); x < 0 {
+				t.Fatalf("ChargeExtra(%d, %v, %v) = %v", proc, now, dur, x)
+			}
+			if x := inj.OnWire(wmsg(0, 1, 0), now).ExtraLatency; x < 0 {
+				t.Fatalf("OnWire at %v: ExtraLatency %v", now, x)
+			}
+		}
+	})
 }

@@ -24,8 +24,8 @@ const hashVersion = "repro/run.Spec/v3"
 // compatibility promise, enforced by golden-vector tests.
 //
 // The hash covers every Spec field (including the fault scenario and
-// the collective selection) but not the machine: a Runner's Params are
-// the deployment's fixed baseline, exactly as in the in-memory Store.
+// the collective selection) but not the machine: every run starts from
+// the NOW, exactly as in the in-memory Store.
 func (s Spec) Hash() string {
 	sum := sha256.Sum256([]byte(s.canonical()))
 	return hex.EncodeToString(sum[:])

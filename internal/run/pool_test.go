@@ -14,8 +14,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/apps/suite"
 	"repro/internal/core"
-	"repro/internal/logp"
-	"repro/internal/sim"
 )
 
 // countingApp counts the simulations of the app it wraps.
@@ -81,10 +79,6 @@ func TestAnsweredPointIsTheSimulatedPoint(t *testing.T) {
 // run is answered only when the configuration it runs is its
 // baseline's. Most of these look like a zero point and are not one.
 func TestOtherRunsSimulate(t *testing.T) {
-	slow := logp.NOW()
-	slow.DeltaO = sim.FromMicros(10)
-	capped := logp.NOW()
-	capped.BulkBandwidthMBs = 10
 	spec := func(k core.Knob, v float64) Spec {
 		return Spec{App: "radix", Procs: 4, Scale: 0.0001, Seed: 31, Knob: k, Value: v}
 	}
@@ -94,23 +88,17 @@ func TestOtherRunsSimulate(t *testing.T) {
 	faulted.Fault = FaultSpec{Reliable: true}
 	for _, c := range []struct {
 		name     string
-		params   logp.Params
 		spec     Spec
 		verify   bool // the baseline's self-check
 		answered bool
 	}{
-		{"Δo=0 on the NOW", logp.Params{}, spec(core.KnobO, 0), false, true},
-		{"Δo=0 on a machine with Δo=10", slow, spec(core.KnobO, 0), false, false},
-		{"Δo=10 on a machine with Δo=10", slow, spec(core.KnobO, 10), false, true},
-		{"bandwidth 0 on the NOW", logp.Params{}, spec(core.KnobBW, 0), false, true},
-		{"bandwidth 0 on a capped machine", capped, spec(core.KnobBW, 0), false, false},
-		{"bandwidth 5 on a capped machine", capped, spec(core.KnobBW, 5), false, false},
-		{"the cap itself on a capped machine", capped, spec(core.KnobBW, 10), false, true},
-		{"faster CPU", logp.Params{}, cpu, false, false},
-		{"reliable wire", logp.Params{}, faulted, false, false},
+		{"Δo=0 on the NOW", spec(core.KnobO, 0), false, true},
+		{"bandwidth 0 on the NOW", spec(core.KnobBW, 0), false, true},
+		{"faster CPU", cpu, false, false},
+		{"reliable wire", faulted, false, false},
 		// radix's self-check sends messages: the verified baseline is a
 		// longer run than the point measured against it.
-		{"Δo=0 against a verifying baseline", logp.Params{}, spec(core.KnobO, 0), true, false},
+		{"Δo=0 against a verifying baseline", spec(core.KnobO, 0), true, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			a, err := suite.ByName("radix")
@@ -118,7 +106,7 @@ func TestOtherRunsSimulate(t *testing.T) {
 				t.Fatal(err)
 			}
 			app := &countingApp{App: a}
-			r := &Runner{Jobs: 1, Params: c.params, Resolve: func(string) (apps.App, error) { return app, nil }}
+			r := &Runner{Jobs: 1, Resolve: func(string) (apps.App, error) { return app, nil }}
 			p := NewPlan()
 			s := p.AddSweep(c.spec, c.verify)
 			st, err := r.Run(p)

@@ -32,13 +32,12 @@ type Progress struct {
 	Err error
 }
 
-// Runner executes Plans on a bounded worker pool. The zero value runs on
-// the Berkeley NOW machine with GOMAXPROCS workers.
+// Runner executes Plans on a bounded worker pool. Every run starts from
+// the Berkeley NOW machine (logp.NOW()); the zero value runs the paper
+// suite with GOMAXPROCS workers.
 type Runner struct {
 	// Jobs bounds concurrent simulations; 0 means runtime.GOMAXPROCS(0).
 	Jobs int
-	// Params is the machine every run starts from; zero means logp.NOW().
-	Params logp.Params
 	// Resolve maps an application name to its implementation; nil means
 	// the paper suite (suite.ByName).
 	Resolve func(string) (apps.App, error)
@@ -52,13 +51,6 @@ func (r *Runner) jobs() int {
 		return r.Jobs
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (r *Runner) params() logp.Params {
-	if r.Params == (logp.Params{}) {
-		return logp.NOW()
-	}
-	return r.Params
 }
 
 // App resolves an application name the way every run of this Runner
@@ -98,7 +90,7 @@ func (r *Runner) check(s Spec) error {
 		return err
 	}
 	// The scenario's shape does not depend on the baseline's makespan.
-	return s.Fault.Wire(s.Config(s.Knob.Apply(r.params(), s.Value)), 0).Validate()
+	return s.Fault.Wire(s.Config(s.Knob.Apply(logp.NOW(), s.Value)), 0).Validate()
 }
 
 // fitsClock reports whether µs (or MB/s) is finite and fits the int64 ns clock.
@@ -149,7 +141,7 @@ func (r *Runner) exec(_ context.Context, s Spec, base *Outcome) (Outcome, bool) 
 	switch {
 	case base == nil:
 		return r.runBaseline(s), false
-	case base.Err == nil && r.sameRun(s, base.Spec):
+	case base.Err == nil && sameRun(s, base.Spec):
 		out := Outcome{Spec: s, Res: base.Res, Point: core.Point{Value: s.Value, Elapsed: base.Res.Elapsed}}
 		if base.Res.Elapsed > 0 { // as core.Measure divides
 			out.Point.Slowdown = 1
@@ -161,13 +153,12 @@ func (r *Runner) exec(_ context.Context, s Spec, base *Outcome) (Outcome, bool) 
 
 // sameRun reports whether swept spec s is the very run its baseline b
 // was: a perfect wire, and a configuration — the knob applied to the
-// Runner's parameters, CPU speed, self-check, instrumentation — equal to
-// the baseline's. Compared, never inferred from Value == 0: on a Runner
-// whose Params already carry a delta, Δ = 0 is a different machine, and a
-// verifying baseline is a different run (six of the ten self-checks
-// communicate on the simulated machine).
-func (r *Runner) sameRun(s, b Spec) bool {
-	params := r.params()
+// NOW, CPU speed, self-check, instrumentation — equal to the baseline's.
+// Compared, never inferred from Value == 0: a verifying baseline is a
+// different run (six of the ten self-checks communicate on the simulated
+// machine).
+func sameRun(s, b Spec) bool {
+	params := logp.NOW()
 	return !s.Fault.active() && s.App == b.App &&
 		s.Config(s.Knob.Apply(params, s.Value)) == b.Config(params)
 }
@@ -180,7 +171,7 @@ func (r *Runner) runBaseline(s Spec) Outcome {
 		out.Err = err
 		return out
 	}
-	res, err := a.Run(s.Config(r.params()))
+	res, err := a.Run(s.Config(logp.NOW()))
 	if err != nil {
 		out.Err = fmt.Errorf("baseline %s: %w", a.Name(), err)
 		return out
@@ -213,7 +204,7 @@ func (r *Runner) ExecSweep(s Spec, base Outcome) Outcome {
 		out.Err = err
 		return out
 	}
-	cfg := s.Fault.Wire(s.Config(r.params()), base.Res.Elapsed)
+	cfg := s.Fault.Wire(s.Config(logp.NOW()), base.Res.Elapsed)
 	out.Point, out.Res, out.Err = core.Measure(a, cfg, s.Knob, s.Value, base.Res.Elapsed)
 	return out
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/logp"
 	"repro/internal/run"
 )
 
@@ -24,7 +23,7 @@ import (
 // store with a fully populated result: Stats, histograms, summary.
 func testOutcome(t *testing.T) run.Outcome {
 	t.Helper()
-	r := &run.Runner{Params: logp.NOW(), Resolve: exp.ResolveApp}
+	r := &run.Runner{Resolve: exp.ResolveApp}
 	out := r.ExecBaseline(run.Baseline("radix", 4, 1.0/4096, 1, true))
 	if out.Err != nil {
 		t.Fatalf("baseline run failed: %v", out.Err)

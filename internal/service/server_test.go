@@ -23,7 +23,6 @@ import (
 	"repro/internal/apps/suite"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/logp"
 	"repro/internal/run"
 )
 
@@ -890,7 +889,7 @@ func TestServiceConcurrentMixedLoad(t *testing.T) {
 func TestServiceForwardsWhatItComputed(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
-	runner := &run.Runner{Params: logp.NOW(), Resolve: exp.ResolveApp}
+	runner := &run.Runner{Resolve: exp.ResolveApp}
 
 	var specs []SpecJSON
 	for _, app := range suite.Names() {

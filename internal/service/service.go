@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/logp"
 	"repro/internal/run"
 )
 
@@ -112,7 +111,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	r := cfg.Runner
 	if r == nil {
-		r = &run.Runner{Params: logp.NOW(), Resolve: exp.ResolveApp}
+		r = &run.Runner{Resolve: exp.ResolveApp}
 	}
 	s := &Server{
 		runner:   r,

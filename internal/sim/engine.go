@@ -201,21 +201,15 @@ func (e *Engine) drive() {
 //
 //repro:hotpath
 func (e *Engine) next() *Proc {
-	for {
-		q := e.ready.peek()
-		for e.events.len() > 0 && (q == nil || e.events.peek().at <= q.clock) {
-			ev := e.events.pop()
-			e.eventsRun++
-			ev.fn(ev.arg, ev.at)
-			q = e.ready.peek()
-		}
-		if q != nil {
-			return e.ready.pop()
-		}
-		if e.events.len() == 0 {
-			return nil
-		}
+	q := e.ready.peek()
+	for e.events.len() > 0 && (q == nil || e.events.peek().at <= q.clock) {
+		e.runEvent()
+		q = e.ready.peek()
 	}
+	if q == nil {
+		return nil // and the event queue is empty
+	}
+	return e.ready.pop()
 }
 
 // turn gives the CPU to p, the minimum-(clock, id) runnable, and lets it
@@ -329,8 +323,16 @@ func (e *Engine) deadlockError() error {
 //repro:hotpath
 func (e *Engine) drainEvents(limit Time) {
 	for e.events.len() > 0 && e.events.peek().at <= limit {
-		ev := e.events.pop()
-		e.eventsRun++
-		ev.fn(ev.arg, ev.at)
+		e.runEvent()
 	}
+}
+
+// runEvent pops and executes the earliest event. It is the one place an
+// event runs, for next and drainEvents alike.
+//
+//repro:hotpath
+func (e *Engine) runEvent() {
+	ev := e.events.pop()
+	e.eventsRun++
+	ev.fn(ev.arg, ev.at)
 }

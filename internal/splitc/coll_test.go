@@ -2,13 +2,11 @@ package splitc
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/am"
 	"repro/internal/logp"
 	"repro/internal/sim"
-	"repro/internal/splitc/tune"
 )
 
 // collPair runs the same program as a blocking body under Run and as a
@@ -389,21 +387,6 @@ func TestOperandOverflowKeepsPerTagOrder(t *testing.T) {
 	}
 }
 
-// TestRegistryMatchesTuneNames pins the splitc registry and the tune
-// package's name lists against each other (tune is the naming authority
-// but cannot import splitc).
-func TestRegistryMatchesTuneNames(t *testing.T) {
-	if got, want := BarrierAlgorithms(), tune.Barriers(); !reflect.DeepEqual(got, want) {
-		t.Errorf("barrier registry %v, tune %v", got, want)
-	}
-	if got, want := BroadcastAlgorithms(), tune.Broadcasts(); !reflect.DeepEqual(got, want) {
-		t.Errorf("broadcast registry %v, tune %v", got, want)
-	}
-	if got, want := AllReduceAlgorithms(), tune.AllReduces(); !reflect.DeepEqual(got, want) {
-		t.Errorf("all-reduce registry %v, tune %v", got, want)
-	}
-}
-
 // TestDefaultSelectionLayout pins the zero-value selection's tag-space
 // layout to the historical fixed arithmetic (reduce rounds, ar-bcast
 // rounds, bcast rounds, scan rounds, gather, all-to-all), which is what
@@ -422,7 +405,7 @@ func TestDefaultSelectionLayout(t *testing.T) {
 		if sel.barSlots != R {
 			t.Errorf("p=%d: barSlots %d, want %d", p, sel.barSlots, R)
 		}
-		want := Collectives{Barrier: tune.BarrierDissemination, Broadcast: tune.BcastBinomial, AllReduce: tune.AllReduceTree}
+		want := Collectives{Barrier: "dissemination", Broadcast: "binomial", AllReduce: "tree"}
 		if sel.names != want {
 			t.Errorf("p=%d: default names %+v, want %+v", p, sel.names, want)
 		}
@@ -446,9 +429,9 @@ func TestAutoSelectionResolvesThroughTuner(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pick := tune.Select(p, 8, pm)
+			pick := Select(p, 8, pm)
 			got := w.CollectiveNames()
-			if got.Barrier != pick.Barrier || got.Broadcast != pick.Broadcast || got.AllReduce != pick.AllReduce {
+			if got != pick {
 				t.Errorf("p=%d: world resolved %+v, tuner picked %+v", p, got, pick)
 			}
 		}
@@ -473,7 +456,7 @@ func TestCollectivesString(t *testing.T) {
 	if s := (Collectives{}).String(); s != "" {
 		t.Errorf("zero value renders %q, want empty", s)
 	}
-	got := Collectives{Barrier: tune.BarrierFlat}.String()
+	got := Collectives{Barrier: "flat"}.String()
 	want := "bar=flat,bc=binomial,ar=tree"
 	if got != want {
 		t.Errorf("String() = %q, want %q", got, want)

@@ -62,7 +62,6 @@ import (
 	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/splitc"
-	"repro/internal/splitc/tune"
 	"repro/internal/trace"
 )
 
@@ -90,9 +89,9 @@ type (
 	Collectives = splitc.Collectives
 	// ReduceOp identifies a built-in all-reduce operator (OpSum, OpMax).
 	ReduceOp = splitc.ReduceOp
-	// TuneSelection is the collective auto-tuner's pick, one algorithm
-	// name per primitive.
-	TuneSelection = tune.Selection
+	// TuneSelection is the collective auto-tuner's pick: a Collectives
+	// with every field a registered algorithm name.
+	TuneSelection = splitc.Collectives
 	// App is one benchmark application.
 	App = apps.App
 	// AppConfig parameterizes a benchmark run.
@@ -226,25 +225,25 @@ func AllReduceAlgorithms() []string { return splitc.AllReduceAlgorithms() }
 // TuneSelect returns the auto-tuner's model-minimal algorithm per
 // primitive for a p-processor machine exchanging bytes-sized operands.
 func TuneSelect(p, bytes int, params Params) TuneSelection {
-	return tune.Select(p, bytes, params)
+	return splitc.Select(p, bytes, params)
 }
 
 // TuneBarrierCost is the closed-form LogGP cost model of one barrier
 // episode under the named algorithm.
 func TuneBarrierCost(alg string, p int, params Params) (Time, error) {
-	return tune.BarrierCost(alg, p, tune.ModelOf(params))
+	return splitc.BarrierCost(alg, p, splitc.ModelOf(params))
 }
 
 // TuneBroadcastCost is the cost model of one broadcast episode of a
 // bytes-sized payload under the named algorithm.
 func TuneBroadcastCost(alg string, p, bytes int, params Params) (Time, error) {
-	return tune.BroadcastCost(alg, p, bytes, tune.ModelOf(params))
+	return splitc.BroadcastCost(alg, p, bytes, splitc.ModelOf(params))
 }
 
 // TuneAllReduceCost is the cost model of one all-reduce episode of
 // bytes-sized operands under the named algorithm.
 func TuneAllReduceCost(alg string, p, bytes int, params Params) (Time, error) {
-	return tune.AllReduceCost(alg, p, bytes, tune.ModelOf(params))
+	return splitc.AllReduceCost(alg, p, bytes, splitc.ModelOf(params))
 }
 
 // NewProfiler builds a stall-attribution profiler for a procs-processor
