@@ -69,8 +69,12 @@ type Proc struct {
 	// not blocked (running, ready, or not yet started). A wait that would
 	// block moves the clock to the earliest one still ahead instead
 	// (takeWake), so no wakeup is ever lost. Sorted ascending, no
-	// duplicates; typically empty or a single element, because a wake is
-	// rarely for an instant the processor has yet to reach.
+	// duplicates. Entries the clock has passed are dead, and WakeAt drops
+	// them: a processor that keeps finding work in its inbox never calls
+	// takeWake, so left alone they pile up (59 per processor at
+	// scale-radix's peak at P = 10k, nearly all dead). The live ones are
+	// few: at most 6 per processor on the scale-radix ladder through
+	// P = 100k, 1.5 per processor on average at the peak.
 	pendingWakes []Time
 
 	// wait, when non-nil, is the wait the processor is in: the scheduler
@@ -261,18 +265,30 @@ func (p *Proc) WakeAt(t Time) {
 		if t <= p.clock {
 			return
 		}
-		// Insert into the sorted pending-wake list.
-		i := len(p.pendingWakes)
-		for i > 0 && p.pendingWakes[i-1] > t {
+		// Drop the dead prefix once it is at least half the list, so each
+		// entry is copied O(1) times however long the list grows, then
+		// insert into the sorted list.
+		w := p.pendingWakes
+		if n := len(w); n > 0 && w[(n-1)/2] <= p.clock {
+			dead := (n-1)/2 + 1
+			for dead < n && w[dead] <= p.clock {
+				dead++
+			}
+			w = w[:copy(w, w[dead:])]
+		}
+		i := len(w)
+		for i > 0 && w[i-1] > t {
 			i--
 		}
-		if i > 0 && p.pendingWakes[i-1] == t {
+		if i > 0 && w[i-1] == t {
+			p.pendingWakes = w
 			return // dedup
 		}
-		//lint:allow hotpathalloc pending-wake list growth; typically empty or one element, capacity is kept
-		p.pendingWakes = append(p.pendingWakes, 0)
-		copy(p.pendingWakes[i+1:], p.pendingWakes[i:])
-		p.pendingWakes[i] = t
+		//lint:allow hotpathalloc pending-wake list growth; dead entries are dropped first, so the list stays a few elements and its capacity is kept
+		w = append(w, 0)
+		copy(w[i+1:], w[i:])
+		w[i] = t
+		p.pendingWakes = w
 	}
 }
 

@@ -375,8 +375,8 @@ func (t *TProc) allReduceFlatT(val uint64, op ReduceOp) (uint64, sim.PollableWai
 		case 1:
 			t.ep.MarkWaitEnd(am.WaitBarrier)
 			c := t.cell(gtag)
-			t.op.acc = op.fn()(val, c.acc)
-			c.acc = 0
+			t.op.acc = op.fn()(val, c.vals[0])
+			c.vals[0] = 0
 			c.exp += int64(P - 1)
 			t.op.r = 1
 			t.op.pc = 2

@@ -3,6 +3,7 @@ package splitc
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/am"
 	"repro/internal/logp"
@@ -384,6 +385,89 @@ func TestOperandOverflowKeepsPerTagOrder(t *testing.T) {
 	}
 	if len(tp.spill) != 0 {
 		t.Errorf("%d operands left in the overflow FIFO", len(tp.spill))
+	}
+}
+
+// ----- cell-address stability: a processor parked on one tag's operand
+// cell takes an operand for a tag in a later block that it has never
+// touched. -----
+
+// cellStableGap spaces the broadcast root's two sends by far more than a
+// round trip, so the gather record that processor 0 sends as soon as it
+// has the value reaches processor 1 first.
+const cellStableGap = 100 * sim.Microsecond
+
+func cellStableBlocking(p *Proc, out []uint64) {
+	v := p.Broadcast(2, 7)
+	out[p.ID()] = cellStableResult(v, p.Gather(1, uint64(100+p.ID())))
+}
+
+type cellStableTask struct {
+	out []uint64
+	v   uint64
+	pc  int
+}
+
+func (k *cellStableTask) Step(t *TProc) (sim.PollableWait, bool) {
+	if k.pc == 0 {
+		v, wt := t.BroadcastT(2, 7)
+		if wt != nil {
+			return wt, false
+		}
+		k.v, k.pc = v, 1
+	}
+	g, wt := t.GatherT(1, uint64(100+t.ID()))
+	if wt != nil {
+		return wt, false
+	}
+	k.out[t.ID()] = cellStableResult(k.v, g)
+	return nil, true
+}
+
+func cellStableResult(v uint64, gathered []uint64) uint64 {
+	for _, x := range gathered {
+		v = v*31 + x
+	}
+	return v
+}
+
+// TestParkedCellSurvivesNewTags pins that operand cells never move. At
+// P = 3 the binomial broadcast from processor 2 reaches processor 0 in
+// round 0 and processor 1 in round 1, one (large) gap later. Processor 0
+// goes straight on to the gather rooted at processor 1, whose record
+// lands on processor 1 while it is still parked on its broadcast tag,
+// and is the first operand processor 1 ever sees for the gather tag, a
+// block further up the tag space. A cell table that grows by copying
+// strands the parked wait on the old copy of the broadcast cell, and the
+// run deadlocks.
+func TestParkedCellSurvivesNewTags(t *testing.T) {
+	params := logp.NOW()
+	params.Gap = cellStableGap
+	const P = 3
+	out := collPairOn(t, P, params, Collectives{Broadcast: "binomial"},
+		cellStableBlocking,
+		func(res []uint64) func(int) Task {
+			return func(int) Task { return &cellStableTask{out: res} }
+		})
+	for me, got := range out {
+		want := uint64(7)
+		if me == 1 {
+			want = cellStableResult(7, []uint64{100, 101, 102})
+		}
+		if got != want {
+			t.Errorf("proc %d: result %d, want %d", me, got, want)
+		}
+	}
+}
+
+// TestOperandCellSize pins the operand cell at 32 bytes; there is one per
+// touched tag per processor.
+func TestOperandCellSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(collCell{}); got != 32 {
+		t.Errorf("collCell is %d bytes, want 32", got)
 	}
 }
 
