@@ -1,11 +1,14 @@
 package run
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/splitc"
 )
@@ -155,6 +158,62 @@ func TestRunnerReportsUnknownApp(t *testing.T) {
 	}
 	if executed, _ := st.Stats(); executed != 0 {
 		t.Errorf("a refused plan executed %d runs", executed)
+	}
+}
+
+// TestStoreDeferredLoadsOnce: a Deferred outcome's result is loaded by
+// the first Result asking for it, and by nothing else — not Get, not
+// Point, not a second or concurrent Result — and a failed load is every
+// later answer.
+func TestStoreDeferredLoadsOnce(t *testing.T) {
+	full := apps.Result{App: "radix", Procs: 4, Elapsed: 1000, Verified: true}
+	loadErr := errors.New("undecodable")
+	var mu sync.Mutex
+	loads := map[Spec]int{}
+	exec := func(_ context.Context, s Spec, _ *Outcome) (Outcome, bool) {
+		head := Outcome{Spec: s, Point: core.Point{Value: s.Value, Slowdown: 1}, Res: apps.Result{Elapsed: full.Elapsed, Verified: true}}
+		return Deferred(head, func() (apps.Result, error) {
+			mu.Lock()
+			loads[s]++
+			mu.Unlock()
+			if s.IsBaseline() {
+				return apps.Result{}, loadErr
+			}
+			return full, nil
+		}), false
+	}
+	p := NewPlan()
+	pt := p.AddSweep(testSpec(10), false)
+	base, _ := p.BaselineOf(pt)
+	st := NewStore()
+	if err := Execute(context.Background(), st, p, 2, nil, exec); err != nil {
+		t.Fatal(err)
+	}
+	if out, ok := st.Get(pt); !ok || out.Res.Elapsed != full.Elapsed || out.Res.App != "" {
+		t.Errorf("Get = %+v, %v; want the head as completed", out, ok)
+	}
+	if point, err := st.Point(pt); err != nil || point.Slowdown != 1 {
+		t.Errorf("Point = %+v, %v", point, err)
+	}
+	if len(loads) != 0 {
+		t.Fatalf("Get and Point loaded %v", loads)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res, err := st.Result(pt); err != nil || res.App != full.App || res.Procs != full.Procs {
+				t.Errorf("Result(point) = %+v, %v; want the loaded result", res, err)
+			}
+			if _, err := st.Result(base); !errors.Is(err, loadErr) {
+				t.Errorf("Result(baseline) err = %v, want the load's", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if loads[pt] != 1 || loads[base] != 1 {
+		t.Errorf("loads = %v, want one per spec", loads)
 	}
 }
 

@@ -50,8 +50,10 @@ const diskVersion = 2
 //     hand-edited file, an older format) surfaces as ErrCorrupt and the
 //     caller recomputes. There is one read path and it always runs
 //     every check; what a caller chooses is only what it does with the
-//     verified result bytes: decode them (Load, a plan), forward them
-//     (a full /v1/run answer) or leave them (a minimal answer);
+//     verified result bytes: decode them (Load, or a plan whose render
+//     reads that run's result), forward them (a full /v1/run answer) or
+//     leave them (a minimal answer, and a plan's run whose render reads
+//     only its point);
 //   - entries are loaded lazily — the store never scans the directory.
 type DiskStore struct {
 	root string

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/run"
 )
 
@@ -44,17 +45,13 @@ func (s *Server) resolve(ctx context.Context, client string, spec run.Spec, hash
 	return s.await(ctx, f, coalesced)
 }
 
-// resolveFull is resolve with a disk hit's result decoded, as a plan
-// renders it. Stored bytes that pass every check of the read and still
-// do not decode are a corrupt entry like any other: counted, recomputed
-// and overwritten.
-func (s *Server) resolveFull(ctx context.Context, client string, spec run.Spec, hash string, base baseFunc) (run.Outcome, string, error) {
-	for probe := true; ; probe = false {
-		f, coalesced := s.fly(client, spec, hash, base, probe)
-		out, hit, src, err := s.await(ctx, f, coalesced)
-		if err != nil || hit == nil {
-			return out, src, err
-		}
+// resolveFull decodes a disk hit's result, as a plan's render reads it
+// (Store.Result on a Deferred outcome). Stored bytes that pass every
+// check of the read and still do not decode are a corrupt entry like
+// any other: counted, recomputed without probing the store again, and
+// overwritten. src is the recompute's source, or "" when hit decoded.
+func (s *Server) resolveFull(ctx context.Context, client string, spec run.Spec, hash string, base baseFunc, hit *entry) (out run.Outcome, src string, err error) {
+	for {
 		start := time.Now()
 		out, err = hit.outcome()
 		s.stages.observe("decode", time.Since(start))
@@ -64,6 +61,10 @@ func (s *Server) resolveFull(ctx context.Context, client string, spec run.Spec, 
 		s.mu.Lock()
 		s.counts.corrupt++
 		s.mu.Unlock()
+		f, coalesced := s.fly(client, spec, hash, base, false)
+		if out, hit, src, err = s.await(ctx, f, coalesced); err != nil || hit == nil {
+			return out, src, err
+		}
 	}
 }
 
@@ -209,6 +210,12 @@ type planResult struct {
 // baseline carries only its head, nothing to answer the point from.
 // onEvent, when non-nil, observes every resolution, one call at a time.
 //
+// A disk hit enters the store as its head, Deferred: only a render
+// that asks Store.Result for it decodes its result (resolveFull), once,
+// and a recompute that decode triggers is counted as the spec's source.
+// A head carries no event count, so run.Execute ranks the sweep of a
+// disk-hit baseline as if it executed none.
+//
 // The returned error is the request's cancellation, or else the first
 // failure in plan order: a run's error, or a refusal such as
 // ErrQueueFull.
@@ -216,6 +223,15 @@ func (s *Server) executePlan(ctx context.Context, client string, p *run.Plan, on
 	pr := &planResult{store: run.NewStore(), sources: make(map[string]string, p.Size())}
 	pr.counts.Total = p.Size()
 	var mu sync.Mutex // guards sources and counts
+	counter := func(src string) *int {
+		switch src {
+		case SourceDisk:
+			return &pr.counts.DiskHits
+		case SourceComputed:
+			return &pr.counts.Computed
+		}
+		return &pr.counts.Coalesced
+	}
 	exec := func(ctx context.Context, sp run.Spec, base *run.Outcome) (run.Outcome, bool) {
 		var bf baseFunc
 		if base != nil {
@@ -225,22 +241,31 @@ func (s *Server) executePlan(ctx context.Context, client string, p *run.Plan, on
 			bf = func() (run.Outcome, error) { return *base, nil }
 		}
 		hash := sp.Hash()
-		out, src, err := s.resolveFull(ctx, client, sp, hash, bf)
+		out, hit, src, err := s.resolve(ctx, client, sp, hash, bf)
 		if err != nil {
 			return run.Outcome{Spec: sp, Err: err}, false
 		}
 		mu.Lock()
 		pr.sources[hash] = src
-		switch src {
-		case SourceDisk:
-			pr.counts.DiskHits++
-		case SourceComputed:
-			pr.counts.Computed++
-		case SourceCoalesced:
-			pr.counts.Coalesced++
-		}
+		*counter(src)++
 		mu.Unlock()
-		return out, false
+		if hit == nil {
+			return out, false
+		}
+		return run.Deferred(out, func() (apps.Result, error) {
+			full, fullSrc, err := s.resolveFull(ctx, client, sp, hash, bf, hit)
+			if fullSrc != "" {
+				mu.Lock()
+				pr.sources[hash] = fullSrc
+				*counter(src)--
+				*counter(fullSrc)++
+				mu.Unlock()
+			}
+			if err == nil {
+				err = full.Err
+			}
+			return full.Res, err
+		}), false
 	}
 	var onProgress func(run.Progress)
 	if onEvent != nil {

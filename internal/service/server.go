@@ -284,6 +284,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // handleExperiment plans, resolves, and renders one paper artifact.
 // The rendered text is byte-identical to cmd/repro's offline output for
 // the same options, whether the runs computed or came from the cache.
+// A stored run is decoded only if the render reads its full result
+// (executePlan).
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentRequest
 	if err := decodeBody(w, r, &req); err != nil {

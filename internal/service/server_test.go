@@ -49,6 +49,20 @@ func quickFig5bOptions() OptionsJSON {
 	return OptionsJSON{Procs: 8, Scale: 1.0 / 2048, Seed: 1, Quick: true, Apps: []string{"radix"}}
 }
 
+// offlineText is experiment id rendered under o as cmd/repro renders it.
+func offlineText(t *testing.T, id string, o OptionsJSON) string {
+	t.Helper()
+	e, err := exp.ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := e.Run(o.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab.Text()
+}
+
 // TestServiceFig5bByteIdentity is the tentpole acceptance check: the
 // served fig5b table must match the offline render byte for byte, cold
 // (all computed) and warm (all from the persistent cache).
@@ -109,6 +123,53 @@ func TestServiceFig5bByteIdentity(t *testing.T) {
 	}
 }
 
+// TestServiceWarmTablesMatchOffline serves tables cold and warm on a
+// fresh cache each, and pins both their text, byte for byte the offline
+// render's, and what a warm pass decodes: nothing for a table made of
+// points (fig5b, ext-tradeoff), and each result the render reads once
+// for one that reads results (each app's baseline, for table4, fig4 and
+// tolerance).
+func TestServiceWarmTablesMatchOffline(t *testing.T) {
+	opts := quickFig5bOptions()
+	opts.Apps = []string{"radix", "nowsort"}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		id      string
+		results int // distinct specs the render passes to Store.Result
+	}{
+		{"fig5b", 0},
+		{"ext-tradeoff", 0},
+		{"table4", len(opts.Apps)},
+		{"fig4", len(opts.Apps)},
+		{"tolerance", len(opts.Apps)},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			s, c := newTestServer(t, Config{Workers: 2})
+			offline := offlineText(t, tc.id, opts)
+			for _, warm := range []bool{false, true} {
+				before := s.Stats().Stages["decode"].Count
+				r, err := c.Experiment(ctx, ExperimentRequest{ID: tc.id, Options: opts})
+				if err != nil {
+					t.Fatalf("warm=%v: %v", warm, err)
+				}
+				if r.Text != offline {
+					t.Errorf("warm=%v table differs from offline render:\n--- offline\n%s--- served\n%s", warm, offline, r.Text)
+				}
+				want, decodes := CacheCounts{Total: r.Cache.Total, Computed: r.Cache.Total}, 0
+				if warm {
+					want, decodes = CacheCounts{Total: r.Cache.Total, DiskHits: r.Cache.Total}, tc.results
+				}
+				if r.Cache != want {
+					t.Errorf("warm=%v cache counts = %+v, want %+v", warm, r.Cache, want)
+				}
+				if got := s.Stats().Stages["decode"].Count - before; got != int64(decodes) {
+					t.Errorf("warm=%v pass decoded %d stored results, want %d", warm, got, decodes)
+				}
+			}
+		})
+	}
+}
+
 // TestServiceRunEndpoint exercises /v1/run for a baseline and a swept
 // spec, cold and warm, and the minimal-response flag.
 func TestServiceRunEndpoint(t *testing.T) {
@@ -165,9 +226,10 @@ func TestServiceRunEndpoint(t *testing.T) {
 // is one load whatever became of its baseline, a point that has to be
 // computed looks its baseline up exactly once, a hit that carries the
 // result carries the one that was computed, and a stored result that
-// does not decode is recomputed by the plan that reads it, not served
-// and not a 500. (A full /v1/run hit forwards the sealed result without
-// decoding it; TestServiceForwardsWhatItComputed pins those bytes.)
+// does not decode is recomputed by the render that reads it, not served
+// and not a 500, while a plan that reads only its head serves it. (A
+// full /v1/run hit forwards the sealed result without decoding it;
+// TestServiceForwardsWhatItComputed pins those bytes.)
 func TestServiceRunReadsWhatItServes(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
@@ -205,7 +267,7 @@ func TestServiceRunReadsWhatItServes(t *testing.T) {
 			}
 		}
 	}
-	checkPlan := func(name string, spec SpecJSON) {
+	checkSweep := func(name string, spec SpecJSON) {
 		sw, err := c.Sweep(ctx, SweepRequest{
 			App: spec.App, Procs: spec.Procs, Scale: spec.Scale, Seed: spec.Seed,
 			Knob: pointA.Knob, Values: []float64{pointA.Value},
@@ -217,14 +279,31 @@ func TestServiceRunReadsWhatItServes(t *testing.T) {
 			t.Errorf("%s: baseline answer %+v (hash %s)", name, sw.Baseline, sw.BaseHash)
 		}
 	}
+	// table4 over spec's one app plans spec alone and renders its full
+	// result.
+	checkTable := func(name string, spec SpecJSON) {
+		opts := OptionsJSON{Procs: spec.Procs, Scale: spec.Scale, Seed: spec.Seed, Apps: []string{spec.App}}
+		r, err := c.Experiment(ctx, ExperimentRequest{ID: "table4", Options: opts})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if offline := offlineText(t, "table4", opts); r.Text != offline {
+			t.Errorf("%s: served table differs from offline render:\n--- offline\n%s--- served\n%s", name, offline, r.Text)
+		}
+		if want := (CacheCounts{Total: 1, Computed: 1}); r.Cache != want {
+			t.Errorf("%s: cache counts %+v, want %+v", name, r.Cache, want)
+		}
+	}
 	var before CacheTotals
 	for _, step := range []struct {
 		name    string
 		prepare func()
 		spec    SpecJSON
 		minimal bool
-		plan    bool // ask for spec as the baseline of a /v1/sweep of pointA
-		source  string
+		// Ask for spec as the baseline of a /v1/sweep of pointA, or as
+		// the one run of a table4; by default as a /v1/run.
+		sweep, table bool
+		source       string
 		// What the request moves in /v1/stats.
 		hits, computed, corrupt int64
 	}{
@@ -245,10 +324,12 @@ func TestServiceRunReadsWhatItServes(t *testing.T) {
 			},
 			spec: baseline, minimal: true, source: SourceDisk, hits: 1,
 		},
-		// A plan decodes every result it reads. The probe finds a
-		// verified entry (a hit) before the result in it turns out not to
-		// be one; pointA, the sweep's one point, is a hit.
-		{name: "undecodable result, a plan reads it: recomputed", spec: baseline, plan: true, hits: 2, computed: 1, corrupt: 1},
+		// A plan decodes only the results its render reads. A sweep reads
+		// its baseline's head and pointA's, both hits.
+		{name: "undecodable result, a sweep reads its head: served", spec: baseline, sweep: true, hits: 2},
+		// table4 reads the result: the probe finds a verified entry (a
+		// hit) before the result in it turns out not to be one.
+		{name: "undecodable result, a table reads it: recomputed", spec: baseline, table: true, hits: 1, computed: 1, corrupt: 1},
 		{name: "recomputed entry overwrote the bad one", spec: baseline, source: SourceDisk, hits: 1},
 		{
 			name: "warm point, baseline gone: still one load",
@@ -263,9 +344,12 @@ func TestServiceRunReadsWhatItServes(t *testing.T) {
 		if step.prepare != nil {
 			step.prepare()
 		}
-		if step.plan {
-			checkPlan(step.name, step.spec)
-		} else {
+		switch {
+		case step.sweep:
+			checkSweep(step.name, step.spec)
+		case step.table:
+			checkTable(step.name, step.spec)
+		default:
 			checkRun(step.name, step.spec, step.minimal, step.source)
 		}
 		after := s.Stats().Cache
@@ -315,7 +399,7 @@ func TestServiceCoalesce(t *testing.T) {
 	}
 	results := make(chan res, 2)
 	resolveOne := func(client string) {
-		_, src, err := s.resolveFull(ctx, client, spec, hash, nil)
+		_, _, src, err := s.resolve(ctx, client, spec, hash, nil)
 		results <- res{src, err}
 	}
 	go resolveOne("a")
@@ -760,30 +844,6 @@ func TestServiceRefusesWhatCannotRun(t *testing.T) {
 	if st.Cache.RunErrors != 0 || st.Sched.Submitted != before {
 		t.Errorf("refused specs reached the pool: run_errors = %d, submitted %d → %d",
 			st.Cache.RunErrors, before, st.Sched.Submitted)
-	}
-}
-
-// TestServiceToleranceByteIdentity serves the tolerance table: every
-// spec in its plan is a plain run, so the daemon renders it byte for
-// byte as the offline harness does.
-func TestServiceToleranceByteIdentity(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 2})
-	opts := quickFig5bOptions()
-	opts.Apps = []string{"radix", "nowsort"}
-	tol, err := exp.ByID("tolerance")
-	if err != nil {
-		t.Fatal(err)
-	}
-	offline, err := tol.Run(opts.options())
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, err := c.Experiment(context.Background(), ExperimentRequest{ID: "tolerance", Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served.Text != offline.Text() {
-		t.Errorf("served tolerance table differs from offline render:\n--- offline\n%s--- served\n%s", offline.Text(), served.Text)
 	}
 }
 

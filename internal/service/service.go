@@ -11,8 +11,9 @@
 //     loaded lazily, and verified on every read (lengths, checksum and
 //     spec-hash match), so a crashed writer or a corrupted entry
 //     degrades to a recompute, never to a wrong answer; a hit decodes
-//     only the entry's small head, and a full /v1/run answer forwards
-//     the verified result bytes as they were stored;
+//     only the entry's small head, a full /v1/run answer forwards the
+//     verified result bytes as they were stored, and a table decodes a
+//     stored result only when its render reads it;
 //   - misses execute on one shared bounded worker pool (Scheduler)
 //     with fair round-robin scheduling across clients, admission
 //     control (a bounded queue), and backpressure: when the queue is

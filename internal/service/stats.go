@@ -124,8 +124,9 @@ type StatsResponse struct {
 	Sched    SchedStats                `json:"scheduler"`
 	Latency  map[string]LatencySummary `json:"latency_us"`
 	// Stages times the steps of a resolution: load (read an entry,
-	// verify it, decode its head), decode (a stored result, when a plan
-	// reads it), and for a miss queue_wait, execute, persist.
+	// verify it, decode its head), decode (a stored result, once per
+	// plan whose render reads it; a render of points decodes none), and
+	// for a miss queue_wait, execute, persist.
 	Stages   map[string]LatencySummary `json:"stages_us"`
 	CacheDir string                    `json:"cache_dir"`
 }
