@@ -31,7 +31,7 @@
 // behind internal/prof's conservation proof.
 //
 // The wire is lossless by default. A FaultInjector (Machine.SetFaults;
-// implemented by internal/fault) can drop, duplicate, or delay individual
+// implemented by internal/fault) can drop or duplicate individual
 // transmissions and stretch processor charges; on top of a lossy wire the
 // optional reliability layer (Machine.SetReliability) adds per-stream
 // sequence numbers, receiver-side dedup and resequencing, cumulative acks
@@ -598,15 +598,15 @@ func (ep *Endpoint) launch(msg *message) {
 		r.send(ep, msg, inject, inject+wire)
 		return
 	}
-	ep.m.putOnWire(msg, inject, inject+wire, false)
+	ep.m.putOnWire(msg, inject+wire, false)
 }
 
 // putOnWire performs one physical transmission of msg: the fault injector
-// (if any) may drop it, duplicate it, or add wire delay; whatever survives
-// is scheduled to arrive. retrans marks reliability-layer retransmissions.
+// (if any) may drop it or duplicate it; whatever survives is scheduled to
+// arrive. retrans marks reliability-layer retransmissions.
 //
 //repro:hotpath
-func (m *Machine) putOnWire(msg *message, inject, arrival sim.Time, retrans bool) {
+func (m *Machine) putOnWire(msg *message, arrival sim.Time, retrans bool) {
 	if f := m.faults; f != nil {
 		bulk := msg.kind == kindBulk || msg.kind == kindBulkReply
 		act := f.OnWire(WireMsg{
@@ -617,13 +617,7 @@ func (m *Machine) putOnWire(msg *message, inject, arrival sim.Time, retrans bool
 			Reply:      msg.kind == kindReply || msg.kind == kindBulkReply,
 			Retransmit: retrans,
 			Seq:        msg.seq(),
-		}, inject)
-		if act.ExtraLatency > 0 {
-			if act.ExtraLatency > math.MaxInt64-arrival {
-				m.wireOverflow(msg, arrival, act.ExtraLatency)
-			}
-			arrival += act.ExtraLatency
-		}
+		})
 		if act.Drop {
 			m.stats.WireDrops++
 			return
@@ -634,13 +628,6 @@ func (m *Machine) putOnWire(msg *message, inject, arrival sim.Time, retrans bool
 		}
 	}
 	m.scheduleArrival(msg, arrival)
-}
-
-// wireOverflow fails the run whose fault plan delays msg's arrival past
-// the int64 clock.
-func (m *Machine) wireOverflow(msg *message, arrival, extra sim.Time) {
-	m.eng.Fail(fmt.Errorf("%w: %v more latency for a message %d→%d due at %v",
-		ErrFaultOverflow, extra, msg.src, msg.dst, arrival))
 }
 
 // scheduleArrival registers msg's arrival at its destination NIC. With

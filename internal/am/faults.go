@@ -32,14 +32,13 @@ type WireMsg struct {
 }
 
 // FaultAction is the injector's verdict for one physical transmission.
-// Drop wins over Duplicate; ExtraLatency applies to every surviving copy.
+// Drop wins over Duplicate.
 type FaultAction struct {
 	// Drop loses the transmission on the wire.
 	Drop bool
-	// Duplicate delivers the transmission twice.
+	// Duplicate delivers the transmission twice, both copies at its
+	// nominal arrival instant.
 	Duplicate bool
-	// ExtraLatency is added to the transmission's flight time.
-	ExtraLatency sim.Time
 }
 
 // FaultInjector is the seam a fault model (internal/fault) plugs into the
@@ -47,12 +46,12 @@ type FaultAction struct {
 // deterministic order, so a seeded injector yields identical fault
 // schedules across runs.
 type FaultInjector interface {
-	// OnWire is consulted once per physical transmission, at its
-	// injection instant, and returns what the wire does to it.
-	OnWire(w WireMsg, inject sim.Time) FaultAction
+	// OnWire is consulted once per physical transmission, in injection
+	// order, and returns what the wire does to it.
+	OnWire(w WireMsg) FaultAction
 	// ChargeExtra is consulted after every explicit processor charge
 	// [from, from+d) and returns fault-injected time to append — the
-	// mechanism behind slowdown windows and one-off processor delays.
+	// mechanism behind one-off processor stalls.
 	ChargeExtra(proc int, from, d sim.Time) sim.Time
 	// Lossy reports whether the plan can drop or duplicate transmissions.
 	// A lossy wire needs the reliability layer: without it a dropped

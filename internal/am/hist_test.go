@@ -116,10 +116,6 @@ func TestBurstinessInstrumentation(t *testing.T) {
 	if s.MeanSendInterval() < sim.FromMicros(100) {
 		t.Errorf("mean interval = %v should be dominated by the pause", s.MeanSendInterval())
 	}
-	s.Reset()
-	if s.SendIntervals[0].Count() != 0 {
-		t.Error("Reset did not clear histograms")
-	}
 }
 
 func TestCPUFactorScalesComputeOnly(t *testing.T) {

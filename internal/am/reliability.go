@@ -14,24 +14,22 @@ import (
 // firmware-level ack packet per delivery (lossless and host-cost-free,
 // like window-credit returns; see DESIGN.md §9 for why the control
 // channel may assume a reliable wire). Unacked messages retransmit on a
-// timeout with exponential backoff; the retransmission occupies the NIC
-// transmit context but charges the host nothing.
+// timeout with exponential backoff (relBackoff, up to relMaxRetries
+// times); the retransmission occupies the NIC transmit context but
+// charges the host nothing.
 type Reliability struct {
 	// Enabled turns the protocol on.
 	Enabled bool
-	// RTO is the initial retransmission timeout, measured from injection.
-	// Zero selects 2·(2L + g + G·FragmentSize) from the machine's
-	// effective parameters — comfortably above one ack round trip even
-	// for bulk fragments, so a lossless wire sees no spurious
-	// retransmissions.
-	RTO sim.Time
-	// Backoff multiplies the timeout after each retransmission. Values
-	// below 1 (including zero) select 2.
-	Backoff float64
-	// MaxRetries caps retransmissions per message; one past the cap the
-	// run aborts with a *DeliveryError. Zero selects 12.
-	MaxRetries int
 }
+
+const (
+	// relBackoff multiplies the retransmission timeout after each
+	// retransmission.
+	relBackoff = 2
+	// relMaxRetries caps retransmissions per message; one past the cap
+	// the run aborts with a *DeliveryError.
+	relMaxRetries = 12
+)
 
 // DeliveryError reports a message that exhausted its retransmission
 // budget. sim.Engine.Run returns it wrapped in the run-failure error
@@ -52,16 +50,18 @@ func (e *DeliveryError) Error() string {
 
 // relConfig is the machine-wide resolved protocol configuration.
 type relConfig struct {
-	rto        sim.Time
-	backoff    float64
-	maxRetries int
+	// rto is the initial retransmission timeout, measured from
+	// injection: 2·(2L + g + G·FragmentSize) from the machine's effective
+	// parameters — comfortably above one ack round trip even for bulk
+	// fragments, so a lossless wire sees no spurious retransmissions.
+	rto sim.Time
 }
 
 // rtoAt returns the timeout armed for transmission number attempt (1-based).
 func (rc *relConfig) rtoAt(attempt int) sim.Time {
 	t := float64(rc.rto)
 	for i := 1; i < attempt; i++ {
-		t *= rc.backoff
+		t *= relBackoff
 	}
 	return sim.Time(t)
 }
@@ -112,17 +112,8 @@ func (m *Machine) SetReliability(cfg Reliability) {
 		m.updatePooling()
 		return
 	}
-	rc := &relConfig{rto: cfg.RTO, backoff: cfg.Backoff, maxRetries: cfg.MaxRetries}
-	if rc.rto <= 0 {
-		p := &m.params
-		rc.rto = 2 * (2*p.EffLatency() + p.EffGap() + p.BulkTime(p.FragmentSize))
-	}
-	if rc.backoff < 1 {
-		rc.backoff = 2
-	}
-	if rc.maxRetries <= 0 {
-		rc.maxRetries = 12
-	}
+	p := &m.params
+	rc := &relConfig{rto: 2 * (2*p.EffLatency() + p.EffGap() + p.BulkTime(p.FragmentSize))}
 	m.rel = rc
 	// Retransmission and resequencing keep references to message records
 	// past delivery, so delivery-time recycling must be off (see pool.go).
@@ -160,7 +151,7 @@ func (r *relEndpoint) transmit(ep *Endpoint, e *relEntry, inject, arrival sim.Ti
 	e.attempts++
 	deadline := inject + r.cfg.rtoAt(e.attempts)
 	ep.m.eng.ScheduleAt(deadline, func() { r.timeout(ep, e, deadline) })
-	ep.m.putOnWire(e.msg, inject, arrival, retrans)
+	ep.m.putOnWire(e.msg, arrival, retrans)
 }
 
 // timeout fires when an armed retransmission timer expires. Stale timers
@@ -171,7 +162,7 @@ func (r *relEndpoint) timeout(ep *Endpoint, e *relEntry, at sim.Time) {
 	if e.acked {
 		return
 	}
-	if e.attempts > r.cfg.maxRetries {
+	if e.attempts > relMaxRetries {
 		ep.m.eng.Fail(&DeliveryError{Src: e.msg.src, Dst: e.msg.dst, Seq: e.seq, Attempts: e.attempts})
 	}
 	p := &ep.m.params

@@ -20,7 +20,7 @@ type testInjector struct {
 	seen int64
 }
 
-func (ti *testInjector) OnWire(w WireMsg, inject sim.Time) FaultAction {
+func (ti *testInjector) OnWire(w WireMsg) FaultAction {
 	ti.seen++
 	var act FaultAction
 	if ti.drop != nil && ti.drop(w, ti.seen) {
@@ -211,7 +211,7 @@ func TestDeliveryErrorAfterRetryCap(t *testing.T) {
 	inj := &testInjector{drop: func(WireMsg, int64) bool { return true }}
 	handled := false
 	_, err := runRelPair(t, params,
-		Reliability{Enabled: true, MaxRetries: 3}, inj,
+		Reliability{Enabled: true}, inj,
 		func(ep *Endpoint) {
 			ep.Request(1, ClassWrite, func(*Endpoint, *Token, Args) { handled = true }, Args{})
 			ep.WaitUntil(func() bool { return handled }, "never")
@@ -229,8 +229,8 @@ func TestDeliveryErrorAfterRetryCap(t *testing.T) {
 	if de.Src != 0 || de.Dst != 1 || de.Seq != 1 {
 		t.Errorf("DeliveryError identifies %d→%d seq %d, want 0→1 seq 1", de.Src, de.Dst, de.Seq)
 	}
-	if de.Attempts != 4 {
-		t.Errorf("Attempts = %d, want 4 (1 original + 3 retries)", de.Attempts)
+	if de.Attempts != 13 {
+		t.Errorf("Attempts = %d, want 13 (1 original + 12 retries)", de.Attempts)
 	}
 	if handled {
 		t.Error("handler ran despite every transmission dropping")

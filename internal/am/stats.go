@@ -97,28 +97,6 @@ func (s *Stats) countSendAt(src, dst int, class Class, bulk bool, bytes int, now
 // layer calls it from exactly one processor per barrier.
 func (s *Stats) CountBarrier() { s.Barriers++ }
 
-// Reset zeroes all counters (for excluding warm-up phases).
-func (s *Stats) Reset() {
-	for i := range s.SentPerProc {
-		s.SentPerProc[i] = 0
-		s.BulkPerProc[i] = 0
-		s.BulkBytesPer[i] = 0
-		s.ReadPerProc[i] = 0
-	}
-	for i := range s.Matrix {
-		for j := range s.Matrix[i] {
-			s.Matrix[i][j] = 0
-		}
-		s.SendIntervals[i] = Histogram{}
-		s.lastSend[i] = -1
-	}
-	s.Barriers = 0
-	s.Retransmits = 0
-	s.WireDrops = 0
-	s.WireDups = 0
-	s.DupsDiscarded = 0
-}
-
 // P returns the processor count the stats were sized for.
 func (s *Stats) P() int { return s.p }
 

@@ -168,8 +168,8 @@ type App interface {
 // fills them), without building anything: no processor, a scale outside
 // (0, MaxScale], a machine logp refuses, a CPU factor not finite or in
 // (0, MinCPUSpeedup), an unknown collective, or a fault plan out of
-// range, lossy without reliability or under Depgraph. NewWorld and
-// run.Runner.Check call it.
+// range, stalling a processor the run lacks, lossy without reliability
+// or under Depgraph. NewWorld and run.Runner.Check call it.
 func (c Config) Validate() error {
 	c = c.Norm()
 	if c.Procs < 1 {
@@ -198,6 +198,11 @@ func (c Config) Validate() error {
 	}
 	if err := c.FaultPlan.Validate(); err != nil {
 		return err
+	}
+	for i, r := range c.FaultPlan.ProcDelays {
+		if r.Proc >= c.Procs {
+			return fmt.Errorf("apps: FaultPlan.ProcDelays[%d].Proc %d is not one of the run's %d processors", i, r.Proc, c.Procs)
+		}
 	}
 	if c.FaultPlan.Lossy() && !c.Reliability.Enabled {
 		return fmt.Errorf("apps: fault plan drops or duplicates messages; set Config.Reliability.Enabled")

@@ -10,6 +10,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/apps/scalekern"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -126,6 +127,9 @@ func TestBadConfigIsAnError(t *testing.T) {
 	}{
 		{"procs -1", apps.Config{Procs: -1, Scale: 1e-4, Seed: 1}, "procs"},
 		{"scale -1", apps.Config{Procs: 4, Scale: -1, Seed: 1}, "scale"},
+		{"stall on a missing processor", apps.Config{Procs: 4, Scale: 1e-4, Seed: 1,
+			FaultPlan: &fault.Plan{ProcDelays: []fault.ProcDelay{{Proc: 4, Extra: sim.Microsecond}}}},
+			"ProcDelays[0].Proc"},
 	} {
 		for _, a := range append(All(), scalekern.All()...) {
 			func() {

@@ -1,9 +1,8 @@
 // Package fault turns the simulator's perfect wire into a perturbable
 // one: a Plan is a declarative, seed-deterministic schedule of injectable
-// events — message drops, duplications, one-off or sustained extra wire
-// latency, and per-processor slowdowns or one-off stalls — compiled by
-// New into an Injector that plugs into the Active Message layer's
-// am.FaultInjector seam (am.Machine.SetFaults).
+// events — message drops, duplications and one-off processor stalls —
+// compiled by New into an Injector that plugs into the Active Message
+// layer's am.FaultInjector seam (am.Machine.SetFaults).
 //
 // Determinism: the injector owns a single rand.Rand seeded at
 // construction, and the machine consults it synchronously on the
@@ -77,22 +76,6 @@ type DupRule struct {
 	Nth   int64
 }
 
-// WireDelayRule adds Extra flight time to the Nth matching transmission
-// (1-based), or to every matching transmission when Nth == 0.
-type WireDelayRule struct {
-	Match Match
-	Nth   int64
-	Extra sim.Time
-}
-
-// LinkDelayWindow adds Extra flight time to every matching transmission
-// injected in [From, To) — a sustained ΔL episode on part of the fabric.
-type LinkDelayWindow struct {
-	Match    Match
-	From, To sim.Time
-	Extra    sim.Time
-}
-
 // ProcDelay stalls processor Proc once, for Extra, appended to its first
 // explicit charge ending at or after At — the one-off injected delay of
 // the Afzal/Hager/Wellein propagation experiment. A processor that never
@@ -103,30 +86,17 @@ type ProcDelay struct {
 	Extra sim.Time
 }
 
-// SlowdownWindow scales processor Proc's explicit charges by Factor
-// (finite, ≥ 1) while they begin inside [From, To): a charge of d costs
-// d·Factor, the surplus attributed to fault delay.
-type SlowdownWindow struct {
-	Proc     int
-	From, To sim.Time
-	Factor   float64
-}
-
 // Plan is a declarative schedule of injectable faults. The zero value is
 // the perfect wire.
 type Plan struct {
 	Drops      []DropRule
 	Dups       []DupRule
-	WireDelays []WireDelayRule
-	LinkDelays []LinkDelayWindow
 	ProcDelays []ProcDelay
-	Slowdowns  []SlowdownWindow
 }
 
 // Empty reports whether the plan injects nothing.
 func (p Plan) Empty() bool {
-	return len(p.Drops) == 0 && len(p.Dups) == 0 && len(p.WireDelays) == 0 &&
-		len(p.LinkDelays) == 0 && len(p.ProcDelays) == 0 && len(p.Slowdowns) == 0
+	return len(p.Drops) == 0 && len(p.Dups) == 0 && len(p.ProcDelays) == 0
 }
 
 // Lossy reports whether the plan can drop or duplicate transmissions,
@@ -151,36 +121,12 @@ func (p Plan) Validate() error {
 			return fmt.Errorf("fault: Dups[%d].Nth %d negative", i, r.Nth)
 		}
 	}
-	for i, r := range p.WireDelays {
-		if r.Extra < 0 {
-			return fmt.Errorf("fault: WireDelays[%d].Extra %v negative", i, r.Extra)
-		}
-	}
-	for i, r := range p.LinkDelays {
-		if r.Extra < 0 {
-			return fmt.Errorf("fault: LinkDelays[%d].Extra %v negative", i, r.Extra)
-		}
-		if r.To < r.From {
-			return fmt.Errorf("fault: LinkDelays[%d] window [%v,%v) inverted", i, r.From, r.To)
-		}
-	}
 	for i, r := range p.ProcDelays {
 		if r.Proc < 0 {
 			return fmt.Errorf("fault: ProcDelays[%d].Proc %d negative", i, r.Proc)
 		}
 		if r.Extra < 0 {
 			return fmt.Errorf("fault: ProcDelays[%d].Extra %v negative", i, r.Extra)
-		}
-	}
-	for i, r := range p.Slowdowns {
-		if r.Proc < 0 {
-			return fmt.Errorf("fault: Slowdowns[%d].Proc %d negative", i, r.Proc)
-		}
-		if !(r.Factor >= 1) || math.IsInf(r.Factor, 1) {
-			return fmt.Errorf("fault: Slowdowns[%d].Factor %v is not a finite value ≥ 1", i, r.Factor)
-		}
-		if r.To < r.From {
-			return fmt.Errorf("fault: Slowdowns[%d] window [%v,%v) inverted", i, r.From, r.To)
 		}
 	}
 	return nil
@@ -196,7 +142,6 @@ type Injector struct {
 
 	dropSeen  []int64
 	dupSeen   []int64
-	delaySeen []int64
 	procFired []bool
 }
 
@@ -213,7 +158,6 @@ func New(plan Plan, seed int64) (*Injector, error) {
 		rng:       rand.New(rand.NewSource(seed*6_364_136_223_846_793 + 1_442_695_040_888_963_407)),
 		dropSeen:  make([]int64, len(plan.Drops)),
 		dupSeen:   make([]int64, len(plan.Dups)),
-		delaySeen: make([]int64, len(plan.WireDelays)),
 		procFired: make([]bool, len(plan.ProcDelays)),
 	}, nil
 }
@@ -226,9 +170,6 @@ func MustNew(plan Plan, seed int64) *Injector {
 	}
 	return inj
 }
-
-// Plan returns the plan this injector was compiled from.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Lossy implements am.FaultInjector.
 func (in *Injector) Lossy() bool { return in.plan.Lossy() }
@@ -243,7 +184,7 @@ func (in *Injector) fire(prob float64, nth, seen int64) bool {
 }
 
 // OnWire implements am.FaultInjector.
-func (in *Injector) OnWire(w am.WireMsg, inject sim.Time) am.FaultAction {
+func (in *Injector) OnWire(w am.WireMsg) am.FaultAction {
 	var act am.FaultAction
 	for i, r := range in.plan.Drops {
 		if !r.Match.matches(w) {
@@ -263,36 +204,12 @@ func (in *Injector) OnWire(w am.WireMsg, inject sim.Time) am.FaultAction {
 			act.Duplicate = true
 		}
 	}
-	for i, r := range in.plan.WireDelays {
-		if !r.Match.matches(w) {
-			continue
-		}
-		in.delaySeen[i]++
-		if r.Nth == 0 || in.delaySeen[i] == r.Nth {
-			act.ExtraLatency = addSat(act.ExtraLatency, r.Extra)
-		}
-	}
-	for _, r := range in.plan.LinkDelays {
-		if r.Match.matches(w) && inject >= r.From && inject < r.To {
-			act.ExtraLatency = addSat(act.ExtraLatency, r.Extra)
-		}
-	}
 	return act
 }
 
 // ChargeExtra implements am.FaultInjector.
 func (in *Injector) ChargeExtra(proc int, from, d sim.Time) sim.Time {
 	var extra sim.Time
-	for _, r := range in.plan.Slowdowns {
-		if r.Proc == proc && from >= r.From && from < r.To {
-			stretch := sim.Time(math.MaxInt64)
-			// 2^63 is the first float64 past the int64 range.
-			if x := float64(d)*(r.Factor-1) + 0.5; x < 1<<63 {
-				stretch = sim.Time(x)
-			}
-			extra = addSat(extra, stretch)
-		}
-	}
 	for i, r := range in.plan.ProcDelays {
 		if r.Proc == proc && !in.procFired[i] && from+d >= r.At {
 			in.procFired[i] = true

@@ -43,16 +43,10 @@ func TestValidate(t *testing.T) {
 		{Drops: []DropRule{{Match: Any(), Prob: 1.5}}},
 		{Drops: []DropRule{{Match: Any(), Nth: -1}}},
 		{Dups: []DupRule{{Match: Any(), Prob: 2}}},
-		{WireDelays: []WireDelayRule{{Match: Any(), Extra: -1}}},
-		{LinkDelays: []LinkDelayWindow{{Match: Any(), From: 10, To: 5, Extra: 1}}},
 		{ProcDelays: []ProcDelay{{Proc: -1, Extra: 1}}},
 		{ProcDelays: []ProcDelay{{Proc: 0, Extra: -1}}},
-		{Slowdowns: []SlowdownWindow{{Proc: 0, Factor: 0.5}}},
-		{Slowdowns: []SlowdownWindow{{Proc: 0, From: 10, To: 5, Factor: 2}}},
 		{Drops: []DropRule{{Match: Any(), Prob: math.NaN()}}},
 		{Dups: []DupRule{{Match: Any(), Prob: math.NaN()}}},
-		{Slowdowns: []SlowdownWindow{{Proc: 0, Factor: math.NaN()}}},
-		{Slowdowns: []SlowdownWindow{{Proc: 0, Factor: math.Inf(1)}}},
 	}
 	for i, p := range bad {
 		if _, err := New(p, 1); err == nil {
@@ -62,10 +56,7 @@ func TestValidate(t *testing.T) {
 	good := Plan{
 		Drops:      []DropRule{{Match: Any(), Prob: 0.5}, {Match: Any(), Nth: 3}},
 		Dups:       []DupRule{{Match: Any(), Prob: 1}},
-		WireDelays: []WireDelayRule{{Match: Any(), Extra: 10}},
-		LinkDelays: []LinkDelayWindow{{Match: Any(), From: 0, To: 100, Extra: 5}},
 		ProcDelays: []ProcDelay{{Proc: 2, At: 50, Extra: 1000}},
-		Slowdowns:  []SlowdownWindow{{Proc: 1, From: 0, To: 100, Factor: 2}},
 	}
 	if _, err := New(good, 1); err != nil {
 		t.Errorf("good plan rejected: %v", err)
@@ -93,7 +84,7 @@ func TestSeedDeterminism(t *testing.T) {
 		in := MustNew(plan, seed)
 		var out []am.FaultAction
 		for i := 0; i < 200; i++ {
-			out = append(out, in.OnWire(wmsg(i%8, (i+3)%8, 0), sim.Time(i)))
+			out = append(out, in.OnWire(wmsg(i%8, (i+3)%8, 0)))
 		}
 		return out
 	}
@@ -132,45 +123,8 @@ func TestNthDrop(t *testing.T) {
 		{wmsg(1, 4, 0), false}, // 3rd: single-shot is spent
 	}
 	for i, s := range seq {
-		if got := in.OnWire(s.w, 0).Drop; got != s.drop {
+		if got := in.OnWire(s.w).Drop; got != s.drop {
 			t.Errorf("transmission %d: Drop = %v, want %v", i, got, s.drop)
-		}
-	}
-}
-
-func TestWireDelayEveryVsNth(t *testing.T) {
-	in := MustNew(Plan{
-		WireDelays: []WireDelayRule{
-			{Match: Any(), Extra: 10},          // every transmission
-			{Match: Any(), Nth: 2, Extra: 100}, // only the second
-		},
-	}, 1)
-	want := []sim.Time{10, 110, 10}
-	for i, w := range want {
-		if got := in.OnWire(wmsg(0, 1, 0), 0).ExtraLatency; got != w {
-			t.Errorf("transmission %d: ExtraLatency = %v, want %v", i, got, w)
-		}
-	}
-}
-
-func TestLinkDelayWindow(t *testing.T) {
-	in := MustNew(Plan{
-		LinkDelays: []LinkDelayWindow{{Match: Match{Src: -1, Dst: 5, Class: -1}, From: 100, To: 200, Extra: 7}},
-	}, 1)
-	cases := []struct {
-		w      am.WireMsg
-		inject sim.Time
-		want   sim.Time
-	}{
-		{wmsg(0, 5, 0), 99, 0},  // before the window
-		{wmsg(0, 5, 0), 100, 7}, // inclusive start
-		{wmsg(0, 5, 0), 199, 7}, // inside
-		{wmsg(0, 5, 0), 200, 0}, // exclusive end
-		{wmsg(0, 4, 0), 150, 0}, // wrong link
-	}
-	for i, c := range cases {
-		if got := in.OnWire(c.w, c.inject).ExtraLatency; got != c.want {
-			t.Errorf("case %d: ExtraLatency = %v, want %v", i, got, c.want)
 		}
 	}
 }
@@ -195,29 +149,6 @@ func TestProcDelayFiresOnce(t *testing.T) {
 	}
 }
 
-func TestSlowdownWindow(t *testing.T) {
-	in := MustNew(Plan{
-		Slowdowns: []SlowdownWindow{{Proc: 3, From: 100, To: 200, Factor: 1.5}},
-	}, 1)
-	if got := in.ChargeExtra(3, 150, 100); got != 50 {
-		t.Errorf("charge of 100 at ×1.5 = extra %v, want 50", got)
-	}
-	if got := in.ChargeExtra(3, 99, 100); got != 0 {
-		t.Errorf("charge starting before the window slowed: %v", got)
-	}
-	if got := in.ChargeExtra(3, 200, 100); got != 0 {
-		t.Errorf("charge starting at the exclusive end slowed: %v", got)
-	}
-	if got := in.ChargeExtra(2, 150, 100); got != 0 {
-		t.Errorf("wrong processor slowed: %v", got)
-	}
-	// Factor 1 is a no-op window.
-	noop := MustNew(Plan{Slowdowns: []SlowdownWindow{{Proc: 0, From: 0, To: 1000, Factor: 1}}}, 1)
-	if got := noop.ChargeExtra(0, 10, 100); got != 0 {
-		t.Errorf("Factor 1 produced extra %v", got)
-	}
-}
-
 // TestDrawIsolation: probability draws happen only for matching rules, so
 // traffic a rule ignores cannot shift its schedule.
 func TestDrawIsolation(t *testing.T) {
@@ -227,9 +158,9 @@ func TestDrawIsolation(t *testing.T) {
 		var out []bool
 		for i := 0; i < 100; i++ {
 			if noise {
-				in.OnWire(wmsg(0, 2, 0), sim.Time(i)) // never matches
+				in.OnWire(wmsg(0, 2, 0)) // never matches
 			}
-			out = append(out, in.OnWire(wmsg(1, 2, 0), sim.Time(i)).Drop)
+			out = append(out, in.OnWire(wmsg(1, 2, 0)).Drop)
 		}
 		return out
 	}
@@ -241,48 +172,37 @@ func TestDrawIsolation(t *testing.T) {
 	}
 }
 
-// TestDelaysSaturate: delays too large for the clock saturate at the
+// TestDelaysSaturate: stalls that sum past the clock saturate at the
 // largest duration instead of wrapping negative, which the machine would
 // silently drop.
 func TestDelaysSaturate(t *testing.T) {
-	slow := MustNew(Plan{Slowdowns: []SlowdownWindow{{Proc: 0, From: 0, To: 1, Factor: 1e13}}}, 1)
-	if got := slow.ChargeExtra(0, 0, sim.Millisecond); got != math.MaxInt64 {
-		t.Errorf("1 ms at ×1e13 = extra %v, want the saturated %v", got, sim.Time(math.MaxInt64))
-	}
-	huge := WireDelayRule{Match: Any(), Extra: math.MaxInt64}
-	wire := MustNew(Plan{WireDelays: []WireDelayRule{huge, huge}}, 1)
-	if got := wire.OnWire(wmsg(0, 1, 0), 0).ExtraLatency; got != math.MaxInt64 {
-		t.Errorf("two MaxInt64 wire delays sum to %v, want the saturated %v", got, sim.Time(math.MaxInt64))
+	huge := ProcDelay{Proc: 0, At: 0, Extra: math.MaxInt64}
+	in := MustNew(Plan{ProcDelays: []ProcDelay{huge, huge}}, 1)
+	if got := in.ChargeExtra(0, 0, sim.Millisecond); got != math.MaxInt64 {
+		t.Errorf("two MaxInt64 stalls sum to %v, want the saturated %v", got, sim.Time(math.MaxInt64))
 	}
 }
 
-// TestOverflowingPlanFailsRun: a plan Validate accepts whose delays
-// carry a clock or an arrival past int64 fails the run with the typed
-// am.ErrFaultOverflow.
+// TestOverflowingPlanFailsRun: a plan Validate accepts whose stalls
+// carry a clock past int64 fails the run with the typed
+// am.ErrFaultOverflow, whichever charge the stalls stretch: a compute
+// ("slowdown") or the send overhead a request pays before its message
+// reaches the wire ("wire delay").
 func TestOverflowingPlanFailsRun(t *testing.T) {
-	huge := WireDelayRule{Match: Any(), Extra: math.MaxInt64}
-	for name, c := range map[string]struct {
-		plan Plan
-		body func(ep *am.Endpoint)
-	}{
-		"slowdown": {
-			Plan{Slowdowns: []SlowdownWindow{{Proc: 0, From: 0, To: sim.Second, Factor: 1e13}}},
-			func(ep *am.Endpoint) { ep.Compute(sim.Millisecond) },
-		},
-		"wire delay": {
-			Plan{WireDelays: []WireDelayRule{huge, huge}},
-			func(ep *am.Endpoint) {
-				ep.Request(1, am.ClassWrite, func(*am.Endpoint, *am.Token, am.Args) {}, am.Args{})
-			},
+	huge := ProcDelay{Proc: 0, At: 0, Extra: math.MaxInt64}
+	for name, body := range map[string]func(ep *am.Endpoint){
+		"slowdown": func(ep *am.Endpoint) { ep.Compute(sim.Millisecond) },
+		"wire delay": func(ep *am.Endpoint) {
+			ep.Request(1, am.ClassWrite, func(*am.Endpoint, *am.Token, am.Args) {}, am.Args{})
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			eng := sim.New(sim.Config{Procs: 2})
 			m := am.MustMachine(eng, logp.NOW())
-			m.SetFaults(MustNew(c.plan, 1))
+			m.SetFaults(MustNew(Plan{ProcDelays: []ProcDelay{huge, huge}}, 1))
 			err := eng.Run(func(p *sim.Proc) {
 				if p.ID() == 0 {
-					c.body(m.Endpoint(0))
+					body(m.Endpoint(0))
 				}
 			})
 			if !errors.Is(err, am.ErrFaultOverflow) {
@@ -293,15 +213,15 @@ func TestOverflowingPlanFailsRun(t *testing.T) {
 }
 
 // FuzzPlan builds plans of every rule kind — two copies of each chosen
-// kind, so delays also sum — from arbitrary values: NaN, ±Inf, negative
-// durations and inverted windows included. New must accept exactly the
-// plans Validate accepts, and an accepted injector must never hand the
-// machine a negative duration.
+// kind, so stalls also sum — from arbitrary values: NaN, ±Inf and
+// negative durations included. New must accept exactly the plans
+// Validate accepts, and an accepted injector must never hand the machine
+// a negative duration.
 func FuzzPlan(f *testing.F) {
-	f.Add(uint8(0x3f), 0.5, int64(3), int64(10), int64(0), int64(100), 2.0, int8(1), int64(50), int64(1000))
-	f.Add(uint8(0x20), 0.0, int64(0), int64(0), int64(0), int64(1), 1e13, int8(0), int64(0), int64(1_000_000))
-	f.Add(uint8(0x1c), 0.0, int64(0), int64(math.MaxInt64), int64(0), int64(math.MaxInt64), 1.0, int8(0), int64(0), int64(1))
-	f.Fuzz(func(t *testing.T, kinds uint8, prob float64, nth, extra, from, to int64, factor float64, proc int8, at, d int64) {
+	f.Add(uint8(0x7), 0.5, int64(3), int64(1000), int8(1), int64(50), int64(10))
+	f.Add(uint8(0x4), 0.0, int64(0), int64(1_000_000), int8(0), int64(0), int64(1))
+	f.Add(uint8(0x4), 0.0, int64(0), int64(math.MaxInt64), int8(0), int64(0), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, kinds uint8, prob float64, nth, extra int64, proc int8, at, d int64) {
 		var plan Plan
 		for range 2 {
 			if kinds&1 != 0 {
@@ -311,16 +231,7 @@ func FuzzPlan(f *testing.F) {
 				plan.Dups = append(plan.Dups, DupRule{Match: Any(), Prob: prob, Nth: nth})
 			}
 			if kinds&4 != 0 {
-				plan.WireDelays = append(plan.WireDelays, WireDelayRule{Match: Any(), Nth: nth, Extra: sim.Time(extra)})
-			}
-			if kinds&8 != 0 {
-				plan.LinkDelays = append(plan.LinkDelays, LinkDelayWindow{Match: Any(), From: sim.Time(from), To: sim.Time(to), Extra: sim.Time(extra)})
-			}
-			if kinds&16 != 0 {
 				plan.ProcDelays = append(plan.ProcDelays, ProcDelay{Proc: int(proc), At: sim.Time(at), Extra: sim.Time(extra)})
-			}
-			if kinds&32 != 0 {
-				plan.Slowdowns = append(plan.Slowdowns, SlowdownWindow{Proc: int(proc), From: sim.Time(from), To: sim.Time(to), Factor: factor})
 			}
 		}
 		inj, err := New(plan, 1)
@@ -331,15 +242,13 @@ func FuzzPlan(f *testing.F) {
 			return
 		}
 		// The machine charges a positive duration from a non-negative
-		// clock; the probes walk the plan's windows.
+		// clock; the probes start before and at the stall's instant.
 		start, dur := sim.Time(at&math.MaxInt64), sim.Time(d&math.MaxInt64|1)
-		for _, now := range []sim.Time{0, start, sim.Time(from & math.MaxInt64), sim.Time(to & math.MaxInt64)} {
+		for _, now := range []sim.Time{0, start} {
 			if x := inj.ChargeExtra(int(proc), now, dur); x < 0 {
 				t.Fatalf("ChargeExtra(%d, %v, %v) = %v", proc, now, dur, x)
 			}
-			if x := inj.OnWire(wmsg(0, 1, 0), now).ExtraLatency; x < 0 {
-				t.Fatalf("OnWire at %v: ExtraLatency %v", now, x)
-			}
+			inj.OnWire(wmsg(0, 1, 0))
 		}
 	})
 }

@@ -77,9 +77,9 @@ const (
 	// which the NIC transmit context was occupied by timeout-driven
 	// re-injections of unacked messages.
 	CatRetransmit
-	// CatFaultDelay is fault-injected processor time: one-off delays and
-	// slowdown-window stretches appended to explicit charges by the fault
-	// injector (sim.ClockStretch spans).
+	// CatFaultDelay is fault-injected processor time: one-off stalls
+	// appended to explicit charges by the fault injector
+	// (sim.ClockStretch spans).
 	CatFaultDelay
 
 	// NumPaperCategories counts the original ten accounts; rendered

@@ -95,11 +95,11 @@ func TestProfileObservationOnly(t *testing.T) {
 }
 
 // TestConservationUnderFaults extends the acceptance property to a
-// faulted machine: with a lossy wire under the reliability protocol, a
-// mid-run processor stall, a slowdown window, and a link-delay episode
-// all active, every nanosecond must still land in exactly one account —
-// retransmission occupancy in CatRetransmit, injected processor time in
-// CatFaultDelay — with nothing unattributed.
+// faulted machine: with a lossy, duplicating wire under the reliability
+// protocol and two mid-run stalls summed on one processor, every
+// nanosecond must still land in exactly one account — retransmission
+// occupancy in CatRetransmit, injected processor time in CatFaultDelay,
+// discarded duplicates nowhere — with nothing unattributed.
 func TestConservationUnderFaults(t *testing.T) {
 	for _, name := range []string{"radix", "nowsort"} {
 		t.Run(name, func(t *testing.T) {
@@ -108,10 +108,12 @@ func TestConservationUnderFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			plan := &fault.Plan{
-				Drops:      []fault.DropRule{{Match: fault.Any(), Prob: 0.01}},
-				ProcDelays: []fault.ProcDelay{{Proc: 3, At: 10 * sim.Millisecond, Extra: sim.FromMicros(500)}},
-				Slowdowns:  []fault.SlowdownWindow{{Proc: 1, From: 0, To: 20 * sim.Millisecond, Factor: 1.3}},
-				LinkDelays: []fault.LinkDelayWindow{{Match: fault.Any(), From: 0, To: 5 * sim.Millisecond, Extra: sim.FromMicros(20)}},
+				Drops: []fault.DropRule{{Match: fault.Any(), Prob: 0.01}},
+				Dups:  []fault.DupRule{{Match: fault.Any(), Prob: 0.01}},
+				ProcDelays: []fault.ProcDelay{
+					{Proc: 3, At: 10 * sim.Millisecond, Extra: sim.FromMicros(500)},
+					{Proc: 3, At: 10 * sim.Millisecond, Extra: sim.FromMicros(250)},
+				},
 			}
 			res, err := a.Run(apps.Config{
 				Procs:       8,
@@ -141,8 +143,12 @@ func TestConservationUnderFaults(t *testing.T) {
 			if res.Stats.WireDrops > 0 && p.Share(prof.CatRetransmit) == 0 {
 				t.Error("wire dropped messages but no time landed in the retransmit account")
 			}
-			if p.Share(prof.CatFaultDelay) == 0 {
-				t.Error("processor faults injected but no time landed in the fault-delay account")
+			if res.Stats.WireDups == 0 || res.Stats.DupsDiscarded == 0 {
+				t.Errorf("wire duplicated %d, NIC discarded %d; the dup rule must reach dedup",
+					res.Stats.WireDups, res.Stats.DupsDiscarded)
+			}
+			if got, want := p.Total(prof.CatFaultDelay), sim.FromMicros(750); got != want {
+				t.Errorf("fault-delay account holds %v, want the two stalls' sum %v", got, want)
 			}
 		})
 	}

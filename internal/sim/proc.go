@@ -21,9 +21,9 @@ const (
 	// event wakes it at a future time.
 	ClockWake
 	// ClockStretch is fault-injected time appended to an explicit charge
-	// by the stretch hook (see Proc.SetStretch): slowdown windows and
-	// one-off processor delays. Profilers account it separately from the
-	// base charge, which layers above report via their own hooks.
+	// by the stretch hook (see Proc.SetStretch): one-off processor
+	// stalls. Profilers account it separately from the base charge,
+	// which layers above report via their own hooks.
 	ClockStretch
 )
 
@@ -130,12 +130,11 @@ func (p *Proc) SetClockHook(fn func(kind ClockKind, from, to Time)) { p.onClock 
 // SetStretch attaches fn, consulted after every explicit nonzero Advance
 // with the charge's [from, from+d) span. The returned extra duration (if
 // positive) is appended to the charge and reported to the clock hook as
-// ClockStretch. This is the seam fault injection uses for per-processor
-// slowdown windows and one-off delays: the charging layer still observes
-// its base cost through its own hooks, while the injected extension is
-// attributed separately. fn runs synchronously in
-// deterministic order and must not manipulate virtual time
-// itself. nil detaches.
+// ClockStretch. This is the seam fault injection uses for one-off
+// processor stalls: the charging layer still observes its base cost
+// through its own hooks, while the injected extension is attributed
+// separately. fn runs synchronously in deterministic order and must not
+// manipulate virtual time itself. nil detaches.
 func (p *Proc) SetStretch(fn func(from, d Time) Time) { p.onStretch = fn }
 
 // Advance charges d of local computation (or overhead) to the processor.

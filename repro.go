@@ -15,10 +15,10 @@
 //     running its real algorithm and verified against a serial reference;
 //   - the calibration microbenchmarks (LogP signatures) and the analytic
 //     sensitivity models of §5;
-//   - a deterministic fault-injection layer (message drops, duplication,
-//     extra wire latency, processor stalls and slowdowns) paired with an
-//     optional AM reliability protocol that recovers from a lossy wire by
-//     NIC-level retransmission; and
+//   - a deterministic fault-injection layer (message drops, duplication
+//     and one-off processor stalls) paired with an optional AM
+//     reliability protocol that recovers from a lossy wire by NIC-level
+//     retransmission; and
 //   - an experiment harness that regenerates every table and figure of
 //     the paper's evaluation, plus extension experiments beyond it.
 //
@@ -140,20 +140,16 @@ type (
 	// processor delay and/or a lossy wire under the reliability protocol.
 	FaultSpec = run.FaultSpec
 	// FaultPlan is a declarative, seed-deterministic schedule of injected
-	// faults (drops, duplications, wire delays, processor stalls and
-	// slowdowns); set AppConfig.FaultPlan to apply one to a run.
+	// faults (drops, duplications and one-off processor stalls); set
+	// AppConfig.FaultPlan to apply one to a run.
 	FaultPlan = fault.Plan
 	// FaultMatch selects wire transmissions for fault rules; FaultAny()
 	// matches every transmission.
 	FaultMatch = fault.Match
-	// DropRule, DupRule, WireDelayRule, LinkDelayWindow, ProcDelay, and
-	// SlowdownWindow are the FaultPlan rule kinds.
-	DropRule        = fault.DropRule
-	DupRule         = fault.DupRule
-	WireDelayRule   = fault.WireDelayRule
-	LinkDelayWindow = fault.LinkDelayWindow
-	ProcDelay       = fault.ProcDelay
-	SlowdownWindow  = fault.SlowdownWindow
+	// DropRule, DupRule and ProcDelay are the FaultPlan rule kinds.
+	DropRule  = fault.DropRule
+	DupRule   = fault.DupRule
+	ProcDelay = fault.ProcDelay
 	// Reliability configures the AM-layer reliability protocol (sequence
 	// numbers, receiver dedup and resequencing, cumulative acks, timeout
 	// retransmission); required whenever the fault plan is lossy.
