@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps/scalekern"
+	"repro/internal/apps/suite"
 	"repro/internal/run"
 )
 
@@ -47,6 +49,101 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, err := ByID("nope"); err == nil {
 		t.Error("ByID accepted unknown id")
+	}
+}
+
+// planApps lists the applications a plan runs, in declaration order.
+func planApps(p *run.Plan) []string {
+	var names []string
+	seen := map[string]bool{}
+	for _, s := range p.Specs() {
+		if !seen[s.App] {
+			seen[s.App] = true
+			names = append(names, s.App)
+		}
+	}
+	return names
+}
+
+// TestExperimentApps pins which applications each registry row runs for
+// an -apps selection: the paper rows narrow the paper suite, scale the
+// kernels, collectives defaults to its barrier-heavy trio, ext-phases
+// runs Radix whatever is asked, and the calibration rows run nothing. A
+// refused selection is an error naming the app, from the plan and from
+// Run alike.
+func TestExperimentApps(t *testing.T) {
+	type in struct {
+		id   string
+		apps []string
+	}
+	type out struct {
+		apps []string // the plan's applications; nil when refused
+		err  string   // what the refusal names; "" when accepted
+	}
+	paper, kernels := suite.Names(), scalekern.Names()
+	trio := []string{"radix", "sample", "em3d-write"}
+	tests := []struct {
+		in  in
+		out out
+	}{
+		{in{"table1", nil}, out{}},
+		{in{"table1", []string{"nosuch"}}, out{}},
+		{in{"fig3", []string{"scale-radix"}}, out{}},
+		{in{"table2", []string{"radix"}}, out{}},
+		{in{"table3", nil}, out{apps: paper}},
+		{in{"fig5b", nil}, out{apps: paper}},
+		{in{"fig5b", []string{"nowsort", "radix"}}, out{apps: []string{"nowsort", "radix"}}},
+		{in{"tolerance", []string{"radix"}}, out{apps: []string{"radix"}}},
+		{in{"collectives", nil}, out{apps: trio}},
+		{in{"collectives", []string{"nowsort"}}, out{apps: []string{"nowsort"}}},
+		{in{"ext-phases", nil}, out{apps: []string{"radix"}}},
+		{in{"ext-phases", []string{"nowsort"}}, out{apps: []string{"radix"}}},
+		{in{"ext-phases", []string{"scale-radix"}}, out{apps: []string{"radix"}}},
+		{in{"scale", nil}, out{apps: kernels}},
+		{in{"scale", []string{"scale-pray", "scale-radix"}}, out{apps: []string{"scale-pray", "scale-radix"}}},
+		{in{"scale", []string{"radix"}}, out{err: `"radix"`}},
+		{in{"scale", []string{"scale-radix", "nosuch"}}, out{err: `"nosuch"`}},
+		{in{"collectives", []string{"scale-radix"}}, out{err: `"scale-radix"`}},
+		{in{"fig5b", []string{"radix", "nosuch"}}, out{err: `"nosuch"`}},
+	}
+	// Every paper row refuses a kernel.
+	for _, id := range []string{"table3", "fig4", "table4", "fig5a", "fig5b", "table5", "fig6",
+		"table6", "fig7", "fig8", "ext-burst", "ext-tradeoff", "profile", "faults", "tolerance"} {
+		tests = append(tests, struct {
+			in  in
+			out out
+		}{in{id, []string{"scale-radix"}}, out{err: `"scale-radix"`}})
+	}
+	for _, tc := range tests {
+		o := quickOpts()
+		o.Apps = tc.in.apps
+		p, err := PlanFor([]string{tc.in.id}, o)
+		if tc.out.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.out.err) {
+				t.Errorf("%v: plan error %v, want one naming %s", tc.in, err, tc.out.err)
+			}
+			e, _ := ByID(tc.in.id)
+			if _, err := e.Run(o); err == nil || !strings.Contains(err.Error(), tc.out.err) {
+				t.Errorf("%v: Run error %v, want one naming %s", tc.in, err, tc.out.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%v: %v", tc.in, err)
+			continue
+		}
+		if got := planApps(p); strings.Join(got, ",") != strings.Join(tc.out.apps, ",") {
+			t.Errorf("%v: runs %v, want %v", tc.in, got, tc.out.apps)
+		}
+	}
+	// One lookup resolves the paper apps and the kernels by name.
+	for _, name := range append(append([]string{}, paper...), kernels...) {
+		if a, err := ResolveApp(name); err != nil || a.Name() != name {
+			t.Errorf("ResolveApp(%q) = %v, %v", name, a, err)
+		}
+	}
+	if _, err := ResolveApp("nosuch"); err == nil || !strings.Contains(err.Error(), "have [") {
+		t.Errorf("ResolveApp(nosuch) error %v, want one listing the names", err)
 	}
 }
 
