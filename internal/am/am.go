@@ -608,12 +608,10 @@ func (ep *Endpoint) launch(msg *message) {
 //repro:hotpath
 func (m *Machine) putOnWire(msg *message, arrival sim.Time, retrans bool) {
 	if f := m.faults; f != nil {
-		bulk := msg.kind == kindBulk || msg.kind == kindBulkReply
 		act := f.OnWire(WireMsg{
 			Src:        msg.src,
 			Dst:        msg.dst,
 			Class:      msg.class,
-			Bulk:       bulk,
 			Reply:      msg.kind == kindReply || msg.kind == kindBulkReply,
 			Retransmit: retrans,
 			Seq:        msg.seq(),

@@ -20,8 +20,6 @@ type WireMsg struct {
 	Src, Dst int
 	// Class is the sender's traffic classification.
 	Class Class
-	// Bulk marks bulk fragments (Store/ReplyBulk).
-	Bulk bool
 	// Reply marks replies (short or bulk).
 	Reply bool
 	// Retransmit marks reliability-layer retransmissions.

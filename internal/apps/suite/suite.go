@@ -1,5 +1,6 @@
 // Package suite assembles the paper's ten-application benchmark suite in
-// Table 4 order.
+// Table 4 order, and resolves every application name the harness runs:
+// the paper's ten and the weak-scaling kernels (scalekern).
 package suite
 
 import (
@@ -15,6 +16,7 @@ import (
 	"repro/internal/apps/radb"
 	"repro/internal/apps/radix"
 	"repro/internal/apps/sample"
+	"repro/internal/apps/scalekern"
 )
 
 // All returns the full benchmark suite in the paper's Table 4 order.
@@ -42,12 +44,15 @@ func Names() []string {
 	return ns
 }
 
-// ByName finds an application by its short name.
+// ByName finds an application by its short name: a paper application,
+// then a weak-scaling kernel. It is the lookup every run.Runner uses, so
+// scale specs replay through the same plan and store as the paper's.
 func ByName(name string) (apps.App, error) {
-	for _, a := range All() {
+	for _, a := range append(All(), scalekern.All()...) {
 		if a.Name() == name {
 			return a, nil
 		}
 	}
-	return nil, fmt.Errorf("suite: unknown application %q (have %v)", name, Names())
+	return nil, fmt.Errorf("unknown application %q (have %v and the kernels %v)",
+		name, Names(), scalekern.Names())
 }

@@ -1,9 +1,11 @@
 package suite
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/apps/scalekern"
 	"repro/internal/logp"
 	"repro/internal/sim"
 )
@@ -33,11 +35,17 @@ func TestSuiteContents(t *testing.T) {
 			t.Errorf("%s: missing metadata", name)
 		}
 	}
-	if _, err := ByName("radix"); err != nil {
-		t.Error(err)
+	// ByName is the one lookup every runner uses: the paper apps, then
+	// the kernels; anything else is refused with both name lists.
+	for _, name := range append(Names(), scalekern.Names()...) {
+		if a, err := ByName(name); err != nil || a.Name() != name {
+			t.Errorf("ByName(%q) = %v, %v", name, a, err)
+		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("ByName accepted unknown app")
+	for _, name := range []string{"", "nope", "scale-radix-blk", "Radix"} {
+		if _, err := ByName(name); err == nil || !strings.Contains(err.Error(), "have [") {
+			t.Errorf("ByName(%q) error %v, want one listing the names", name, err)
+		}
 	}
 }
 

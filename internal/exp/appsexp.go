@@ -5,49 +5,21 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/apps/suite"
 	"repro/internal/run"
 )
 
-// selectedApps resolves the options' application subset.
-func selectedApps(o Options) ([]apps.App, error) {
-	if len(o.Apps) == 0 {
-		return suite.All(), nil
-	}
-	var out []apps.App
-	for _, name := range o.Apps {
-		a, err := suite.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// table3Plan declares each application's baseline on 16 and 32 nodes.
-func table3Plan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
-	p := run.NewPlan()
+// table3Plan lists each application's baseline on 16 and 32 nodes.
+func table3Plan(o Options, sel []apps.App) []run.Spec {
+	var specs []run.Spec
 	for _, a := range sel {
-		p.AddBaseline(a.Name(), 16, o.Scale, o.Seed, o.Verify)
-		p.AddBaseline(a.Name(), 32, o.Scale, o.Seed, o.Verify)
+		specs = append(specs, o.baselineSpec(a, 16), o.baselineSpec(a, 32))
 	}
-	return p, nil
+	return specs
 }
 
 // table3Render reports each application's input set and base run time on
 // 16 and 32 nodes.
-func table3Render(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
+func table3Render(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 	t := &Table{
 		ID:      "table3",
 		Title:   "Applications and data sets",
@@ -76,30 +48,18 @@ func table3Render(o Options, st *run.Store) (*Table, error) {
 	return t, nil
 }
 
-// suiteBaselinePlan declares one baseline per selected app at the
-// options' cluster size (Table 4 and Figure 4 share it).
-func suiteBaselinePlan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
+// baselinePlan lists one baseline per app at the options' cluster size
+// (Table 4 and Figure 4 share it).
+func baselinePlan(o Options, sel []apps.App) []run.Spec {
+	specs := make([]run.Spec, len(sel))
+	for i, a := range sel {
+		specs[i] = o.baselineSpec(a, o.Procs)
 	}
-	p := run.NewPlan()
-	for _, a := range sel {
-		p.AddBaseline(a.Name(), o.Procs, o.Scale, o.Seed, o.Verify)
-	}
-	return p, nil
+	return specs
 }
 
-func table4Plan(o Options) (*run.Plan, error) { return suiteBaselinePlan(o) }
-
 // table4Render reports the per-application communication summary.
-func table4Render(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
+func table4Render(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 	t := &Table{
 		ID:    "table4",
 		Title: "Communication summary (32 nodes)",
@@ -131,18 +91,11 @@ func table4Render(o Options, st *run.Store) (*Table, error) {
 	return t, nil
 }
 
-func fig4Plan(o Options) (*run.Plan, error) { return suiteBaselinePlan(o) }
-
 // fig4Render renders each application's communication-balance matrix:
 // the fraction of messages from processor i to processor j as a
 // grey-scale glyph (' ' for none through '█' for the per-app maximum),
 // plus the raw counts in CSV-friendly rows.
-func fig4Render(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
+func fig4Render(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 	shades := []rune(" .:-=+*#%@█")
 	t := &Table{
 		ID:      "fig4",

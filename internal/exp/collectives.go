@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
-	"repro/internal/apps/suite"
 	"repro/internal/core"
 	"repro/internal/logp"
 	"repro/internal/run"
@@ -240,44 +239,22 @@ func collKnobs() []collKnob {
 	}
 }
 
-// collApps resolves Part two's application subset: the explicit -apps
-// selection, or the barrier-heavy default trio.
-func collApps(o Options) ([]apps.App, error) {
-	if len(o.Apps) > 0 {
-		return selectedApps(o)
-	}
-	var out []apps.App
-	for _, name := range []string{"radix", "sample", "em3d-write"} {
-		a, err := suite.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// collectivesPlan declares Part two's run matrix: each app at each knob
-// point, under the default selection and under "auto" (baselines for
-// both selections are auto-declared by AddSweep).
-func collectivesPlan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	sel, err := collApps(o)
-	if err != nil {
-		return nil, err
-	}
-	p := run.NewPlan()
+// collectivesPlan lists Part two's run matrix: each app at each knob
+// point, under the default selection and under "auto" (AddSweep declares
+// the baselines of both selections).
+func collectivesPlan(o Options, sel []apps.App) []run.Spec {
+	var specs []run.Spec
 	for _, a := range sel {
 		for _, ck := range collKnobs() {
 			for _, v := range o.sweepPoints(ck.points) {
 				s := o.sweepSpec(a, o.Procs, ck.k, v)
-				p.AddSweep(s, o.Verify)
-				s.Coll = autoColl()
-				p.AddSweep(s, o.Verify)
+				tuned := s
+				tuned.Coll = autoColl()
+				specs = append(specs, s, tuned)
 			}
 		}
 	}
-	return p, nil
+	return specs
 }
 
 // us renders a sim.Time in microseconds.
@@ -286,8 +263,7 @@ func us(d sim.Time) string { return fmt.Sprintf("%.2f", d.Seconds()*1e6) }
 // collectivesRender builds the combined table: the crossover rows
 // (micro section) followed by the tuned-vs-default sweep rows (app
 // section).
-func collectivesRender(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
+func collectivesRender(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 	t := &Table{
 		ID:    "collectives",
 		Title: "Collective algorithm selection: LogGP crossovers and tuned applications",
@@ -314,10 +290,6 @@ func collectivesRender(o Options, st *run.Store) (*Table, error) {
 		})
 	}
 
-	sel, err := collApps(o)
-	if err != nil {
-		return nil, err
-	}
 	for _, a := range sel {
 		for _, ck := range collKnobs() {
 			for _, v := range o.sweepPoints(ck.points) {

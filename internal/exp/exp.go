@@ -5,11 +5,15 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/apps/scalekern"
+	"repro/internal/apps/suite"
 	"repro/internal/logp"
+	"repro/internal/model"
 	"repro/internal/run"
 )
 
@@ -23,7 +27,8 @@ type Options struct {
 	Scale float64
 	// Seed fixes all pseudo-randomness.
 	Seed int64
-	// Apps restricts application experiments to a subset (nil = all ten).
+	// Apps restricts application experiments to a subset (nil = each
+	// experiment's own set: the paper's ten for most).
 	Apps []string
 	// Quick trims sweep points for smoke runs.
 	Quick bool
@@ -125,45 +130,124 @@ func (t *Table) CSV() string {
 }
 
 // Experiment is one reproducible paper artifact, split into the two
-// halves the run engine needs: a declarative Plan of every simulation
-// the artifact requires, and a Render that builds the table from the
-// completed run store. Declaring first lets cmd/repro merge the plans of
-// many experiments and execute shared runs exactly once, on a parallel
-// worker pool.
+// halves the run engine needs: the runs the artifact requires, and a
+// Render that builds the table from the completed run store. Declaring
+// first lets cmd/repro merge the plans of many experiments and execute
+// shared runs exactly once, on a parallel worker pool.
+//
+// The registry does what every experiment would otherwise repeat: it
+// normalizes the Options, resolves the experiment's application set
+// against Options.Apps, and declares the listed runs in a run.Plan.
 type Experiment struct {
 	ID    string
 	Title string
-	// Plan declares the experiment's run matrix; nil when the experiment
-	// needs no application runs (the calibration microbenchmarks).
-	Plan func(Options) (*run.Plan, error)
+	// apps is the application set Plan and Render receive.
+	apps appSet
+	// Plan lists the experiment's runs for the resolved applications;
+	// nil when it needs none (the calibration microbenchmarks). Each is
+	// declared with run.Plan.AddSweep, which declares a swept run's
+	// baseline with it and a baseline run as itself.
+	Plan func(Options, []apps.App) []run.Spec
 	// Render builds the table from a store holding the plan's outcomes.
-	Render func(Options, *run.Store) (*Table, error)
+	Render func(Options, []apps.App, *run.Store) (*Table, error)
+}
+
+// An appSet names the applications an experiment runs.
+type appSet int
+
+const (
+	noApps     appSet = iota // none: the calibration microbenchmarks
+	paperApps                // the paper suite, narrowed by -apps
+	kernelApps               // the weak-scaling kernels, narrowed by -apps
+	collTrio                 // -apps, else the barrier-heavy radix, sample, em3d-write
+	radixAlone               // Radix, whatever -apps says
+)
+
+// resolve picks the set's applications for an -apps selection.
+func (s appSet) resolve(names []string) ([]apps.App, error) {
+	switch s {
+	case paperApps:
+		return narrow(suite.All(), names, "suite: unknown application")
+	case kernelApps:
+		return narrow(scalekern.All(), names, "scalekern: unknown kernel")
+	case collTrio:
+		if len(names) == 0 {
+			names = []string{"radix", "sample", "em3d-write"}
+		}
+		return paperApps.resolve(names)
+	case radixAlone:
+		return paperApps.resolve([]string{"radix"})
+	}
+	return nil, nil
+}
+
+// narrow picks the named applications out of set, in the order named;
+// no names is the whole set.
+func narrow(set []apps.App, names []string, unknown string) ([]apps.App, error) {
+	if len(names) == 0 {
+		return set, nil
+	}
+	out := make([]apps.App, 0, len(names))
+	for _, name := range names {
+		i := slices.IndexFunc(set, func(a apps.App) bool { return a.Name() == name })
+		if i < 0 {
+			have := make([]string, len(set))
+			for j, a := range set {
+				have[j] = a.Name()
+			}
+			return nil, fmt.Errorf("%s %q (have %v)", unknown, name, have)
+		}
+		out = append(out, set[i])
+	}
+	return out, nil
+}
+
+// inputs normalizes the options and resolves the experiment's apps: what
+// every Plan and Render call takes.
+func (e Experiment) inputs(o Options) (Options, []apps.App, error) {
+	o = o.Norm()
+	sel, err := e.apps.resolve(o.Apps)
+	return o, sel, err
+}
+
+// declare adds the experiment's runs to p.
+func (e Experiment) declare(p *run.Plan, o Options, sel []apps.App) {
+	if e.Plan == nil {
+		return
+	}
+	for _, s := range e.Plan(o, sel) {
+		p.AddSweep(s, o.Verify)
+	}
 }
 
 // Run plans, executes (on Options.Jobs workers), and renders the
 // experiment in one call — the single-artifact convenience path.
 func (e Experiment) Run(o Options) (*Table, error) {
-	o = o.Norm()
+	o, sel, err := e.inputs(o)
+	if err != nil {
+		return nil, err
+	}
 	st := run.NewStore()
 	if e.Plan != nil {
-		p, err := e.Plan(o)
-		if err != nil {
-			return nil, err
-		}
+		p := run.NewPlan()
+		e.declare(p, o, sel)
 		if err := DefaultRunner(o, nil).RunInto(st, p); err != nil {
 			return nil, err
 		}
 	}
-	return e.Render(o, st)
+	return e.Render(o, sel, st)
 }
 
 // DefaultRunner builds the runner experiments execute on: the paper's
 // baseline machine, Options.Jobs workers, optional progress callback.
-// Names resolve through the paper suite first, then the weak-scaling
-// kernels (ResolveApp).
 func DefaultRunner(o Options, onProgress func(run.Progress)) *run.Runner {
-	return &run.Runner{Jobs: o.Jobs, Resolve: ResolveApp, OnProgress: onProgress}
+	return &run.Runner{Jobs: o.Jobs, OnProgress: onProgress}
 }
+
+// ResolveApp maps an application name to its implementation the way
+// every run.Runner does (suite.ByName): a paper application, then a
+// weak-scaling kernel.
+func ResolveApp(name string) (apps.App, error) { return suite.ByName(name) }
 
 // PlanFor merges the plans of several experiments so shared runs
 // (Fig 5b and Table 5, Fig 6 and Table 6, every baseline) are declared
@@ -176,14 +260,11 @@ func PlanFor(ids []string, o Options) (*run.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		if e.Plan == nil {
-			continue
-		}
-		p, err := e.Plan(o)
+		sel, err := e.apps.resolve(o.Apps)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", id, err)
 		}
-		merged.Merge(p)
+		e.declare(merged, o, sel)
 	}
 	return merged, nil
 }
@@ -195,38 +276,49 @@ func Render(id string, o Options, st *run.Store) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Render(o.Norm(), st)
+	o, sel, err := e.inputs(o)
+	if err != nil {
+		return nil, err
+	}
+	return e.Render(o, sel, st)
 }
 
 // noRuns adapts a calibration-only experiment to the Render signature.
-func noRuns(f func(Options) (*Table, error)) func(Options, *run.Store) (*Table, error) {
-	return func(o Options, _ *run.Store) (*Table, error) { return f(o) }
+func noRuns(f func(Options) (*Table, error)) func(Options, []apps.App, *run.Store) (*Table, error) {
+	return func(o Options, _ []apps.App, _ *run.Store) (*Table, error) { return f(o) }
 }
 
 // Registry lists every experiment in paper order.
 func Registry() []Experiment {
 	return []Experiment{
-		{"table1", "Baseline LogGP parameters (NOW vs Paragon vs Meiko)", nil, noRuns(Table1)},
-		{"fig3", "LogP signature: µs/message vs burst size", nil, noRuns(Fig3)},
-		{"table2", "Calibration: desired vs observed o, g, L independence", nil, noRuns(Table2)},
-		{"table3", "Applications, input sets, and 16/32-node base run times", table3Plan, table3Render},
-		{"fig4", "Communication balance matrices", fig4Plan, fig4Render},
-		{"table4", "Communication summary per application", table4Plan, table4Render},
-		{"fig5a", "Sensitivity to overhead, 16 nodes (slowdown)", fig5aPlan, fig5aRender},
-		{"fig5b", "Sensitivity to overhead, 32 nodes (slowdown)", fig5bPlan, fig5bRender},
-		{"table5", "Measured vs predicted run times varying overhead", table5Plan, table5Render},
-		{"fig6", "Sensitivity to gap (slowdown)", fig6Plan, fig6Render},
-		{"table6", "Measured vs predicted run times varying gap", table6Plan, table6Render},
-		{"fig7", "Sensitivity to latency (slowdown)", fig7Plan, fig7Render},
-		{"fig8", "Sensitivity to bulk gap (slowdown vs bandwidth)", fig8Plan, fig8Render},
-		{"ext-burst", "Extension: burstiness and the gap models", extBurstPlan, extBurstRender},
-		{"ext-tradeoff", "Extension: processor vs network investment", extTradeoffPlan, extTradeoffRender},
-		{"ext-phases", "Extension: Radix phase shares under overhead", extPhasesPlan, extPhasesRender},
-		{"profile", "Stall attribution per application (LogGP accountant)", profilePlan, profileRender},
-		{"faults", "Extension: fault injection — delay propagation and lossy-wire recovery", faultsPlan, faultsRender},
-		{"collectives", "Extension: collective algorithm selection — LogGP crossovers and tuning", collectivesPlan, collectivesRender},
-		{"scale", "Weak scaling on the resumable runtime (P to 1M)", scalePlan, scaleRender},
-		{"tolerance", "Tolerance to added o, g and L, read off the measured sweeps", tolerancePlan, toleranceRender},
+		{"table1", "Baseline LogGP parameters (NOW vs Paragon vs Meiko)", noApps, nil, noRuns(Table1)},
+		{"fig3", "LogP signature: µs/message vs burst size", noApps, nil, noRuns(Fig3)},
+		{"table2", "Calibration: desired vs observed o, g, L independence", noApps, nil, noRuns(Table2)},
+		{"table3", "Applications, input sets, and 16/32-node base run times", paperApps, table3Plan, table3Render},
+		{"fig4", "Communication balance matrices", paperApps, baselinePlan, fig4Render},
+		{"table4", "Communication summary per application", paperApps, baselinePlan, table4Render},
+		{"fig5a", "Sensitivity to overhead, 16 nodes (slowdown)", paperApps, overhead16.specs,
+			overhead16.slowdown("fig5a", "Slowdown vs added overhead (16 nodes)", "Δo(µs)")},
+		{"fig5b", "Sensitivity to overhead, 32 nodes (slowdown)", paperApps, overheadSweep.specs,
+			overheadSweep.slowdown("fig5b", "Slowdown vs added overhead (32 nodes)", "Δo(µs)")},
+		{"table5", "Measured vs predicted run times varying overhead", paperApps, overheadSweep.specs,
+			overheadSweep.predicted("table5", "Measured vs predicted, varying overhead (32 nodes)", "Δo(µs)", model.Overhead)},
+		{"fig6", "Sensitivity to gap (slowdown)", paperApps, gapSweep.specs,
+			gapSweep.slowdown("fig6", "Slowdown vs added gap (32 nodes)", "Δg(µs)")},
+		{"table6", "Measured vs predicted run times varying gap", paperApps, gapSweep.specs,
+			gapSweep.predicted("table6", "Measured vs predicted, varying gap (32 nodes)", "Δg(µs)", model.GapBurst)},
+		{"fig7", "Sensitivity to latency (slowdown)", paperApps, latencySweep.specs,
+			latencySweep.slowdown("fig7", "Slowdown vs added latency (32 nodes)", "ΔL(µs)")},
+		{"fig8", "Sensitivity to bulk gap (slowdown vs bandwidth)", paperApps, bulkSweep.specs,
+			bulkSweep.slowdown("fig8", "Slowdown vs bulk bandwidth (32 nodes)", "MB/s")},
+		{"ext-burst", "Extension: burstiness and the gap models", paperApps, extBurstPlan, extBurstRender},
+		{"ext-tradeoff", "Extension: processor vs network investment", paperApps, extTradeoffPlan, extTradeoffRender},
+		{"ext-phases", "Extension: Radix phase shares under overhead", radixAlone, extPhasesPlan, extPhasesRender},
+		{"profile", "Stall attribution per application (LogGP accountant)", paperApps, profilePlan, profileRender},
+		{"faults", "Extension: fault injection — delay propagation and lossy-wire recovery", paperApps, faultsPlan, faultsRender},
+		{"collectives", "Extension: collective algorithm selection — LogGP crossovers and tuning", collTrio, collectivesPlan, collectivesRender},
+		{"scale", "Weak scaling on the resumable runtime (P to 1M)", kernelApps, scalePlan, scaleRender},
+		{"tolerance", "Tolerance to added o, g and L, read off the measured sweeps", paperApps, tolerancePlan, toleranceRender},
 	}
 }
 

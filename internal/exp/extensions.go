@@ -15,18 +15,13 @@ import (
 // plan reuses that run.
 const extBurstGap = 24.2
 
-// extBurstPlan declares a baseline plus one gap design point per app.
-func extBurstPlan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
+// extBurstPlan lists one gap design point per app.
+func extBurstPlan(o Options, sel []apps.App) []run.Spec {
+	specs := make([]run.Spec, len(sel))
+	for i, a := range sel {
+		specs[i] = o.sweepSpec(a, o.Procs, core.KnobG, extBurstGap)
 	}
-	p := run.NewPlan()
-	for _, a := range sel {
-		p.AddSweep(o.sweepSpec(a, o.Procs, core.KnobG, extBurstGap), o.Verify)
-	}
-	return p, nil
+	return specs
 }
 
 // extBurstRender tests the paper's §5.2 burstiness claim directly. The
@@ -36,12 +31,7 @@ func extBurstPlan(o Options) (*run.Plan, error) {
 // issued within 2·g of the previous send, the mean interval, and how the
 // burst and uniform gap models compare against a measured mid-sweep
 // point.
-func extBurstRender(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
+func extBurstRender(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 	t := &Table{
 		ID:    "ext-burst",
 		Title: "Burstiness and the gap models (extension of §5.2)",
@@ -102,22 +92,15 @@ func tradeoffSpecs(o Options, a apps.App) (degraded, fastCPU, fastNet run.Spec) 
 	return degraded, fastCPU, fastNet
 }
 
-// extTradeoffPlan declares the three design points per app (plus the
-// shared unmodified baseline that bounds their livelock detection).
-func extTradeoffPlan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
-	p := run.NewPlan()
+// extTradeoffPlan lists the three design points per app (each bounded
+// by the shared unmodified baseline's livelock detection).
+func extTradeoffPlan(o Options, sel []apps.App) []run.Spec {
+	var specs []run.Spec
 	for _, a := range sel {
 		degraded, fastCPU, fastNet := tradeoffSpecs(o, a)
-		p.AddSweep(degraded, o.Verify)
-		p.AddSweep(fastCPU, o.Verify)
-		p.AddSweep(fastNet, o.Verify)
+		specs = append(specs, degraded, fastCPU, fastNet)
 	}
-	return p, nil
+	return specs
 }
 
 // extTradeoffRender quantifies the paper's closing observation (§5.5):
@@ -126,12 +109,7 @@ func extTradeoffPlan(o Options) (*run.Plan, error) {
 // improving the communication system." Starting from a machine with
 // LAN-class added overhead, it compares doubling the CPU speed against
 // halving the total per-message overhead.
-func extTradeoffRender(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
+func extTradeoffRender(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 	t := &Table{
 		ID:    "ext-tradeoff",
 		Title: fmt.Sprintf("Processor vs network investment from o=%.1fµs (extension of §5.5)", tradeoffBaseO+tradeoffAddedO),
@@ -183,34 +161,25 @@ var extPhasesOverheads = []float64{0, 20, 100}
 
 func extPhasesProcs(o Options) []int { return []int{16, o.Procs} }
 
-// extPhasesPlan declares the Radix runs; the Δo points are ordinary
+// extPhasesPlan lists the Radix runs; the Δo points are ordinary
 // overhead design points, so the 32-node ones are shared with Fig 5b's
 // sweep in a merged plan.
-func extPhasesPlan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	a, err := suiteApp("radix")
-	if err != nil {
-		return nil, err
-	}
-	p := run.NewPlan()
+func extPhasesPlan(o Options, sel []apps.App) []run.Spec {
+	var specs []run.Spec
 	for _, procs := range extPhasesProcs(o) {
 		for _, dO := range extPhasesOverheads {
-			p.AddSweep(o.sweepSpec(a, procs, core.KnobO, dO), o.Verify)
+			specs = append(specs, o.sweepSpec(sel[0], procs, core.KnobO, dO))
 		}
 	}
-	return p, nil
+	return specs
 }
 
 // extPhasesRender reproduces the paper's §5.1 dissection of Radix's
 // hypersensitivity: the serialized global-histogram phase consumes ~20%
 // of the run at baseline overhead but ~60% at Δo=100 µs (and far less on
 // 16 nodes, since the serialization scales with radix × P).
-func extPhasesRender(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	a, err := suiteApp("radix")
-	if err != nil {
-		return nil, err
-	}
+func extPhasesRender(o Options, sel []apps.App, st *run.Store) (*Table, error) {
+	a := sel[0]
 	t := &Table{
 		ID:    "ext-phases",
 		Title: "Radix phase shares vs overhead (extension of §5.1)",
@@ -238,14 +207,4 @@ func extPhasesRender(o Options, st *run.Store) (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// suiteApp resolves one application by name (thin wrapper so extension
-// experiments read naturally).
-func suiteApp(name string) (apps.App, error) {
-	sel, err := selectedApps(Options{Apps: []string{name}})
-	if err != nil {
-		return nil, err
-	}
-	return sel[0], nil
 }

@@ -56,33 +56,22 @@ func faultLabel(f run.FaultSpec) string {
 	return fmt.Sprintf("drop %g%%", 100*f.DropProb)
 }
 
-// faultsPlan declares the run matrix: every selected app at every
-// scenario (baselines are auto-declared by AddSweep).
-func faultsPlan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
-	p := run.NewPlan()
+// faultsPlan lists every app at every scenario.
+func faultsPlan(o Options, sel []apps.App) []run.Spec {
+	var specs []run.Spec
 	for _, a := range sel {
 		for _, f := range o.faultScenarios() {
-			p.AddSweep(o.faultSpec(a, f), o.Verify)
+			specs = append(specs, o.faultSpec(a, f))
 		}
 	}
-	return p, nil
+	return specs
 }
 
 // faultsRender builds the scenario table. Δr is the makespan growth over
 // the unfaulted baseline; prop% expresses it as a fraction of the
 // injected stall (delay rows only) — 0 means fully absorbed, 100 means
 // fully propagated.
-func faultsRender(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
+func faultsRender(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 	t := &Table{
 		ID:    "faults",
 		Title: fmt.Sprintf("Fault injection: delay propagation and lossy-wire recovery (%d nodes)", o.Procs),

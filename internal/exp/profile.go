@@ -46,25 +46,19 @@ func (o Options) profileSpec(a apps.App, knob core.Knob, value float64) run.Spec
 	return s
 }
 
-// profilePlan declares the profiled run matrix: every selected app at the
-// three design points (baselines are auto-declared by AddSweep and carry
-// the Profile flag).
-func profilePlan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
-	p := run.NewPlan()
+// profilePlan lists every app at the two turned-knob points; AddSweep
+// declares the profiled baseline with them.
+func profilePlan(o Options, sel []apps.App) []run.Spec {
+	var specs []run.Spec
 	for _, a := range sel {
 		for _, pt := range profilePoints {
 			if pt.knob == core.KnobNone {
 				continue
 			}
-			p.AddSweep(o.profileSpec(a, pt.knob, pt.value), o.Verify)
+			specs = append(specs, o.profileSpec(a, pt.knob, pt.value))
 		}
 	}
-	return p, nil
+	return specs
 }
 
 // profileShareColumns maps the breakdown categories to short column
@@ -75,12 +69,7 @@ var profileShareColumns = []string{
 
 // profileRender builds the breakdown table and cross-checks the measured
 // stall growth against the §4.1 predictions.
-func profileRender(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
+func profileRender(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 	t := &Table{
 		ID:    "profile",
 		Title: fmt.Sprintf("Stall attribution per application (%d nodes)", o.Procs),

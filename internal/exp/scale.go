@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/am"
 	"repro/internal/apps"
-	"repro/internal/apps/scalekern"
-	"repro/internal/apps/suite"
 	"repro/internal/core"
 	"repro/internal/run"
 )
@@ -61,60 +59,22 @@ func scaleRungs(o Options) []int {
 	return out
 }
 
-// scaleApps is the kernel set: the three scalekern kernels, one per
-// communication archetype. Options.Apps restricts it
-// (kernel names, e.g. "scale-pray"), mirroring the paper experiments.
-func scaleApps(o Options) ([]apps.App, error) {
-	if len(o.Apps) == 0 {
-		return scalekern.All(), nil
-	}
-	var out []apps.App
-	for _, name := range o.Apps {
-		a, err := scalekern.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// ResolveApp maps an application name to its implementation: the paper
-// suite first, then the weak-scaling kernels. This is the Runner
-// resolver every experiment shares, so scale specs replay through the
-// same plan/store machinery as the paper artifacts.
-func ResolveApp(name string) (apps.App, error) {
-	if a, err := suite.ByName(name); err == nil {
-		return a, nil
-	}
-	if a, err := scalekern.ByName(name); err == nil {
-		return a, nil
-	}
-	return nil, fmt.Errorf("unknown application %q (have %v and the kernels %v)",
-		name, suite.Names(), scalekern.Names())
-}
-
-// scalePlan declares the ladder: per kernel and rung, one baseline plus
+// scalePlan lists the ladder: per kernel and rung, one baseline plus
 // one design point per knob.
-func scalePlan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	sel, err := scaleApps(o)
-	if err != nil {
-		return nil, err
-	}
-	p := run.NewPlan()
+func scalePlan(o Options, sel []apps.App) []run.Spec {
+	var specs []run.Spec
 	for _, a := range sel {
 		for _, procs := range scaleRungs(o) {
-			p.AddBaseline(a.Name(), procs, o.Scale, o.Seed, o.Verify)
+			specs = append(specs, o.baselineSpec(a, procs))
 			if procs > scaleSweepMaxP {
 				continue
 			}
 			for _, k := range scaleKnobs {
-				p.AddSweep(o.sweepSpec(a, procs, k, scaleDeltaUs), o.Verify)
+				specs = append(specs, o.sweepSpec(a, procs, k, scaleDeltaUs))
 			}
 		}
 	}
-	return p, nil
+	return specs
 }
 
 // scaleOrder renders the knob sensitivity ranking ("o>g>L") of one
@@ -138,12 +98,7 @@ func scaleWireKB(st *am.Stats) float64 {
 	return float64(bytes) / float64(st.P()) / 1024
 }
 
-func scaleRender(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	sel, err := scaleApps(o)
-	if err != nil {
-		return nil, err
-	}
+func scaleRender(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 	t := &Table{
 		ID:    "scale",
 		Title: "Weak scaling on the resumable runtime (P to 1M)",

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/run"
 	"repro/internal/sim"
 )
@@ -42,177 +41,116 @@ func (o Options) sweepSpec(a apps.App, procs int, k core.Knob, v float64) run.Sp
 	return run.Spec{App: a.Name(), Procs: procs, Scale: o.Scale, Seed: o.Seed, Knob: k, Value: v}
 }
 
-// slowdownPlan declares the run matrix of one Figure 5–8 sweep: a
-// baseline per app plus every (app × point) design point.
-func slowdownPlan(o Options, procs int, k core.Knob, points []float64) (*run.Plan, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
-	p := run.NewPlan()
-	for _, a := range sel {
-		for _, v := range o.sweepPoints(points) {
-			p.AddSweep(o.sweepSpec(a, procs, k, v), o.Verify)
-		}
-	}
-	return p, nil
+// A sweep is one of the Figure 5–8 sensitivity sweeps: a knob over its
+// paper grid, at a fixed cluster size or (procs 0) the options' one.
+type sweep struct {
+	procs  int
+	knob   core.Knob
+	points []float64
 }
 
-// slowdownRender renders a completed sweep as a slowdown table.
-func slowdownRender(id, title, unit string, o Options, st *run.Store, procs int, k core.Knob, points []float64) (*Table, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
+// The Figure 5–8 sweeps. Fig 5a is the only 16-node one; Tables 5 and 6
+// read the Fig 5b and Fig 6 runs, so a merged plan shares them.
+var (
+	overhead16    = sweep{16, core.KnobO, overheadPoints}
+	overheadSweep = sweep{0, core.KnobO, overheadPoints}
+	gapSweep      = sweep{0, core.KnobG, gapPoints}
+	latencySweep  = sweep{0, core.KnobL, latencyPoints}
+	bulkSweep     = sweep{0, core.KnobBW, bulkBWPoints}
+)
+
+func (w sweep) procsFor(o Options) int {
+	if w.procs > 0 {
+		return w.procs
 	}
-	t := &Table{ID: id, Title: title}
-	t.Columns = []string{unit}
+	return o.Procs
+}
+
+// specs lists every (app × point) design point.
+func (w sweep) specs(o Options, sel []apps.App) []run.Spec {
+	var specs []run.Spec
 	for _, a := range sel {
-		t.Columns = append(t.Columns, a.PaperName())
+		for _, v := range o.sweepPoints(w.points) {
+			specs = append(specs, o.sweepSpec(a, w.procsFor(o), w.knob, v))
+		}
 	}
-	for _, v := range o.sweepPoints(points) {
-		row := []string{f1(v)}
+	return specs
+}
+
+// slowdown renders a completed sweep as a slowdown table.
+func (w sweep) slowdown(id, title, unit string) func(Options, []apps.App, *run.Store) (*Table, error) {
+	return func(o Options, sel []apps.App, st *run.Store) (*Table, error) {
+		procs := w.procsFor(o)
+		t := &Table{ID: id, Title: title}
+		t.Columns = []string{unit}
 		for _, a := range sel {
-			pt, err := st.Point(o.sweepSpec(a, procs, k, v))
-			if err != nil {
-				return nil, err
-			}
-			if pt.Livelocked {
-				row = append(row, "N/A")
-				continue
-			}
-			row = append(row, f2(pt.Slowdown))
+			t.Columns = append(t.Columns, a.PaperName())
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("slowdown relative to the unmodified machine; %d nodes, scale %.4g", procs, o.Scale),
-		"N/A: exceeded the livelock time limit (the paper's Barnes behavior)")
-	return t, nil
-}
-
-// Plan/Render pairs for the four sensitivity sweeps. Fig 5a is the only
-// 16-node sweep; the rest run at the options' cluster size.
-
-func fig5aPlan(o Options) (*run.Plan, error) {
-	return slowdownPlan(o, 16, core.KnobO, overheadPoints)
-}
-
-func fig5aRender(o Options, st *run.Store) (*Table, error) {
-	return slowdownRender("fig5a", "Slowdown vs added overhead (16 nodes)", "Δo(µs)", o, st, 16, core.KnobO, overheadPoints)
-}
-
-func fig5bPlan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	return slowdownPlan(o, o.Procs, core.KnobO, overheadPoints)
-}
-
-func fig5bRender(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	return slowdownRender("fig5b", "Slowdown vs added overhead (32 nodes)", "Δo(µs)", o, st, o.Procs, core.KnobO, overheadPoints)
-}
-
-func fig6Plan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	return slowdownPlan(o, o.Procs, core.KnobG, gapPoints)
-}
-
-func fig6Render(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	return slowdownRender("fig6", "Slowdown vs added gap (32 nodes)", "Δg(µs)", o, st, o.Procs, core.KnobG, gapPoints)
-}
-
-func fig7Plan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	return slowdownPlan(o, o.Procs, core.KnobL, latencyPoints)
-}
-
-func fig7Render(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	return slowdownRender("fig7", "Slowdown vs added latency (32 nodes)", "ΔL(µs)", o, st, o.Procs, core.KnobL, latencyPoints)
-}
-
-func fig8Plan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	return slowdownPlan(o, o.Procs, core.KnobBW, bulkBWPoints)
-}
-
-func fig8Render(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	return slowdownRender("fig8", "Slowdown vs bulk bandwidth (32 nodes)", "MB/s", o, st, o.Procs, core.KnobBW, bulkBWPoints)
-}
-
-// predictedPlan declares the measured-vs-predicted matrix for one knob:
-// the same specs as the corresponding slowdown sweep at the options'
-// cluster size, so Table 5 shares every run with Fig 5b and Table 6 with
-// Fig 6 when their plans are merged.
-func predictedPlan(o Options, k core.Knob, points []float64) (*run.Plan, error) {
-	o = o.Norm()
-	return slowdownPlan(o, o.Procs, k, points)
-}
-
-// predictedRender renders measured-vs-predicted run times for one knob.
-func predictedRender(id, title, unit string, o Options, st *run.Store, k core.Knob, points []float64,
-	predict func(r0 sim.Time, m int64, added sim.Time) sim.Time) (*Table, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: id, Title: title}
-	t.Columns = []string{unit}
-	for _, a := range sel {
-		t.Columns = append(t.Columns, a.PaperName()+" meas(s)", a.PaperName()+" pred(s)")
-	}
-	type appBase struct {
-		res apps.Result
-		m   int64
-	}
-	bases := make([]appBase, len(sel))
-	for i, a := range sel {
-		res, err := st.Result(o.baselineSpec(a, o.Procs))
-		if err != nil {
-			return nil, err
+		for _, v := range o.sweepPoints(w.points) {
+			row := []string{f1(v)}
+			for _, a := range sel {
+				pt, err := st.Point(o.sweepSpec(a, procs, w.knob, v))
+				if err != nil {
+					return nil, err
+				}
+				if pt.Livelocked {
+					row = append(row, "N/A")
+					continue
+				}
+				row = append(row, f2(pt.Slowdown))
+			}
+			t.Rows = append(t.Rows, row)
 		}
-		m, _ := res.Stats.MaxPerProc()
-		bases[i] = appBase{res: res, m: m}
+		t.Notes = append(t.Notes,
+			fmt.Sprintf("slowdown relative to the unmodified machine; %d nodes, scale %.4g", procs, o.Scale),
+			"N/A: exceeded the livelock time limit (the paper's Barnes behavior)")
+		return t, nil
 	}
-	for _, v := range o.sweepPoints(points) {
-		row := []string{f1(v)}
+}
+
+// predicted renders measured-vs-predicted run times for the sweep's
+// knob, the prediction read from each app's baseline run time and
+// max messages per processor.
+func (w sweep) predicted(id, title, unit string,
+	predict func(r0 sim.Time, m int64, added sim.Time) sim.Time) func(Options, []apps.App, *run.Store) (*Table, error) {
+	return func(o Options, sel []apps.App, st *run.Store) (*Table, error) {
+		procs := w.procsFor(o)
+		t := &Table{ID: id, Title: title}
+		t.Columns = []string{unit}
+		for _, a := range sel {
+			t.Columns = append(t.Columns, a.PaperName()+" meas(s)", a.PaperName()+" pred(s)")
+		}
+		type appBase struct {
+			res apps.Result
+			m   int64
+		}
+		bases := make([]appBase, len(sel))
 		for i, a := range sel {
-			pt, err := st.Point(o.sweepSpec(a, o.Procs, k, v))
+			res, err := st.Result(o.baselineSpec(a, procs))
 			if err != nil {
 				return nil, err
 			}
-			meas := "N/A"
-			if !pt.Livelocked {
-				meas = secs(pt.Elapsed.Seconds())
-			}
-			pred := predict(bases[i].res.Elapsed, bases[i].m, sim.FromMicros(v))
-			row = append(row, meas, secs(pred.Seconds()))
+			m, _ := res.Stats.MaxPerProc()
+			bases[i] = appBase{res: res, m: m}
 		}
-		t.Rows = append(t.Rows, row)
+		for _, v := range o.sweepPoints(w.points) {
+			row := []string{f1(v)}
+			for i, a := range sel {
+				pt, err := st.Point(o.sweepSpec(a, procs, w.knob, v))
+				if err != nil {
+					return nil, err
+				}
+				meas := "N/A"
+				if !pt.Livelocked {
+					meas = secs(pt.Elapsed.Seconds())
+				}
+				pred := predict(bases[i].res.Elapsed, bases[i].m, sim.FromMicros(v))
+				row = append(row, meas, secs(pred.Seconds()))
+			}
+			t.Rows = append(t.Rows, row)
+		}
+		t.Notes = append(t.Notes,
+			"prediction inputs: baseline run time and max messages/processor (Table 4's m)")
+		return t, nil
 	}
-	t.Notes = append(t.Notes,
-		"prediction inputs: baseline run time and max messages/processor (Table 4's m)")
-	return t, nil
-}
-
-func table5Plan(o Options) (*run.Plan, error) {
-	return predictedPlan(o, core.KnobO, overheadPoints)
-}
-
-func table5Render(o Options, st *run.Store) (*Table, error) {
-	return predictedRender("table5", "Measured vs predicted, varying overhead (32 nodes)",
-		"Δo(µs)", o, st, core.KnobO, overheadPoints, model.Overhead)
-}
-
-func table6Plan(o Options) (*run.Plan, error) {
-	return predictedPlan(o, core.KnobG, gapPoints)
-}
-
-func table6Render(o Options, st *run.Store) (*Table, error) {
-	return predictedRender("table6", "Measured vs predicted, varying gap (32 nodes)",
-		"Δg(µs)", o, st, core.KnobG, gapPoints, model.GapBurst)
 }

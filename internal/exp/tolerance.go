@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/run"
 )
@@ -15,31 +16,19 @@ import (
 // multiple of the baseline.
 const toleranceFactor = 1.1
 
-// toleranceKnobs are the knobs the table reads, each with the grid of
-// its measured sweep (Figs 5b, 6 and 7).
-var toleranceKnobs = []struct {
-	knob   core.Knob
-	points []float64
-}{
-	{core.KnobO, overheadPoints},
-	{core.KnobG, gapPoints},
-	{core.KnobL, latencyPoints},
-}
+// toleranceSweeps are the measured sweeps the table reads (Figs 5b, 6
+// and 7), one per knob.
+var toleranceSweeps = []sweep{overheadSweep, gapSweep, latencySweep}
 
-// tolerancePlan declares the Δo, Δg and ΔL sweeps at the options'
-// cluster size. They are exactly the fig5b/fig6/fig7 specs, so a merged
-// plan adds no run.
-func tolerancePlan(o Options) (*run.Plan, error) {
-	o = o.Norm()
-	p := run.NewPlan()
-	for _, k := range toleranceKnobs {
-		kp, err := slowdownPlan(o, o.Procs, k.knob, k.points)
-		if err != nil {
-			return nil, err
-		}
-		p.Merge(kp)
+// tolerancePlan lists the Δo, Δg and ΔL sweeps at the options' cluster
+// size. They are exactly the fig5b/fig6/fig7 specs, so a merged plan
+// adds no run.
+func tolerancePlan(o Options, sel []apps.App) []run.Spec {
+	var specs []run.Spec
+	for _, w := range toleranceSweeps {
+		specs = append(specs, w.specs(o, sel)...)
 	}
-	return p, nil
+	return specs
 }
 
 // tolBracket is one knob's tolerance read off a measured sweep: the
@@ -103,12 +92,7 @@ func (b tolBracket) cell() string {
 
 // toleranceRender reads each app's tolerance to Δo, Δg and ΔL off the
 // measured sweeps, most overhead-sensitive app (smallest Δo) first.
-func toleranceRender(o Options, st *run.Store) (*Table, error) {
-	o = o.Norm()
-	sel, err := selectedApps(o)
-	if err != nil {
-		return nil, err
-	}
+func toleranceRender(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 	type row struct {
 		cells []string
 		rank  float64
@@ -122,11 +106,11 @@ func toleranceRender(o Options, st *run.Store) (*Table, error) {
 			return nil, err
 		}
 		r := row{name: a.Name(), cells: []string{a.PaperName(), secs(res.Elapsed.Seconds())}}
-		for i, k := range toleranceKnobs {
-			grid := o.sweepPoints(k.points)
+		for i, w := range toleranceSweeps {
+			grid := o.sweepPoints(w.points)
 			pts := make([]core.Point, len(grid))
 			for j, v := range grid {
-				if pts[j], err = st.Point(o.sweepSpec(a, o.Procs, k.knob, v)); err != nil {
+				if pts[j], err = st.Point(o.sweepSpec(a, o.Procs, w.knob, v)); err != nil {
 					return nil, err
 				}
 			}

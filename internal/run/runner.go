@@ -34,12 +34,12 @@ type Progress struct {
 
 // Runner executes Plans on a bounded worker pool. Every run starts from
 // the Berkeley NOW machine (logp.NOW()); the zero value runs the paper
-// suite with GOMAXPROCS workers.
+// applications and the weak-scaling kernels with GOMAXPROCS workers.
 type Runner struct {
 	// Jobs bounds concurrent simulations; 0 means runtime.GOMAXPROCS(0).
 	Jobs int
 	// Resolve maps an application name to its implementation; nil means
-	// the paper suite (suite.ByName).
+	// suite.ByName (a paper application, then a kernel).
 	Resolve func(string) (apps.App, error)
 	// OnProgress, when non-nil, observes every completed run. It is
 	// called from worker goroutines, one call at a time.

@@ -59,7 +59,7 @@ func (s *Server) resolveFull(ctx context.Context, client string, spec run.Spec, 
 			return out, src, nil
 		}
 		s.mu.Lock()
-		s.counts.corrupt++
+		s.counts.Corrupt++
 		s.mu.Unlock()
 		f, coalesced := s.fly(client, spec, hash, base, false)
 		if out, hit, src, err = s.await(ctx, f, coalesced); err != nil || hit == nil {
@@ -98,9 +98,9 @@ func (s *Server) fly(client string, spec run.Spec, hash string, base baseFunc, p
 			// A found-but-unreadable entry: recompute and overwrite.
 			s.mu.Lock()
 			if errors.Is(err, ErrStale) {
-				s.counts.stale++
+				s.counts.Stale++
 			} else {
-				s.counts.corrupt++
+				s.counts.Corrupt++
 			}
 			s.mu.Unlock()
 		}
@@ -135,7 +135,7 @@ func (s *Server) fly(client string, spec run.Spec, hash string, base baseFunc, p
 			s.stages.observe("persist", time.Since(stored))
 			if werr != nil {
 				s.mu.Lock()
-				s.counts.writeErrors++
+				s.counts.WriteErrors++
 				s.mu.Unlock()
 			}
 		}
@@ -160,14 +160,14 @@ func (s *Server) finish(hash string, f *flight, out run.Outcome, hit *entry, src
 	if out.Err == nil {
 		switch src {
 		case SourceDisk:
-			s.counts.diskHits++
+			s.counts.DiskHits++
 		case SourceComputed:
-			s.counts.computed++
+			s.counts.Computed++
 		}
 	} else if !errors.Is(out.Err, ErrQueueFull) {
-		s.counts.runErrors++
+		s.counts.RunErrors++
 	} else {
-		s.counts.rejected++
+		s.counts.Rejected++
 	}
 	s.mu.Unlock()
 	close(f.done)
@@ -183,7 +183,7 @@ func (s *Server) await(ctx context.Context, f *flight, coalesced bool) (run.Outc
 	src := f.src
 	if coalesced {
 		s.mu.Lock()
-		s.counts.coalesced++
+		s.counts.Coalesced++
 		s.mu.Unlock()
 		src = SourceCoalesced
 	}

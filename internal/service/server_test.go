@@ -428,8 +428,8 @@ func TestServiceCoalesce(t *testing.T) {
 		t.Fatalf("sources = %v, want one computed + one coalesced", srcs)
 	}
 	s.mu.Lock()
-	coalesced := s.counts.coalesced
-	computed := s.counts.computed
+	coalesced := s.counts.Coalesced
+	computed := s.counts.Computed
 	s.mu.Unlock()
 	if coalesced != 1 || computed != 1 {
 		t.Fatalf("counters: coalesced=%d computed=%d, want 1/1", coalesced, computed)

@@ -38,7 +38,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/run"
 )
 
@@ -83,25 +82,13 @@ type Server struct {
 
 	mu       sync.Mutex
 	inflight map[string]*flight
-	counts   cacheCounters
+	counts   CacheTotals
 	reqs     map[string]int64
 
 	start  time.Time
 	lat    *latencySet // whole requests, by endpoint
 	stages *latencySet // the steps of a resolution, by stage
 	mux    *http.ServeMux
-}
-
-// cacheCounters aggregates resolution outcomes daemon-wide.
-type cacheCounters struct {
-	diskHits    int64 // served from the persistent store
-	computed    int64 // executed on the worker pool
-	coalesced   int64 // joined an identical in-flight run
-	corrupt     int64 // unreadable/corrupt disk entries recovered by recompute
-	stale       int64 // entries of another format version recomputed
-	writeErrors int64 // failed persistent writes (result still served)
-	rejected    int64 // resolutions refused with queue-full backpressure
-	runErrors   int64 // runs that completed with an application error
 }
 
 // New builds a Server. The cache directory is created if missing.
@@ -112,7 +99,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	r := cfg.Runner
 	if r == nil {
-		r = &run.Runner{Resolve: exp.ResolveApp}
+		r = &run.Runner{}
 	}
 	s := &Server{
 		runner:   r,

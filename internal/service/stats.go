@@ -131,16 +131,17 @@ type StatsResponse struct {
 	CacheDir string                    `json:"cache_dir"`
 }
 
-// CacheTotals aggregates resolution outcomes since daemon start.
+// CacheTotals aggregates resolution outcomes since daemon start; the
+// Server counts into one under its lock.
 type CacheTotals struct {
-	DiskHits    int64 `json:"disk_hits"`
-	Computed    int64 `json:"computed"`
-	Coalesced   int64 `json:"coalesced"`
-	Corrupt     int64 `json:"corrupt_recovered"`
-	Stale       int64 `json:"stale_recomputed"`
-	WriteErrors int64 `json:"write_errors"`
-	Rejected    int64 `json:"rejected"`
-	RunErrors   int64 `json:"run_errors"`
+	DiskHits    int64 `json:"disk_hits"`         // served from the persistent store
+	Computed    int64 `json:"computed"`          // executed on the worker pool
+	Coalesced   int64 `json:"coalesced"`         // joined an identical in-flight run
+	Corrupt     int64 `json:"corrupt_recovered"` // unreadable entries recovered by recompute
+	Stale       int64 `json:"stale_recomputed"`  // entries of another format version recomputed
+	WriteErrors int64 `json:"write_errors"`      // failed persistent writes (result still served)
+	Rejected    int64 `json:"rejected"`          // resolutions refused with queue-full backpressure
+	RunErrors   int64 `json:"run_errors"`        // runs that completed with an application error
 }
 
 // Stats snapshots the daemon's aggregate counters.
@@ -161,23 +162,14 @@ func (s *Server) Stats() StatsResponse {
 	resp := StatsResponse{
 		UptimeS:  time.Since(s.start).Seconds(),
 		Requests: reqs,
-		Cache: CacheTotals{
-			DiskHits:    c.diskHits,
-			Computed:    c.computed,
-			Coalesced:   c.coalesced,
-			Corrupt:     c.corrupt,
-			Stale:       c.stale,
-			WriteErrors: c.writeErrors,
-			Rejected:    c.rejected,
-			RunErrors:   c.runErrors,
-		},
+		Cache:    c,
 		Sched:    s.sched.Stats(),
 		Latency:  s.lat.snapshot(),
 		Stages:   s.stages.snapshot(),
 		CacheDir: s.disk.Root(),
 	}
-	if total := c.diskHits + c.coalesced + c.computed; total > 0 {
-		resp.HitRate = float64(c.diskHits+c.coalesced) / float64(total)
+	if total := c.DiskHits + c.Coalesced + c.Computed; total > 0 {
+		resp.HitRate = float64(c.DiskHits+c.Coalesced) / float64(total)
 	}
 	return resp
 }

@@ -224,15 +224,6 @@ func (w *World) initHandlers() {
 		*ptr += a[1]
 		ep.Reply(tok, w.hReply, am.Args{v})
 	}
-	w.hTryLock = func(ep *am.Endpoint, tok *am.Token, a am.Args) {
-		ptr := &w.mem[a[0]>>32][uint32(a[0])]
-		var res uint64
-		if *ptr == 0 {
-			*ptr = 1
-			res = 1
-		}
-		ep.Reply(tok, w.hReply, am.Args{res})
-	}
 	w.hCAS = func(ep *am.Endpoint, tok *am.Token, a am.Args) {
 		ptr := &w.mem[a[0]>>32][uint32(a[0])]
 		var res uint64
@@ -552,23 +543,6 @@ func (t *TProc) FetchAddT(g GPtr, delta uint64) (uint64, sim.PollableWait) {
 	return t.roundTripT(int(g.Proc), am.ClassSync, t.w.hFetchAdd, am.Args{g.Pack(), delta}, am.WaitLock, "splitc: fetch-add")
 }
 
-// TryLockT is TryLock: one test-and-set round trip.
-func (t *TProc) TryLockT(g GPtr) (bool, sim.PollableWait) {
-	if int(g.Proc) == t.ID() {
-		ptr := t.w.word(g)
-		if *ptr == 0 {
-			*ptr = 1
-			return true, nil
-		}
-		return false, nil
-	}
-	v, wt := t.roundTripT(int(g.Proc), am.ClassSync, t.w.hTryLock, am.Args{g.Pack()}, am.WaitLock, "splitc: try-lock")
-	if wt != nil {
-		return false, wt
-	}
-	return v == 1, nil
-}
-
 // CompareSwapT is CompareSwap: one compare-and-swap round trip.
 func (t *TProc) CompareSwapT(g GPtr, old, next uint64) (bool, sim.PollableWait) {
 	if int(g.Proc) == t.ID() {
@@ -590,9 +564,10 @@ func (t *TProc) CompareSwapT(g GPtr, old, next uint64) (bool, sim.PollableWait) 
 // iteration (load, branch, backoff) in the Lock spin loop.
 const lockSpinCost = 200 * sim.Nanosecond
 
-// LockT is Lock: spin on TryLockT until acquired, charging the spin cost
-// and polling between retries so peers (in particular the holder) can
-// run. op.pc: 0 enter, 1 trying, 2 polling after a failed attempt.
+// LockT is Lock: spin on a test-and-set (CompareSwapT from 0 to 1) until
+// acquired, charging the spin cost and polling between retries so peers
+// (in particular the holder) can run. op.pc: 0 enter, 1 trying, 2
+// polling after a failed attempt.
 func (t *TProc) LockT(g GPtr) sim.PollableWait {
 	for {
 		switch t.op.pc {
@@ -600,7 +575,7 @@ func (t *TProc) LockT(g GPtr) sim.PollableWait {
 			t.ep.MarkSyncEnter(am.RegionLock)
 			t.op.pc = 1
 		case 1:
-			got, wt := t.TryLockT(g)
+			got, wt := t.CompareSwapT(g, 0, 1)
 			if wt != nil {
 				return wt
 			}

@@ -58,7 +58,6 @@ type World struct {
 	hReply      am.Handler
 	hReadReq    am.Handler
 	hFetchAdd   am.Handler
-	hTryLock    am.Handler
 	hCAS        am.Handler
 	hBulkGetReq am.Handler
 	hBulkPut    am.BulkHandler

@@ -73,17 +73,9 @@ func (p *Proc) FetchAdd(g GPtr, delta uint64) uint64 {
 	}
 }
 
-// TryLock attempts to acquire the lock word at g (0 free, 1 held).
-// Remote: one sync-class round trip that test-and-sets on the owner.
-func (p *Proc) TryLock(g GPtr) bool {
-	for {
-		got, wt := p.TryLockT(g)
-		if wt == nil {
-			return got
-		}
-		p.sp.Await(wt)
-	}
-}
+// TryLock attempts to acquire the lock word at g (0 free, 1 held): a
+// test-and-set, which is CompareSwap from 0 to 1.
+func (p *Proc) TryLock(g GPtr) bool { return p.CompareSwap(g, 0, 1) }
 
 // Lock spins on TryLock until it acquires g, as the paper's Barnes does —
 // under high overhead this retry traffic is exactly what drives its
