@@ -7,11 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/am"
 	"repro/internal/apps"
 	"repro/internal/apps/scalekern"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sim"
+	"repro/internal/splitc"
 	"repro/internal/trace"
 )
 
@@ -92,6 +94,65 @@ func TestAppTimelinesPinned(t *testing.T) {
 		}
 		if isTask[tc.in.app] && res.Sched.Switches != 0 {
 			t.Errorf("%v: a Task made %d coroutine switches", tc.in, res.Sched.Switches)
+		}
+	}
+}
+
+// TestVariantTimelinesPinned holds the paths TestAppTimelinesPinned does
+// not reach at the values recorded at commit 1779659: the reliability
+// layer's retransmission, dedup and ack events on a wire that drops and
+// duplicates, and the tree and flat barriers, on one Task app and one
+// blocking body. Besides the makespan, message count, event count and
+// trace digest, the reliable row pins the retransmissions and the
+// duplicates discarded, so a timeout or an ack that moves shows even
+// where it would not move the makespan.
+func TestVariantTimelinesPinned(t *testing.T) {
+	type out struct {
+		elapsedNs, sent, events int64
+		digest                  uint64
+		retransmits, dups       int64
+	}
+	lossy := &fault.Plan{
+		Drops: []fault.DropRule{{Match: fault.Any(), Prob: 0.02}},
+		Dups:  []fault.DupRule{{Match: fault.Any(), Prob: 0.02}},
+	}
+	for _, tc := range []struct {
+		name  string
+		app   string
+		procs int
+		set   func(*apps.Config)
+		out   out
+	}{
+		{"reliable lossy wire", "radix", 5, func(c *apps.Config) {
+			c.FaultPlan, c.Reliability = lossy, am.Reliability{Enabled: true}
+		}, out{23038464, 11496, 47121, 0xcf35f6fe99ec7402, 385, 380}},
+		{"tree barrier", "radix", 32, func(c *apps.Config) {
+			c.Collectives = splitc.Collectives{Barrier: "tree"}
+		}, out{6729819, 17308, 34554, 0xf275b2dc665a6679, 0, 0}},
+		{"flat barrier", "connect", 32, func(c *apps.Config) {
+			c.Collectives = splitc.Collectives{Barrier: "flat"}
+		}, out{1435300, 664, 912, 0xf2efd9b8562110d9, 0, 0}},
+	} {
+		a, err := ByName(tc.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tinyCfg(tc.procs)
+		tc.set(&cfg)
+		d := &trace.Digest{}
+		cfg.Hooks = d
+		res, err := a.Run(cfg)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		got := out{int64(res.Elapsed), res.Stats.TotalSent(), res.Sched.EventsRun, d.Sum64(),
+			res.Stats.Retransmits, res.Stats.DupsDiscarded}
+		if got != tc.out {
+			t.Errorf("%s: (elapsed ns, sent, events, digest, retransmits, dups discarded) = %#v, want %#v", tc.name, got, tc.out)
+		}
+		if !res.Verified {
+			t.Errorf("%s: not verified", tc.name)
 		}
 	}
 }
