@@ -20,8 +20,9 @@ import (
 //  2. wait   — WindowWait / CounterWait / QuiesceWait / CondWait hand the
 //     scheduler a wait record to drive (closure-free but for CondWait's
 //     predicate);
-//  3. commit — SendRequest / SendStore perform the charge, the window
-//     book-keeping, and the launch, with no possibility of blocking.
+//  3. commit — SendRequest / SendStore take a window credit and hand the
+//     message to the endpoint's one send commit (charge, count, launch;
+//     am.go), with no possibility of blocking.
 //
 // The blocking operations in am.go are these same pieces assembled for a
 // body with a stack: where a continuation body returns sim.Yield the
@@ -97,28 +98,33 @@ func (ep *Endpoint) QuiesceWait() sim.PollableWait {
 	return ep.pw.set(waitModeQuiesce, nil, nil, 0, 0, 0, "am: store sync")
 }
 
-// SendRequest is the commit half of Request: charge o_send, consume a
-// window credit, launch. The caller is responsible for the GAM request
-// preamble — a yield-interleaved PollOneDue loop, then a WindowWait park
-// if CanSend is false; calling
-// with a full window is a discipline violation and panics rather than
-// silently overrunning the capacity constraint.
+// SendRequest is the commit half of Request: consume a window credit,
+// then charge o_send and launch. The caller is responsible for the GAM
+// request preamble — a yield-interleaved PollOneDue loop, then a
+// WindowWait park if CanSend is false; calling with a full window is a
+// discipline violation and panics rather than silently overrunning the
+// capacity constraint.
 //
 //repro:hotpath
 func (ep *Endpoint) SendRequest(dst int, class Class, h Handler, args Args) {
-	ep.checkRequestContext("SendRequest")
-	if h == nil {
-		panic("am: SendRequest with nil handler")
+	ep.takeCredit("SendRequest", dst, h == nil)
+	ep.commit(kindRequest, dst, class, h, nil, args, nil)
+}
+
+// takeCredit enforces the request discipline SendRequest and SendStore
+// share — not from a handler, a handler given, a free window credit
+// toward dst — and consumes the credit.
+//
+//repro:hotpath
+func (ep *Endpoint) takeCredit(op string, dst int, nilHandler bool) {
+	ep.checkRequestContext(op)
+	if nilHandler {
+		panic("am: " + op + " with nil handler")
 	}
 	if !ep.CanSend(dst) {
-		panic(fmt.Sprintf("am: SendRequest from proc %d with a full window toward %d; park on WindowWait first", ep.ID(), dst))
+		panic(fmt.Sprintf("am: %s from proc %d with a full window toward %d; park on WindowWait first", op, ep.ID(), dst))
 	}
-	ep.chargeSend()
 	ep.outstanding.inc(dst)
-	msg := ep.m.getMsg()
-	msg.kind, msg.src, msg.dst, msg.class, msg.handler, msg.args = kindRequest, ep.ID(), dst, class, h, args
-	ep.m.stats.countSendAt(ep.ID(), dst, class, false, 0, ep.proc.Clock())
-	ep.launch(msg)
 }
 
 // SendStore is the commit half of Store: one bulk fragment under the
@@ -127,26 +133,14 @@ func (ep *Endpoint) SendRequest(dst int, class Class, h Handler, args Args) {
 //
 //repro:hotpath
 func (ep *Endpoint) SendStore(dst int, class Class, h BulkHandler, args Args, data []byte) {
-	ep.checkRequestContext("SendStore")
-	if h == nil {
-		panic("am: SendStore with nil handler")
-	}
-	p := ep.params()
-	if len(data) > p.FragmentSize {
+	if p := ep.params(); len(data) > p.FragmentSize {
 		panic(fmt.Sprintf("am: bulk fragment of %d bytes exceeds fragment size %d; use StoreLarge", len(data), p.FragmentSize))
 	}
-	if !ep.CanSend(dst) {
-		panic(fmt.Sprintf("am: SendStore from proc %d with a full window toward %d; park on WindowWait first", ep.ID(), dst))
-	}
-	ep.chargeSend()
-	ep.outstanding.inc(dst)
+	ep.takeCredit("SendStore", dst, h == nil)
 	//lint:allow hotpathalloc bulk payload copy is the transfer semantics; the zero-alloc property covers short messages
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	msg := ep.m.getMsg()
-	msg.kind, msg.src, msg.dst, msg.class, msg.bulkH, msg.args, msg.data = kindBulk, ep.ID(), dst, class, h, args, buf
-	ep.m.stats.countSendAt(ep.ID(), dst, class, true, len(data), ep.proc.Clock())
-	ep.launch(msg)
+	ep.commit(kindBulk, dst, class, nil, h, args, buf)
 }
 
 // MarkWaitBegin reports a wait-span start to the attached hooks; every

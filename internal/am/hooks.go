@@ -118,7 +118,10 @@ type Hooks interface {
 	// into a dependency graph with them.
 	MessageLaunched(src, dst int, reply, bulk bool, inject, arrival sim.Time)
 	// MessageDelivered fires when the message lands in the destination
-	// inbox, before any receive overhead is charged.
+	// inbox, before any receive overhead is charged: on the lossless
+	// wire at its arrival, under the reliability layer once it is next
+	// in its stream's sequence (a duplicate discarded at the NIC never
+	// lands).
 	MessageDelivered(src, dst int, reply bool, at sim.Time)
 	// CreditIssued fires when a handled-but-unreplied request frees its
 	// sender-side window slot: the implicit credit leaves the responder at

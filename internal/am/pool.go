@@ -9,15 +9,15 @@ import "repro/internal/sim"
 //
 //   - message records come from a per-machine freelist and are recycled
 //     as soon as the receiving host has consumed them (see process);
-//   - arrivals and credit returns are scheduled through the engine's
-//     typed zero-alloc event path (sim.Engine.ScheduleCall) with the
+//   - arrivals and credit returns are scheduled as typed events
+//     (sim.Engine.ScheduleCall, the engine's one event path) with the
 //     pooled record itself as the event argument;
 //   - the handler Token is a per-endpoint scratch value reused across
 //     deliveries (handlers may Reply during the handler invocation, and
 //     none retains the token past it — the GAM contract).
 //
 // Ownership rule: a record belongs to exactly one stage at a time —
-// sender (until launch), wire (the scheduled arrival event), inbox, or
+// sender (until commit), wire (the scheduled arrival event), inbox, or
 // host (during process) — and only the final stage may recycle it.
 // Recycling at delivery is sound only when each record has exactly one
 // arrival event in flight: the reliability layer retransmits records and
@@ -63,27 +63,14 @@ func (m *Machine) updatePooling() {
 	m.pooling = m.rel == nil && (m.faults == nil || !m.faults.Lossy())
 }
 
-// deliverEvent is the arrival of one data message on a lossless wire
-// (the reliability layer has its own arrival path): a top-level
-// sim.EventFn, so scheduling a delivery allocates nothing. Replies free
-// their window credit here — at the NIC, before the host polls — exactly
-// as the closure-based path did.
+// deliverEvent is the arrival of one data message on a lossless wire (the
+// reliability layer's arrival is relArriveEvent): a top-level
+// sim.EventFn, so scheduling a delivery allocates nothing.
 //
 //repro:hotpath
 func deliverEvent(arg any, at sim.Time) {
 	msg := arg.(*message)
-	m := msg.m
-	dst := m.eps[msg.dst]
-	reply := msg.kind == kindReply || msg.kind == kindBulkReply
-	if reply {
-		dst.outstanding.dec(msg.src)
-	}
-	for _, h := range m.hooks {
-		h.MessageDelivered(msg.src, msg.dst, reply, at)
-	}
-	msg.arrival = at
-	dst.pushInbox(msg)
-	dst.proc.WakeAt(at)
+	msg.m.eps[msg.dst].deliver(msg, at)
 }
 
 // creditEvent is the firmware-level window-credit return: src gets one

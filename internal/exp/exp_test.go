@@ -105,6 +105,8 @@ func TestExperimentApps(t *testing.T) {
 		{in{"scale", []string{"scale-radix", "nosuch"}}, out{err: `"nosuch"`}},
 		{in{"collectives", []string{"scale-radix"}}, out{err: `"scale-radix"`}},
 		{in{"fig5b", []string{"radix", "nosuch"}}, out{err: `"nosuch"`}},
+		{in{"table4", []string{"radix", "radix"}}, out{err: `"radix" named twice`}},
+		{in{"scale", []string{"scale-radix", "scale-pray", "scale-radix"}}, out{err: `"scale-radix" named twice`}},
 	}
 	// Every paper row refuses a kernel.
 	for _, id := range []string{"table3", "fig4", "table4", "fig5a", "fig5b", "table5", "fig6",

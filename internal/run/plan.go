@@ -1,10 +1,10 @@
 package run
 
 // Plan is a deduplicated, ordered set of Specs plus the baseline→sweep
-// dependencies the Runner needs to schedule them. Experiments build one
-// Plan each; cmd/repro merges the Plans of every selected experiment so
-// shared runs (Fig 5b and Table 5, Fig 6 and Table 6, every baseline)
-// execute exactly once.
+// dependencies the Runner needs to schedule them. The experiment
+// registry (exp.PlanFor) adds every selected experiment's runs to one
+// Plan, so shared runs (Fig 5b and Table 5, Fig 6 and Table 6, every
+// baseline) execute exactly once.
 type Plan struct {
 	order []Spec
 	index map[Spec]int
@@ -71,20 +71,4 @@ func (p *Plan) Specs() []Spec {
 func (p *Plan) BaselineOf(s Spec) (Spec, bool) {
 	b, ok := p.dep[s.norm()]
 	return b, ok
-}
-
-// Merge folds another plan's runs and dependencies into this one.
-func (p *Plan) Merge(q *Plan) {
-	if q == nil {
-		return
-	}
-	for _, s := range q.order {
-		p.add(s)
-	}
-	p.adds += q.adds - len(q.order) // count q's own duplicates too
-	for s, b := range q.dep {
-		if _, ok := p.dep[s]; !ok {
-			p.dep[s] = b
-		}
-	}
 }

@@ -58,18 +58,20 @@ func TestPlanDedupAndDependencies(t *testing.T) {
 		t.Fatalf("BaselineOf = %+v, %v", b, ok)
 	}
 
-	q := NewPlan()
-	q.AddSweep(testSpec(10), false) // shared with p
-	q.AddSweep(testSpec(100), false)
-	merged := NewPlan()
-	merged.Merge(p)
-	merged.Merge(q)
+	// A second experiment's sweeps land in the same plan: a shared point
+	// is declared once, a new one gets its baseline dependency.
+	adds := p.Adds()
+	p.AddSweep(testSpec(10), false) // shared
+	p.AddSweep(testSpec(100), false)
 	// baseline + {10, 50, 100}.
-	if merged.Size() != 4 {
-		t.Errorf("merged size = %d, want 4", merged.Size())
+	if p.Size() != 4 {
+		t.Errorf("combined size = %d, want 4", p.Size())
 	}
-	if _, ok := merged.BaselineOf(testSpec(100)); !ok {
-		t.Error("merge dropped q's baseline dependency")
+	if got := p.Adds() - adds; got != 4 {
+		t.Errorf("two more sweeps counted %d adds, want 4 (each declares its baseline)", got)
+	}
+	if _, ok := p.BaselineOf(testSpec(100)); !ok {
+		t.Error("the added sweep has no baseline dependency")
 	}
 }
 

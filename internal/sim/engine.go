@@ -116,34 +116,22 @@ func (e *Engine) recordFailure(err error) {
 	}
 }
 
-// EventFn is the typed form of a scheduled event: fn(arg, at) runs at
-// virtual time `at` with the arg it was scheduled with. Top-level
-// functions passed to ScheduleCall with a pointer-shaped arg make the
-// schedule path allocation-free, where a capturing closure would heap-
-// allocate per event.
+// EventFn is the one form of a scheduled event: fn(arg, at) runs at
+// virtual time `at` with the arg it was scheduled with. A top-level
+// function with a pointer-shaped arg makes the schedule path
+// allocation-free, where a capturing closure would heap-allocate per
+// event.
 type EventFn func(arg any, at Time)
 
-// ScheduleAt registers fn to run at virtual time t. Events run in (t, FIFO)
-// order, on whichever stack reaches them first — the scheduler's or a
-// blocking body's; they must not call Await, Checkpoint or Sleep. Events
-// typically deposit a message and call Proc.WakeAt.
-//
-// The closure fn is one heap allocation at the call site; hot paths use
-// ScheduleCall instead.
-func (e *Engine) ScheduleAt(t Time, fn func()) {
-	e.ScheduleCall(t, runThunk, fn)
-}
-
-// runThunk adapts a ScheduleAt closure to the typed event scheme.
-func runThunk(arg any, _ Time) { arg.(func())() }
-
-// ScheduleCall registers fn(arg, t) to run at virtual time t, under the
-// same (t, FIFO) ordering and the same restrictions as ScheduleAt.
+// ScheduleCall registers fn(arg, t) to run at virtual time t. Events run
+// in (t, FIFO) order, on whichever stack reaches them first — the
+// scheduler's or a blocking body's; they must not call Await, Checkpoint
+// or Sleep. Events typically deposit a message and call Proc.WakeAt.
 // Event records live by value in the event queue's pool, which reuses
 // popped nodes, so once the pool has grown to the workload's high-water
-// mark the call allocates nothing:
-// this is the hot path the Active Message layer schedules deliveries and
-// credit returns through.
+// mark the call allocates nothing: every event of a run — deliveries,
+// credit returns, the reliability layer's arrivals, timeouts and acks,
+// sleeps — is scheduled here.
 //
 //repro:hotpath
 func (e *Engine) ScheduleCall(t Time, fn EventFn, arg any) {

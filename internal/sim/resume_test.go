@@ -56,12 +56,12 @@ func TestRunResumablesWaitChain(t *testing.T) {
 	bodies[0] = stepFn(func(p *Proc) (PollableWait, bool) {
 		p.Advance(10 * Microsecond)
 		at := p.Clock()
-		e.ScheduleAt(at, func() {
+		e.ScheduleCall(at, func(any, Time) {
 			released = 1
 			for i := 1; i < P; i++ {
 				e.Proc(i).WakeAt(at)
 			}
-		})
+		}, nil)
 		return nil, true
 	})
 	for i := 1; i < P; i++ {
@@ -209,7 +209,7 @@ func TestYieldDrainsToOwnClock(t *testing.T) {
 		e = New(Config{Procs: 2})
 		flag = new(int64)
 		return e, flag, func() {
-			e.ScheduleAt(80, func() { *flag = 1; e.Proc(0).WakeAt(80) })
+			e.ScheduleCall(80, func(any, Time) { *flag = 1; e.Proc(0).WakeAt(80) }, nil)
 		}
 	}
 

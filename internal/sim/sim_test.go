@@ -117,9 +117,9 @@ func TestEventsExecuteInOrder(t *testing.T) {
 	var fired []Time
 	e := New(Config{Procs: 1})
 	err := e.Run(func(p *Proc) {
-		e.ScheduleAt(30, func() { fired = append(fired, 30) })
-		e.ScheduleAt(10, func() { fired = append(fired, 10) })
-		e.ScheduleAt(20, func() { fired = append(fired, 20) })
+		e.ScheduleCall(30, func(any, Time) { fired = append(fired, 30) }, nil)
+		e.ScheduleCall(10, func(any, Time) { fired = append(fired, 10) }, nil)
+		e.ScheduleCall(20, func(any, Time) { fired = append(fired, 20) }, nil)
 		p.Advance(100)
 		p.Checkpoint()
 	})
@@ -137,7 +137,7 @@ func TestEventFIFOAtSameInstant(t *testing.T) {
 	err := e.Run(func(p *Proc) {
 		for i := 0; i < 5; i++ {
 			i := i
-			e.ScheduleAt(10, func() { fired = append(fired, i) })
+			e.ScheduleCall(10, func(any, Time) { fired = append(fired, i) }, nil)
 		}
 		p.Advance(10)
 		p.Checkpoint()
@@ -158,7 +158,7 @@ func TestParkAndWake(t *testing.T) {
 	err := e.Run(func(p *Proc) {
 		if p.ID() == 1 {
 			target := e.Proc(0)
-			e.ScheduleAt(50, func() { released = 1; target.WakeAt(50) })
+			e.ScheduleCall(50, func(any, Time) { released = 1; target.WakeAt(50) }, nil)
 			p.Advance(100)
 			p.Checkpoint()
 			return
@@ -180,7 +180,7 @@ func TestWakeAtDoesNotRewindClock(t *testing.T) {
 	err := e.Run(func(p *Proc) {
 		if p.ID() == 1 {
 			target := e.Proc(0)
-			e.ScheduleAt(10, func() { released = 1; target.WakeAt(10) })
+			e.ScheduleCall(10, func(any, Time) { released = 1; target.WakeAt(10) }, nil)
 			p.Advance(100)
 			p.Checkpoint()
 			return
@@ -359,7 +359,7 @@ func TestDeterminism(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					target := e.Proc(rng.Intn(8))
 					at := p.Clock() + Time(rng.Intn(50))
-					e.ScheduleAt(at, func() { target.WakeAt(at) })
+					e.ScheduleCall(at, func(any, Time) { target.WakeAt(at) }, nil)
 				}
 				p.Checkpoint()
 			}
@@ -426,8 +426,8 @@ func TestPendingWakeConsumedByPark(t *testing.T) {
 	err := e.Run(func(p *Proc) {
 		if p.ID() == 0 {
 			target := e.Proc(1)
-			e.ScheduleAt(20, func() { target.WakeAt(20) })
-			e.ScheduleAt(30, func() { target.WakeAt(30) })
+			e.ScheduleCall(20, func(any, Time) { target.WakeAt(20) }, nil)
+			e.ScheduleCall(30, func(any, Time) { target.WakeAt(30) }, nil)
 			p.Advance(100)
 			p.Checkpoint()
 			return
@@ -475,12 +475,12 @@ func TestStaleWakesCostNothing(t *testing.T) {
 			target := e.Proc(1)
 			for i := 1; i <= n; i++ {
 				at := Time(i)
-				e.ScheduleAt(at, func() { target.WakeAt(at) })
+				e.ScheduleCall(at, func(any, Time) { target.WakeAt(at) }, nil)
 			}
 			for _, at := range append(future, future...) {
-				e.ScheduleAt(at, func() { target.WakeAt(at) })
+				e.ScheduleCall(at, func(any, Time) { target.WakeAt(at) }, nil)
 			}
-			e.ScheduleAt(wait.until, func() { recorded = len(target.pendingWakes) })
+			e.ScheduleCall(wait.until, func(any, Time) { recorded = len(target.pendingWakes) }, nil)
 			p.Advance(2 * n)
 			p.Checkpoint() // every event fires, then the target has the CPU
 			return
@@ -517,7 +517,7 @@ func TestDeadWakesAreDropped(t *testing.T) {
 	err := e.Run(func(p *Proc) {
 		for i := 1; i <= n; i++ {
 			at := Time(10 * i)
-			e.ScheduleAt(at, func() { p.WakeAt(at + 25) })
+			e.ScheduleCall(at, func(any, Time) { p.WakeAt(at + 25) }, nil)
 		}
 		for i := 0; i < n; i++ {
 			p.Advance(10)
@@ -550,7 +550,7 @@ func TestEventOrderProperty(t *testing.T) {
 		err := e.Run(func(p *Proc) {
 			for _, r := range raw {
 				at := Time(r)
-				e.ScheduleAt(at, func() { fired = append(fired, at) })
+				e.ScheduleCall(at, func(any, Time) { fired = append(fired, at) }, nil)
 			}
 			p.Advance(Time(70000))
 			p.Checkpoint()
@@ -659,7 +659,7 @@ func TestAbortLeaksNothing(t *testing.T) {
 		{
 			name: "Fail from an event",
 			culprit: func(e *Engine, p *Proc) {
-				e.ScheduleAt(10, func() { e.Fail(rootCause) })
+				e.ScheduleCall(10, func(any, Time) { e.Fail(rootCause) }, nil)
 				p.Await(forever)
 			},
 			want: func(err error) bool { return errors.Is(err, rootCause) },

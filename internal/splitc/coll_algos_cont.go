@@ -30,46 +30,31 @@ func treeChildren(me, p int) int {
 	return n
 }
 
-// barrierTreeT is the gather-release tree barrier: after the store-sync,
-// arrivals climb a binomial tree to processor 0 (each node forwards once
-// its subtree has arrived), and the release walks the same tree back
-// down. 2·⌈log2 P⌉ sequential hops on the critical path but only 2·(P-1)
-// messages total, half the dissemination barrier's traffic. op.pc: 0
-// enter, 1 store-sync complete, 2 subtree gathered, 3 arrival sent
-// upward, 4 release received, 5 release fan-out (op.r round cursor).
+// barrierTreeT is the gather-release tree barrier's rounds: arrivals
+// climb a binomial tree to processor 0 (each node forwards once its
+// subtree has arrived), and the release walks the same tree back down.
+// 2·⌈log2 P⌉ sequential hops on the critical path but only 2·(P-1)
+// messages total, half the dissemination barrier's traffic. op.pc:
+// barrierRounds gather, 3 subtree gathered, 4 arrival sent upward, 5
+// release received, 6 release fan-out (op.r round cursor).
 func (t *TProc) barrierTreeT() sim.PollableWait {
 	w, me, P := t.w, t.ID(), t.P()
 	for {
 		switch t.op.pc {
-		case 0:
-			t.ep.MarkSyncEnter(am.RegionBarrier)
-			t.ep.MarkWaitBegin(am.WaitStore)
-			t.op.pc = 1
-			return t.ep.QuiesceWait()
-		case 1:
-			t.ep.MarkWaitEnd(am.WaitStore)
-			if P == 1 {
-				w.m.Stats().CountBarrier()
-				t.ep.MarkSyncExit(am.RegionBarrier)
-				t.op.pc = 0
-				return nil
-			}
-			bs := w.barrierOf(me)
-			bs.episodes++
-			t.op.tgt = bs.episodes
+		case barrierRounds:
+			t.op.pc = 4
 			if nch := treeChildren(me, P); nch > 0 {
+				bs := w.barrierOf(me)
 				t.ep.MarkWaitBegin(am.WaitBarrier)
-				t.op.pc = 2
+				t.op.pc = 3
 				return t.ep.CounterWait(&bs.recvCount[slotArrive], int64(nch)*t.op.tgt, "splitc: tree barrier gather")
 			}
-			t.op.pc = 3
-		case 2:
-			t.ep.MarkWaitEnd(am.WaitBarrier)
-			t.op.pc = 3
 		case 3:
+			t.ep.MarkWaitEnd(am.WaitBarrier)
+			t.op.pc = 4
+		case 4:
 			if me == 0 {
-				t.op.r = 0
-				t.op.pc = 5
+				t.op.pc = 6
 				continue
 			}
 			parent := me &^ (1 << uint(highestBit(me)))
@@ -78,13 +63,12 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 			}
 			bs := w.barrierOf(me)
 			t.ep.MarkWaitBegin(am.WaitBarrier)
-			t.op.pc = 4
-			return t.ep.CounterWait(&bs.recvCount[slotRelease], t.op.tgt, "splitc: tree barrier release")
-		case 4:
-			t.ep.MarkWaitEnd(am.WaitBarrier)
-			t.op.r = 0
 			t.op.pc = 5
+			return t.ep.CounterWait(&bs.recvCount[slotRelease], t.op.tgt, "splitc: tree barrier release")
 		case 5:
+			t.ep.MarkWaitEnd(am.WaitBarrier)
+			t.op.pc = 6
+		case 6:
 			for 1<<t.op.r < P {
 				r := t.op.r
 				if me < 1<<r && me+1<<r < P {
@@ -94,75 +78,52 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 				}
 				t.op.r++
 			}
-			if me == 0 {
-				w.m.Stats().CountBarrier()
-			}
-			t.ep.MarkSyncExit(am.RegionBarrier)
-			t.op.pc = 0
 			return nil
 		}
 	}
 }
 
-// barrierFlatT is the central-counter barrier: after the store-sync,
-// everyone reports to processor 0, which releases everyone directly.
-// Depth 2, but the root serializes P-1 receives and P-1 paced sends — the
-// small-P/large-o corner is where it can beat the log-round algorithms.
-// op.pc: 0 enter, 1 store-sync complete, 2 root gathered, 3 root release
-// loop (op.r), 4 arrival sent, 5 release received.
+// barrierFlatT is the central-counter barrier's rounds: everyone reports
+// to processor 0, which releases everyone directly. Depth 2, but the root
+// serializes P-1 receives and P-1 paced sends — the small-P/large-o
+// corner is where it can beat the log-round algorithms. op.pc:
+// barrierRounds gather or report, 3 root gathered, 4 root release loop
+// (op.r), 5 arrival sent, 6 release received.
 func (t *TProc) barrierFlatT() sim.PollableWait {
 	w, me, P := t.w, t.ID(), t.P()
 	for {
 		switch t.op.pc {
-		case 0:
-			t.ep.MarkSyncEnter(am.RegionBarrier)
-			t.ep.MarkWaitBegin(am.WaitStore)
-			t.op.pc = 1
-			return t.ep.QuiesceWait()
-		case 1:
-			t.ep.MarkWaitEnd(am.WaitStore)
-			if P == 1 {
-				w.m.Stats().CountBarrier()
-				t.ep.MarkSyncExit(am.RegionBarrier)
-				t.op.pc = 0
-				return nil
+		case barrierRounds:
+			if me != 0 {
+				t.op.pc = 5
+				continue
 			}
 			bs := w.barrierOf(me)
-			bs.episodes++
-			t.op.tgt = bs.episodes
-			if me == 0 {
-				t.ep.MarkWaitBegin(am.WaitBarrier)
-				t.op.pc = 2
-				return t.ep.CounterWait(&bs.recvCount[slotArrive], int64(P-1)*t.op.tgt, "splitc: flat barrier gather")
-			}
-			t.op.pc = 4
-		case 2:
+			t.ep.MarkWaitBegin(am.WaitBarrier)
+			t.op.pc = 3
+			return t.ep.CounterWait(&bs.recvCount[slotArrive], int64(P-1)*t.op.tgt, "splitc: flat barrier gather")
+		case 3:
 			t.ep.MarkWaitEnd(am.WaitBarrier)
 			t.op.r = 1
-			t.op.pc = 3
-		case 3:
+			t.op.pc = 4
+		case 4:
 			for t.op.r < P {
 				if wt := t.RequestT(t.op.r, am.ClassSync, w.hBarrier, am.Args{slotRelease}); wt != nil {
 					return wt
 				}
 				t.op.r++
 			}
-			w.m.Stats().CountBarrier()
-			t.ep.MarkSyncExit(am.RegionBarrier)
-			t.op.pc = 0
 			return nil
-		case 4:
+		case 5:
 			if wt := t.RequestT(0, am.ClassSync, w.hBarrier, am.Args{slotArrive}); wt != nil {
 				return wt
 			}
 			bs := w.barrierOf(me)
 			t.ep.MarkWaitBegin(am.WaitBarrier)
-			t.op.pc = 5
+			t.op.pc = 6
 			return t.ep.CounterWait(&bs.recvCount[slotRelease], t.op.tgt, "splitc: flat barrier release")
-		case 5:
+		case 6:
 			t.ep.MarkWaitEnd(am.WaitBarrier)
-			t.ep.MarkSyncExit(am.RegionBarrier)
-			t.op.pc = 0
 			return nil
 		}
 	}

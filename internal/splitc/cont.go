@@ -601,50 +601,63 @@ func (t *TProc) LockT(g GPtr) sim.PollableWait {
 // UnlockT is Unlock: release the lock word with a pipelined store.
 func (t *TProc) UnlockT(g GPtr) sim.PollableWait { return t.WriteWordT(g, 0) }
 
-// BarrierT is Barrier: store-sync, then the world's selected barrier
-// algorithm.
-func (t *TProc) BarrierT() sim.PollableWait { return t.w.sel.barrier.runT(t) }
+// barrierRounds is the op.pc state in which BarrierT hands over to the
+// selected algorithm's rounds; each algorithm numbers its later states
+// above it.
+const barrierRounds = 2
 
-// barrierDissemT is the dissemination barrier: after the store-sync, in
-// round r the processor notifies (id+2^r) mod P and waits for the
-// notification from (id-2^r) mod P. ⌈log2 P⌉ rounds of short sync
-// messages; round-trip free but latency-sensitive.
+// BarrierT is Barrier, and the one frame every barrier algorithm runs
+// in: enter the barrier region, store-sync (Split-C barriers imply store
+// completion), then — at P > 1 — open the next episode and run the world's
+// selected algorithm's rounds; processor 0 counts the episode, and the
+// region closes. op.pc: 0 enter, 1 parked in the store sync (StoreSyncT),
+// barrierRounds and above the algorithm's rounds.
+func (t *TProc) BarrierT() sim.PollableWait {
+	w, me := t.w, t.ID()
+	if t.op.pc < barrierRounds {
+		if t.op.pc == 0 {
+			t.ep.MarkSyncEnter(am.RegionBarrier)
+		}
+		if wt := t.StoreSyncT(); wt != nil {
+			return wt
+		}
+		if t.P() == 1 {
+			w.m.Stats().CountBarrier()
+			t.ep.MarkSyncExit(am.RegionBarrier)
+			return nil
+		}
+		bs := w.barrierOf(me)
+		bs.episodes++
+		t.op.tgt, t.op.r, t.op.pc = bs.episodes, 0, barrierRounds
+	}
+	if wt := w.sel.barrier.runT(t); wt != nil {
+		return wt
+	}
+	if me == 0 {
+		w.m.Stats().CountBarrier()
+	}
+	t.ep.MarkSyncExit(am.RegionBarrier)
+	t.op.pc = 0
+	return nil
+}
+
+// barrierDissemT is the dissemination barrier's rounds: in round r the
+// processor notifies (id+2^r) mod P and waits for the notification from
+// (id-2^r) mod P. ⌈log2 P⌉ rounds of short sync messages; round-trip
+// free but latency-sensitive.
 //
 // Round counters are cumulative, which makes the algorithm robust to
 // processors being a full episode apart: per-pair FIFO delivery means
 // "count ≥ episode" implies all earlier episodes arrived too.
 //
-// op.pc: 0 enter, 1 store-sync complete, 2 round dispatch (op.r), 3 round
-// notification received.
+// op.pc: barrierRounds round dispatch (op.r), 3 round notification
+// received.
 func (t *TProc) barrierDissemT() sim.PollableWait {
 	w, me, P := t.w, t.ID(), t.P()
 	for {
 		switch t.op.pc {
-		case 0:
-			t.ep.MarkSyncEnter(am.RegionBarrier)
-			t.ep.MarkWaitBegin(am.WaitStore)
-			t.op.pc = 1
-			return t.ep.QuiesceWait()
-		case 1:
-			t.ep.MarkWaitEnd(am.WaitStore)
-			if P == 1 {
-				w.m.Stats().CountBarrier()
-				t.ep.MarkSyncExit(am.RegionBarrier)
-				t.op.pc = 0
-				return nil
-			}
-			bs := w.barrierOf(me)
-			bs.episodes++
-			t.op.tgt = bs.episodes
-			t.op.r = 0
-			t.op.pc = 2
-		case 2:
+		case barrierRounds:
 			if 1<<t.op.r >= P {
-				if me == 0 {
-					w.m.Stats().CountBarrier()
-				}
-				t.ep.MarkSyncExit(am.RegionBarrier)
-				t.op.pc = 0
 				return nil
 			}
 			dst := (me + 1<<t.op.r) % P
@@ -658,7 +671,7 @@ func (t *TProc) barrierDissemT() sim.PollableWait {
 		case 3:
 			t.ep.MarkWaitEnd(am.WaitBarrier)
 			t.op.r++
-			t.op.pc = 2
+			t.op.pc = barrierRounds
 		}
 	}
 }

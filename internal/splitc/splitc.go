@@ -222,11 +222,7 @@ type Proc struct {
 // Poll services any arrived messages (handlers run, o_recv is charged).
 // Long local compute loops should poll periodically, as real Split-C
 // programs do implicitly at communication points.
-func (p *Proc) Poll() {
-	for wt := p.PollT(); wt != nil; wt = p.PollT() {
-		p.sp.Await(wt)
-	}
-}
+func (p *Proc) Poll() { p.ep.Poll() }
 
 // GPtr is a global pointer: a (processor, word-offset) pair into the
 // global heap. The zero GPtr is a valid pointer to word 0 of processor 0's

@@ -128,7 +128,8 @@ type (
 	// scale, seed, knob, value, verify).
 	RunSpec = run.Spec
 	// RunPlan is a deduplicated set of RunSpecs with baseline→sweep
-	// dependencies; experiments declare one, cmd/repro merges them.
+	// dependencies; PlanExperiments adds every selected experiment's
+	// runs to one.
 	RunPlan = run.Plan
 	// RunStore collects run outcomes, executing each distinct spec once.
 	RunStore = run.Store
