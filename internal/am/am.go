@@ -24,10 +24,10 @@
 // deadlock-free.
 //
 // Instrumentation attaches through the Hooks interface (embed NopHooks,
-// attach with Machine.SetHooks or splitc.World.Attach): every message
-// event, overhead charge, transmit-context reservation, wait span,
-// synchronization region and raw clock advance is reported to each
-// attached value in attach order — the clock advances are the invariant
+// attach with Machine.SetHooks or splitc.World.Attach): every send,
+// receive, charge, wait, synchronization region and unnamed clock
+// advance is reported once to each attached value in attach order — the
+// charges and clock advances tiling each timeline are the invariant
 // behind internal/prof's conservation proof.
 //
 // The wire is lossless by default. A FaultInjector (Machine.SetFaults;
@@ -85,7 +85,8 @@ type Token struct {
 	Src int
 	// Class is the sender's traffic classification.
 	Class Class
-	// IsReply reports whether this message is a reply.
+	// IsReply reports whether this message answers a request — a short
+	// reply or a bulk reply fragment — and so may not itself be answered.
 	IsReply bool
 
 	replied bool
@@ -215,10 +216,10 @@ func (m *Machine) Endpoint(i int) *Endpoint { return m.eps[i] }
 func (m *Machine) Stats() *Stats { return m.stats }
 
 // SetHooks replaces the machine's observers with hs, in order, dropping
-// nil entries; no argument detaches them all. Every processor's raw
-// clock advances are forwarded to the observers as well. Attach before
-// the run starts: the profiler's conservation proof needs to see time
-// zero onward.
+// nil entries; no argument detaches them all. Every processor's idle,
+// wake and stretch clock advances are forwarded to the observers as
+// well. Attach before the run starts: the profiler's conservation proof
+// needs to see time zero onward.
 func (m *Machine) SetHooks(hs ...Hooks) {
 	var list []Hooks
 	for _, h := range hs {
@@ -291,8 +292,11 @@ type Endpoint struct {
 // epWait expresses an endpoint's spin-poll wait loop as a
 // sim.PollableWait, the record the engine iterates on the waiter's
 // behalf: blocking operations hand it to sim.Proc.Await, continuation
-// bodies return it from Resume (see cont.go). Four modes, chosen to keep
-// the steady-state paths closure-free:
+// bodies return it from Resume (see cont.go). The record reports its own
+// span to the hooks: WaitBegin when set arms it, WaitEnd the first time
+// Ready holds — the scheduler's decision that the wait is over, at the
+// instant the body resumes (no event runs and no clock moves between).
+// Four modes, chosen to keep the steady-state paths closure-free:
 //
 //   - waitModeWindow: a window stall on dst, ready when a request credit
 //     toward dst is free (the send path's stall).
@@ -305,6 +309,8 @@ type Endpoint struct {
 type epWait struct {
 	ep     *Endpoint
 	mode   waitMode
+	kind   WaitKind
+	ended  bool // WaitEnd reported; Ready is re-tested after it holds
 	cond   func() bool
 	ctr    *int64
 	target int64
@@ -322,25 +328,42 @@ const (
 	waitModeQuiesce
 )
 
-// set re-points the endpoint's reusable wait record at a new wait. Waits
-// never nest (one body, and handlers may not wait), so reuse is safe in
-// both runtime modes.
-func (w *epWait) set(mode waitMode, cond func() bool, ctr *int64, target int64, dst, win int, reason string) *epWait {
-	w.mode, w.cond, w.ctr, w.target, w.dst, w.win, w.reason = mode, cond, ctr, target, dst, win, reason
+// set re-points the endpoint's reusable wait record at a new wait and
+// reports its start. Waits never nest (one body, and handlers may not
+// wait), so reuse is safe in both runtime modes.
+//
+//repro:hotpath
+func (w *epWait) set(mode waitMode, kind WaitKind, cond func() bool, ctr *int64, target int64, dst, win int, reason string) *epWait {
+	w.mode, w.kind, w.ended, w.cond, w.ctr, w.target, w.dst, w.win, w.reason = mode, kind, false, cond, ctr, target, dst, win, reason
+	for _, h := range w.ep.m.hooks {
+		h.WaitBegin(w.ep.ID(), kind, w.ep.proc.Clock())
+	}
 	return w
 }
 
+// Ready tests the awaited condition and, the first time it holds,
+// reports the end of the wait.
+//
+//repro:hotpath
 func (w *epWait) Ready(_ *sim.Proc) bool {
+	var ok bool
 	switch w.mode {
 	case waitModeCond:
-		return w.cond()
+		ok = w.cond()
 	case waitModeCounter:
-		return *w.ctr >= w.target
+		ok = *w.ctr >= w.target
 	case waitModeQuiesce:
-		return w.ep.outstanding.total == 0
+		ok = w.ep.outstanding.total == 0
 	default:
-		return w.ep.outstanding.get(w.dst) < w.win
+		ok = w.ep.outstanding.get(w.dst) < w.win
 	}
+	if ok && !w.ended {
+		w.ended = true
+		for _, h := range w.ep.m.hooks {
+			h.WaitEnd(w.ep.ID(), w.kind, w.ep.proc.Clock())
+		}
+	}
+	return ok
 }
 
 // WaitReason labels the wait in deadlock diagnostics (sim.WaitReasoner).
@@ -514,16 +537,14 @@ func (ep *Endpoint) waitWindow(dst int) {
 	if ep.CanSend(dst) {
 		return
 	}
-	ep.MarkWaitBegin(WaitWindow)
 	ep.proc.Await(ep.WindowWait(dst))
-	ep.MarkWaitEnd(WaitWindow)
 }
 
 // commit is the host half of every send — request, store, reply or bulk
 // reply: charge o_send (plus the added overhead), count the message,
-// reserve the NIC transmit context and hand the message to the
-// reliability layer (which sequences it and arms its retransmission) or
-// straight to the wire. Every host-initiated send passes here exactly
+// reserve the NIC transmit context, report the send to the hooks as one
+// SendEvent and hand the message to the reliability layer (which
+// sequences it and arms its retransmission) or straight to the wire. Every host-initiated send passes here exactly
 // once; retransmissions re-enter at reserveTx.
 //
 //repro:hotpath
@@ -531,17 +552,14 @@ func (ep *Endpoint) commit(kind msgKind, dst int, class Class, h Handler, bh Bul
 	from := ep.proc.Clock()
 	o := ep.params().EffOSend()
 	ep.proc.Advance(o)
-	for _, hk := range ep.m.hooks {
-		hk.SendOverhead(ep.ID(), from, from+o)
-	}
 	msg := ep.m.getMsg()
 	msg.kind, msg.src, msg.dst, msg.class, msg.handler, msg.bulkH, msg.args, msg.data = kind, ep.ID(), dst, class, h, bh, args, data
 	now := ep.proc.Clock()
 	ep.m.stats.countSendAt(msg.src, dst, class, kind.bulk(), len(data), now)
-	inject, arrival := ep.reserveTx(msg, now, false)
+	inject, gapFree, arrival := ep.reserveTx(msg, now, false)
 	for _, hk := range ep.m.hooks {
-		hk.MessageSent(msg.src, dst, class, kind.bulk(), now)
-		hk.MessageLaunched(msg.src, dst, kind.reply(), kind.bulk(), inject, arrival)
+		hk.MessageSent(SendEvent{Src: msg.src, Dst: dst, Class: class, Reply: kind.reply(), Bulk: kind.bulk(),
+			OFrom: from, OTo: from + o, At: now, Inject: inject, GapFree: gapFree, BusyFree: ep.txFreeAt, Arrival: arrival})
 	}
 	if r := ep.rel; r != nil {
 		r.send(ep, msg, inject, arrival)
@@ -551,19 +569,20 @@ func (ep *Endpoint) commit(kind msgKind, dst int, class Class, h Handler, bh Bul
 }
 
 // reserveTx reserves the NIC transmit context for one transmission of
-// msg that is ready at `at`, and returns its injection and arrival
-// instants. Injection waits for the context to be free; the context is
-// then held for the gap (g+Δg) and, for a bulk fragment, its DMA time
-// (G·size, the bulk-Gap knob). The receive context is unaffected (the
+// msg that is ready at `at`, and returns its injection, gap-free and
+// arrival instants. Injection waits for the context to be free; the
+// context is then held for the gap (g+Δg) and, for a bulk fragment, its
+// DMA time (G·size, the bulk-Gap knob). The receive context is unaffected (the
 // LANai's dual hardware contexts). The message arrives L+ΔL after
-// injection, plus the DMA time. retrans reports the reservation to the
-// hooks as a reliability-layer retransmission rather than a fresh send.
+// injection, plus the DMA time. A host send is reported whole by its
+// commit; retrans reports a reliability-layer retransmission to the
+// hooks here.
 //
 //repro:hotpath
-func (ep *Endpoint) reserveTx(msg *message, at sim.Time, retrans bool) (inject, arrival sim.Time) {
+func (ep *Endpoint) reserveTx(msg *message, at sim.Time, retrans bool) (inject, gapFree, arrival sim.Time) {
 	p := ep.params()
 	inject = max(at, ep.txFreeAt)
-	gapFree := inject + p.EffGap()
+	gapFree = inject + p.EffGap()
 	wire := p.EffLatency()
 	ep.txFreeAt = gapFree
 	if msg.kind.bulk() {
@@ -571,14 +590,12 @@ func (ep *Endpoint) reserveTx(msg *message, at sim.Time, retrans bool) (inject, 
 		ep.txFreeAt += dma
 		wire += dma
 	}
-	for _, h := range ep.m.hooks {
-		if retrans {
+	if retrans {
+		for _, h := range ep.m.hooks {
 			h.TxRetransmit(ep.ID(), inject, gapFree, ep.txFreeAt)
-		} else {
-			h.TxReserved(ep.ID(), inject, gapFree, ep.txFreeAt)
 		}
 	}
-	return inject, inject + wire
+	return inject, gapFree, inject + wire
 }
 
 // putOnWire performs one physical transmission of msg: the fault injector
@@ -718,7 +735,7 @@ func (ep *Endpoint) process(msg *message) {
 		h.RecvOverhead(ep.ID(), from, from+o)
 	}
 	tok := &ep.tok
-	*tok = Token{Src: msg.src, Class: msg.class, IsReply: msg.kind == kindReply, dst: msg.dst}
+	*tok = Token{Src: msg.src, Class: msg.class, IsReply: msg.kind.reply(), dst: msg.dst}
 	ep.inHandler = true
 	switch msg.kind {
 	case kindRequest:
@@ -782,16 +799,14 @@ func (ep *Endpoint) WaitUntil(cond func() bool, reason string) {
 	ep.WaitUntilFor(WaitData, cond, reason)
 }
 
-// WaitUntilFor is WaitUntil with an explicit wait classification for the
-// instrumentation hooks.
+// WaitUntilFor is WaitUntil with an explicit wait classification: the
+// CondWait record it parks on reports the wait to the hooks under kind.
 func (ep *Endpoint) WaitUntilFor(kind WaitKind, cond func() bool, reason string) {
 	if ep.inHandler {
 		panic("am: WaitUntil called from a message handler")
 	}
-	ep.MarkWaitBegin(kind)
-	ep.proc.Await(ep.CondWait(cond, reason))
+	ep.proc.Await(ep.CondWait(kind, cond, reason))
 	ep.pw.cond = nil // do not keep the caller's closure alive past the wait
-	ep.MarkWaitEnd(kind)
 }
 
 // Outstanding reports the in-flight request count toward dst (tests).

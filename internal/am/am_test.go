@@ -348,6 +348,51 @@ func TestHandlerDisciplinePanics(t *testing.T) {
 	}
 }
 
+// TestReplyHandlerCannotReply: a reply, short or bulk fragment, is not a
+// request token, so answering it fails the run instead of returning a
+// window credit the requester never took.
+func TestReplyHandlerCannotReply(t *testing.T) {
+	reply := func(ep *Endpoint, tok *Token) { ep.Reply(tok, func(*Endpoint, *Token, Args) {}, Args{}) }
+	replyBulk := func(ep *Endpoint, tok *Token) {
+		ep.ReplyBulk(tok, func(*Endpoint, *Token, Args, []byte) {}, Args{}, []byte{1})
+	}
+	for _, tc := range []struct {
+		name      string
+		bulkReply bool                           // the responder answers with ReplyBulk
+		misuse    func(ep *Endpoint, tok *Token) // the reply's handler answers it
+	}{
+		{"reply-to-reply", false, reply},
+		{"reply-to-bulk-reply", true, reply},
+		{"bulk-reply-to-bulk-reply", true, replyBulk},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New(sim.Config{Procs: 2})
+			m := MustMachine(eng, logp.NOW())
+			answered := false
+			onReply := func(ep *Endpoint, tok *Token) {
+				answered = true
+				tc.misuse(ep, tok)
+			}
+			err := eng.Run(func(p *sim.Proc) {
+				ep := m.Endpoint(p.ID())
+				if p.ID() == 0 {
+					ep.Request(1, ClassRead, func(ep *Endpoint, tok *Token, a Args) {
+						if tc.bulkReply {
+							ep.ReplyBulk(tok, func(ep *Endpoint, tok *Token, _ Args, _ []byte) { onReply(ep, tok) }, Args{}, []byte{1})
+						} else {
+							ep.Reply(tok, func(ep *Endpoint, tok *Token, _ Args) { onReply(ep, tok) }, Args{})
+						}
+					}, Args{})
+				}
+				ep.WaitUntil(func() bool { return answered }, "answered")
+			})
+			if err == nil || !strings.Contains(err.Error(), "requires a request token") {
+				t.Errorf("answering a reply: err = %v, want a request-token failure", err)
+			}
+		})
+	}
+}
+
 func TestImplicitAckReturnsCredit(t *testing.T) {
 	// A handler that never replies must still free the window slot.
 	params := logp.NOW()

@@ -19,7 +19,7 @@ import (
 //     polls on every request), with the caller yielding between steps;
 //  2. wait   — WindowWait / CounterWait / QuiesceWait / CondWait hand the
 //     scheduler a wait record to drive (closure-free but for CondWait's
-//     predicate);
+//     predicate), which reports its own span to the hooks;
 //  3. commit — SendRequest / SendStore take a window credit and hand the
 //     message to the endpoint's one send commit (charge, count, launch;
 //     am.go), with no possibility of blocking.
@@ -61,41 +61,47 @@ func (ep *Endpoint) CanSend(dst int) bool {
 	return ep.outstanding.get(dst) < ep.params().Window
 }
 
+// Each wait constructor arms the endpoint's one reusable record, which
+// reports WaitBegin to the hooks at once and WaitEnd when the scheduler
+// first finds it over: call one only to park on the wait it returns.
+
 // WindowWait returns the endpoint's reusable wait for a free request
-// credit toward dst. Park on it when CanSend is false; by the next
-// Resume call a credit is free.
+// credit toward dst, reported as WaitWindow. Park on it when CanSend is
+// false; by the next Resume call a credit is free.
 //
 //repro:hotpath
 func (ep *Endpoint) WindowWait(dst int) sim.PollableWait {
-	return ep.pw.set(waitModeWindow, nil, nil, 0, dst, ep.params().Window, "am: window stall")
+	return ep.pw.set(waitModeWindow, WaitWindow, nil, nil, 0, dst, ep.params().Window, "am: window stall")
 }
 
-// CounterWait returns the endpoint's reusable wait for *ctr >= target.
-// Counters must be cumulative (monotonically nondecreasing) — replies
-// received, barrier notifications, collective operands — so that a wait
-// constructed against a stale snapshot can only be satisfied early,
-// never missed. Closure-free: the record points at the counter directly.
+// CounterWait returns the endpoint's reusable wait for *ctr >= target,
+// reported as kind. Counters must be cumulative (monotonically
+// nondecreasing) — replies received, barrier notifications, collective
+// operands — so that a wait constructed against a stale snapshot can
+// only be satisfied early, never missed. Closure-free: the record points
+// at the counter directly.
 //
 //repro:hotpath
-func (ep *Endpoint) CounterWait(ctr *int64, target int64, reason string) sim.PollableWait {
-	return ep.pw.set(waitModeCounter, nil, ctr, target, 0, 0, reason)
+func (ep *Endpoint) CounterWait(kind WaitKind, ctr *int64, target int64, reason string) sim.PollableWait {
+	return ep.pw.set(waitModeCounter, kind, nil, ctr, target, 0, 0, reason)
 }
 
-// CondWait returns the endpoint's reusable wait for cond() to hold — the
-// continuation form of WaitUntilFor, which is built on it. The caller
-// brackets the park with MarkWaitBegin/MarkWaitEnd under its wait kind.
-// cond is tested only by the scheduler and must be a pure predicate.
-// Build it once, not per wait: each closure built is an allocation.
-func (ep *Endpoint) CondWait(cond func() bool, reason string) sim.PollableWait {
-	return ep.pw.set(waitModeCond, cond, nil, 0, 0, 0, reason)
+// CondWait returns the endpoint's reusable wait for cond() to hold,
+// reported as kind — the continuation form of WaitUntilFor, which is
+// built on it. cond is tested only by the scheduler and must be a pure
+// predicate. Build it once, not per wait: each closure built is an
+// allocation.
+func (ep *Endpoint) CondWait(kind WaitKind, cond func() bool, reason string) sim.PollableWait {
+	return ep.pw.set(waitModeCond, kind, cond, nil, 0, 0, 0, reason)
 }
 
 // QuiesceWait returns the endpoint's reusable wait for all outstanding
-// requests to be acked — the continuation form of a store sync.
+// requests to be acked, reported as WaitStore — the continuation form of
+// a store sync.
 //
 //repro:hotpath
 func (ep *Endpoint) QuiesceWait() sim.PollableWait {
-	return ep.pw.set(waitModeQuiesce, nil, nil, 0, 0, 0, "am: store sync")
+	return ep.pw.set(waitModeQuiesce, WaitStore, nil, nil, 0, 0, 0, "am: store sync")
 }
 
 // SendRequest is the commit half of Request: consume a window credit,
@@ -141,22 +147,6 @@ func (ep *Endpoint) SendStore(dst int, class Class, h BulkHandler, args Args, da
 	buf := make([]byte, len(data))
 	copy(buf, data)
 	ep.commit(kindBulk, dst, class, nil, h, args, buf)
-}
-
-// MarkWaitBegin reports a wait-span start to the attached hooks; every
-// wait, blocking or resumptive, brackets its park with it. No-op when no
-// hooks are attached.
-func (ep *Endpoint) MarkWaitBegin(kind WaitKind) {
-	for _, h := range ep.m.hooks {
-		h.WaitBegin(ep.ID(), kind, ep.proc.Clock())
-	}
-}
-
-// MarkWaitEnd closes a wait span opened by MarkWaitBegin.
-func (ep *Endpoint) MarkWaitEnd(kind WaitKind) {
-	for _, h := range ep.m.hooks {
-		h.WaitEnd(ep.ID(), kind, ep.proc.Clock())
-	}
 }
 
 // MarkSyncEnter reports to the attached hooks that this processor

@@ -64,64 +64,84 @@ func (r SyncRegion) String() string {
 	return "barrier"
 }
 
-// Hooks is the machine's one observer interface: every communication
-// event, every virtual-time charge and every raw clock advance the
-// Active Message layer makes is reported through it. Attach with
-// Machine.SetHooks (or, one level up, splitc.World.Attach); the machine
-// calls each attached value in attach order. All methods run
+// SendEvent is one host send, reported once through Hooks.MessageSent:
+// the o_send charge, the hand-off to the NIC, the transmit-context
+// reservation and the wire flight, in one record passed by value.
+type SendEvent struct {
+	// Src and Dst are the sending and receiving processors.
+	Src, Dst int
+	// Class is the sender's traffic classification.
+	Class Class
+	// Reply marks responses (bulk reply fragments included), which
+	// bypass the request window; Bulk marks DMA fragments.
+	Reply, Bulk bool
+	// OFrom and OTo bound the o_send charge (plus Δo) on Src: the host
+	// was busy writing the message to the NIC on [OFrom, OTo).
+	OFrom, OTo sim.Time
+	// At is the hand-off instant: Src's clock once the charge, and any
+	// fault-injected stretch of it, is over.
+	At sim.Time
+	// Inject is when the message leaves the transmit context, which is
+	// gap-limited on [Inject, GapFree) and, for a bulk fragment,
+	// DMA-limited on [GapFree, BusyFree); GapFree == BusyFree for a
+	// short message. The message occupies the wire on [Inject, Arrival).
+	Inject, GapFree, BusyFree, Arrival sim.Time
+}
+
+// Hooks is the machine's one observer interface. Each occurrence the
+// Active Message layer makes — a send, a receive charge, a compute
+// charge, a wait, an idle clock advance, a wire stage, a synchronization
+// region — is reported through exactly one method call per attached
+// value, so a consumer never reconciles two reports of one thing. Attach
+// with Machine.SetHooks (or, one level up, splitc.World.Attach); the
+// machine calls each attached value in attach order. All methods run
 // synchronously on the simulating goroutine, must not call back into the
 // endpoint, and must not alter virtual time — hooks observe a run, they
 // never change it.
 //
+// The charge spans (SendEvent's o_send span, RecvOverhead,
+// ComputeCharged) and the ClockAdvanced spans together tile each
+// processor's timeline exactly once: the invariant behind
+// internal/prof's conservation proof.
+//
 // Embed NopHooks to implement only the methods you care about.
 type Hooks interface {
-	// MessageSent fires when a host hands a message to its NIC.
-	MessageSent(src, dst int, class Class, bulk bool, at sim.Time)
+	// MessageSent fires once per host send (request, store, reply or
+	// bulk reply), after the o_send charge and the transmit reservation;
+	// retransmissions are reported by TxRetransmit instead.
+	MessageSent(e SendEvent)
 	// MessageHandled fires after a handler ran at the receiver.
 	MessageHandled(src, dst int, class Class, bulk bool, at sim.Time)
-	// SendOverhead fires after the o_send charge for one message:
-	// processor proc was busy writing the message to the NIC on [from, to).
-	SendOverhead(proc int, from, to sim.Time)
 	// RecvOverhead fires after the o_recv charge for one message.
 	RecvOverhead(proc int, from, to sim.Time)
 	// ComputeCharged fires after an explicit local-computation charge
 	// (Endpoint.Compute), with the CPU factor already applied.
 	ComputeCharged(proc int, from, to sim.Time)
-	// TxReserved fires when a message reserves the NIC transmit context:
-	// the context is gap-limited on [inject, gapFree) and, for bulk
-	// fragments, DMA-limited on [gapFree, busyFree). For short messages
-	// gapFree == busyFree.
-	TxReserved(proc int, inject, gapFree, busyFree sim.Time)
 	// TxRetransmit fires when the reliability layer re-injects an unacked
-	// message: the NIC transmit context is occupied exactly as for
-	// TxReserved, but no host overhead is charged (the retransmission is
+	// message: the NIC transmit context is gap-limited on [inject,
+	// gapFree) and DMA-limited on [gapFree, busyFree) as for a send, but
+	// no host overhead is charged (the retransmission is
 	// firmware-initiated). Profilers charge the occupied span to a
 	// retransmit account rather than the ordinary gap/bulk accounts.
 	TxRetransmit(proc int, inject, gapFree, busyFree sim.Time)
-	// WaitBegin fires when the processor enters a spin-polling wait.
+	// WaitBegin fires when the processor arms one of its endpoint's wait
+	// records (WindowWait, CounterWait, CondWait, QuiesceWait).
 	WaitBegin(proc int, kind WaitKind, at sim.Time)
-	// WaitEnd fires when the awaited condition held and the wait returned.
+	// WaitEnd fires the first time the scheduler finds that wait over.
 	WaitEnd(proc int, kind WaitKind, at sim.Time)
 
-	// ClockAdvanced fires for every raw clock advance of processor proc,
-	// idle spins and wake jumps included, not just charges. The observed
-	// spans tile each processor's whole timeline, the invariant behind
-	// internal/prof's conservation proof.
+	// ClockAdvanced fires for every clock advance of processor proc that
+	// no charge hook names: idle spins, wake jumps and fault-injected
+	// stretches of a charge.
 	ClockAdvanced(proc int, kind sim.ClockKind, from, to sim.Time)
 
-	// MessageLaunched fires when a message leaves the transmit context:
-	// it occupies the wire on [inject, arrival). reply marks responses
-	// (including bulk reply fragments), which bypass the request window.
-	// With MessageDelivered and CreditIssued it follows message identity
-	// through the network stages the charges above only report per
-	// processor; internal/depgraph stitches the per-processor streams
-	// into a dependency graph with them.
-	MessageLaunched(src, dst int, reply, bulk bool, inject, arrival sim.Time)
 	// MessageDelivered fires when the message lands in the destination
 	// inbox, before any receive overhead is charged: on the lossless
 	// wire at its arrival, under the reliability layer once it is next
 	// in its stream's sequence (a duplicate discarded at the NIC never
-	// lands).
+	// lands). With MessageSent and CreditIssued it follows message
+	// identity across processors; internal/depgraph stitches the
+	// per-processor streams into a dependency graph with them.
 	MessageDelivered(src, dst int, reply bool, at sim.Time)
 	// CreditIssued fires when a handled-but-unreplied request frees its
 	// sender-side window slot: the implicit credit leaves the responder at
@@ -146,22 +166,16 @@ type NopHooks struct{}
 var _ Hooks = NopHooks{}
 
 // MessageSent implements Hooks as a no-op.
-func (NopHooks) MessageSent(src, dst int, class Class, bulk bool, at sim.Time) {}
+func (NopHooks) MessageSent(SendEvent) {}
 
 // MessageHandled implements Hooks as a no-op.
 func (NopHooks) MessageHandled(src, dst int, class Class, bulk bool, at sim.Time) {}
-
-// SendOverhead implements Hooks as a no-op.
-func (NopHooks) SendOverhead(proc int, from, to sim.Time) {}
 
 // RecvOverhead implements Hooks as a no-op.
 func (NopHooks) RecvOverhead(proc int, from, to sim.Time) {}
 
 // ComputeCharged implements Hooks as a no-op.
 func (NopHooks) ComputeCharged(proc int, from, to sim.Time) {}
-
-// TxReserved implements Hooks as a no-op.
-func (NopHooks) TxReserved(proc int, inject, gapFree, busyFree sim.Time) {}
 
 // TxRetransmit implements Hooks as a no-op.
 func (NopHooks) TxRetransmit(proc int, inject, gapFree, busyFree sim.Time) {}
@@ -174,9 +188,6 @@ func (NopHooks) WaitEnd(proc int, kind WaitKind, at sim.Time) {}
 
 // ClockAdvanced implements Hooks as a no-op.
 func (NopHooks) ClockAdvanced(proc int, kind sim.ClockKind, from, to sim.Time) {}
-
-// MessageLaunched implements Hooks as a no-op.
-func (NopHooks) MessageLaunched(src, dst int, reply, bulk bool, inject, arrival sim.Time) {}
 
 // MessageDelivered implements Hooks as a no-op.
 func (NopHooks) MessageDelivered(src, dst int, reply bool, at sim.Time) {}

@@ -168,7 +168,7 @@ func relTimeoutEvent(arg any, at sim.Time) {
 		ep.m.eng.Fail(&DeliveryError{Src: e.msg.src, Dst: e.msg.dst, Seq: e.seq, Attempts: e.attempts})
 	}
 	ep.m.stats.Retransmits++
-	inject, arrival := ep.reserveTx(e.msg, at, true)
+	inject, _, arrival := ep.reserveTx(e.msg, at, true)
 	ep.rel.transmit(ep, e, inject, arrival, true)
 }
 

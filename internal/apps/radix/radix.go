@@ -448,13 +448,11 @@ func (k *task) publishOffsets(t *splitc.TProc) sim.PollableWait {
 func (k *task) awaitData(t *splitc.TProc, cond func() bool, reason string) sim.PollableWait {
 	ep := t.EP()
 	if k.parked {
-		ep.MarkWaitEnd(am.WaitData)
 		k.parked = false
 		return nil
 	}
-	ep.MarkWaitBegin(am.WaitData)
 	k.parked = true
-	return ep.CondWait(cond, reason)
+	return ep.CondWait(am.WaitData, cond, reason)
 }
 
 var (

@@ -24,11 +24,6 @@ type procState struct {
 	lastTx   int32
 	lag      sim.Time
 	lastOcc  sim.Time
-	// pendDur/pendEnd hold the o_send charge awaiting its MessageLaunched;
-	// pendOcc the transmit-context occupancy from the matching TxReserved.
-	pendDur sim.Time
-	pendEnd sim.Time
-	pendOcc sim.Time
 	// inbox mirrors the endpoint's inbox: wire-arrival nodes delivered but
 	// not yet consumed by an o_recv charge.
 	inbox fifo
@@ -146,24 +141,6 @@ func (b *Builder) newStream(key uint64) *stream {
 	return st
 }
 
-// SendOverhead records the o_send charge; the node is created at
-// MessageLaunched, which knows the destination and the message class.
-//
-//repro:hotpath
-func (b *Builder) SendOverhead(proc int, from, to sim.Time) {
-	ps := &b.procs[proc]
-	ps.pendDur = to - from
-	ps.pendEnd = to
-}
-
-// TxReserved records the transmit-context occupancy (gap + bulk DMA) the
-// next launch serializes behind.
-//
-//repro:hotpath
-func (b *Builder) TxReserved(proc int, inject, gapFree, busyFree sim.Time) {
-	b.procs[proc].pendOcc = busyFree - inject
-}
-
 // TxRetransmit never fires on the lossless wire the builder requires.
 //
 //repro:hotpath
@@ -171,23 +148,25 @@ func (b *Builder) TxRetransmit(proc int, inject, gapFree, busyFree sim.Time) {
 	b.fail("retransmission observed; the reliability layer cannot be modeled")
 }
 
-// MessageLaunched creates the send-side nodes: the o_send completion
+// MessageSent creates the send-side nodes: the o_send completion
 // (serialized on the processor chain and, for window-gated requests, on
 // the freeing credit), the injection instant (serialized on the previous
-// transmit reservation with a Δg edge), and the wire arrival (a ΔL edge).
+// transmit reservation — gap plus bulk DMA — with a Δg edge), and the
+// wire arrival (a ΔL edge).
 //
 //repro:hotpath
-func (b *Builder) MessageLaunched(src, dst int, reply, bulk bool, inject, arrival sim.Time) {
+func (b *Builder) MessageSent(e am.SendEvent) {
 	if b.errMsg != "" {
 		return
 	}
-	ps := &b.procs[src]
+	ps := &b.procs[e.Src]
 	g := b.g
+	dur, end := e.OTo-e.OFrom, e.OTo
 
-	s := g.newNode(KindOSend, int32(src), ps.pendEnd)
-	g.addEdge(s, ps.frontier, ps.lag+ps.pendDur, AxisO)
-	st := b.stream(src, dst)
-	if !reply {
+	s := g.newNode(KindOSend, int32(e.Src), end)
+	g.addEdge(s, ps.frontier, ps.lag+dur, AxisO)
+	st := b.stream(e.Src, e.Dst)
+	if !e.Reply {
 		if st.sent >= b.window {
 			c, ok := st.credits.pop()
 			if !ok {
@@ -212,15 +191,15 @@ func (b *Builder) MessageLaunched(src, dst int, reply, bulk bool, inject, arriva
 				// another processor's checkpoint drained the credit event
 				// ahead of this sender's clock), so the edge is tight at
 				// the baseline by construction either way.
-				g.addEdge(s, c, ps.pendEnd-g.nodePtr(c).val, AxisO)
-				if w := ps.winCause; w >= 0 && g.nodePtr(w).val+ps.pendDur <= ps.pendEnd {
-					g.addEdge(s, w, ps.pendDur, AxisO)
+				g.addEdge(s, c, end-g.nodePtr(c).val, AxisO)
+				if w := ps.winCause; w >= 0 && g.nodePtr(w).val+dur <= end {
+					g.addEdge(s, w, dur, AxisO)
 				}
-			} else if g.nodePtr(c).val+ps.pendDur <= ps.pendEnd {
+			} else if g.nodePtr(c).val+dur <= end {
 				// An unblocked send only needed the slot free: the credit
 				// gates the charge parametrically when the baseline run is
 				// consistent with its arrival.
-				g.addEdge(s, c, ps.pendDur, AxisO)
+				g.addEdge(s, c, dur, AxisO)
 			}
 		}
 		ps.winBlocked = false
@@ -229,15 +208,15 @@ func (b *Builder) MessageLaunched(src, dst int, reply, bulk bool, inject, arriva
 	}
 	ps.frontier, ps.lag = s, 0
 
-	t := g.newNode(KindTx, int32(src), inject)
+	t := g.newNode(KindTx, int32(e.Src), e.Inject)
 	g.addEdge(t, s, 0, AxisNone)
 	if ps.lastTx >= 0 {
 		g.addEdge(t, ps.lastTx, ps.lastOcc, AxisG)
 	}
-	ps.lastTx, ps.lastOcc = t, ps.pendOcc
+	ps.lastTx, ps.lastOcc = t, e.BusyFree-e.Inject
 
-	a := g.newNode(KindWire, int32(dst), arrival)
-	g.addEdge(a, t, arrival-inject, AxisL)
+	a := g.newNode(KindWire, int32(e.Dst), e.Arrival)
+	g.addEdge(a, t, e.Arrival-e.Inject, AxisL)
 	st.wire.push(a)
 }
 
@@ -312,22 +291,19 @@ func (b *Builder) ComputeCharged(proc int, from, to sim.Time) {
 	b.procs[proc].lag += to - from
 }
 
-// ClockAdvanced classifies raw clock motion: charges are already
-// attributed by the named hooks, idle inside a marked wait is slack the
-// graph resolves through its edges, and idle outside any wait (the disk
-// model's host sleeps) is duration-like and folds into lag.
+// ClockAdvanced classifies clock motion no charge names: idle inside a
+// wait is slack the graph resolves through its edges, and idle outside
+// any wait (the disk model's host sleeps) is duration-like and folds
+// into lag.
 //
 //repro:hotpath
 func (b *Builder) ClockAdvanced(proc int, kind sim.ClockKind, from, to sim.Time) {
-	switch kind {
-	case sim.ClockCharge:
-	case sim.ClockStretch:
+	if kind == sim.ClockStretch {
 		b.fail("fault-stretched charge observed; faulted runs cannot be modeled")
-	default:
-		ps := &b.procs[proc]
-		if !ps.waiting {
-			ps.lag += to - from
-		}
+		return
+	}
+	if ps := &b.procs[proc]; !ps.waiting {
+		ps.lag += to - from
 	}
 }
 

@@ -10,13 +10,13 @@
 //
 // The accounting combines three kinds of am.Hooks event:
 //
-//   - raw clock advances (ClockAdvanced): idle spins and wake jumps are
-//     the processor's blocked time; explicit charges are only tallied, so
-//     any unhooked charge path surfaces as Unattributed instead of
-//     silently vanishing;
-//   - charges: o_send, o_recv, and Compute spans name what each explicit
-//     charge was for, and TxReserved records when the NIC transmit
-//     context is gap- or DMA-limited;
+//   - clock advances no charge names (ClockAdvanced): idle spins and
+//     wake jumps are the processor's blocked time, fault-injected
+//     stretches its fault delay;
+//   - charges: each MessageSent names its o_send span and records when
+//     the NIC transmit context is gap- or DMA-limited; RecvOverhead and
+//     ComputeCharged name the o_recv and compute spans. A charge path
+//     missing its hook leaves a hole CheckConservation reports;
 //   - wait and region context: WaitBegin/WaitEnd tag why the processor
 //     blocks (window, read, store, bulk, barrier, lock), and the
 //     SyncEnter/SyncExit regions splitc reports reclassify time inside
@@ -140,17 +140,13 @@ type ProcBreakdown struct {
 	// Proc is the processor id.
 	Proc int
 	// Time holds the attributed virtual time per category; the entries
-	// plus Unattributed sum exactly to the run's makespan.
+	// sum exactly to the run's makespan.
 	Time [NumCategories]sim.Time
-	// Unattributed is clock advance the profiler saw but no hook named
-	// (always zero while every charge path is instrumented; nonzero means
-	// a new Advance call site is missing its hook).
-	Unattributed sim.Time
 }
 
-// Total is the breakdown's sum, Unattributed included.
+// Total is the breakdown's sum.
 func (b *ProcBreakdown) Total() sim.Time {
-	sum := b.Unattributed
+	var sum sim.Time
 	for _, d := range b.Time {
 		sum += d
 	}
@@ -174,16 +170,6 @@ func (p *Profile) Total(c Category) sim.Time {
 	return sum
 }
 
-// Unattributed is the cluster-wide unattributed time (zero on a healthy
-// profile).
-func (p *Profile) Unattributed() sim.Time {
-	var sum sim.Time
-	for i := range p.Procs {
-		sum += p.Procs[i].Unattributed
-	}
-	return sum
-}
-
 // Share is a category's fraction of the cluster's total time
 // (P × makespan); across all categories the shares sum to 1.
 func (p *Profile) Share(c Category) float64 {
@@ -194,8 +180,8 @@ func (p *Profile) Share(c Category) float64 {
 }
 
 // CheckConservation verifies the accountant's invariant: on every
-// processor the categories (plus Unattributed) sum exactly to the
-// makespan.
+// processor the categories sum exactly to the makespan. A charge path
+// missing its hook falls short here.
 func (p *Profile) CheckConservation() error {
 	for i := range p.Procs {
 		if got := p.Procs[i].Total(); got != p.Elapsed {
@@ -223,10 +209,6 @@ func (p *Profile) Text() string {
 		ms := float64(tot) / float64(procs) / float64(sim.Millisecond)
 		fmt.Fprintf(&b, "  %-10s %12.3f ms/proc  %6.2f%%\n", c, ms, 100*p.Share(c))
 	}
-	if u := p.Unattributed(); u != 0 {
-		fmt.Fprintf(&b, "  %-10s %12.3f ms/proc  (missing hook!)\n",
-			"unattrib", float64(u)/float64(procs)/float64(sim.Millisecond))
-	}
 	return b.String()
 }
 
@@ -244,9 +226,7 @@ type txSeg struct {
 
 // procState is one processor's accounting state during the run.
 type procState struct {
-	cat       [NumCategories]sim.Time
-	advanced  sim.Time // every clock advance observed
-	accounted sim.Time // every span attributed to a category
+	cat [NumCategories]sim.Time
 
 	waiting bool
 	kind    am.WaitKind
@@ -261,7 +241,6 @@ func (ps *procState) charge(c Category, d sim.Time) {
 		return
 	}
 	ps.cat[c] += d
-	ps.accounted += d
 }
 
 // regionCategory maps the innermost active sync region to its account.
@@ -413,16 +392,11 @@ func New(procs int) *Profiler {
 	return &Profiler{procs: make([]procState, procs)}
 }
 
-// ClockAdvanced implements am.Hooks: idle spans are attributed
-// immediately; explicit charges are only tallied (the charge hooks name
-// them), so a missing hook shows up as Unattributed.
+// ClockAdvanced implements am.Hooks: idle spans are attributed as they
+// happen.
 func (pf *Profiler) ClockAdvanced(proc int, kind sim.ClockKind, from, to sim.Time) {
 	ps := &pf.procs[proc]
-	ps.advanced += to - from
-	switch kind {
-	case sim.ClockCharge:
-		return
-	case sim.ClockStretch:
+	if kind == sim.ClockStretch {
 		// Fault-injected extension of an explicit charge: the base span
 		// was named by its own hook; the stretch is fault delay.
 		ps.charge(CatFaultDelay, to-from)
@@ -442,22 +416,18 @@ func (pf *Profiler) ComputeCharged(proc int, from, to sim.Time) {
 	ps.charge(c, to-from)
 }
 
-// SendOverhead implements am.Hooks.
-func (pf *Profiler) SendOverhead(proc int, from, to sim.Time) {
-	pf.procs[proc].charge(CatOSend, to-from)
+// MessageSent implements am.Hooks: the o_send span, and the NIC
+// transmit-context occupancy later blocked spans are matched against.
+func (pf *Profiler) MessageSent(e am.SendEvent) {
+	ps := &pf.procs[e.Src]
+	ps.charge(CatOSend, e.OTo-e.OFrom)
+	ps.lastInject = e.Inject
+	ps.segs = append(ps.segs, txSeg{inject: e.Inject, gapEnd: e.GapFree, busyEnd: e.BusyFree})
 }
 
 // RecvOverhead implements am.Hooks.
 func (pf *Profiler) RecvOverhead(proc int, from, to sim.Time) {
 	pf.procs[proc].charge(CatORecv, to-from)
-}
-
-// TxReserved implements am.Hooks, recording the NIC transmit-context
-// occupancy later blocked spans are matched against.
-func (pf *Profiler) TxReserved(proc int, inject, gapFree, busyFree sim.Time) {
-	ps := &pf.procs[proc]
-	ps.lastInject = inject
-	ps.segs = append(ps.segs, txSeg{inject: inject, gapEnd: gapFree, busyEnd: busyFree})
 }
 
 // TxRetransmit implements am.Hooks: a reliability-layer re-injection
@@ -514,7 +484,7 @@ func (pf *Profiler) Snapshot(w *splitc.World) *Profile {
 	out := &Profile{Elapsed: elapsed, Procs: make([]ProcBreakdown, len(pf.procs))}
 	for i := range pf.procs {
 		ps := &pf.procs[i]
-		b := ProcBreakdown{Proc: i, Time: ps.cat, Unattributed: ps.advanced - ps.accounted}
+		b := ProcBreakdown{Proc: i, Time: ps.cat}
 		if clock := eng.Proc(i).Clock(); elapsed > clock {
 			b.Time[CatBarrier] += elapsed - clock
 		}

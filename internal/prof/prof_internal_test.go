@@ -7,16 +7,17 @@ import (
 	"repro/internal/sim"
 )
 
-// checkExact verifies the unit-level conservation property: every charge
-// lands in accounted, and the categories sum to it.
-func checkExact(t *testing.T, ps *procState) {
+// checkExact verifies the unit-level conservation property: the
+// categories sum exactly to the span of timeline fed in, so every
+// nanosecond landed in one account.
+func checkExact(t *testing.T, ps *procState, fed sim.Time) {
 	t.Helper()
 	var sum sim.Time
 	for _, d := range ps.cat {
 		sum += d
 	}
-	if sum != ps.accounted {
-		t.Fatalf("categories sum to %v, accounted %v", sum, ps.accounted)
+	if sum != fed {
+		t.Fatalf("categories sum to %v, fed %v", sum, fed)
 	}
 }
 
@@ -26,7 +27,7 @@ func TestIdleSleep(t *testing.T) {
 	if ps.cat[CatSleep] != 40 {
 		t.Fatalf("non-waiting idle charged %v to sleep, want 40", ps.cat[CatSleep])
 	}
-	checkExact(t, ps)
+	checkExact(t, ps, 40)
 }
 
 func TestIdleNoBacklog(t *testing.T) {
@@ -35,7 +36,7 @@ func TestIdleNoBacklog(t *testing.T) {
 	if ps.cat[CatLatency] != 50 {
 		t.Fatalf("latency %v, want 50", ps.cat[CatLatency])
 	}
-	checkExact(t, ps)
+	checkExact(t, ps, 50)
 }
 
 // TestIdleSegmentSplit walks a wait across a hole, a gap interval split
@@ -57,7 +58,7 @@ func TestIdleSegmentSplit(t *testing.T) {
 	if got := ps.cat[CatLatency]; got != 25 {
 		t.Errorf("latency %v, want 25", got)
 	}
-	checkExact(t, ps)
+	checkExact(t, ps, 40)
 	if len(ps.segs) != 0 {
 		t.Errorf("consumed segment not pruned: %v", ps.segs)
 	}
@@ -84,7 +85,7 @@ func TestIdleBacklogQueue(t *testing.T) {
 	if got := ps.cat[CatWindow]; got != 18 {
 		t.Errorf("window %v, want 18", got)
 	}
-	checkExact(t, ps)
+	checkExact(t, ps, 28)
 }
 
 // TestIdleSpansSplitAcrossWaits drives two separate waits over one
@@ -112,11 +113,12 @@ func TestIdleSpansSplitAcrossWaits(t *testing.T) {
 	if got := ps.cat[CatLatency]; got != 6 {
 		t.Errorf("latency %v, want 6", got)
 	}
-	checkExact(t, ps)
+	checkExact(t, ps, 30)
 }
 
 // TestRegionOverride checks lock/barrier regions reclassify both waits
-// and lock-spin compute.
+// and lock-spin compute, while a send's o_send span stays o-send. The
+// events tile [0, 19) once: a spin, two compute charges and one send.
 func TestRegionOverride(t *testing.T) {
 	pf := New(1)
 	pf.SyncEnter(0, am.RegionLock, 0)
@@ -124,10 +126,9 @@ func TestRegionOverride(t *testing.T) {
 	pf.ClockAdvanced(0, sim.ClockSpin, 0, 10)
 	pf.WaitEnd(0, am.WaitLock, 10)
 	pf.ComputeCharged(0, 10, 12)
-	pf.ClockAdvanced(0, sim.ClockCharge, 10, 12)
 	pf.SyncExit(0, am.RegionLock, 12)
 	pf.ComputeCharged(0, 12, 15)
-	pf.ClockAdvanced(0, sim.ClockCharge, 12, 15)
+	pf.MessageSent(am.SendEvent{OFrom: 15, OTo: 19, At: 19, Inject: 19, GapFree: 25, BusyFree: 25, Arrival: 30})
 	ps := &pf.procs[0]
 	if got := ps.cat[CatLock]; got != 12 {
 		t.Errorf("lock %v, want 12 (10 wait + 2 spin compute)", got)
@@ -135,9 +136,13 @@ func TestRegionOverride(t *testing.T) {
 	if got := ps.cat[CatCompute]; got != 3 {
 		t.Errorf("compute %v, want 3", got)
 	}
-	if ps.advanced != ps.accounted {
-		t.Errorf("advanced %v != accounted %v", ps.advanced, ps.accounted)
+	if got := ps.cat[CatOSend]; got != 4 {
+		t.Errorf("o-send %v, want 4", got)
 	}
+	if want := (txSeg{inject: 19, gapEnd: 25, busyEnd: 25}); len(ps.segs) != 1 || ps.segs[0] != want || ps.lastInject != 19 {
+		t.Errorf("send recorded segments %v, last injection %v; want [%v], 19", ps.segs, ps.lastInject, want)
+	}
+	checkExact(t, ps, 19)
 }
 
 func TestCheckConservationCatchesGaps(t *testing.T) {

@@ -6,24 +6,22 @@ import (
 )
 
 // ClockKind classifies a clock advance for the optional per-processor
-// clock hook (see Proc.SetClockHook).
+// clock hook (see Proc.SetClockHook). An explicit Advance is not one of
+// them: the layer issuing a charge knows what it was for and reports it
+// itself.
 type ClockKind uint8
 
 const (
-	// ClockCharge is an explicit Advance: local computation or a
-	// communication overhead charge. The layer issuing the charge knows
-	// what it was for; the hook only guarantees none goes unseen.
-	ClockCharge ClockKind = iota
 	// ClockSpin is an AdvanceTo past idle time toward a known future
 	// event (for example a message already in flight).
-	ClockSpin
+	ClockSpin ClockKind = iota
 	// ClockWake is the jump a parked processor's clock makes when an
 	// event wakes it at a future time.
 	ClockWake
 	// ClockStretch is fault-injected time appended to an explicit charge
 	// by the stretch hook (see Proc.SetStretch): one-off processor
 	// stalls. Profilers account it separately from the base charge,
-	// which layers above report via their own hooks.
+	// which the charging layer reports itself.
 	ClockStretch
 )
 
@@ -120,11 +118,13 @@ func (p *Proc) Rand() *rand.Rand {
 }
 
 // SetClockHook attaches fn to observe every clock mutation of this
-// processor: explicit charges, idle spins toward known arrivals, and
-// wake-time jumps. Together the observed [from, to) spans tile the
-// processor's entire virtual timeline, which is what lets a profiler
-// prove time-conservation. fn runs synchronously (zero-length advances
-// are skipped) and must not manipulate virtual time. nil detaches.
+// processor that its body did not charge explicitly: idle spins toward
+// known arrivals, wake-time jumps and fault-injected stretches. With the
+// charges the calling layer reports for each Advance, the observed
+// [from, to) spans tile the processor's entire virtual timeline, which
+// is what lets a profiler prove time-conservation. fn runs synchronously
+// (zero-length advances are skipped) and must not manipulate virtual
+// time. nil detaches.
 func (p *Proc) SetClockHook(fn func(kind ClockKind, from, to Time)) { p.onClock = fn }
 
 // SetStretch attaches fn, consulted after every explicit nonzero Advance
@@ -138,8 +138,10 @@ func (p *Proc) SetClockHook(fn func(kind ClockKind, from, to Time)) { p.onClock 
 func (p *Proc) SetStretch(fn func(from, d Time) Time) { p.onStretch = fn }
 
 // Advance charges d of local computation (or overhead) to the processor.
-// Pure local work never requires a checkpoint: nothing another processor
-// does can affect it, because messages are only observed at poll points.
+// The clock hook does not see the charge, only a stretch of it: the
+// caller reports what the charge was for. Pure local work never requires
+// a checkpoint: nothing another processor does can affect it, because
+// messages are only observed at poll points.
 //
 //repro:hotpath
 func (p *Proc) Advance(d Time) {
@@ -148,9 +150,6 @@ func (p *Proc) Advance(d Time) {
 	}
 	from := p.clock
 	p.clock += d
-	if p.onClock != nil && d > 0 {
-		p.onClock(ClockCharge, from, p.clock)
-	}
 	if p.onStretch != nil && d > 0 {
 		if extra := p.onStretch(from, d); extra > 0 {
 			sf := p.clock
@@ -182,8 +181,10 @@ func (p *Proc) AdvanceTo(t Time) {
 // resumed only once Ready holds. The methods must not wait themselves.
 type PollableWait interface {
 	// Ready reports whether the awaited condition holds; the wait ends.
-	// It must be a pure predicate: the scheduler may test it more than
-	// once at the same instant.
+	// It must not change what it tests: the scheduler may test it more
+	// than once at the same instant. The first true is the end of the
+	// wait — no event runs and no clock moves before the body resumes —
+	// so a record may report that end there, once.
 	Ready(p *Proc) bool
 	// PollOne services at most one unit of work due at or before p's
 	// clock (for example one arrived message, charging its receive

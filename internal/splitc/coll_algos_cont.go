@@ -45,12 +45,10 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 			t.op.pc = 4
 			if nch := treeChildren(me, P); nch > 0 {
 				bs := w.barrierOf(me)
-				t.ep.MarkWaitBegin(am.WaitBarrier)
 				t.op.pc = 3
-				return t.ep.CounterWait(&bs.recvCount[slotArrive], int64(nch)*t.op.tgt, "splitc: tree barrier gather")
+				return t.ep.CounterWait(am.WaitBarrier, &bs.recvCount[slotArrive], int64(nch)*t.op.tgt, "splitc: tree barrier gather")
 			}
 		case 3:
-			t.ep.MarkWaitEnd(am.WaitBarrier)
 			t.op.pc = 4
 		case 4:
 			if me == 0 {
@@ -62,11 +60,9 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 				return wt
 			}
 			bs := w.barrierOf(me)
-			t.ep.MarkWaitBegin(am.WaitBarrier)
 			t.op.pc = 5
-			return t.ep.CounterWait(&bs.recvCount[slotRelease], t.op.tgt, "splitc: tree barrier release")
+			return t.ep.CounterWait(am.WaitBarrier, &bs.recvCount[slotRelease], t.op.tgt, "splitc: tree barrier release")
 		case 5:
-			t.ep.MarkWaitEnd(am.WaitBarrier)
 			t.op.pc = 6
 		case 6:
 			for 1<<t.op.r < P {
@@ -99,11 +95,9 @@ func (t *TProc) barrierFlatT() sim.PollableWait {
 				continue
 			}
 			bs := w.barrierOf(me)
-			t.ep.MarkWaitBegin(am.WaitBarrier)
 			t.op.pc = 3
-			return t.ep.CounterWait(&bs.recvCount[slotArrive], int64(P-1)*t.op.tgt, "splitc: flat barrier gather")
+			return t.ep.CounterWait(am.WaitBarrier, &bs.recvCount[slotArrive], int64(P-1)*t.op.tgt, "splitc: flat barrier gather")
 		case 3:
-			t.ep.MarkWaitEnd(am.WaitBarrier)
 			t.op.r = 1
 			t.op.pc = 4
 		case 4:
@@ -119,11 +113,9 @@ func (t *TProc) barrierFlatT() sim.PollableWait {
 				return wt
 			}
 			bs := w.barrierOf(me)
-			t.ep.MarkWaitBegin(am.WaitBarrier)
 			t.op.pc = 6
-			return t.ep.CounterWait(&bs.recvCount[slotRelease], t.op.tgt, "splitc: flat barrier release")
+			return t.ep.CounterWait(am.WaitBarrier, &bs.recvCount[slotRelease], t.op.tgt, "splitc: flat barrier release")
 		case 6:
-			t.ep.MarkWaitEnd(am.WaitBarrier)
 			return nil
 		}
 	}
@@ -328,13 +320,11 @@ func (t *TProc) allReduceFlatT(val uint64, op ReduceOp) (uint64, sim.PollableWai
 		case 0:
 			if me == 0 {
 				c := t.cell(gtag)
-				t.ep.MarkWaitBegin(am.WaitBarrier)
 				t.op.pc = 1
-				return 0, t.ep.CounterWait(&c.cnt, c.exp+int64(P-1), "splitc: flat all-reduce gather")
+				return 0, t.ep.CounterWait(am.WaitBarrier, &c.cnt, c.exp+int64(P-1), "splitc: flat all-reduce gather")
 			}
 			t.op.pc = 3
 		case 1:
-			t.ep.MarkWaitEnd(am.WaitBarrier)
 			c := t.cell(gtag)
 			t.op.acc = op.fn()(val, c.vals[0])
 			c.vals[0] = 0

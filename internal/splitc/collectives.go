@@ -89,11 +89,9 @@ func (t *TProc) GatherT(root int, val uint64) ([]uint64, sim.PollableWait) {
 				continue
 			}
 			c := t.cell(tag)
-			t.ep.MarkWaitBegin(am.WaitBarrier)
 			t.op.bpc = 1
-			return nil, t.ep.CounterWait(&c.cnt, c.exp+int64(P-1), "splitc: gather")
+			return nil, t.ep.CounterWait(am.WaitBarrier, &c.cnt, c.exp+int64(P-1), "splitc: gather")
 		case 1:
-			t.ep.MarkWaitEnd(am.WaitBarrier)
 			t.op.out = make([]uint64, P)
 			t.op.out[me] = val
 			for i := 1; i < P; i++ {
@@ -141,11 +139,9 @@ func (t *TProc) AllToAllT(vals []uint64) ([]uint64, sim.PollableWait) {
 				t.op.br++
 			}
 			c := t.cell(tag)
-			t.ep.MarkWaitBegin(am.WaitBarrier)
 			t.op.bpc = 2
-			return nil, t.ep.CounterWait(&c.cnt, c.exp+int64(P-1), "splitc: all-to-all")
+			return nil, t.ep.CounterWait(am.WaitBarrier, &c.cnt, c.exp+int64(P-1), "splitc: all-to-all")
 		case 2:
-			t.ep.MarkWaitEnd(am.WaitBarrier)
 			t.op.out = make([]uint64, P)
 			t.op.out[me] = vals[me]
 			received := make([]bool, P)

@@ -385,7 +385,6 @@ func (t *TProc) sendReadyT(dst int) sim.PollableWait {
 	if t.op.sub == 1 {
 		// The scheduler established a free credit; send without
 		// re-testing.
-		t.ep.MarkWaitEnd(am.WaitWindow)
 		t.op.sub = 0
 		return nil
 	}
@@ -393,7 +392,6 @@ func (t *TProc) sendReadyT(dst int) sim.PollableWait {
 		return wt
 	}
 	if !t.ep.CanSend(dst) {
-		t.ep.MarkWaitBegin(am.WaitWindow)
 		t.op.sub = 1
 		return t.ep.WindowWait(dst)
 	}
@@ -426,7 +424,6 @@ func (t *TProc) storeT(dst int, class am.Class, h am.BulkHandler, a am.Args, dat
 // parked on the reply.
 func (t *TProc) roundTripT(dst int, class am.Class, h am.Handler, a am.Args, kind am.WaitKind, reason string) (uint64, sim.PollableWait) {
 	if t.op.sub == 2 {
-		t.ep.MarkWaitEnd(kind)
 		t.op.sub = 0
 		return t.op.acc, nil
 	}
@@ -436,9 +433,8 @@ func (t *TProc) roundTripT(dst int, class am.Class, h am.Handler, a am.Args, kin
 	}
 	// The reply is at least a round trip away; the wait can never be
 	// ready at this instant, so park unconditionally.
-	t.ep.MarkWaitBegin(kind)
 	t.op.sub = 2
-	return 0, t.ep.CounterWait(&t.op.flag, 1, reason)
+	return 0, t.ep.CounterWait(kind, &t.op.flag, 1, reason)
 }
 
 // sendCollT ships one operand word to dst under tag.
@@ -456,7 +452,6 @@ func (t *TProc) sendCollAccT(dst, tag int, val uint64, op ReduceOp) sim.Pollable
 // arrived. op.sub: 0 fresh, 3 parked on the cell.
 func (t *TProc) recvCollT(tag int) (uint64, sim.PollableWait) {
 	if t.op.sub == 3 {
-		t.ep.MarkWaitEnd(am.WaitBarrier)
 		t.op.sub = 0
 		return t.popOperand(tag), nil
 	}
@@ -465,9 +460,8 @@ func (t *TProc) recvCollT(tag int) (uint64, sim.PollableWait) {
 	// already arrived satisfies it on that first test without advancing
 	// the clock.
 	c := t.cell(tag)
-	t.ep.MarkWaitBegin(am.WaitBarrier)
 	t.op.sub = 3
-	return 0, t.ep.CounterWait(&c.cnt, c.exp+1, "splitc: collective recv")
+	return 0, t.ep.CounterWait(am.WaitBarrier, &c.cnt, c.exp+1, "splitc: collective recv")
 }
 
 // popOperand consumes tag's oldest arrived operand. The ring slot it
@@ -523,11 +517,9 @@ func (t *TProc) ReadWordT(g GPtr) (uint64, sim.PollableWait) {
 // op.pc: 0 fresh, 1 parked on quiescence.
 func (t *TProc) StoreSyncT() sim.PollableWait {
 	if t.op.pc == 1 {
-		t.ep.MarkWaitEnd(am.WaitStore)
 		t.op.pc = 0
 		return nil
 	}
-	t.ep.MarkWaitBegin(am.WaitStore)
 	t.op.pc = 1
 	return t.ep.QuiesceWait()
 }
@@ -664,12 +656,10 @@ func (t *TProc) barrierDissemT() sim.PollableWait {
 			if wt := t.RequestT(dst, am.ClassSync, w.hBarrier, am.Args{uint64(t.op.r)}); wt != nil {
 				return wt
 			}
-			t.ep.MarkWaitBegin(am.WaitBarrier)
 			bs := w.barrierOf(me)
 			t.op.pc = 3
-			return t.ep.CounterWait(&bs.recvCount[t.op.r], t.op.tgt, "splitc: barrier")
+			return t.ep.CounterWait(am.WaitBarrier, &bs.recvCount[t.op.r], t.op.tgt, "splitc: barrier")
 		case 3:
-			t.ep.MarkWaitEnd(am.WaitBarrier)
 			t.op.r++
 			t.op.pc = barrierRounds
 		}
@@ -930,11 +920,9 @@ func (t *TProc) BulkGetT(g GPtr, n int) ([]uint64, sim.PollableWait) {
 				}
 				t.op.r = off + frag
 			}
-			t.ep.MarkWaitBegin(am.WaitBulk)
 			t.op.pc = 2
-			return nil, t.ep.CounterWait(&t.op.recvd, int64(n), "splitc: bulk get")
+			return nil, t.ep.CounterWait(am.WaitBulk, &t.op.recvd, int64(n), "splitc: bulk get")
 		case 2:
-			t.ep.MarkWaitEnd(am.WaitBulk)
 			out := t.op.out
 			t.op.out = nil
 			t.op.pc = 0

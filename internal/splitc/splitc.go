@@ -154,10 +154,10 @@ func highestBit(v int) int {
 }
 
 // Attach appends instrumentation to the machine's consumer list: each
-// hook set receives every message event, time charge, raw clock advance
-// and barrier/lock region event (am.Hooks), after the sets attached
-// before it. nil entries are skipped. Call it before Run, and call it
-// once per hook set (repeated calls accumulate).
+// hook set receives every message event, time charge, idle clock advance
+// and barrier/lock region event (am.Hooks), each once, after the sets
+// attached before it. nil entries are skipped. Call it before Run, and
+// call it once per hook set (repeated calls accumulate).
 func (w *World) Attach(hooks ...am.Hooks) {
 	for _, h := range hooks {
 		if h != nil {

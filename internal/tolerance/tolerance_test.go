@@ -19,9 +19,8 @@ import (
 func handGraph(t *testing.T) *depgraph.Graph {
 	t.Helper()
 	b := depgraph.New(2, logp.NOW())
-	b.SendOverhead(0, 0, 1800)
-	b.TxReserved(0, 1800, 7600, 7600)
-	b.MessageLaunched(0, 1, false, false, 1800, 6800)
+	b.MessageSent(am.SendEvent{Src: 0, Dst: 1, OFrom: 0, OTo: 1800, At: 1800,
+		Inject: 1800, GapFree: 7600, BusyFree: 7600, Arrival: 6800})
 	b.MessageDelivered(0, 1, false, 6800)
 	b.RecvOverhead(1, 6800, 10800)
 	b.CreditIssued(0, 1, 10800)

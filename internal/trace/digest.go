@@ -27,11 +27,11 @@ type Digest struct {
 
 var _ am.Hooks = (*Digest)(nil)
 
-// MessageSent implements am.Hooks.
+// MessageSent implements am.Hooks, folding the hand-off instant.
 //
 //repro:hotpath
-func (d *Digest) MessageSent(src, dst int, class am.Class, bulk bool, at sim.Time) {
-	d.fold(at, src, dst, class, bulk, false)
+func (d *Digest) MessageSent(e am.SendEvent) {
+	d.fold(e.At, e.Src, e.Dst, e.Class, e.Bulk, false)
 }
 
 // MessageHandled implements am.Hooks.

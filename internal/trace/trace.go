@@ -41,9 +41,9 @@ type Recorder struct {
 
 var _ am.Hooks = (*Recorder)(nil)
 
-// MessageSent implements am.Hooks.
-func (r *Recorder) MessageSent(src, dst int, class am.Class, bulk bool, at sim.Time) {
-	r.add(Event{At: at, Src: src, Dst: dst, Class: class, Bulk: bulk})
+// MessageSent implements am.Hooks, recording the hand-off instant.
+func (r *Recorder) MessageSent(e am.SendEvent) {
+	r.add(Event{At: e.At, Src: e.Src, Dst: e.Dst, Class: e.Class, Bulk: e.Bulk})
 }
 
 // MessageHandled implements am.Hooks.

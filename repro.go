@@ -107,12 +107,15 @@ type (
 	// Experiment is one reproducible paper artifact.
 	Experiment = exp.Experiment
 	// Hooks is the one instrumentation interface: implementations
-	// receive every message event, time charge, raw clock advance and
-	// barrier/lock region. Embed NopHooks and override what you need;
-	// attach via World.Attach or AppConfig.Hooks.
+	// receive every message event, time charge, idle clock advance and
+	// barrier/lock region, each once. Embed NopHooks and override what
+	// you need; attach via World.Attach or AppConfig.Hooks.
 	Hooks = am.Hooks
 	// NopHooks is the no-op base for Hooks implementations.
 	NopHooks = am.NopHooks
+	// SendEvent is one host send as Hooks.MessageSent reports it: its
+	// o_send span, hand-off instant and transmit reservation.
+	SendEvent = am.SendEvent
 	// TraceRecorder buffers per-message events for timeline rendering;
 	// attach via World.Attach (or AppConfig.Hooks).
 	TraceRecorder = trace.Recorder
