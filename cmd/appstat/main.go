@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"repro"
 	"repro/internal/apps/scalekern"
@@ -97,28 +96,8 @@ func main() {
 	}
 
 	fmt.Println("\ncommunication balance (row = sender):")
-	shades := []rune(" .:-=+*#%@█")
-	var mx int64
-	for _, row := range res.Stats.Matrix {
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-	}
-	for _, row := range res.Stats.Matrix {
-		var b strings.Builder
-		for _, v := range row {
-			idx := 0
-			if mx > 0 && v > 0 {
-				idx = 1 + int(int64(len(shades)-2)*v/mx)
-				if idx >= len(shades) {
-					idx = len(shades) - 1
-				}
-			}
-			b.WriteRune(shades[idx])
-		}
-		fmt.Println("  " + b.String())
+	for _, row := range res.Stats.BalanceRows() {
+		fmt.Println("  " + row)
 	}
 
 	if res.Profile != nil {

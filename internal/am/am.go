@@ -275,6 +275,11 @@ type Endpoint struct {
 	outstanding winCounts
 	// inHandler guards against illegal nested polling from handlers.
 	inHandler bool
+	// pre is the request preamble's progress (PollT, RequestT, StoreT;
+	// cont.go): 0 idle, 1 between poll steps, 2 parked on a full window.
+	// One preamble runs at a time (one body, and handlers may not send
+	// requests), so one byte per endpoint suffices.
+	pre uint8
 	// tok is the scratch Token handed to handlers, reused across
 	// deliveries: handlers Reply during the invocation and never retain
 	// the token past it (the GAM contract), and handlers cannot nest
@@ -299,7 +304,7 @@ type Endpoint struct {
 // Four modes, chosen to keep the steady-state paths closure-free:
 //
 //   - waitModeWindow: a window stall on dst, ready when a request credit
-//     toward dst is free (the send path's stall).
+//     toward dst is free (the request preamble's stall).
 //   - waitModeCond: a WaitUntilFor condition closure.
 //   - waitModeCounter: ready when *ctr >= target — the closure-free form
 //     continuation primitives use for replies, barrier rounds, and
@@ -429,27 +434,18 @@ func (ep *Endpoint) Compute(d sim.Time) {
 
 func (ep *Endpoint) params() *logp.Params { return &ep.m.params }
 
-// checkRequestContext panics on illegal sends from handler context.
-func (ep *Endpoint) checkRequestContext(op string) {
-	if ep.inHandler {
-		panic(fmt.Sprintf("am: %s called from a message handler on proc %d; handlers may only Reply", op, ep.ID()))
-	}
-}
-
 // Request sends a short active message to dst and returns once the host
 // processor has handed it to the NIC (the message itself is in flight).
-// It stalls first, spin-polling, if the outstanding-request window to dst
-// is full. It is the blocking assembly of the three continuation pieces
-// in cont.go — poll, window wait, commit — so the blocking and resumable
-// send paths are one implementation.
+// GAM polls the network on every request, so it services arrivals first,
+// and it stalls, spin-polling, if the outstanding-request window to dst
+// is full. It drives RequestT (cont.go) to completion, so the blocking
+// and resumable send paths are one implementation.
 //
 //repro:hotpath
 func (ep *Endpoint) Request(dst int, class Class, h Handler, args Args) {
-	ep.checkRequestContext("Request")
-	// GAM polls the network on every request: senders service arrivals.
-	ep.Poll()
-	ep.waitWindow(dst)
-	ep.SendRequest(dst, class, h, args)
+	for wt := ep.RequestT(dst, class, h, args); wt != nil; wt = ep.RequestT(dst, class, h, args) {
+		ep.proc.Await(wt)
+	}
 }
 
 // Reply answers the request identified by tok with a short active message.
@@ -484,16 +480,13 @@ func (tok *Token) answer(op string, nilHandler bool) {
 // on the receiver when the DMA completes. The data is copied at send time.
 // Store counts as one bulk message (the paper's "Active Message bulk
 // transfer mechanism"); larger transfers are loops of Stores — see
-// StoreLarge. Like Request, it is poll + window wait + the SendStore
-// commit.
+// StoreLarge. Like Request, it drives its resumable form, StoreT.
 //
 //repro:hotpath
 func (ep *Endpoint) Store(dst int, class Class, h BulkHandler, args Args, data []byte) {
-	ep.checkRequestContext("Store")
-	// GAM polls the network on every request: senders service arrivals.
-	ep.Poll()
-	ep.waitWindow(dst)
-	ep.SendStore(dst, class, h, args, data)
+	for wt := ep.StoreT(dst, class, h, args, data); wt != nil; wt = ep.StoreT(dst, class, h, args, data) {
+		ep.proc.Await(wt)
+	}
 }
 
 // ReplyBulk answers the request identified by tok with one bulk fragment —
@@ -526,18 +519,6 @@ func (ep *Endpoint) StoreLarge(dst int, class Class, h BulkHandler, args Args, d
 		a[3] = uint64(off)
 		ep.Store(dst, class, h, a, data[off:end])
 	}
-}
-
-// waitWindow stalls, spin-polling, until a request credit to dst is free.
-// Window stalls are part of the steady-state send path, so the wait is
-// the closure-free WindowWait record.
-//
-//repro:hotpath
-func (ep *Endpoint) waitWindow(dst int) {
-	if ep.CanSend(dst) {
-		return
-	}
-	ep.proc.Await(ep.WindowWait(dst))
 }
 
 // commit is the host half of every send — request, store, reply or bulk
@@ -708,16 +689,13 @@ func (ep *Endpoint) popInbox() *message {
 // Poll processes every message that has arrived by the processor's current
 // time, charging o_recv (plus added overhead) per message and running its
 // handler. Poll is a scheduler checkpoint: one before the inbox is first
-// inspected and one after every serviced arrival.
+// inspected and one after every serviced arrival. It drives PollT
+// (cont.go) to completion.
 //
 //repro:hotpath
 func (ep *Endpoint) Poll() {
-	if ep.inHandler {
-		panic("am: Poll called from a message handler")
-	}
-	ep.proc.Checkpoint()
-	for ep.PollOneDue() {
-		ep.proc.Checkpoint()
+	for wt := ep.PollT(); wt != nil; wt = ep.PollT() {
+		ep.proc.Await(wt)
 	}
 }
 

@@ -6,73 +6,125 @@ import (
 	"repro/internal/sim"
 )
 
-// The endpoint's non-blocking pieces: the single implementation of the
-// send path, shared by both body forms.
+// The endpoint's resumable forms: the one spelling of the GAM poll and
+// request preamble, shared by both body forms.
 //
-// A state-machine processor body (sim.Resumable) cannot call the blocking
-// endpoint operations — Request, Store, Poll, WaitUntilFor — because they
-// wait by suspending the caller's stack, and a state machine has none.
-// The methods in this file are the three things each blocking operation
-// actually does:
+// A state-machine processor body (sim.Resumable) cannot wait by
+// suspending its stack, because it has none; it returns the wait to the
+// engine and is called again once the wait is over. The methods in this
+// file are written that way:
 //
-//  1. poll   — PollOneDue services one arrival present at the NIC (GAM
-//     polls on every request), with the caller yielding between steps;
-//  2. wait   — WindowWait / CounterWait / QuiesceWait / CondWait hand the
-//     scheduler a wait record to drive (closure-free but for CondWait's
-//     predicate), which reports its own span to the hooks;
-//  3. commit — SendRequest / SendStore take a window credit and hand the
-//     message to the endpoint's one send commit (charge, count, launch;
-//     am.go), with no possibility of blocking.
+//  1. PollT services the arrivals due at the NIC one per call (GAM polls
+//     on every request), returning sim.Yield between steps;
+//  2. RequestT / StoreT run the request preamble — PollT, then a park on
+//     the window toward the destination if it is full — and then hand
+//     the message to the endpoint's one send commit (charge, count,
+//     launch; am.go). The preamble's progress is one byte on the
+//     endpoint, so a parked call is simply re-called with the same
+//     arguments;
+//  3. CounterWait / QuiesceWait / CondWait hand the scheduler a wait
+//     record to drive (closure-free but for CondWait's predicate), which
+//     reports its own span to the hooks.
 //
-// The blocking operations in am.go are these same pieces assembled for a
-// body with a stack: where a continuation body returns sim.Yield the
-// blocking form calls Checkpoint, and where it returns a wait the
-// blocking form hands it to sim.Proc.Await. There is no second copy of
-// any charge or window rule to keep in step, and one scheduler loop
-// takes the waits of both (DESIGN.md §11).
+// The blocking Poll, Request and Store in am.go are loops over PollT,
+// RequestT and StoreT that hand every wait to sim.Proc.Await, so there is
+// no second copy of any poll, window or charge rule to keep in step, and
+// one scheduler loop takes the waits of both body forms (DESIGN.md §11).
 
-// PollOneDue services at most one message that has arrived by the
-// processor's current time, charging o_recv and running its handler —
-// one step of a poll. Pending engine events due by the clock are drained
-// around the step so deliveries and credit returns materialize exactly as
-// a Checkpoint would have made them. Returns whether a message was
-// processed; the caller must yield (sim.Yield, or Checkpoint in a
-// blocking body) before the first step and between steps so slower
-// processors interleave.
+// PollT is the resumable form of Poll: it services every message that
+// has arrived by the processor's clock, charging o_recv and running its
+// handler, one message per call. It returns sim.Yield before the first
+// inbox inspection and after every serviced message, so slower
+// processors interleave; a nil return means the inbox is drained.
+// Pending engine events due by the clock are drained around each step so
+// deliveries and credit returns materialize exactly as a Checkpoint would
+// have made them. ep.pre: 0 idle, 1 between poll steps.
 //
 //repro:hotpath
-func (ep *Endpoint) PollOneDue() bool {
+func (ep *Endpoint) PollT() sim.PollableWait {
 	if ep.inHandler {
-		panic("am: PollOneDue called from a message handler")
+		panic("am: Poll called from a message handler")
 	}
-	ep.proc.RunDueEvents()
-	if !ep.pollOne() {
-		return false
+	switch ep.pre {
+	case 0:
+		ep.pre = 1
+		return sim.Yield
+	case 1:
+		ep.proc.RunDueEvents()
+		if ep.pollOne() {
+			ep.proc.RunDueEvents()
+			return sim.Yield
+		}
 	}
-	ep.proc.RunDueEvents()
-	return true
+	ep.pre = 0
+	return nil
 }
 
-// CanSend reports whether a request credit toward dst is free, i.e.
-// whether SendRequest/SendStore may be called without a window stall.
+// RequestT is the resumable form of Request: the request preamble, then
+// the send. A call that returned a wait is re-called with the same
+// arguments once the wait is over, and sends once.
 //
 //repro:hotpath
-func (ep *Endpoint) CanSend(dst int) bool {
-	return ep.outstanding.get(dst) < ep.params().Window
+func (ep *Endpoint) RequestT(dst int, class Class, h Handler, args Args) sim.PollableWait {
+	if wt := ep.preamble("Request", dst, h == nil); wt != nil {
+		return wt
+	}
+	ep.commit(kindRequest, dst, class, h, nil, args, nil)
+	return nil
+}
+
+// StoreT is the resumable form of Store: one bulk fragment (≤
+// FragmentSize bytes) under the window, re-called like RequestT. The data
+// is copied at send time.
+//
+//repro:hotpath
+func (ep *Endpoint) StoreT(dst int, class Class, h BulkHandler, args Args, data []byte) sim.PollableWait {
+	if p := ep.params(); len(data) > p.FragmentSize {
+		panic(fmt.Sprintf("am: bulk fragment of %d bytes exceeds fragment size %d; use StoreLarge", len(data), p.FragmentSize))
+	}
+	if wt := ep.preamble("Store", dst, h == nil); wt != nil {
+		return wt
+	}
+	//lint:allow hotpathalloc bulk payload copy is the transfer semantics; the zero-alloc property covers short messages
+	buf := make([]byte, len(data))
+	copy(buf, data)
+	ep.commit(kindBulk, dst, class, nil, h, args, buf)
+	return nil
+}
+
+// preamble is the GAM request preamble RequestT and StoreT share: not
+// from a handler, a handler given, a poll, then a park on the window
+// toward dst if it is full. A nil return means a window credit toward dst
+// has been taken and the caller commits its send at once. ep.pre: 0/1
+// inside PollT, 2 re-entered after a window park.
+//
+//repro:hotpath
+func (ep *Endpoint) preamble(op string, dst int, nilHandler bool) sim.PollableWait {
+	if ep.inHandler {
+		panic(fmt.Sprintf("am: %s called from a message handler on proc %d; handlers may only Reply", op, ep.ID()))
+	}
+	if nilHandler {
+		panic("am: " + op + " with nil handler")
+	}
+	// After a window park the scheduler has established a free credit;
+	// take it without re-testing.
+	if ep.pre != 2 {
+		if wt := ep.PollT(); wt != nil {
+			return wt
+		}
+		if ep.outstanding.get(dst) >= ep.params().Window {
+			ep.pre = 2
+			return ep.pw.set(waitModeWindow, WaitWindow, nil, nil, 0, dst, ep.params().Window, "am: window stall")
+		}
+	}
+	ep.pre = 0
+	ep.outstanding.inc(dst)
+	return nil
 }
 
 // Each wait constructor arms the endpoint's one reusable record, which
 // reports WaitBegin to the hooks at once and WaitEnd when the scheduler
 // first finds it over: call one only to park on the wait it returns.
-
-// WindowWait returns the endpoint's reusable wait for a free request
-// credit toward dst, reported as WaitWindow. Park on it when CanSend is
-// false; by the next Resume call a credit is free.
-//
-//repro:hotpath
-func (ep *Endpoint) WindowWait(dst int) sim.PollableWait {
-	return ep.pw.set(waitModeWindow, WaitWindow, nil, nil, 0, dst, ep.params().Window, "am: window stall")
-}
 
 // CounterWait returns the endpoint's reusable wait for *ctr >= target,
 // reported as kind. Counters must be cumulative (monotonically
@@ -102,51 +154,6 @@ func (ep *Endpoint) CondWait(kind WaitKind, cond func() bool, reason string) sim
 //repro:hotpath
 func (ep *Endpoint) QuiesceWait() sim.PollableWait {
 	return ep.pw.set(waitModeQuiesce, WaitStore, nil, nil, 0, 0, 0, "am: store sync")
-}
-
-// SendRequest is the commit half of Request: consume a window credit,
-// then charge o_send and launch. The caller is responsible for the GAM
-// request preamble — a yield-interleaved PollOneDue loop, then a
-// WindowWait park if CanSend is false; calling with a full window is a
-// discipline violation and panics rather than silently overrunning the
-// capacity constraint.
-//
-//repro:hotpath
-func (ep *Endpoint) SendRequest(dst int, class Class, h Handler, args Args) {
-	ep.takeCredit("SendRequest", dst, h == nil)
-	ep.commit(kindRequest, dst, class, h, nil, args, nil)
-}
-
-// takeCredit enforces the request discipline SendRequest and SendStore
-// share — not from a handler, a handler given, a free window credit
-// toward dst — and consumes the credit.
-//
-//repro:hotpath
-func (ep *Endpoint) takeCredit(op string, dst int, nilHandler bool) {
-	ep.checkRequestContext(op)
-	if nilHandler {
-		panic("am: " + op + " with nil handler")
-	}
-	if !ep.CanSend(dst) {
-		panic(fmt.Sprintf("am: %s from proc %d with a full window toward %d; park on WindowWait first", op, ep.ID(), dst))
-	}
-	ep.outstanding.inc(dst)
-}
-
-// SendStore is the commit half of Store: one bulk fragment under the
-// window, no blocking. The same preamble discipline as SendRequest
-// applies. The data is copied at send time.
-//
-//repro:hotpath
-func (ep *Endpoint) SendStore(dst int, class Class, h BulkHandler, args Args, data []byte) {
-	if p := ep.params(); len(data) > p.FragmentSize {
-		panic(fmt.Sprintf("am: bulk fragment of %d bytes exceeds fragment size %d; use StoreLarge", len(data), p.FragmentSize))
-	}
-	ep.takeCredit("SendStore", dst, h == nil)
-	//lint:allow hotpathalloc bulk payload copy is the transfer semantics; the zero-alloc property covers short messages
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	ep.commit(kindBulk, dst, class, nil, h, args, buf)
 }
 
 // MarkSyncEnter reports to the attached hooks that this processor

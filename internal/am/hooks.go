@@ -125,7 +125,8 @@ type Hooks interface {
 	// retransmit account rather than the ordinary gap/bulk accounts.
 	TxRetransmit(proc int, inject, gapFree, busyFree sim.Time)
 	// WaitBegin fires when the processor arms one of its endpoint's wait
-	// records (WindowWait, CounterWait, CondWait, QuiesceWait).
+	// records: a window stall in the request preamble, CounterWait,
+	// CondWait or QuiesceWait.
 	WaitBegin(proc int, kind WaitKind, at sim.Time)
 	// WaitEnd fires the first time the scheduler finds that wait over.
 	WaitEnd(proc int, kind WaitKind, at sim.Time)

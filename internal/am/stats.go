@@ -1,6 +1,10 @@
 package am
 
-import "repro/internal/sim"
+import (
+	"strings"
+
+	"repro/internal/sim"
+)
 
 // Stats accumulates the communication characterization the paper reports in
 // Table 4 and Figure 4. Messages are counted at send time, per sending
@@ -172,6 +176,33 @@ func (s *Stats) PercentReads() float64 {
 		return 0
 	}
 	return 100 * float64(s.TotalReads()) / float64(total)
+}
+
+// BalanceRows renders Figure 4's communication balance plot from Matrix:
+// one row of glyphs per sender, each glyph shading a sender→receiver
+// message count against the largest cell. Empty when the matrix was not
+// kept (above statsDetailMaxP).
+func (s *Stats) BalanceRows() []string {
+	shades := []rune(" .:-=+*#%@█")
+	var mx int64
+	for _, row := range s.Matrix {
+		for _, v := range row {
+			mx = max(mx, v)
+		}
+	}
+	rows := make([]string, len(s.Matrix))
+	for i, row := range s.Matrix {
+		var b strings.Builder
+		for _, v := range row {
+			idx := 0
+			if mx > 0 && v > 0 {
+				idx = min(1+int(int64(len(shades)-2)*v/mx), len(shades)-1)
+			}
+			b.WriteRune(shades[idx])
+		}
+		rows[i] = b.String()
+	}
+	return rows
 }
 
 // Summary derives the Table 4 row for a run that took `elapsed` of virtual

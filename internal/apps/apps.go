@@ -23,9 +23,11 @@ type Config struct {
 	// Procs is the processor count (the paper uses 16 and 32).
 	Procs int
 	// Scale sizes the input relative to the paper's data set (Table 3).
-	// 1.0 reproduces the paper's sizes; the default harness scale is
-	// 1/64, which keeps a full sweep tractable in a simulator while
-	// preserving per-processor communication structure.
+	// 1.0 reproduces the paper's sizes. A zero Scale is DefaultScale,
+	// 1/64, in App.Run (Norm); the experiment harness (exp.Options.Norm),
+	// repro -scale and appstat -scale pass 1/256, which keeps a full sweep
+	// tractable in a simulator while preserving per-processor
+	// communication structure.
 	Scale float64
 	// Params is the machine's LogGP parameterization.
 	Params logp.Params
@@ -67,7 +69,9 @@ type Config struct {
 	Depgraph bool
 }
 
-// DefaultScale is the harness-wide default input scale.
+// DefaultScale is the input scale Norm gives a zero Config.Scale, and so
+// what App.Run uses when none is set. The experiment harness and the
+// commands set their own default, 1/256.
 const DefaultScale = 1.0 / 64
 
 // MaxScale is the largest input scale Config.Validate accepts. At 64×

@@ -21,12 +21,11 @@ const (
 
 const paperBodies = 1_000_000
 
-// App is the Barnes benchmark. Steps overrides the time-step count
-// (default 2).
-type App struct {
-	Steps      int
-	CacheLines int // 0 = default (cells/8)
-}
+// steps is the number of time steps every run simulates.
+const steps = 2
+
+// App is the Barnes benchmark.
+type App struct{}
 
 // New returns the benchmark instance.
 func New() App { return App{} }
@@ -35,23 +34,16 @@ func (App) Name() string        { return "barnes" }
 func (App) PaperName() string   { return "Barnes" }
 func (App) Description() string { return "Hierarchical N-Body simulation" }
 
-func (a App) steps() int {
-	if a.Steps > 0 {
-		return a.Steps
-	}
-	return 2
-}
-
 func bodyCount(cfg apps.Config) int {
 	return apps.ScaleInt(paperBodies, cfg.Scale, 32*cfg.Procs)
 }
 
-func (a App) InputDesc(cfg apps.Config) string {
+func (App) InputDesc(cfg apps.Config) string {
 	cfg = cfg.Norm()
 	n := bodyCount(cfg)
 	t := newTree(n, cfg.Procs)
 	return fmt.Sprintf("%d bodies, octree depth %d (%d cells), %d steps",
-		n, t.depth, t.totalCells, a.steps())
+		n, t.depth, t.totalCells, steps)
 }
 
 // shared is the cross-processor state of one run: the tree geometry, the
@@ -59,7 +51,7 @@ func (a App) InputDesc(cfg apps.Config) string {
 // the first barrier.
 type shared struct {
 	tr         *tree
-	n, steps   int
+	n          int
 	cacheLines int
 	all        []body
 	recArr     []splitc.GPtr // per-owner cell record blocks
@@ -80,15 +72,10 @@ func (a App) Run(cfg apps.Config) (apps.Result, error) {
 	n := bodyCount(cfg)
 	P := cfg.Procs
 	tr := newTree(n, P)
-	cacheLines := a.CacheLines
-	if cacheLines == 0 {
-		cacheLines = max(tr.totalCells/2, 64)
-	}
 	sh := &shared{
 		tr:         tr,
 		n:          n,
-		steps:      a.steps(),
-		cacheLines: cacheLines,
+		cacheLines: max(tr.totalCells/2, 64), // half the tree's cell records
 		all:        initBodies(n, cfg.Seed),
 		recArr:     make([]splitc.GPtr, P),
 	}
@@ -103,7 +90,7 @@ func (a App) Run(cfg apps.Config) (apps.Result, error) {
 
 	if cfg.Verify {
 		ref := append([]body(nil), sh.all...)
-		for s := 0; s < sh.steps; s++ {
+		for s := 0; s < steps; s++ {
 			tr.serialStep(ref)
 		}
 		for q, k := range tasks {
@@ -176,7 +163,7 @@ func (k *task) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 			}
 			k.pc = 2
 		case 2:
-			if k.step == sh.steps {
+			if k.step == steps {
 				k.pc = 11
 				continue
 			}
@@ -305,7 +292,7 @@ func (k *task) force(t *splitc.TProc) sim.PollableWait {
 			}
 			k.polling = true
 		}
-		if wt := t.PollT(); wt != nil {
+		if wt := t.EP().PollT(); wt != nil {
 			return wt
 		}
 		k.polling = false

@@ -225,7 +225,7 @@ func (k *task) Step(t *splitc.TProc) (sim.PollableWait, bool) {
 				}
 				if k.i%4096 == 4095 {
 					k.mid = true
-					if wt := t.PollT(); wt != nil {
+					if wt := t.EP().PollT(); wt != nil {
 						return wt, false
 					}
 					k.mid = false

@@ -301,13 +301,13 @@ func (k *task) distribute(t *splitc.TProc) sim.PollableWait {
 			k.sub = 1
 		}
 		if k.sub == 1 {
-			if wt := t.RequestT(k.dst, am.ClassWrite, sh.deliver, am.Args{uint64(key)}); wt != nil {
+			if wt := t.EP().RequestT(k.dst, am.ClassWrite, sh.deliver, am.Args{uint64(key)}); wt != nil {
 				return wt
 			}
 			k.sub = 2
 		}
 		if k.i%2048 == 2047 {
-			if wt := t.PollT(); wt != nil {
+			if wt := t.EP().PollT(); wt != nil {
 				return wt
 			}
 		}

@@ -177,7 +177,7 @@ func (b *Builder) MessageSent(e am.SendEvent) {
 			// threshold — blocked or not, the machine required this slot
 			// free — so the freeing credit gates the charge whenever the
 			// baseline run is consistent with its arrival. The guard drops
-			// the edge when it is not: a sender spinning in waitWindow (or
+			// the edge when it is not: a sender parked on a full window (or
 			// checking the window unblocked) can observe a slot freed by an
 			// event another processor's checkpoint drained ahead of this
 			// sender's clock. A blocked send whose credit was observed

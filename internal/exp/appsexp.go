@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/run"
@@ -96,7 +95,6 @@ func table4Render(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 // grey-scale glyph (' ' for none through '█' for the per-app maximum),
 // plus the raw counts in CSV-friendly rows.
 func fig4Render(o Options, sel []apps.App, st *run.Store) (*Table, error) {
-	shades := []rune(" .:-=+*#%@█")
 	t := &Table{
 		ID:      "fig4",
 		Title:   fmt.Sprintf("Communication balance (%d nodes, row=sender)", o.Procs),
@@ -110,31 +108,12 @@ func fig4Render(o Options, sel []apps.App, st *run.Store) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name(), err)
 		}
-		var mx int64
-		for _, row := range res.Stats.Matrix {
-			for _, v := range row {
-				if v > mx {
-					mx = v
-				}
-			}
-		}
-		for i, row := range res.Stats.Matrix {
-			var b strings.Builder
-			for _, v := range row {
-				idx := 0
-				if mx > 0 && v > 0 {
-					idx = 1 + int(int64(len(shades)-2)*v/mx)
-					if idx >= len(shades) {
-						idx = len(shades) - 1
-					}
-				}
-				b.WriteRune(shades[idx])
-			}
+		for i, row := range res.Stats.BalanceRows() {
 			label := ""
 			if i == 0 {
 				label = a.PaperName()
 			}
-			t.Rows = append(t.Rows, []string{label, b.String()})
+			t.Rows = append(t.Rows, []string{label, row})
 		}
 		t.Rows = append(t.Rows, []string{"", ""})
 	}

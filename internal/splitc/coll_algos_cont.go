@@ -56,7 +56,7 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 				continue
 			}
 			parent := me &^ (1 << uint(highestBit(me)))
-			if wt := t.RequestT(parent, am.ClassSync, w.hBarrier, am.Args{slotArrive}); wt != nil {
+			if wt := t.ep.RequestT(parent, am.ClassSync, w.hBarrier, am.Args{slotArrive}); wt != nil {
 				return wt
 			}
 			bs := w.barrierOf(me)
@@ -68,7 +68,7 @@ func (t *TProc) barrierTreeT() sim.PollableWait {
 			for 1<<t.op.r < P {
 				r := t.op.r
 				if me < 1<<r && me+1<<r < P {
-					if wt := t.RequestT(me+1<<r, am.ClassSync, w.hBarrier, am.Args{slotRelease}); wt != nil {
+					if wt := t.ep.RequestT(me+1<<r, am.ClassSync, w.hBarrier, am.Args{slotRelease}); wt != nil {
 						return wt
 					}
 				}
@@ -102,14 +102,14 @@ func (t *TProc) barrierFlatT() sim.PollableWait {
 			t.op.pc = 4
 		case 4:
 			for t.op.r < P {
-				if wt := t.RequestT(t.op.r, am.ClassSync, w.hBarrier, am.Args{slotRelease}); wt != nil {
+				if wt := t.ep.RequestT(t.op.r, am.ClassSync, w.hBarrier, am.Args{slotRelease}); wt != nil {
 					return wt
 				}
 				t.op.r++
 			}
 			return nil
 		case 5:
-			if wt := t.RequestT(0, am.ClassSync, w.hBarrier, am.Args{slotArrive}); wt != nil {
+			if wt := t.ep.RequestT(0, am.ClassSync, w.hBarrier, am.Args{slotArrive}); wt != nil {
 				return wt
 			}
 			bs := w.barrierOf(me)

@@ -20,39 +20,27 @@ const recordValMask = 1<<56 - 1
 // processor i receives the sum of processors 0..i-1's values (0 on
 // processor 0). Hillis-Steele over ⌈log2 P⌉ rounds of short messages.
 func (p *Proc) ScanAdd(val uint64) uint64 {
-	for {
-		v, wt := p.ScanAddT(val)
-		if wt == nil {
-			return v
-		}
-		p.sp.Await(wt)
-	}
+	var v uint64
+	p.wait(func() (wt sim.PollableWait) { v, wt = p.ScanAddT(val); return })
+	return v
 }
 
 // Gather collects one word from every processor at root, returning the
 // full vector there (nil elsewhere). Leaves write directly into the
 // root's landing area; O(P) messages but a single round trip of depth.
 func (p *Proc) Gather(root int, val uint64) []uint64 {
-	for {
-		out, wt := p.GatherT(root, val)
-		if wt == nil {
-			return out
-		}
-		p.sp.Await(wt)
-	}
+	var out []uint64
+	p.wait(func() (wt sim.PollableWait) { out, wt = p.GatherT(root, val); return })
+	return out
 }
 
 // AllToAll performs a personalized exchange: each processor provides one
 // word per destination (len(vals) == P) and receives one word from every
 // source, in source order. Short sync messages tagged with the sender.
 func (p *Proc) AllToAll(vals []uint64) []uint64 {
-	for {
-		out, wt := p.AllToAllT(vals)
-		if wt == nil {
-			return out
-		}
-		p.sp.Await(wt)
-	}
+	var out []uint64
+	p.wait(func() (wt sim.PollableWait) { out, wt = p.AllToAllT(vals); return })
+	return out
 }
 
 // closeVectorT ends a vector collective (op.bpc in its final state): the

@@ -25,12 +25,14 @@ import (
 // processor on sim.RunResumables — no stacks, which is what scales to a
 // million processors; a Task returns each wait to the engine. Run gives
 // each processor a stack and the blocking Proc API, whose every method is
-// the loop above with sim.Proc.Await in place of the return (see Proc).
-// Either way the sequence a primitive executes — its poll points, window
-// stalls, sends with their classes, wait conditions, and the
-// instrumentation hooks around them — is this file's, and the engine's
-// one scheduler loop takes each wait the same way whichever kind of body
-// named it, so the two cannot charge or interleave differently. See
+// the loop above with sim.Proc.Await in place of the return (see
+// Proc.wait). Either way the sequence a primitive executes — its sends
+// with their classes, wait conditions, and the instrumentation hooks
+// around them — is this file's, its poll points and window stalls are
+// the endpoint's one request preamble (am.Endpoint.RequestT), and the
+// engine's one scheduler loop takes each wait the same way whichever
+// kind of body named it, so the two cannot charge or interleave
+// differently. See
 // DESIGN.md §11; the twin tests still run both under the NOW parameter
 // set, whose clustered arrivals would expose any poll-point divergence.
 //
@@ -79,8 +81,9 @@ type TProc struct {
 	done bool // task finished; terminal barrier may still be running
 
 	// op is the in-flight primitive's state cell. pc is the primitive's
-	// own program counter, sub the leaf (request/recv) sub-counter, and
-	// the rest is scratch a primitive keeps across parks.
+	// own program counter, sub the leaf (round-trip/recv) sub-counter,
+	// and the rest is scratch a primitive keeps across parks. The request
+	// preamble's state is the endpoint's (am.Endpoint.RequestT).
 	op opState
 
 	// cells indexes the collective operand cells by tag - cellLo, from
@@ -103,7 +106,7 @@ type TProc struct {
 // flight at a time, so a single cell (rather than a stack) suffices.
 type opState struct {
 	pc    int    // primitive program counter (0 = no primitive in flight)
-	sub   int    // leaf sub-machine counter (sendReadyT / recvCollT / roundTripT)
+	sub   int    // leaf sub-machine counter (roundTripT / recvCollT)
 	r     int    // round or fragment cursor
 	bpc   int    // second program counter, for a primitive composed with one that owns pc
 	br    int    // round cursor belonging to bpc
@@ -288,24 +291,6 @@ func (t *TProc) Compute(d sim.Time) { t.ep.Compute(d) }
 // ComputeUs charges local computation time given in microseconds.
 func (t *TProc) ComputeUs(us float64) { t.ep.Compute(sim.FromMicros(us)) }
 
-// PollT services every arrival due by the processor's clock (handlers
-// run, o_recv is charged), yielding before the first inbox inspection and
-// between arrivals so slower processors interleave. Resumptive; a nil
-// return means the inbox is drained.
-func (t *TProc) PollT() sim.PollableWait {
-	switch t.op.sub {
-	case 0:
-		t.op.sub = 4
-		return sim.Yield
-	case 4:
-		if t.ep.PollOneDue() {
-			return sim.Yield
-		}
-	}
-	t.op.sub = 0
-	return nil
-}
-
 // Alloc reserves n words in the calling processor's global heap and
 // returns a pointer to them. Allocation is local; share pointers by
 // message or collectives.
@@ -377,81 +362,43 @@ func (t *TProc) widenCells(tag int) {
 
 // ----- leaf sub-machines -----
 
-// sendReadyT is the GAM request preamble: poll, then stall on the window
-// toward dst if it is full. A nil return means a credit is free and the
-// caller must commit its send at once. op.sub: 0/4 inside PollT, 1
-// re-entered after a window park.
-func (t *TProc) sendReadyT(dst int) sim.PollableWait {
-	if t.op.sub == 1 {
-		// The scheduler established a free credit; send without
-		// re-testing.
-		t.op.sub = 0
-		return nil
-	}
-	if wt := t.PollT(); wt != nil {
-		return wt
-	}
-	if !t.ep.CanSend(dst) {
-		t.op.sub = 1
-		return t.ep.WindowWait(dst)
-	}
-	return nil
-}
-
-// RequestT sends one short request under the window: the continuation
-// form of am.Endpoint.Request, for an application's own handler (Sample
-// sort's key delivery). A parked call is re-called with the same
-// arguments and sends once.
-func (t *TProc) RequestT(dst int, class am.Class, h am.Handler, a am.Args) sim.PollableWait {
-	if wt := t.sendReadyT(dst); wt != nil {
-		return wt
-	}
-	t.ep.SendRequest(dst, class, h, a)
-	return nil
-}
-
-// storeT sends one bulk fragment under the window.
-func (t *TProc) storeT(dst int, class am.Class, h am.BulkHandler, a am.Args, data []byte) sim.PollableWait {
-	if wt := t.sendReadyT(dst); wt != nil {
-		return wt
-	}
-	t.ep.SendStore(dst, class, h, a, data)
-	return nil
-}
+// The GAM request preamble — poll, then park on a full window — is the
+// endpoint's (am.Endpoint.RequestT and StoreT): the primitives below send
+// through it and keep none of its state.
 
 // roundTripT issues a request and waits for its short reply; the reply
-// value lands in op.acc via hReply. op.sub: 0/4/1 inside RequestT, 2
-// parked on the reply.
+// value lands in op.acc via hReply. op.sub: 0 fresh or inside the
+// endpoint's preamble, 1 parked on the reply.
 func (t *TProc) roundTripT(dst int, class am.Class, h am.Handler, a am.Args, kind am.WaitKind, reason string) (uint64, sim.PollableWait) {
-	if t.op.sub == 2 {
+	if t.op.sub == 1 {
 		t.op.sub = 0
 		return t.op.acc, nil
 	}
 	t.op.flag = 0
-	if wt := t.RequestT(dst, class, h, a); wt != nil {
+	if wt := t.ep.RequestT(dst, class, h, a); wt != nil {
 		return 0, wt
 	}
 	// The reply is at least a round trip away; the wait can never be
 	// ready at this instant, so park unconditionally.
-	t.op.sub = 2
+	t.op.sub = 1
 	return 0, t.ep.CounterWait(kind, &t.op.flag, 1, reason)
 }
 
 // sendCollT ships one operand word to dst under tag.
 func (t *TProc) sendCollT(dst, tag int, val uint64) sim.PollableWait {
-	return t.RequestT(dst, am.ClassSync, t.w.hColl, am.Args{uint64(tag), val})
+	return t.ep.RequestT(dst, am.ClassSync, t.w.hColl, am.Args{uint64(tag), val})
 }
 
 // sendCollAccT ships one operand word for arrival-time combination
 // under op (the flat all-reduce's gather leg).
 func (t *TProc) sendCollAccT(dst, tag int, val uint64, op ReduceOp) sim.PollableWait {
-	return t.RequestT(dst, am.ClassSync, t.w.hCollAcc, am.Args{uint64(tag), val, uint64(op)})
+	return t.ep.RequestT(dst, am.ClassSync, t.w.hCollAcc, am.Args{uint64(tag), val, uint64(op)})
 }
 
 // recvCollT consumes the next operand under tag, waiting if it has not
-// arrived. op.sub: 0 fresh, 3 parked on the cell.
+// arrived. op.sub: 0 fresh, 2 parked on the cell.
 func (t *TProc) recvCollT(tag int) (uint64, sim.PollableWait) {
-	if t.op.sub == 3 {
+	if t.op.sub == 2 {
 		t.op.sub = 0
 		return t.popOperand(tag), nil
 	}
@@ -460,7 +407,7 @@ func (t *TProc) recvCollT(tag int) (uint64, sim.PollableWait) {
 	// already arrived satisfies it on that first test without advancing
 	// the clock.
 	c := t.cell(tag)
-	t.op.sub = 3
+	t.op.sub = 2
 	return 0, t.ep.CounterWait(am.WaitBarrier, &c.cnt, c.exp+1, "splitc: collective recv")
 }
 
@@ -502,7 +449,7 @@ func (t *TProc) WriteWordT(g GPtr, v uint64) sim.PollableWait {
 		*t.w.word(g) = v
 		return nil
 	}
-	return t.RequestT(int(g.Proc), am.ClassWrite, t.w.hWrite, am.Args{g.Pack(), v})
+	return t.ep.RequestT(int(g.Proc), am.ClassWrite, t.w.hWrite, am.Args{g.Pack(), v})
 }
 
 // ReadWordT is ReadWord: a blocking remote read, one request + reply.
@@ -582,7 +529,7 @@ func (t *TProc) LockT(g GPtr) sim.PollableWait {
 		case 2:
 			// A spinning processor still polls, or remote test-and-set
 			// requests to it could never be answered.
-			if wt := t.PollT(); wt != nil {
+			if wt := t.ep.PollT(); wt != nil {
 				return wt
 			}
 			t.op.pc = 1
@@ -653,7 +600,7 @@ func (t *TProc) barrierDissemT() sim.PollableWait {
 				return nil
 			}
 			dst := (me + 1<<t.op.r) % P
-			if wt := t.RequestT(dst, am.ClassSync, w.hBarrier, am.Args{uint64(t.op.r)}); wt != nil {
+			if wt := t.ep.RequestT(dst, am.ClassSync, w.hBarrier, am.Args{uint64(t.op.r)}); wt != nil {
 				return wt
 			}
 			bs := w.barrierOf(me)
@@ -881,7 +828,7 @@ func (t *TProc) BulkPutT(g GPtr, vals []uint64) sim.PollableWait {
 			binary.LittleEndian.PutUint64(buf[8*i:], v)
 		}
 		target := g.Add(off)
-		if wt := t.storeT(int(g.Proc), am.ClassWrite, t.w.hBulkPut, am.Args{target.Pack()}, buf); wt != nil {
+		if wt := t.ep.StoreT(int(g.Proc), am.ClassWrite, t.w.hBulkPut, am.Args{target.Pack()}, buf); wt != nil {
 			return wt
 		}
 		t.op.r = end
@@ -915,7 +862,7 @@ func (t *TProc) BulkGetT(g GPtr, n int) ([]uint64, sim.PollableWait) {
 					count = n - off
 				}
 				src := g.Add(off)
-				if wt := t.RequestT(int(g.Proc), am.ClassRead, t.w.hBulkGetReq, am.Args{src.Pack(), uint64(count), uint64(off)}); wt != nil {
+				if wt := t.ep.RequestT(int(g.Proc), am.ClassRead, t.w.hBulkGetReq, am.Args{src.Pack(), uint64(count), uint64(off)}); wt != nil {
 					return nil, wt
 				}
 				t.op.r = off + frag

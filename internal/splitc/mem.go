@@ -1,30 +1,24 @@
 package splitc
 
-import "fmt"
+import "repro/internal/sim"
 
 // The blocking memory primitives: each drives its resumptive form in
-// cont.go to completion (see Proc).
+// cont.go to completion (see Proc.wait).
 
 // ReadWord performs a blocking read of the word at g: one short request,
 // one short reply, classified as read traffic. Local reads touch memory
 // directly and cost no communication.
 func (p *Proc) ReadWord(g GPtr) uint64 {
-	for {
-		v, wt := p.ReadWordT(g)
-		if wt == nil {
-			return v
-		}
-		p.sp.Await(wt)
-	}
+	var v uint64
+	p.wait(func() (wt sim.PollableWait) { v, wt = p.ReadWordT(g); return })
+	return v
 }
 
 // WriteWord performs a pipelined remote store of v to g: one short request
 // whose firmware-level ack completes it. The issuing processor continues
 // immediately; StoreSync (or Barrier) waits for all outstanding stores.
 func (p *Proc) WriteWord(g GPtr, v uint64) {
-	for wt := p.WriteWordT(g, v); wt != nil; wt = p.WriteWordT(g, v) {
-		p.sp.Await(wt)
-	}
+	p.wait(func() sim.PollableWait { return p.WriteWordT(g, v) })
 }
 
 // WriteWordSync is WriteWord followed by StoreSync — a blocking write.
@@ -36,19 +30,13 @@ func (p *Proc) WriteWordSync(g GPtr, v uint64) {
 // StoreSync blocks until every request this processor has issued — in
 // particular every pipelined store — has been applied at its destination
 // (Split-C's store counter synchronization).
-func (p *Proc) StoreSync() {
-	for wt := p.StoreSyncT(); wt != nil; wt = p.StoreSyncT() {
-		p.sp.Await(wt)
-	}
-}
+func (p *Proc) StoreSync() { p.wait(p.StoreSyncT) }
 
 // BulkPut copies vals into the global heap at g using the bulk-transfer
 // mechanism (one bulk fragment per ≤4 KB). Like WriteWord it is pipelined;
 // StoreSync waits for completion. Local puts are direct copies.
 func (p *Proc) BulkPut(g GPtr, vals []uint64) {
-	for wt := p.BulkPutT(g, vals); wt != nil; wt = p.BulkPutT(g, vals) {
-		p.sp.Await(wt)
-	}
+	p.wait(func() sim.PollableWait { return p.BulkPutT(g, vals) })
 }
 
 // BulkGet performs a blocking bulk read of n words at g: one short read
@@ -56,22 +44,9 @@ func (p *Proc) BulkPut(g GPtr, vals []uint64) {
 // Fragment requests are pipelined; the call returns when all data has
 // arrived. Local gets are direct copies.
 func (p *Proc) BulkGet(g GPtr, n int) []uint64 {
-	for {
-		out, wt := p.BulkGetT(g, n)
-		if wt == nil {
-			return out
-		}
-		p.sp.Await(wt)
-	}
-}
-
-// CheckBounds panics with a helpful message when a global pointer is out
-// of range for n words; applications use it in debug paths.
-func (p *Proc) CheckBounds(g GPtr, n int) {
-	heap := p.w.mem[g.Proc]
-	if g.Off < 0 || int(g.Off)+n > len(heap) {
-		panic(fmt.Sprintf("splitc: %v + %d words out of range (heap %d words)", g, n, len(heap)))
-	}
+	var out []uint64
+	p.wait(func() (wt sim.PollableWait) { out, wt = p.BulkGetT(g, n); return })
+	return out
 }
 
 // Slice returns a direct view of the owning heap from g to its end. It is

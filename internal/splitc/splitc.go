@@ -210,13 +210,23 @@ func (w *World) Run(body func(p *Proc)) error {
 // Proc is one processor's blocking view of the world, passed to SPMD
 // bodies under Run. It is a TProc — the same identity, memory and
 // primitive state a Task sees under RunTasks — plus the drive loop: every
-// blocking method calls its resumptive "…T" form until that returns a nil
-// wait, suspending the body on each wait in between (sim.Proc.Await). The
-// primitives therefore exist once (cont.go), and what a blocking call
-// charges is by construction what the continuation form charges; the
-// engine schedules the waits of both through one loop.
+// blocking method hands its resumptive "…T" form to wait. The primitives
+// therefore exist once (cont.go), and what a blocking call charges is by
+// construction what the continuation form charges; the engine schedules
+// the waits of both through one loop.
 type Proc struct {
 	TProc
+}
+
+// wait is the drive loop of every blocking method: it calls step until
+// that returns a nil wait, suspending the body on each wait in between
+// (sim.Proc.Await). A method that returns a value captures it from the
+// step in a local; step does not escape, so the closure stays on the
+// caller's stack and the drive allocates nothing.
+func (p *Proc) wait(step func() sim.PollableWait) {
+	for wt := step(); wt != nil; wt = step() {
+		p.sp.Await(wt)
+	}
 }
 
 // Poll services any arrived messages (handlers run, o_recv is charged).
